@@ -17,11 +17,11 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 var (
@@ -183,7 +183,7 @@ func BenchmarkGESymbolicC8N1000(b *testing.B) {
 	m := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := algs.RunGE(cl, m, mpi.Options{}, 1000, algs.GEOptions{Symbolic: true}); err != nil {
+		if _, err := (workload.GE{}).Run(context.Background(), cl, m, mpi.Options{}, workload.Spec{N: 1000, Symbolic: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func BenchmarkGERealC4N200(b *testing.B) {
 	m := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := algs.RunGE(cl, m, mpi.Options{}, 200, algs.GEOptions{Seed: int64(i)}); err != nil {
+		if _, err := (workload.GE{}).Run(context.Background(), cl, m, mpi.Options{}, workload.Spec{N: 200, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func BenchmarkMMSymbolicC8N500(b *testing.B) {
 	m := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := algs.RunMM(cl, m, mpi.Options{}, 500, algs.MMOptions{Symbolic: true}); err != nil {
+		if _, err := (workload.MM{}).Run(context.Background(), cl, m, mpi.Options{}, workload.Spec{N: 500, Symbolic: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -225,7 +225,7 @@ func BenchmarkMMRealC4N128(b *testing.B) {
 	m := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := algs.RunMM(cl, m, mpi.Options{}, 128, algs.MMOptions{Seed: int64(i)}); err != nil {
+		if _, err := (workload.MM{}).Run(context.Background(), cl, m, mpi.Options{}, workload.Spec{N: 128, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -239,9 +239,7 @@ func BenchmarkJacobiSymbolicC8N500(b *testing.B) {
 	m := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := algs.RunJacobi(cl, m, mpi.Options{}, 500, algs.JacobiOptions{
-			Iters: 100, CheckEvery: 10, Symbolic: true,
-		}); err != nil {
+		if _, err := (workload.Jacobi{}).Run(context.Background(), cl, m, mpi.Options{}, workload.Spec{N: 500, Symbolic: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -255,9 +253,7 @@ func BenchmarkJacobiRealC4N96(b *testing.B) {
 	m := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := algs.RunJacobi(cl, m, mpi.Options{}, 96, algs.JacobiOptions{
-			Iters: 40, CheckEvery: 10, Seed: int64(i),
-		}); err != nil {
+		if _, err := (workload.Jacobi{}).Run(context.Background(), cl, m, mpi.Options{}, workload.Spec{N: 96, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -277,7 +273,7 @@ func benchEngine(b *testing.B, engine mpi.Engine) {
 	m := benchModel(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := algs.RunGE(cl, m, mpi.Options{Engine: engine}, 400, algs.GEOptions{Symbolic: true}); err != nil {
+		if _, err := (workload.GE{}).Run(context.Background(), cl, m, mpi.Options{Engine: engine}, workload.Spec{N: 400, Symbolic: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -51,10 +51,10 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
-	"repro/internal/cli"
 	"repro/internal/experiments"
 	"repro/internal/runner"
 	"repro/internal/serve"
@@ -83,7 +83,7 @@ func run(args []string, out, errw io.Writer) error {
 		contended  = fs.Bool("contended", false, "shared-Ethernet contention (des engine only)")
 		geTarget   = fs.Float64("ge-target", 0.3, "speed-efficiency set-point for GE read-offs")
 		mmTarget   = fs.Float64("mm-target", 0.2, "speed-efficiency set-point for MM read-offs")
-		jobs       = fs.Int("jobs", cli.DefaultJobs(), "worker-pool size for running experiments")
+		jobs       = fs.Int("jobs", runtime.GOMAXPROCS(0), "worker-pool size for running experiments")
 		traceOut   = fs.String("trace", "", "write a Chrome trace of the selected experiments' runs to this file")
 		verbose    = fs.Bool("v", false, "narrate per-experiment progress and cache stats on stderr")
 		serveAddr  = fs.String("serve", "", "serve RunSpecs over HTTP on this address (e.g. 127.0.0.1:8080; :0 picks a port)")
@@ -122,7 +122,7 @@ func run(args []string, out, errw io.Writer) error {
 			Pool:          runner.NewPool(*jobs),
 			CacheDir:      *cacheDir,
 			CacheMaxBytes: *cacheMax,
-			Hooks:         cli.Progress(errw, *verbose),
+			Hooks:         runner.Progress(errw, *verbose),
 		})
 		if err != nil {
 			return err
@@ -183,7 +183,7 @@ func run(args []string, out, errw io.Writer) error {
 		Jobs:          *jobs,
 		CacheDir:      *cacheDir,
 		CacheMaxBytes: *cacheMax,
-		Hooks:         cli.Progress(errw, *verbose),
+		Hooks:         runner.Progress(errw, *verbose),
 	})
 	if err != nil {
 		return err
@@ -205,7 +205,7 @@ func run(args []string, out, errw io.Writer) error {
 		if err != nil {
 			return err
 		}
-		opts := experiments.RunOptions{Jobs: *jobs, Hooks: cli.Progress(errw, *verbose)}
+		opts := experiments.RunOptions{Jobs: *jobs, Hooks: runner.Progress(errw, *verbose)}
 		if err := experiments.WriteMarkdownReport(ctx, suite, out, ids, time.Now(), opts); err != nil {
 			return err
 		}

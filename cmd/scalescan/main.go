@@ -49,10 +49,10 @@ import (
 	"io"
 	"math"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/spec"
@@ -95,7 +95,7 @@ func run(args []string, out io.Writer) error {
 		example    = fs.Bool("example", false, "print a ladder template and exit")
 		csv        = fs.Bool("csv", false, "emit CSV")
 		jsonOut    = fs.Bool("json", false, "emit JSON")
-		jobs       = fs.Int("jobs", cli.DefaultJobs(), "worker-pool size for measuring rungs")
+		jobs       = fs.Int("jobs", runtime.GOMAXPROCS(0), "worker-pool size for measuring rungs")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err

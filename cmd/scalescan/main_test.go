@@ -138,7 +138,8 @@ func TestAsymLadderEveryWorkload(t *testing.T) {
 func TestAsymLadderHundredThousandRanks(t *testing.T) {
 	// A p = 10^5 rung prices in well under a second: the closed-form mode
 	// must stay fast enough that the acceptance-scale 10^6 rung (exercised
-	// manually and by scripts/bench.sh) fits its < 5 s budget.
+	// manually and by BenchmarkAsymptoticMillionRankRung) fits its < 5 s
+	// budget.
 	var out strings.Builder
 	if err := run([]string{"-workload", "ge", "-asym", "1000,100000"}, &out); err != nil {
 		t.Fatal(err)

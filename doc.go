@@ -23,19 +23,18 @@
 //	internal/mpi         virtual-time message passing (2 engines)
 //	internal/dist        heterogeneous data distributions
 //	internal/linalg      dense kernels and sequential references
-//	internal/algs        the parallel algorithms of the evaluation
-//	internal/workload    the workload registry: one seam over the algorithms
+//	internal/workload    the parallel algorithms, one file each, and their registry
 //	internal/faults      deterministic fault plans and injection
 //	internal/experiments every table and figure of the paper
 //	cmd/hetsim           run any experiment from the command line
 //	cmd/markedspeed      Table 1 + host measurement (+ -speeds tables)
 //	cmd/scalescan        scalability scans for any registered workload
 //	cmd/faultscan        fault and recovery scans for any registered workload
-//	examples/...         runnable walkthroughs of the public API
 //
 // This root package is a thin façade over internal/experiments for
-// programmatic use; see README.md for the guided tour and EXPERIMENTS.md
-// for the paper-vs-reproduction record.
+// programmatic use; its example_test.go holds output-checked
+// walkthroughs. See README.md for the guided tour and EXPERIMENTS.md for
+// the paper-vs-reproduction record.
 package repro
 
 import (

@@ -32,7 +32,7 @@ type EfficiencyCurve struct {
 }
 
 // Runner executes the algorithm at problem size n on a fixed system and
-// reports (work, timeMS). It is how core consumes internal/algs without
+// reports (work, timeMS). It is how core consumes internal/workload without
 // depending on it.
 type Runner func(n int) (work float64, timeMS float64, err error)
 

@@ -4,11 +4,11 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/mpi"
+	"repro/internal/workload"
 )
 
 // AblateDistribution quantifies why marked-speed-aware distribution
@@ -37,22 +37,21 @@ func (s *Suite) AblateDistribution(ctx context.Context) (*Table, error) {
 	geStrats := []dist.Strategy{dist.HetCyclic{}, dist.HomCyclic{}, dist.HomBlock{}}
 	var geBase float64
 	for i, st := range geStrats {
-		out, err := algs.RunGEContext(ctx, geCl, s.Cfg.Model, s.Cfg.mpiOpts(), nGE, algs.GEOptions{
-			Symbolic: true, Strategy: st, Seed: s.Cfg.Seed,
-		})
+		out, err := workload.GE{Strategy: st}.Run(ctx, geCl, s.Cfg.Model, s.Cfg.mpiOpts(),
+			workload.Spec{N: nGE, Seed: s.Cfg.Seed, Symbolic: true})
 		if err != nil {
 			return nil, err
 		}
 		if i == 0 {
-			geBase = out.Res.TimeMS
+			geBase = out.Stats.TimeMS
 		}
-		eff, err := core.SpeedEfficiency(out.Work, out.Res.TimeMS, geCl.MarkedSpeed())
+		eff, err := core.SpeedEfficiency(out.Work, out.Stats.TimeMS, geCl.MarkedSpeed())
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow("GE", geCl.Name, st.Name(),
-			fmtFloat(out.Res.TimeMS, 2), fmtFloat(eff, 4),
-			fmtFloat(out.Res.TimeMS/geBase, 3))
+			fmtFloat(out.Stats.TimeMS, 2), fmtFloat(eff, 4),
+			fmtFloat(out.Stats.TimeMS/geBase, 3))
 	}
 
 	mmCl, err := cluster.MMConfig(8)
@@ -62,22 +61,21 @@ func (s *Suite) AblateDistribution(ctx context.Context) (*Table, error) {
 	mmStrats := []dist.Strategy{dist.HetBlock{}, dist.HomBlock{}}
 	var mmBase float64
 	for i, st := range mmStrats {
-		out, err := algs.RunMMContext(ctx, mmCl, s.Cfg.Model, s.Cfg.mpiOpts(), nMM, algs.MMOptions{
-			Symbolic: true, Strategy: st, Seed: s.Cfg.Seed,
-		})
+		out, err := workload.MM{Strategy: st}.Run(ctx, mmCl, s.Cfg.Model, s.Cfg.mpiOpts(),
+			workload.Spec{N: nMM, Seed: s.Cfg.Seed, Symbolic: true})
 		if err != nil {
 			return nil, err
 		}
 		if i == 0 {
-			mmBase = out.Res.TimeMS
+			mmBase = out.Stats.TimeMS
 		}
-		eff, err := core.SpeedEfficiency(out.Work, out.Res.TimeMS, mmCl.MarkedSpeed())
+		eff, err := core.SpeedEfficiency(out.Work, out.Stats.TimeMS, mmCl.MarkedSpeed())
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow("MM", mmCl.Name, st.Name(),
-			fmtFloat(out.Res.TimeMS, 2), fmtFloat(eff, 4),
-			fmtFloat(out.Res.TimeMS/mmBase, 3))
+			fmtFloat(out.Stats.TimeMS, 2), fmtFloat(eff, 4),
+			fmtFloat(out.Stats.TimeMS/mmBase, 3))
 	}
 	t.Notes = append(t.Notes,
 		"speed-blind distribution leaves fast V210 nodes idle waiting for SunBlades; E_s drops accordingly")
@@ -108,18 +106,18 @@ func (s *Suite) AblateContention(ctx context.Context) (*Table, error) {
 	}
 	runs := []runT{
 		{"GE", func(opts mpi.Options) (float64, float64, error) {
-			out, err := algs.RunGEContext(ctx, geCl, s.Cfg.Model, opts, n, algs.GEOptions{Symbolic: true, Seed: s.Cfg.Seed})
+			out, err := workload.GE{}.Run(ctx, geCl, s.Cfg.Model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
-			return out.Work, out.Res.TimeMS, nil
+			return out.Work, out.Stats.TimeMS, nil
 		}, geCl},
 		{"MM", func(opts mpi.Options) (float64, float64, error) {
-			out, err := algs.RunMMContext(ctx, mmCl, s.Cfg.Model, opts, n, algs.MMOptions{Symbolic: true, Seed: s.Cfg.Seed})
+			out, err := workload.MM{}.Run(ctx, mmCl, s.Cfg.Model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
-			return out.Work, out.Res.TimeMS, nil
+			return out.Work, out.Stats.TimeMS, nil
 		}, mmCl},
 	}
 	for _, r := range runs {

@@ -50,8 +50,8 @@ func TestAsymptoticScaleReachesMillionRanksQuickly(t *testing.T) {
 	// The acceptance bound of the closed-form mode: the full default
 	// ladder — every workload priced out to p = 10^6 — must complete in
 	// seconds, since no rung executes a program. The test budget is the
-	// go test default timeout; the wall-clock claim is checked by
-	// scripts/bench.sh.
+	// go test default timeout; the per-rung wall-clock claim is timed by
+	// BenchmarkAsymptoticMillionRankRung in internal/workload.
 	if testing.Short() {
 		t.Skip("builds 10^6-node clusters")
 	}

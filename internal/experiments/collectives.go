@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/workload"
 )
 
 // AblateCollectives quantifies how much of GE's poor scalability is the
@@ -24,11 +24,11 @@ func (s *Suite) AblateCollectives(ctx context.Context) (*Table, error) {
 	}
 	impls := []struct {
 		name string
-		impl algs.PivotBcast
+		impl workload.PivotBcast
 	}{
-		{"measured model (0.23·p)", algs.PivotBcastModel},
-		{"flat p2p (owner sends p-1)", algs.PivotBcastLinear},
-		{"binomial tree (log2 p rounds)", algs.PivotBcastTree},
+		{"measured model (0.23·p)", workload.PivotBcastModel},
+		{"flat p2p (owner sends p-1)", workload.PivotBcastLinear},
+		{"binomial tree (log2 p rounds)", workload.PivotBcastTree},
 	}
 	for _, p := range s.Cfg.Sizes {
 		cl, err := cluster.GEConfig(p)
@@ -36,18 +36,17 @@ func (s *Suite) AblateCollectives(ctx context.Context) (*Table, error) {
 			return nil, err
 		}
 		for _, im := range impls {
-			out, err := algs.RunGEContext(ctx, cl, s.Cfg.Model, s.Cfg.mpiOpts(), n, algs.GEOptions{
-				Symbolic: true, Pivot: im.impl, Seed: s.Cfg.Seed,
-			})
+			out, err := workload.GE{Pivot: im.impl}.Run(ctx, cl, s.Cfg.Model, s.Cfg.mpiOpts(),
+				workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return nil, err
 			}
-			eff, err := core.SpeedEfficiency(out.Work, out.Res.TimeMS, cl.MarkedSpeed())
+			eff, err := core.SpeedEfficiency(out.Work, out.Stats.TimeMS, cl.MarkedSpeed())
 			if err != nil {
 				return nil, err
 			}
 			t.AddRow(cl.Name, fmt.Sprintf("%d", cl.Size()), im.name,
-				fmtFloat(out.Res.TimeMS, 1), fmtFloat(eff, 4))
+				fmtFloat(out.Stats.TimeMS, 1), fmtFloat(eff, 4))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -72,17 +71,15 @@ func (s *Suite) AblateOverlap(ctx context.Context) (*Table, error) {
 		n := 120 * p // keep per-rank work roughly constant along the ladder
 		var base float64
 		for _, overlap := range []bool{false, true} {
-			out, err := algs.RunJacobiContext(ctx, cl, s.Cfg.Model, s.Cfg.mpiOpts(), n, algs.JacobiOptions{
-				Iters: jacIters, CheckEvery: jacCheckEvery,
-				Symbolic: true, Overlap: overlap, Seed: s.Cfg.Seed,
-			})
+			out, err := workload.Jacobi{Overlap: overlap}.Run(ctx, cl, s.Cfg.Model, s.Cfg.mpiOpts(),
+				workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return nil, err
 			}
 			if !overlap {
-				base = out.Res.TimeMS
+				base = out.Stats.TimeMS
 			}
-			eff, err := core.SpeedEfficiency(out.Work, out.Res.TimeMS, cl.MarkedSpeed())
+			eff, err := core.SpeedEfficiency(out.Work, out.Stats.TimeMS, cl.MarkedSpeed())
 			if err != nil {
 				return nil, err
 			}
@@ -91,8 +88,8 @@ func (s *Suite) AblateOverlap(ctx context.Context) (*Table, error) {
 				variant = "overlapped (ISend)"
 			}
 			t.AddRow(cl.Name, fmt.Sprintf("%d", n), variant,
-				fmtFloat(out.Res.TimeMS, 1), fmtFloat(eff, 4),
-				fmtFloat(base/out.Res.TimeMS, 3))
+				fmtFloat(out.Stats.TimeMS, 1), fmtFloat(eff, 4),
+				fmtFloat(base/out.Stats.TimeMS, 3))
 		}
 	}
 	t.Notes = append(t.Notes,

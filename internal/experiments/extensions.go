@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -18,15 +17,8 @@ import (
 // scalability (the paper's reference [9] folded into the metric), a
 // three-mode network ablation, and trace-based overhead decomposition.
 
-// Fixed Jacobi study parameters, owned by the workload registration; the
-// aliases keep the ablations (grid, collectives, traces) reading like the
-// combination definition they vary.
-const (
-	jacIters      = workload.JacobiIters
-	jacCheckEvery = workload.JacobiCheckEvery
-	// JacTarget is the speed-efficiency set-point for the Jacobi chain.
-	JacTarget = 0.3
-)
+// JacTarget is the speed-efficiency set-point for the Jacobi chain.
+const JacTarget = 0.3
 
 // JacChainMeasured returns (memoized) the measured Jacobi ladder on the
 // MM-style mixed configurations.
@@ -68,7 +60,7 @@ func (s *Suite) ThreeWay(ctx context.Context) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"communication structure dictates scalability: nearest-neighbour halo > matrix replication > per-iteration broadcast",
-		fmt.Sprintf("Jacobi: %d sweeps, residual all-reduce every %d, target E_s=%.2f, sweep loop timed (distribution excluded)", jacIters, jacCheckEvery, JacTarget))
+		fmt.Sprintf("Jacobi: %d sweeps, residual all-reduce every %d, target E_s=%.2f, sweep loop timed (distribution excluded)", workload.JacobiIters, workload.JacobiCheckEvery, JacTarget))
 	return t, nil
 }
 
@@ -233,20 +225,18 @@ func (s *Suite) AblateNetworks(ctx context.Context) (*Table, error) {
 	}
 	for _, a := range []alg{
 		{"MM", func(opts mpi.Options) (float64, float64, error) {
-			out, err := algs.RunMMContext(ctx, cl, s.Cfg.Model, opts, n, algs.MMOptions{Symbolic: true, Seed: s.Cfg.Seed})
+			out, err := workload.MM{}.Run(ctx, cl, s.Cfg.Model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
-			return out.Work, out.Res.TimeMS, nil
+			return out.Work, out.Stats.TimeMS, nil
 		}},
 		{"Jacobi", func(opts mpi.Options) (float64, float64, error) {
-			out, err := algs.RunJacobiContext(ctx, cl, s.Cfg.Model, opts, n, algs.JacobiOptions{
-				Iters: jacIters, CheckEvery: jacCheckEvery, Symbolic: true, Seed: s.Cfg.Seed,
-			})
+			out, err := workload.Jacobi{}.Run(ctx, cl, s.Cfg.Model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
-			return out.Work, out.Res.TimeMS, nil
+			return out.Work, out.Stats.TimeMS, nil
 		}},
 	} {
 		var base float64

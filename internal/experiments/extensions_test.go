@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/mpi"
@@ -266,13 +265,13 @@ func TestReadOffRobustUnderJitter(t *testing.T) {
 	}
 	runner := func(jitter float64, seed int64) core.Runner {
 		return func(n int) (float64, float64, error) {
-			out, err := algs.RunGE(cl, s.Cfg.Model, mpi.Options{
+			out, err := workload.GE{}.Run(context.Background(), cl, s.Cfg.Model, mpi.Options{
 				Jitter: jitter, JitterSeed: seed,
-			}, n, algs.GEOptions{Symbolic: true})
+			}, workload.Spec{N: n, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
-			return out.Work, out.Res.TimeMS, nil
+			return out.Work, out.Stats.TimeMS, nil
 		}
 	}
 	m, err := s.machineFor(workload.MustGet("ge"), cl)

@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/simnet"
+	"repro/internal/workload"
 )
 
 // Grid reproduces the paper's "widely distributed" claim (§5: the metric
@@ -59,27 +59,25 @@ func (s *Suite) Grid(ctx context.Context) (*Table, error) {
 	}
 	variants := []variant{
 		{"GE", nGE, func(model simnet.CostModel) (float64, float64, error) {
-			out, err := algs.RunGEContext(ctx, cl, model, s.Cfg.mpiOpts(), nGE, algs.GEOptions{Symbolic: true, Seed: s.Cfg.Seed})
+			out, err := workload.GE{}.Run(ctx, cl, model, s.Cfg.mpiOpts(), workload.Spec{N: nGE, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
-			return out.Work, out.Res.TimeMS, nil
+			return out.Work, out.Stats.TimeMS, nil
 		}},
 		{"MM", nMM, func(model simnet.CostModel) (float64, float64, error) {
-			out, err := algs.RunMMContext(ctx, cl, model, s.Cfg.mpiOpts(), nMM, algs.MMOptions{Symbolic: true, Seed: s.Cfg.Seed})
+			out, err := workload.MM{}.Run(ctx, cl, model, s.Cfg.mpiOpts(), workload.Spec{N: nMM, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
-			return out.Work, out.Res.TimeMS, nil
+			return out.Work, out.Stats.TimeMS, nil
 		}},
 		{"Jacobi", nJac, func(model simnet.CostModel) (float64, float64, error) {
-			out, err := algs.RunJacobiContext(ctx, cl, model, s.Cfg.mpiOpts(), nJac, algs.JacobiOptions{
-				Iters: jacIters, CheckEvery: jacCheckEvery, Symbolic: true, Seed: s.Cfg.Seed,
-			})
+			out, err := workload.Jacobi{}.Run(ctx, cl, model, s.Cfg.mpiOpts(), workload.Spec{N: nJac, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
-			return out.Work, out.Res.TimeMS, nil
+			return out.Work, out.Stats.TimeMS, nil
 		}},
 	}
 	for _, v := range variants {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -80,7 +79,7 @@ func (s *Suite) RecoveredSweep(ctx context.Context) (*Table, error) {
 			faultSweepN, cl.Name, recoveredInterval, base.VirtualTime),
 		Headers: []string{"Scenario", "Attempts", "Ckpts", "T (ms)", "Slowdown", "E_s @ nominal C", "ψ vs fault-free"},
 	}
-	rcfg := algs.RecoveryConfig{IntervalSteps: recoveredInterval}
+	rcfg := workload.RecoveryConfig{IntervalSteps: recoveredInterval}
 	addRow := func(label string, withFaults []faults.Crash) error {
 		fopts := opts
 		if withFaults != nil {
@@ -159,7 +158,7 @@ func (s *Suite) CheckpointInterval(ctx context.Context) (*Table, error) {
 		Headers: []string{"Interval (pivots)", "Ckpts", "T healthy (ms)", "Ckpt overhead", "T crashed (ms)", "Crashed slowdown", "E_s crashed"},
 	}
 	for _, interval := range checkpointIntervals {
-		rcfg := algs.RecoveryConfig{IntervalSteps: interval}
+		rcfg := workload.RecoveryConfig{IntervalSteps: interval}
 		_, healthy, err := ge.RunRecovered(ctx, cl, s.Cfg.Model, opts, spec, rcfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: healthy interval %d: %w", interval, err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/nasbench"
@@ -279,7 +278,7 @@ func (s *Suite) HomogeneousCheck(ctx context.Context) (*Table, error) {
 		}
 		_ = curve
 		nInt := int(math.Round(nReq))
-		points = append(points, core.ScalePoint{Label: cl.Name, C: cl.MarkedSpeed(), N: nInt, W: algs.WorkGE(nInt)})
+		points = append(points, core.ScalePoint{Label: cl.Name, C: cl.MarkedSpeed(), N: nInt, W: workload.MustGet("ge").WorkAt(nInt)})
 		ps = append(ps, p)
 	}
 	psiGen, err := core.PsiChain(points)

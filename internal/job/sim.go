@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/des"
@@ -141,7 +140,7 @@ type jobState struct {
 //
 // With a node-fault schedule (opts.Health), a node crashing mid-lease
 // shrinks the lease to the survivors and the run rolls back to its last
-// coordinated checkpoint and replays on them (mpi.RunRecoverable with
+// coordinated checkpoint and replays on them (mpi.RunReconfigurable with
 // dist.Pinned redistribution), all charged in virtual time. A job whose
 // lease loses every node re-enters the queue under the bounded
 // exponential-backoff budget in opts.Retry; admission control
@@ -242,7 +241,7 @@ func Simulate(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, 
 			spec.PinnedSpeeds = sub.Speeds()
 			mopts := opts.MPI
 			mopts.Faults = faults.Plan{Crashes: crashes}.Injector()
-			rcfg := algs.RecoveryConfig{IntervalSteps: opts.Retry.CkptSteps}
+			rcfg := workload.RecoveryConfig{IntervalSteps: opts.Retry.CkptSteps}
 			out, rec, err := ests[j.Workload].RunRecovered(ctx, sub, model, mopts, spec, rcfg)
 			switch {
 			case err == nil:

@@ -74,7 +74,7 @@ func MatMulBlocked(a, b *Matrix, bs int) (*Matrix, error) {
 // MatMulParallel computes C = A * B splitting row bands across workers
 // goroutines (0 means GOMAXPROCS). This is host-level shared-memory
 // parallelism, distinct from the simulated message-passing MM in
-// internal/algs; it is used to speed up large reference computations and as
+// internal/workload; it is used to speed up large reference computations and as
 // a shared-memory baseline in the benchmarks.
 func MatMulParallel(a, b *Matrix, workers int) (*Matrix, error) {
 	if a.Cols != b.Rows {

@@ -1,11 +1,11 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/des"
 	"repro/internal/simnet"
 )
 
@@ -30,7 +30,7 @@ func benchCollective(b *testing.B, engine Engine, prog func(c Comm, iters int) e
 	cl, m := benchWorld(b, 8)
 	iters := b.N
 	b.ResetTimer()
-	if _, err := Run(cl, m, Options{Engine: engine}, func(c Comm) error {
+	if _, err := Run(context.Background(), cl, m, Options{Engine: engine}, func(c Comm) error {
 		return prog(c, iters)
 	}); err != nil {
 		b.Fatal(err)
@@ -88,7 +88,7 @@ func BenchmarkPingPongLive(b *testing.B) {
 	payload := make([]float64, 128)
 	iters := b.N
 	b.ResetTimer()
-	if _, err := Run(cl, m, Options{Engine: EngineLive}, func(c Comm) error {
+	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineLive}, func(c Comm) error {
 		for i := 0; i < iters; i++ {
 			if c.Rank() == 0 {
 				c.Send(1, 0, payload)
@@ -104,18 +104,13 @@ func BenchmarkPingPongLive(b *testing.B) {
 	}
 }
 
-// benchTransports enumerates fresh-transport constructors for the three
-// built-in substrates, so the same program can be benchmarked on all via
-// RunTransport (sub-benchmark names: /channel, /des, /symbolic).
-func benchTransports(m simnet.CostModel, size int) map[string]func() Transport {
-	return map[string]func() Transport{
-		"channel": func() Transport { return NewChannelTransport(size, 0) },
-		"des": func() Transport {
-			k := des.NewKernel()
-			return NewDESTransport(k, simnet.NewWireMode(k, m, simnet.WireIdeal, size), size)
-		},
-		"symbolic": func() Transport { return NewSymbolicTransport(size) },
-	}
+// benchTransports names the engine selector of each built-in transport,
+// so the same program can be benchmarked on all three (sub-benchmark
+// names: /channel, /des, /symbolic).
+var benchTransports = map[string]Engine{
+	"channel":  EngineLive,
+	"des":      EngineDES,
+	"symbolic": EngineSymbolic,
 }
 
 // BenchmarkTransportPingPong measures the per-message substrate cost —
@@ -124,11 +119,11 @@ func benchTransports(m simnet.CostModel, size int) map[string]func() Transport {
 func BenchmarkTransportPingPong(b *testing.B) {
 	cl, m := benchWorld(b, 2)
 	payload := make([]float64, 128)
-	for name, mk := range benchTransports(m, cl.Size()) {
+	for name, eng := range benchTransports {
 		b.Run(name, func(b *testing.B) {
 			iters := b.N
 			b.ResetTimer()
-			if _, err := RunTransport(cl, m, Options{}, func(c Comm) error {
+			if _, err := Run(context.Background(), cl, m, Options{Engine: eng}, func(c Comm) error {
 				for i := 0; i < iters; i++ {
 					if c.Rank() == 0 {
 						c.Send(1, 0, payload)
@@ -139,7 +134,7 @@ func BenchmarkTransportPingPong(b *testing.B) {
 					}
 				}
 				return nil
-			}, mk()); err != nil {
+			}); err != nil {
 				b.Fatal(err)
 			}
 		})
@@ -150,16 +145,16 @@ func BenchmarkTransportPingPong(b *testing.B) {
 // max-reduction barrier on both transports.
 func BenchmarkTransportBarrier(b *testing.B) {
 	cl, m := benchWorld(b, 8)
-	for name, mk := range benchTransports(m, cl.Size()) {
+	for name, eng := range benchTransports {
 		b.Run(name, func(b *testing.B) {
 			iters := b.N
 			b.ResetTimer()
-			if _, err := RunTransport(cl, m, Options{}, func(c Comm) error {
+			if _, err := Run(context.Background(), cl, m, Options{Engine: eng}, func(c Comm) error {
 				for i := 0; i < iters; i++ {
 					c.Barrier()
 				}
 				return nil
-			}, mk()); err != nil {
+			}); err != nil {
 				b.Fatal(err)
 			}
 		})

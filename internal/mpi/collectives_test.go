@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -27,7 +28,7 @@ func TestBcastAlgorithmsDeliver(t *testing.T) {
 			for _, e := range engines {
 				got := make([][]float64, p)
 				gotTree := make([][]float64, p)
-				_, err := Run(cl, m, e.opts, func(c Comm) error {
+				_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 					var in []float64
 					if c.Rank() == root {
 						in = payload
@@ -58,7 +59,7 @@ func TestBcastTreeBeatsLinearAtScale(t *testing.T) {
 	cl := testCluster(t, uniformCluster(t, p)...)
 	payload := make([]float64, 2000)
 	runWith := func(f func(c Comm)) float64 {
-		res, err := Run(cl, m, Options{}, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, Options{}, func(c Comm) error {
 			f(c)
 			return nil
 		})
@@ -93,7 +94,7 @@ func TestAllreduceRingCorrect(t *testing.T) {
 		cl := testCluster(t, uniformCluster(t, p)...)
 		for _, n := range []int{1, 3, p, 17} {
 			results := make([][]float64, p)
-			_, err := Run(cl, m, Options{}, func(c Comm) error {
+			_, err := Run(context.Background(), cl, m, Options{}, func(c Comm) error {
 				vec := make([]float64, n)
 				for i := range vec {
 					vec[i] = float64(c.Rank()*100 + i)
@@ -126,7 +127,7 @@ func TestAllreduceRingBeatsNaiveForBigVectors(t *testing.T) {
 	cl := testCluster(t, uniformCluster(t, p)...)
 	const n = 20000
 	runWith := func(f func(c Comm)) float64 {
-		res, err := Run(cl, m, Options{}, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, Options{}, func(c Comm) error {
 			f(c)
 			return nil
 		})
@@ -168,7 +169,7 @@ func TestGatherTreeCorrect(t *testing.T) {
 		for root := 0; root < p; root += 3 {
 			var rootOut []float64
 			nonRootNil := true
-			_, err := Run(cl, m, Options{}, func(c Comm) error {
+			_, err := Run(context.Background(), cl, m, Options{}, func(c Comm) error {
 				mine := []float64{float64(c.Rank()), float64(c.Rank() * 10)}
 				out := GatherTree(c, root, 40, mine)
 				if c.Rank() == root {
@@ -209,11 +210,11 @@ func TestCollectivesEnginesAgree(t *testing.T) {
 		GatherTree(c, 0, 50, []float64{float64(c.Rank())})
 		return nil
 	}
-	live, err := Run(cl, m, Options{Engine: EngineLive}, prog)
+	live, err := Run(context.Background(), cl, m, Options{Engine: EngineLive}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	des, err := Run(cl, m, Options{Engine: EngineDES}, prog)
+	des, err := Run(context.Background(), cl, m, Options{Engine: EngineDES}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +228,7 @@ func TestCollectivesEnginesAgree(t *testing.T) {
 func TestAllreduceRingNilOpPanicsIntoError(t *testing.T) {
 	m := testModel(t)
 	cl := testCluster(t, 50, 50)
-	_, err := Run(cl, m, Options{}, func(c Comm) error {
+	_, err := Run(context.Background(), cl, m, Options{}, func(c Comm) error {
 		AllreduceRing(c, 1, []float64{1}, nil)
 		return nil
 	})
@@ -245,7 +246,7 @@ func ExampleBcastTree() {
 	}
 	cl, _ := cluster.New("example", nodes...)
 	model, _ := simnet.NewParamModel("example", simnet.Sunwulf100())
-	res, _ := Run(cl, model, Options{}, func(c Comm) error {
+	res, _ := Run(context.Background(), cl, model, Options{}, func(c Comm) error {
 		var in []float64
 		if c.Rank() == 0 {
 			in = []float64{42}

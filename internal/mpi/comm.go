@@ -10,7 +10,7 @@
 //     cannot complete before the matching payload arrives).
 //
 // Payloads are real data ([]float64 slices): the algorithms in
-// internal/algs perform genuine numerics, so their results can be verified
+// internal/workload perform genuine numerics, so their results can be verified
 // against sequential solvers while their timing comes from the model.
 //
 // Architecturally the package is a single rank runtime over pluggable
@@ -43,7 +43,7 @@
 // suites); the DES transport with contention enabled is the ablation that
 // quantifies what shared Ethernet does to scalability, and the one regime
 // the symbolic transport cannot price (wire queueing needs a global event
-// order). Custom backends plug in via RunTransport.
+// order).
 //
 // Send semantics are blocking-by-cost: a sender is busy for
 // SendTime+TransferTime (it drives the payload onto the wire), and the
@@ -254,10 +254,8 @@ func (r Result) MaxCommMS() float64 {
 // rank aborts the Run (after all ranks finish, to keep engines simple).
 type Program func(c Comm) error
 
-// validateCommon checks the arguments every execution path needs —
-// including caller-supplied transports via RunTransport, which skips the
-// engine-selection checks below.
-func validateCommon(cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program) error {
+// validateRun checks the arguments and the engine selection of a run.
+func validateRun(cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program) error {
 	if cl == nil || cl.Size() == 0 {
 		return errors.New("mpi: nil or empty cluster")
 	}
@@ -274,14 +272,6 @@ func validateCommon(cl *cluster.Cluster, model simnet.CostModel, opts Options, p
 		return fmt.Errorf("mpi: fault injector allows %d send attempts, need >= 1",
 			opts.Faults.MaxSendAttempts())
 	}
-	return nil
-}
-
-// validateRun additionally checks the built-in engine selection.
-func validateRun(cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program) error {
-	if err := validateCommon(cl, model, opts, program); err != nil {
-		return err
-	}
 	if opts.Engine != EngineLive && opts.Engine != EngineDES && opts.Engine != EngineSymbolic {
 		return fmt.Errorf("mpi: unknown engine %v", opts.Engine)
 	}
@@ -293,19 +283,14 @@ func validateRun(cl *cluster.Cluster, model simnet.CostModel, opts Options, prog
 
 // Run executes program once per rank of cl under the given cost model and
 // returns the virtual-time result. Program errors from any rank are joined
-// and returned.
-func Run(cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program) (Result, error) {
-	return RunContext(context.Background(), cl, model, opts, program)
-}
-
-// RunContext is Run with cancellation. Cancellation is observed at run
-// boundaries: a canceled context prevents the program from starting, and
-// a cancellation arriving mid-run surfaces after the engine drains. A
-// started program always runs to completion — tearing ranks down
-// mid-protocol would leak goroutines blocked on message channels — so
-// callers running sweeps get cancellation granularity of one program
-// execution, which is milliseconds of real time.
-func RunContext(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program) (Result, error) {
+// and returned. Cancellation is observed at run boundaries: a canceled
+// context prevents the program from starting, and a cancellation arriving
+// mid-run surfaces after the engine drains. A started program always runs
+// to completion — tearing ranks down mid-protocol would leak goroutines
+// blocked on message channels — so callers running sweeps get
+// cancellation granularity of one program execution, which is
+// milliseconds of real time.
+func Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, fmt.Errorf("mpi: run canceled before start: %w", err)
 	}

@@ -12,35 +12,12 @@ func TestRunContextCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, e := range engines {
-		_, err := RunContext(ctx, cl, m, e.opts, func(c Comm) error {
+		_, err := Run(ctx, cl, m, e.opts, func(c Comm) error {
 			t.Errorf("%s: program ran under canceled context", e.name)
 			return nil
 		})
 		if !errors.Is(err, context.Canceled) {
 			t.Errorf("%s: err = %v, want context.Canceled", e.name, err)
-		}
-	}
-}
-
-func TestRunContextMatchesRun(t *testing.T) {
-	cl := testCluster(t, 40, 80)
-	m := testModel(t)
-	prog := func(c Comm) error {
-		c.Compute(8000)
-		c.Barrier()
-		return nil
-	}
-	for _, e := range engines {
-		plain, err := Run(cl, m, e.opts, prog)
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		withCtx, err := RunContext(context.Background(), cl, m, e.opts, prog)
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		if plain.TimeMS != withCtx.TimeMS || plain.Messages != withCtx.Messages {
-			t.Errorf("%s: RunContext result differs from Run: %+v vs %+v", e.name, withCtx, plain)
 		}
 	}
 }
@@ -51,7 +28,7 @@ func TestRunContextCancelMidRunDrains(t *testing.T) {
 	cl := testCluster(t, 10, 10)
 	m := testModel(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := RunContext(ctx, cl, m, Options{Engine: EngineLive}, func(c Comm) error {
+	_, err := Run(ctx, cl, m, Options{Engine: EngineLive}, func(c Comm) error {
 		if c.Rank() == 0 {
 			cancel() // arrives while the program is in flight
 		}

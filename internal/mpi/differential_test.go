@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -31,7 +32,7 @@ func runAllEngines(t *testing.T, cl *cluster.Cluster, m simnet.CostModel, opts O
 	for i, eng := range diffEngines {
 		o := opts
 		o.Engine = eng
-		res, err := Run(cl, m, o, prog)
+		res, err := Run(context.Background(), cl, m, o, prog)
 		if err != nil {
 			t.Fatalf("%s %v: %v", label, eng, err)
 		}
@@ -182,7 +183,7 @@ func TestDifferentialEnginesWithCrashes(t *testing.T) {
 	m := testModel(t)
 	for seed := int64(0); seed < 15; seed++ {
 		prog := randomProgram(seed+900, 25)
-		base, err := Run(cl, m, Options{Engine: EngineLive}, prog)
+		base, err := Run(context.Background(), cl, m, Options{Engine: EngineLive}, prog)
 		if err != nil {
 			t.Fatalf("seed %d baseline: %v", seed, err)
 		}
@@ -194,7 +195,7 @@ func TestDifferentialEnginesWithCrashes(t *testing.T) {
 		var firstRes Result
 		var firstOut FaultOutcome
 		for i, eng := range diffEngines {
-			res, errRun := Run(cl, m, Options{Engine: eng, Faults: inj}, prog)
+			res, errRun := Run(context.Background(), cl, m, Options{Engine: eng, Faults: inj}, prog)
 			out, ok := ClassifyFaults(cl.Size(), errRun)
 			if !ok {
 				t.Fatalf("seed %d %v: non-fault failure: %v", seed, eng, errRun)
@@ -233,7 +234,7 @@ func TestDifferentialRunsAreStable(t *testing.T) {
 	for _, eng := range diffEngines {
 		var first Result
 		for i := 0; i < 3; i++ {
-			res, err := Run(cl, m, Options{Engine: eng}, prog)
+			res, err := Run(context.Background(), cl, m, Options{Engine: eng}, prog)
 			if err != nil {
 				t.Fatal(err)
 			}

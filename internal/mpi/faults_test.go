@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"testing"
@@ -62,7 +63,7 @@ func runBoth(t *testing.T, speeds []float64, inj FaultInjector, prog Program) (R
 	for _, e := range bothEngines {
 		opts := e.opts
 		opts.Faults = inj
-		res, err := Run(cl, m, opts, prog)
+		res, err := Run(context.Background(), cl, m, opts, prog)
 		results = append(results, res)
 		errs = append(errs, err)
 	}
@@ -376,7 +377,7 @@ func TestFaultInjectorZeroPlanIsInert(t *testing.T) {
 func TestValidateRunRejectsZeroAttemptInjector(t *testing.T) {
 	cl := testCluster(t, 10, 10)
 	inj := &testInjector{maxAttempts: 0}
-	_, err := Run(cl, testModel(t), Options{Faults: inj}, func(c Comm) error { return nil })
+	_, err := Run(context.Background(), cl, testModel(t), Options{Faults: inj}, func(c Comm) error { return nil })
 	if err == nil {
 		t.Fatal("injector with 0 send attempts accepted")
 	}

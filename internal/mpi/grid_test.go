@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestGridSendCostsDependOnSites(t *testing.T) {
 	b := simnet.WordBytes * len(payload)
 
 	run := func(to int) float64 {
-		res, err := Run(cl, tl, Options{}, func(c Comm) error {
+		res, err := Run(context.Background(), cl, tl, Options{}, func(c Comm) error {
 			switch c.Rank() {
 			case 0:
 				c.Send(to, 1, payload)
@@ -73,11 +74,11 @@ func TestGridEnginesAgree(t *testing.T) {
 		c.Barrier()
 		return nil
 	}
-	live, err := Run(cl, tl, Options{Engine: EngineLive}, prog)
+	live, err := Run(context.Background(), cl, tl, Options{Engine: EngineLive}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	des, err := Run(cl, tl, Options{Engine: EngineDES}, prog)
+	des, err := Run(context.Background(), cl, tl, Options{Engine: EngineDES}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,11 +98,11 @@ func TestGridCollectivesUseHierarchy(t *testing.T) {
 		c.Bcast(0, []float64{1})
 		return nil
 	}
-	one, err := Run(cl, allOneSite, Options{}, prog)
+	one, err := Run(context.Background(), cl, allOneSite, Options{}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := Run(cl, twoSites, Options{}, prog)
+	two, err := Run(context.Background(), cl, twoSites, Options{}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

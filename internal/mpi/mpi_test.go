@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -47,25 +48,25 @@ func TestValidateRun(t *testing.T) {
 	cl := testCluster(t, 10, 10)
 	m := testModel(t)
 	prog := func(c Comm) error { return nil }
-	if _, err := Run(nil, m, Options{}, prog); err == nil {
+	if _, err := Run(context.Background(), nil, m, Options{}, prog); err == nil {
 		t.Error("nil cluster accepted")
 	}
-	if _, err := Run(cl, nil, Options{}, prog); err == nil {
+	if _, err := Run(context.Background(), cl, nil, Options{}, prog); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := Run(cl, m, Options{}, nil); err == nil {
+	if _, err := Run(context.Background(), cl, m, Options{}, nil); err == nil {
 		t.Error("nil program accepted")
 	}
-	if _, err := Run(cl, m, Options{Engine: EngineLive, Contended: true}, prog); err == nil {
+	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineLive, Contended: true}, prog); err == nil {
 		t.Error("live+contended accepted")
 	}
-	if _, err := Run(cl, m, Options{Engine: EngineSymbolic, Contended: true}, prog); err == nil {
+	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic, Contended: true}, prog); err == nil {
 		t.Error("symbolic+contended accepted")
 	}
-	if _, err := Run(cl, m, Options{Engine: EngineSymbolic, Network: simnet.WireSwitched}, prog); err == nil {
+	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic, Network: simnet.WireSwitched}, prog); err == nil {
 		t.Error("symbolic+switched network accepted")
 	}
-	if _, err := Run(cl, m, Options{Engine: Engine(99)}, prog); err == nil {
+	if _, err := Run(context.Background(), cl, m, Options{Engine: Engine(99)}, prog); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
@@ -83,7 +84,7 @@ func TestComputeCostExact(t *testing.T) {
 	cl := testCluster(t, 40, 80) // rank 1 twice as fast
 	m := testModel(t)
 	for _, e := range engines {
-		res, err := Run(cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			c.Compute(8000) // flops
 			return nil
 		})
@@ -113,7 +114,7 @@ func TestSendRecvCostAndData(t *testing.T) {
 	b := simnet.WordBytes * len(payload)
 	for _, e := range engines {
 		var got []float64
-		res, err := Run(cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			if c.Rank() == 0 {
 				c.Send(1, 7, payload)
 			} else {
@@ -147,7 +148,7 @@ func TestRecvWaitsForLateSender(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		res, err := Run(cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			if c.Rank() == 0 {
 				c.Compute(500000) // 10 ms of work before sending
 				c.Send(1, 1, []float64{42})
@@ -181,7 +182,7 @@ func TestBcastSemantics(t *testing.T) {
 	b := simnet.WordBytes * len(data)
 	for _, e := range engines {
 		vals := make([][]float64, 4)
-		res, err := Run(cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			var in []float64
 			if c.Rank() == 2 {
 				in = data
@@ -212,7 +213,7 @@ func TestBcastInsulatesFromRootBufferReuse(t *testing.T) {
 	cl := testCluster(t, 50, 50, 50)
 	m := testModel(t)
 	got := make([]float64, 3)
-	_, err := Run(cl, m, Options{}, func(c Comm) error {
+	_, err := Run(context.Background(), cl, m, Options{}, func(c Comm) error {
 		buf := []float64{7}
 		for iter := 0; iter < 3; iter++ {
 			var in []float64
@@ -243,7 +244,7 @@ func TestBarrierSyncsToMax(t *testing.T) {
 	cl := testCluster(t, 50, 50, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		res, err := Run(cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			// Rank r computes r*5 ms of work, then barrier.
 			c.Sleep(float64(c.Rank()) * 5)
 			c.Barrier()
@@ -265,7 +266,7 @@ func TestRepeatedBarriers(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		res, err := Run(cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			for i := 0; i < 50; i++ {
 				c.Barrier()
 			}
@@ -288,7 +289,7 @@ func TestGathervScatterv(t *testing.T) {
 		var gathered [][]float64
 		parts := [][]float64{{0, 0}, {1, 1}, {2}}
 		var scattered [3][]float64
-		_, err := Run(cl, m, e.opts, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			mine := []float64{float64(c.Rank()), 100}
 			g := c.Gatherv(1, mine)
 			if c.Rank() == 1 {
@@ -323,7 +324,7 @@ func TestReduceAllreduce(t *testing.T) {
 	for _, e := range engines {
 		sums := make([]float64, 4)
 		all := make([]float64, 4)
-		_, err := Run(cl, m, e.opts, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			v := float64(c.Rank() + 1) // 1..4, sum 10
 			sums[c.Rank()] = c.Reduce(0, v, OpSum)
 			all[c.Rank()] = c.Allreduce(v, OpMax)
@@ -375,7 +376,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	for _, e := range engines {
 		var first Result
 		for iter := 0; iter < 10; iter++ {
-			res, err := Run(cl, m, e.opts, prog)
+			res, err := Run(context.Background(), cl, m, e.opts, prog)
 			if err != nil {
 				t.Fatalf("%s: %v", e.name, err)
 			}
@@ -409,11 +410,11 @@ func TestLiveAndDESAgreeWithoutContention(t *testing.T) {
 		c.Compute(v * 100)
 		return nil
 	}
-	live, err := Run(cl, m, Options{Engine: EngineLive}, prog)
+	live, err := Run(context.Background(), cl, m, Options{Engine: EngineLive}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	des, err := Run(cl, m, Options{Engine: EngineDES}, prog)
+	des, err := Run(context.Background(), cl, m, Options{Engine: EngineDES}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,11 +449,11 @@ func TestContentionSlowsConcurrentTransfers(t *testing.T) {
 		c.Send(0, 0, make([]float64, 50000))
 		return nil
 	}
-	free, err := Run(cl, m, Options{Engine: EngineDES}, prog)
+	free, err := Run(context.Background(), cl, m, Options{Engine: EngineDES}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	busy, err := Run(cl, m, Options{Engine: EngineDES, Contended: true}, prog)
+	busy, err := Run(context.Background(), cl, m, Options{Engine: EngineDES, Contended: true}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -466,7 +467,7 @@ func TestProgramErrorPropagates(t *testing.T) {
 	m := testModel(t)
 	boom := errors.New("boom")
 	for _, e := range engines {
-		_, err := Run(cl, m, e.opts, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			if c.Rank() == 1 {
 				return boom
 			}
@@ -485,7 +486,7 @@ func TestPanicBecomesError(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		_, err := Run(cl, m, e.opts, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			if c.Rank() == 0 {
 				panic("kapow")
 			}
@@ -502,7 +503,7 @@ func TestTagMismatchReported(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		_, err := Run(cl, m, e.opts, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			if c.Rank() == 0 {
 				c.Send(1, 5, []float64{1})
 			} else {
@@ -519,7 +520,7 @@ func TestTagMismatchReported(t *testing.T) {
 func TestHeterogeneousComputeFavorsFastNode(t *testing.T) {
 	cl := testCluster(t, 42.1, 89.5)
 	m := testModel(t)
-	res, err := Run(cl, m, Options{}, func(c Comm) error {
+	res, err := Run(context.Background(), cl, m, Options{}, func(c Comm) error {
 		c.Compute(1e6)
 		return nil
 	})
@@ -547,7 +548,7 @@ func TestSingleRankWorld(t *testing.T) {
 	cl := testCluster(t, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		res, err := Run(cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
 			c.Compute(1000)
 			c.Barrier()
 			out := c.Bcast(0, []float64{7})

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/simnet"
@@ -10,10 +11,10 @@ func TestNetworkOptionValidation(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
 	prog := func(c Comm) error { return nil }
-	if _, err := Run(cl, m, Options{Engine: EngineLive, Network: simnet.WireSwitched}, prog); err == nil {
+	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineLive, Network: simnet.WireSwitched}, prog); err == nil {
 		t.Error("live engine with switched network accepted")
 	}
-	if _, err := Run(cl, m, Options{Engine: EngineDES, Network: simnet.WireSwitched}, prog); err != nil {
+	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineDES, Network: simnet.WireSwitched}, prog); err != nil {
 		t.Errorf("des engine with switched network rejected: %v", err)
 	}
 }
@@ -34,7 +35,7 @@ func TestNetworkModesOrdering(t *testing.T) {
 		return nil
 	}
 	run := func(mode simnet.WireMode) float64 {
-		res, err := Run(cl, m, Options{Engine: EngineDES, Network: mode}, prog)
+		res, err := Run(context.Background(), cl, m, Options{Engine: EngineDES, Network: mode}, prog)
 		if err != nil {
 			t.Fatalf("%v: %v", mode, err)
 		}
@@ -70,11 +71,11 @@ func TestContendedAliasStillWorks(t *testing.T) {
 		c.Send(0, 0, make([]float64, 30000))
 		return nil
 	}
-	viaBool, err := Run(cl, m, Options{Engine: EngineDES, Contended: true}, prog)
+	viaBool, err := Run(context.Background(), cl, m, Options{Engine: EngineDES, Contended: true}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaMode, err := Run(cl, m, Options{Engine: EngineDES, Network: simnet.WireShared}, prog)
+	viaMode, err := Run(context.Background(), cl, m, Options{Engine: EngineDES, Network: simnet.WireShared}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -19,7 +20,7 @@ func runReconfiguredBoth(t *testing.T, speeds []float64, inj FaultInjector, ropt
 	for _, e := range bothEngines {
 		opts := e.opts
 		opts.Faults = inj
-		res, err := RunReconfigurable(cl, m, opts, ropts, plan, factory)
+		res, err := RunReconfigurable(context.Background(), cl, m, opts, ropts, plan, factory)
 		results = append(results, res)
 		errs = append(errs, err)
 	}
@@ -45,6 +46,8 @@ func memberFactory(phases, interval int, starts *[]int, members *[][]int) func(I
 	}
 }
 
+// TestReconfigurableEmptyPlanMatchesRecoverable: an empty plan is plain
+// crash recovery, exactly like a nil one.
 func TestReconfigurableEmptyPlanMatchesRecoverable(t *testing.T) {
 	speeds := []float64{100, 80, 120, 90}
 	inj := &testInjector{crashAt: map[int]float64{2: 30.0}, maxAttempts: 1}
@@ -52,13 +55,13 @@ func TestReconfigurableEmptyPlanMatchesRecoverable(t *testing.T) {
 	cl := testCluster(t, speeds...)
 	m := testModel(t)
 	opts := Options{Engine: EngineDES, Faults: inj}
-	a, errA := RunRecoverable(cl, m, opts, RecoveryOptions{}, factory)
-	b, errB := RunReconfigurable(cl, m, opts, RecoveryOptions{}, nil, factory)
+	a, errA := RunReconfigurable(context.Background(), cl, m, opts, RecoveryOptions{}, nil, factory)
+	b, errB := RunReconfigurable(context.Background(), cl, m, opts, RecoveryOptions{}, []ReconfigEvent{}, factory)
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("error disagreement: %v vs %v", errA, errB)
 	}
 	if !reflect.DeepEqual(a, b) {
-		t.Errorf("empty-plan reconfigurable differs from recoverable:\nrec:  %+v\nconf: %+v", a, b)
+		t.Errorf("empty-plan reconfigurable differs from nil-plan recovery:\nrec:  %+v\nconf: %+v", a, b)
 	}
 	if b.Reconfigs != 0 {
 		t.Errorf("empty plan counted %d reconfigs", b.Reconfigs)
@@ -206,7 +209,7 @@ func TestReconfigurablePlanValidation(t *testing.T) {
 		{"unsorted ranks", []ReconfigEvent{{AtMS: 5, Ranks: []int{1, 0}}}, "ascending"},
 	}
 	for _, tc := range cases {
-		_, err := RunReconfigurable(cl, m, Options{}, RecoveryOptions{}, tc.plan, factory)
+		_, err := RunReconfigurable(context.Background(), cl, m, Options{}, RecoveryOptions{}, tc.plan, factory)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
 		}

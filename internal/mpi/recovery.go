@@ -16,7 +16,8 @@
 //   - Unplanned: a rank dies mid-run (fault plan crash or drop storm).
 //     The next instance runs on the survivors and starts at
 //     base = failure time + detection latency + restart cost.
-//     RunRecoverable is this special case with an empty reconfig plan.
+//     A nil reconfig plan makes every membership change unplanned: plain
+//     crash recovery.
 //   - Planned: a ReconfigEvent stops the running instance at a scheduled
 //     virtual instant and the next instance runs on the event's target
 //     ranks — shrink, grow, or reshape. No detection latency is charged
@@ -246,7 +247,7 @@ var ErrRecoveryFailed = errors.New("mpi: recovery failed")
 
 // FailedAtMS returns the virtual instant an abandoned run stopped
 // consuming the machine: the latest of the per-rank death/finish clocks
-// and any rollback's resume instant. Meaningful when RunRecoverable
+// and any rollback's resume instant. Meaningful when RunReconfigurable
 // returned ErrRecoveryFailed (TimeMS is only set on success).
 func (r RecoveredResult) FailedAtMS() float64 {
 	at := 0.0
@@ -493,28 +494,10 @@ func attemptFaults(err error) (crashed, stormed, aborted map[int]float64, ok boo
 	return crashed, stormed, aborted, ok
 }
 
-// RunRecoverable executes a checkpointing program with rollback recovery:
-// each fault-failed attempt is rolled back to the last committed
-// checkpoint and replayed on the survivors. It is RunReconfigurable with
-// an empty reconfiguration plan — every membership change unplanned.
-func RunRecoverable(cl *cluster.Cluster, model simnet.CostModel, opts Options, ropts RecoveryOptions, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
-	return RunReconfigurableContext(context.Background(), cl, model, opts, ropts, nil, factory)
-}
-
-// RunRecoverableContext is RunRecoverable with cancellation.
-func RunRecoverableContext(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, ropts RecoveryOptions, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
-	return RunReconfigurableContext(ctx, cl, model, opts, ropts, nil, factory)
-}
-
-// RunReconfigurable executes a checkpointing program across planned
-// membership changes and unplanned failures. See
-// RunReconfigurableContext.
-func RunReconfigurable(cl *cluster.Cluster, model simnet.CostModel, opts Options, ropts RecoveryOptions, plan []ReconfigEvent, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
-	return RunReconfigurableContext(context.Background(), cl, model, opts, ropts, plan, factory)
-}
-
-// RunReconfigurableContext is the reconfiguration supervisor. The factory
-// is called once per instance with the Instance (member cluster,
+// RunReconfigurable is the reconfiguration supervisor: it runs a
+// checkpointing program across planned membership changes and unplanned
+// failures, and a nil plan means plain crash recovery. The factory is
+// called once per instance with the Instance (member cluster,
 // original-rank map, checkpoint to resume from) and returns the per-rank
 // body; the supervisor runs it until the run finishes or membership
 // changes:
@@ -535,7 +518,7 @@ func RunReconfigurable(cl *cluster.Cluster, model simnet.CostModel, opts Options
 // errors abort immediately. Traces see each attempt's spans with ranks
 // remapped to original ids plus one KindRecover span per continuing rank
 // covering its rollback window.
-func RunReconfigurableContext(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, ropts RecoveryOptions, plan []ReconfigEvent, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
+func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, ropts RecoveryOptions, plan []ReconfigEvent, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
 	if factory == nil {
 		return RecoveredResult{}, errors.New("mpi: nil recoverable program factory")
 	}
@@ -647,7 +630,7 @@ func RunReconfigurableContext(ctx context.Context, cl *cluster.Cluster, model si
 			}
 			return prog(c, ck)
 		}
-		r, runErr := RunContext(ctx, curCl, model, aopts, body)
+		r, runErr := Run(ctx, curCl, model, aopts, body)
 
 		// Fold the attempt into the original-rank accounting before
 		// deciding anything: failed attempts consumed real (virtual)

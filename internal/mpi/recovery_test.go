@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"strings"
@@ -52,7 +53,7 @@ func runRecoveredBoth(t *testing.T, speeds []float64, inj FaultInjector, ropts R
 	for _, e := range bothEngines {
 		opts := e.opts
 		opts.Faults = inj
-		res, err := RunRecoverable(cl, m, opts, ropts, factory)
+		res, err := RunReconfigurable(context.Background(), cl, m, opts, ropts, nil, factory)
 		results = append(results, res)
 		errs = append(errs, err)
 	}
@@ -82,7 +83,7 @@ func TestRecoverableNoFaultMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(testCluster(t, speeds...), testModel(t), Options{}, func(c Comm) error {
+	plain, err := Run(context.Background(), testCluster(t, speeds...), testModel(t), Options{}, func(c Comm) error {
 		return prog(c, nil)
 	})
 	if err != nil {
@@ -200,8 +201,8 @@ func TestCheckpointMidWriteCrashDoesNotCommit(t *testing.T) {
 func TestRecoverableExhaustsAttempts(t *testing.T) {
 	speeds := []float64{100, 100}
 	inj := &testInjector{crashAt: map[int]float64{0: 2.0}, maxAttempts: 1}
-	_, err := RunRecoverable(testCluster(t, speeds...), testModel(t),
-		Options{Faults: inj}, RecoveryOptions{MaxAttempts: 1}, phasedFactory(20, 5, nil))
+	_, err := RunReconfigurable(context.Background(), testCluster(t, speeds...), testModel(t),
+		Options{Faults: inj}, RecoveryOptions{MaxAttempts: 1}, nil, phasedFactory(20, 5, nil))
 	if err == nil || !strings.Contains(err.Error(), "exhausted") {
 		t.Fatalf("want attempt exhaustion, got %v", err)
 	}
@@ -210,8 +211,8 @@ func TestRecoverableExhaustsAttempts(t *testing.T) {
 func TestRecoverableNoSurvivors(t *testing.T) {
 	speeds := []float64{100, 100}
 	inj := &testInjector{crashAt: map[int]float64{0: 2.0, 1: 2.5}, maxAttempts: 1}
-	_, err := RunRecoverable(testCluster(t, speeds...), testModel(t),
-		Options{Faults: inj}, RecoveryOptions{}, phasedFactory(20, 5, nil))
+	_, err := RunReconfigurable(context.Background(), testCluster(t, speeds...), testModel(t),
+		Options{Faults: inj}, RecoveryOptions{}, nil, phasedFactory(20, 5, nil))
 	if err == nil || !strings.Contains(err.Error(), "no survivors") {
 		t.Fatalf("want no-survivors failure, got %v", err)
 	}
@@ -227,8 +228,8 @@ func TestRecoverableNonFaultErrorPassesThrough(t *testing.T) {
 			return nil
 		}, nil
 	}
-	rec, err := RunRecoverable(testCluster(t, 100, 100), testModel(t),
-		Options{}, RecoveryOptions{}, factory)
+	rec, err := RunReconfigurable(context.Background(), testCluster(t, 100, 100), testModel(t),
+		Options{}, RecoveryOptions{}, nil, factory)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("want program error surfaced, got %v", err)
 	}
@@ -256,7 +257,7 @@ func TestRecoveredSpansIdenticalAcrossEngines(t *testing.T) {
 		opts := e.opts
 		opts.Faults = &testInjector{crashAt: map[int]float64{2: 5.0}, maxAttempts: 1}
 		opts.Trace = trace.New()
-		rec, err := RunRecoverable(cl, m, opts, RecoveryOptions{}, factory)
+		rec, err := RunReconfigurable(context.Background(), cl, m, opts, RecoveryOptions{}, nil, factory)
 		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}

@@ -18,8 +18,8 @@ var errAborted = errors.New("mpi: run aborted by another rank's failure")
 // world is the engine-independent state of one run: the cluster and cost
 // model pricing every rank's time, the barrier, who has died and when,
 // and the run's traffic totals. It executes programs over a Transport;
-// both Engine selectors and RunTransport funnel into runWorld, so every
-// mechanism here exists in exactly one place.
+// every Engine selector funnels into runWorld, so every mechanism here
+// exists in exactly one place.
 type world struct {
 	cl    *cluster.Cluster
 	model simnet.CostModel
@@ -199,20 +199,4 @@ func runWorld(cl *cluster.Cluster, model simnet.CostModel, opts Options, program
 		}
 	}
 	return res, errors.Join(errs...)
-}
-
-// RunTransport executes program over a caller-supplied Transport — the
-// extension point for backends beyond the built-in Engine selectors. The
-// transport must be freshly constructed for cl.Size() ranks; opts.Engine,
-// opts.Contended, opts.Network and opts.ChanCap are ignored (the
-// transport embodies them), while Trace, Jitter and Faults apply as
-// usual.
-func RunTransport(cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program, t Transport) (Result, error) {
-	if err := validateCommon(cl, model, opts, program); err != nil {
-		return Result{}, err
-	}
-	if t == nil {
-		return Result{}, errors.New("mpi: nil transport")
-	}
-	return runWorld(cl, model, opts, program, t)
 }

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ import (
 func TestSymbolicDeadlockReported(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
-	_, err := Run(cl, m, Options{Engine: EngineSymbolic}, func(c Comm) error {
+	_, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic}, func(c Comm) error {
 		if c.Rank() == 0 {
 			c.Recv(1, 3) // rank 1 never sends
 		}
@@ -33,7 +34,7 @@ func TestSymbolicCrossDeadlockUnwinds(t *testing.T) {
 	// not hang.
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
-	_, err := Run(cl, m, Options{Engine: EngineSymbolic}, func(c Comm) error {
+	_, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic}, func(c Comm) error {
 		other := 1 - c.Rank()
 		c.Recv(other, 1)
 		c.Send(other, 1, []float64{1})
@@ -71,11 +72,11 @@ func TestSymbolicManyRanksMatchesDES(t *testing.T) {
 		c.Allreduce(c.Clock(), OpMax)
 		return nil
 	}
-	des, err := Run(cl, m, Options{Engine: EngineDES}, prog)
+	des, err := Run(context.Background(), cl, m, Options{Engine: EngineDES}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym, err := Run(cl, m, Options{Engine: EngineSymbolic}, prog)
+	sym, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +113,11 @@ func FuzzSymbolicVsDESPrograms(f *testing.F) {
 		}
 		cl := testCluster(t, speeds...)
 		prog := randomProgram(seed, 1+int(steps%40))
-		des, err := Run(cl, m, Options{Engine: EngineDES}, prog)
+		des, err := Run(context.Background(), cl, m, Options{Engine: EngineDES}, prog)
 		if err != nil {
 			t.Fatalf("des: %v", err)
 		}
-		sym, err := Run(cl, m, Options{Engine: EngineSymbolic}, prog)
+		sym, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic}, prog)
 		if err != nil {
 			t.Fatalf("symbolic: %v", err)
 		}

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -16,7 +17,7 @@ func TestTracingRecordsTimeline(t *testing.T) {
 		tr := trace.New()
 		opts := e.opts
 		opts.Trace = tr
-		res, err := Run(cl, m, opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, opts, func(c Comm) error {
 			c.Compute(50000)
 			data := c.Bcast(1, []float64{1, 2, 3})
 			_ = data
@@ -85,7 +86,7 @@ func TestTracingDeterministicAcrossRuns(t *testing.T) {
 	var first []trace.Span
 	for iter := 0; iter < 5; iter++ {
 		tr := trace.New()
-		if _, err := Run(cl, m, Options{Trace: tr}, prog); err != nil {
+		if _, err := Run(context.Background(), cl, m, Options{Trace: tr}, prog); err != nil {
 			t.Fatal(err)
 		}
 		spans := tr.Spans()
@@ -127,7 +128,7 @@ func TestTraceIdenticalAcrossEngines(t *testing.T) {
 	run := func(opts Options) (*trace.Trace, []byte) {
 		tr := trace.New()
 		opts.Trace = tr
-		if _, err := Run(cl, m, opts, prog); err != nil {
+		if _, err := Run(context.Background(), cl, m, opts, prog); err != nil {
 			t.Fatalf("%v: %v", opts.Engine, err)
 		}
 		var buf bytes.Buffer
@@ -157,10 +158,10 @@ func TestJitterValidation(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
 	prog := func(c Comm) error { return nil }
-	if _, err := Run(cl, m, Options{Jitter: -0.1}, prog); err == nil {
+	if _, err := Run(context.Background(), cl, m, Options{Jitter: -0.1}, prog); err == nil {
 		t.Error("negative jitter accepted")
 	}
-	if _, err := Run(cl, m, Options{Jitter: 1}, prog); err == nil {
+	if _, err := Run(context.Background(), cl, m, Options{Jitter: 1}, prog); err == nil {
 		t.Error("jitter=1 accepted")
 	}
 }
@@ -174,11 +175,11 @@ func TestJitterStretchesButStaysDeterministic(t *testing.T) {
 		c.Barrier()
 		return nil
 	}
-	base, err := Run(cl, m, Options{}, prog)
+	base, err := Run(context.Background(), cl, m, Options{}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	j1, err := Run(cl, m, Options{Jitter: 0.1, JitterSeed: 7}, prog)
+	j1, err := Run(context.Background(), cl, m, Options{Jitter: 0.1, JitterSeed: 7}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +191,14 @@ func TestJitterStretchesButStaysDeterministic(t *testing.T) {
 		t.Errorf("jittered %g exceeds 10%% envelope of %g", j1.TimeMS, base.TimeMS)
 	}
 	// Same seed reproduces exactly; different seed differs.
-	j2, err := Run(cl, m, Options{Jitter: 0.1, JitterSeed: 7}, prog)
+	j2, err := Run(context.Background(), cl, m, Options{Jitter: 0.1, JitterSeed: 7}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if j1.TimeMS != j2.TimeMS {
 		t.Error("same jitter seed gave different results")
 	}
-	j3, err := Run(cl, m, Options{Jitter: 0.1, JitterSeed: 8}, prog)
+	j3, err := Run(context.Background(), cl, m, Options{Jitter: 0.1, JitterSeed: 8}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,12 +222,12 @@ func TestJitterEnginesAgree(t *testing.T) {
 		return nil
 	}
 	opts := Options{Jitter: 0.2, JitterSeed: 42}
-	live, err := Run(cl, m, opts, prog)
+	live, err := Run(context.Background(), cl, m, opts, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Engine = EngineDES
-	des, err := Run(cl, m, opts, prog)
+	des, err := Run(context.Background(), cl, m, opts, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

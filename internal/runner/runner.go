@@ -15,6 +15,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -45,6 +46,32 @@ type Hooks struct {
 	Started func(id string)
 	// Finished fires when the task returns.
 	Finished func(id string, elapsed time.Duration, err error)
+}
+
+// Progress returns hooks that narrate task starts and finishes on w
+// (conventionally stderr, keeping stdout byte-identical across worker
+// counts). A nil writer or verbose=false disables it.
+func Progress(w io.Writer, verbose bool) Hooks {
+	if w == nil || !verbose {
+		return Hooks{}
+	}
+	var mu sync.Mutex
+	return Hooks{
+		Started: func(id string) {
+			mu.Lock()
+			defer mu.Unlock()
+			fmt.Fprintf(w, "run  %s\n", id)
+		},
+		Finished: func(id string, elapsed time.Duration, err error) {
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil {
+				fmt.Fprintf(w, "fail %s (%v): %v\n", id, elapsed.Round(time.Millisecond), err)
+				return
+			}
+			fmt.Fprintf(w, "done %s (%v)\n", id, elapsed.Round(time.Millisecond))
+		},
+	}
 }
 
 // Options configures a pool run.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -219,5 +220,26 @@ func TestRunOverlapsWallClock(t *testing.T) {
 	// leaving slack for slow CI schedulers.
 	if elapsed >= 3*d {
 		t.Errorf("4 workers took %v for 4×%v of sleep; want < %v", elapsed, d, 3*d)
+	}
+}
+
+func TestProgress(t *testing.T) {
+	var b strings.Builder
+	h := Progress(&b, true)
+	h.Started("table1")
+	h.Finished("table1", 1500*time.Millisecond, nil)
+	h.Finished("table2", time.Second, errors.New("boom"))
+	out := b.String()
+	for _, frag := range []string{"run  table1", "done table1 (1.5s)", "fail table2"} {
+		if !strings.Contains(out, frag) {
+			t.Errorf("progress output missing %q:\n%s", frag, out)
+		}
+	}
+	quiet := Progress(&b, false)
+	if quiet.Started != nil || quiet.Finished != nil {
+		t.Error("non-verbose progress should be empty hooks")
+	}
+	if nilw := Progress(nil, true); nilw.Started != nil {
+		t.Error("nil writer should disable hooks")
 	}
 }

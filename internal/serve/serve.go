@@ -76,15 +76,26 @@ func contentType(format string) string {
 	}
 }
 
-// decodeSpec reads the request's RunSpec, writing a 400 on failure.
+// maxSpecBytes bounds a /run or /trace request body, so a client cannot
+// stream a body of any size into the decoder. RunSpecs are small: the
+// largest the serve-mix benchmark posts is a few hundred bytes.
+const maxSpecBytes = 1 << 20
+
+// decodeSpec reads the request's RunSpec, writing a 400 on failure and a
+// 413 when the body exceeds maxSpecBytes.
 func decodeSpec(w http.ResponseWriter, r *http.Request) (*spec.RunSpec, bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST a RunSpec JSON document", http.StatusMethodNotAllowed)
 		return nil, false
 	}
-	rs, err := spec.Decode(r.Body)
+	rs, err := spec.Decode(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return nil, false
 	}
 	return rs, true

@@ -105,6 +105,35 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestSpecBodyBounded: an oversize body on either spec endpoint is
+// refused with 413 instead of being streamed into the decoder, while a
+// body exactly at the limit is still decoded and run.
+func TestSpecBodyBounded(t *testing.T) {
+	ts, _ := newServer(t, spec.ExecutorOptions{Jobs: 2})
+	oversize := `{"kind":"experiments","experiments":"` + strings.Repeat("a", maxSpecBytes) + `"}`
+	atLimit := `{"kind":"experiments","experiments":"table2","quick":true}`
+	atLimit += strings.Repeat(" ", maxSpecBytes-len(atLimit))
+	for _, path := range []string{"/run", "/trace"} {
+		for _, tc := range []struct {
+			name string
+			body string
+			want int
+		}{
+			{"oversize", oversize, http.StatusRequestEntityTooLarge},
+			{"at limit", atLimit, http.StatusOK},
+		} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s %s (%d bytes): status %s, want %d", path, tc.name, len(tc.body), resp.Status, tc.want)
+			}
+		}
+	}
+}
+
 func TestRunRequiresPOST(t *testing.T) {
 	ts, _ := newServer(t, spec.ExecutorOptions{})
 	for _, path := range []string{"/run", "/trace"} {

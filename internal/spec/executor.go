@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
@@ -580,7 +579,7 @@ func faultscanBody(ctx context.Context, rs RunSpec, out io.Writer) error {
 		fopts.Faults = inj
 	}
 	if rs.Recover {
-		rcfg := algs.RecoveryConfig{IntervalSteps: rs.CkptInterval}
+		rcfg := workload.RecoveryConfig{IntervalSteps: rs.CkptInterval}
 		faulted, rec, err := w.RunRecovered(ctx, dcl, dmodel, fopts, rspec, rcfg)
 		if err != nil {
 			return fmt.Errorf("recovered run: %w", err)

@@ -1,4 +1,4 @@
-package algs
+package workload
 
 import (
 	"math"
@@ -15,26 +15,23 @@ import (
 func TestGEOverheadTracksMeasurement(t *testing.T) {
 	cl := geCluster(t)
 	m := testModel(t)
-	toFn, err := GEOverhead(cl, m)
+	toFn, err := geOverhead(cl, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0Fn, err := GESeqTime(cl, DefaultGESustained)
+	t0Fn, err := geSeqTime(cl)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cl.MarkedSpeed()
 	for _, n := range []int{100, 300, 600} {
-		out, err := RunGE(cl, m, mpi.Options{}, n, GEOptions{Symbolic: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		out, _ := runGE(t, GE{}, cl, m, mpi.Options{}, Spec{N: n, Symbolic: true})
 		nf := float64(n)
 		predicted := out.Work/(DefaultGESustained*c*1e3) + t0Fn(nf) + toFn(nf)
-		rel := math.Abs(predicted-out.Res.TimeMS) / out.Res.TimeMS
+		rel := math.Abs(predicted-out.Stats.TimeMS) / out.Stats.TimeMS
 		if rel > 0.15 {
 			t.Errorf("n=%d: predicted %g ms vs measured %g ms (rel %.3f)",
-				n, predicted, out.Res.TimeMS, rel)
+				n, predicted, out.Stats.TimeMS, rel)
 		}
 	}
 }
@@ -42,21 +39,18 @@ func TestGEOverheadTracksMeasurement(t *testing.T) {
 func TestMMOverheadTracksMeasurement(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
-	toFn, err := MMOverhead(cl, m)
+	toFn, err := mmOverhead(cl, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c := cl.MarkedSpeed()
 	for _, n := range []int{100, 250, 500} {
-		out, err := RunMM(cl, m, mpi.Options{}, n, MMOptions{Symbolic: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		out, _ := runMM(t, MM{}, cl, m, mpi.Options{}, Spec{N: n, Symbolic: true})
 		predicted := out.Work/(DefaultMMSustained*c*1e3) + toFn(float64(n))
-		rel := math.Abs(predicted-out.Res.TimeMS) / out.Res.TimeMS
+		rel := math.Abs(predicted-out.Stats.TimeMS) / out.Stats.TimeMS
 		if rel > 0.15 {
 			t.Errorf("n=%d: predicted %g ms vs measured %g ms (rel %.3f)",
-				n, predicted, out.Res.TimeMS, rel)
+				n, predicted, out.Stats.TimeMS, rel)
 		}
 	}
 }
@@ -69,7 +63,7 @@ func TestOverheadGrowsWithClusterSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		toGE, err := GEOverhead(geCl, m)
+		toGE, err := geOverhead(geCl, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +76,7 @@ func TestOverheadGrowsWithClusterSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		toMM, err := MMOverhead(mmCl, m)
+		toMM, err := mmOverhead(mmCl, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,22 +91,16 @@ func TestOverheadGrowsWithClusterSize(t *testing.T) {
 func TestAnalyticErrors(t *testing.T) {
 	cl := geCluster(t)
 	m := testModel(t)
-	if _, err := GEOverhead(nil, m); err == nil {
+	if _, err := geOverhead(nil, m); err == nil {
 		t.Error("nil cluster accepted")
 	}
-	if _, err := GEOverhead(cl, nil); err == nil {
+	if _, err := geOverhead(cl, nil); err == nil {
 		t.Error("nil model accepted")
 	}
-	if _, err := MMOverhead(nil, m); err == nil {
+	if _, err := mmOverhead(nil, m); err == nil {
 		t.Error("nil cluster accepted")
 	}
-	if _, err := GESeqTime(nil, 0.5); err == nil {
+	if _, err := geSeqTime(nil); err == nil {
 		t.Error("nil cluster accepted")
-	}
-	if _, err := GESeqTime(cl, 0); err == nil {
-		t.Error("δ=0 accepted")
-	}
-	if _, err := GESeqTime(cl, 2); err == nil {
-		t.Error("δ=2 accepted")
 	}
 }

@@ -11,9 +11,9 @@ import (
 
 // Symbolic-rung benchmarks: the cost of one fast-forward workload run at
 // an executable width against the DES engine pricing the same program,
-// and the closed-form pricing of a rung no engine executes.
-// scripts/bench.sh snapshots these (with the transport microbenchmarks
-// from internal/mpi) into BENCH_transport.json.
+// and the closed-form pricing of a rung no engine executes. The
+// end-to-end host-time numbers PRs are gated on come from perfbench/
+// (declared in BENCHMARK.json), which times every workload rung too.
 
 func benchModelW(b *testing.B) simnet.CostModel {
 	b.Helper()

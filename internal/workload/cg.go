@@ -2,8 +2,8 @@ package workload
 
 import (
 	"context"
+	"fmt"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -11,34 +11,61 @@ import (
 	"repro/internal/simnet"
 )
 
-// CGIters is the fixed number of conjugate-gradient iterations per run.
+// CG is the all-reduce-dominated extreme of the registered
+// communication-pattern spectrum: the conjugate gradient method on the
+// 5-point Laplace system A u = b over the (n-2)×(n-2) interior of the
+// Jacobi Dirichlet problem, distributed over heterogeneous row bands.
+// Every iteration needs one halo exchange for the sparse matrix-vector
+// product plus TWO global inner products, so unlike Jacobi/MG its
+// per-iteration communication grows with p through the reductions —
+// under the isospeed-efficiency metric it sits below the stencils and
+// above GE.
+//
+// The inner products deliberately avoid Allreduce: each rank reduces its
+// owned rows left-to-right, the per-row partials are gathered at rank 0
+// in global row order, summed sequentially, and the scalar broadcast
+// back. The summation order is then a pure function of the global row
+// count — independent of the band partition — which keeps recovered runs
+// (redistributed over survivors) bitwise equal to undisturbed ones. This
+// file is the workload's entire integration: study pipeline, experiment
+// suite, fault/recovery sweeps, tracedecomp, membound and both scan CLIs
+// pick it up from the registry with no edits of their own.
+type CG struct{}
+
+func init() { Register(CG{}) }
+
+// CGIters is the fixed number of conjugate-gradient iterations per run,
+// so W(n) is a pure function.
 const CGIters = 40
 
-// cgWorkload is the all-reduce-dominated extreme of the registered
-// communication-pattern spectrum: conjugate gradient on the 5-point
-// Laplace interior system, block rows with halo exchange plus two global
-// inner products per iteration (gather-and-broadcast reductions, so the
-// summation order is partition-independent). This file is the workload's
-// entire integration: study pipeline, experiment suite, fault/recovery
-// sweeps, tracedecomp, membound and both scan CLIs pick it up from the
-// registry with no edits of their own.
-type cgWorkload struct{}
+// DefaultCGSustained is the sustained fraction for the CG kernels (SpMV
+// plus stream-like vector updates: memory-bound, below the stencils).
+const DefaultCGSustained = 0.5
 
-func init() { Register(cgWorkload{}) }
+// Message tags used by the CG program.
+const (
+	tagCGUp   = 221 // halo row travelling to the lower-index neighbour
+	tagCGDown = 222 // halo row travelling to the higher-index neighbour
+)
 
-func (cgWorkload) Name() string { return "cg" }
-func (cgWorkload) About() string {
+func (CG) Name() string { return "cg" }
+func (CG) About() string {
 	return "conjugate gradient on the Laplace system, block rows, two reductions per iteration (registry extension)"
 }
-func (cgWorkload) DefaultTarget() float64 { return 0.25 }
+func (CG) DefaultTarget() float64 { return 0.25 }
 
-func (cgWorkload) ClusterLadder(p int) (*cluster.Cluster, error) { return cluster.MMConfig(p) }
+func (CG) ClusterLadder(p int) (*cluster.Cluster, error) { return cluster.MMConfig(p) }
 
-func (cgWorkload) WorkAt(n int) float64 { return algs.WorkCG(n, CGIters) }
+// WorkAt is W(n) for CGIters iterations on the (n-2)² interior system:
+// per point per iteration, 6 flops for the 5-point SpMV, 2 per inner
+// product (twice), 4 for the two axpy updates and 2 for the direction
+// update — 16 in total — plus the one-time 2-flop initial residual
+// product.
+func (CG) WorkAt(n int) float64 { return cgWork(n) }
 
 // MemBytes counts the five interior-length solver vectors (x, r, p, q, b)
 // plus the n×n boundary profile grid behind the right-hand side.
-func (cgWorkload) MemBytes(n int) float64 {
+func (CG) MemBytes(n int) float64 {
 	f := float64(n)
 	w := f - 2
 	if w < 0 {
@@ -47,12 +74,8 @@ func (cgWorkload) MemBytes(n int) float64 {
 	return 8 * (5*w*w + f*f)
 }
 
-func (cgWorkload) Overhead(cl *cluster.Cluster, model simnet.CostModel) (func(n float64) float64, error) {
-	return algs.CGOverhead(cl, model, CGIters)
-}
-
-func (cgWorkload) Machine(cl *cluster.Cluster, model simnet.CostModel) (core.AnalyticMachine, error) {
-	to, err := algs.CGOverhead(cl, model, CGIters)
+func (CG) Machine(cl *cluster.Cluster, model simnet.CostModel) (core.AnalyticMachine, error) {
+	to, err := cgOverhead(cl, model)
 	if err != nil {
 		return core.AnalyticMachine{}, err
 	}
@@ -60,7 +83,7 @@ func (cgWorkload) Machine(cl *cluster.Cluster, model simnet.CostModel) (core.Ana
 		Label:     cl.Name,
 		C:         cl.MarkedSpeed(),
 		P:         cl.Size(),
-		Sustained: algs.DefaultCGSustained,
+		Sustained: DefaultCGSustained,
 		Work: func(n float64) float64 {
 			if n < 3 {
 				return 1
@@ -71,42 +94,485 @@ func (cgWorkload) Machine(cl *cluster.Cluster, model simnet.CostModel) (core.Ana
 	}, nil
 }
 
-func (cgWorkload) options(spec Spec) algs.CGOptions {
-	opts := algs.CGOptions{
-		Iters:    CGIters,
-		Symbolic: spec.Symbolic,
-		Seed:     spec.Seed,
-	}
-	if spec.PinnedSpeeds != nil {
-		opts.Strategy = dist.Pinned{Speeds: spec.PinnedSpeeds, Inner: dist.HetBlock{}}
-	}
-	return opts
+func (w CG) Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, error) {
+	out, _, _, err := w.run(ctx, cl, model, o, spec, nil)
+	return out, err
 }
 
-func (w cgWorkload) Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, mpiOpts mpi.Options, spec Spec) (Outcome, error) {
-	out, err := algs.RunCGContext(ctx, cl, model, mpiOpts, spec.N, w.options(spec))
-	if err != nil {
-		return Outcome{}, err
+func (w CG) RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg RecoveryConfig) (Outcome, mpi.RecoveredResult, error) {
+	out, rec, _, err := w.run(ctx, cl, model, o, spec, &rcfg)
+	return out, rec, err
+}
+
+// run executes the heterogeneous conjugate gradient on the (n-2)²
+// interior system (n >= 3): rank 0 scatters proportional row bands of
+// b, every iteration exchanges one halo row of the direction vector with
+// each neighbour for the SpMV and performs two gather-and-broadcast
+// inner products, and rank 0 gathers the final iterate. Under recovery
+// the solver state is checkpointed every IntervalSteps iterations. It
+// also returns rank 0's solution over the interior (nil when symbolic).
+func (CG) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
+	n, symbolic := spec.N, spec.Symbolic
+	if n < 3 {
+		return Outcome{}, mpi.RecoveredResult{}, nil, fmt.Errorf("workload: CG needs n >= 3, got %d", n)
 	}
-	return Outcome{
-		Work:        out.Work,
-		VirtualTime: out.IterTimeMS,
-		Stats:       out.Res,
-		Check:       Checksum(out.X),
+	st := distribution(spec, dist.HetBlock{})
+
+	var b []float64
+	if !symbolic {
+		b = cgRHS(n, spec.Seed)
+	}
+
+	var outX []float64
+	var iterMS float64
+	rec, err := execute(ctx, cl, model, o, rcfg, func(inst mpi.Instance) (mpi.RecoverableProgram, error) {
+		ranges, err := gridRanges("CG", n, st, inst)
+		if err != nil {
+			return nil, err
+		}
+		var resume *cgResume
+		if inst.Resume != nil {
+			resume, err = decodeCGSnapshot(n, inst.Resume, symbolic)
+			if err != nil {
+				return nil, err
+			}
+		}
+		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
+			rec := &cgRecover{interval: rcfg.interval(), ck: ck}
+			x, it, err := cgRank(c, n, ranges, b, resume, symbolic, rec)
+			if c.Rank() == 0 {
+				outX, iterMS = x, it
+			}
+			return err
+		}, nil
+	})
+	if err != nil {
+		return Outcome{}, rec, nil, err
+	}
+	out := Outcome{Work: cgWork(n), VirtualTime: rec.TimeMS, Stats: rec.Result, Check: Checksum(outX)}
+	if rcfg == nil {
+		out.VirtualTime = iterMS
+	}
+	return out, rec, outX, nil
+}
+
+// cgWork is W(n) for CGIters iterations.
+func cgWork(n int) float64 {
+	if n < 3 {
+		return 0
+	}
+	m := float64(n-2) * float64(n-2)
+	return m * (2 + 16*CGIters)
+}
+
+// cgRHS builds the right-hand side of the discrete 5-point Laplace
+// system over the (n-2)×(n-2) interior: b collects the known Dirichlet
+// boundary values of the deterministic Jacobi profile adjacent to each
+// interior point.
+func cgRHS(n int, seed int64) []float64 {
+	g := jacobiInitialGrid(n, seed)
+	w := n - 2
+	b := make([]float64, w*w)
+	for i := 0; i < w; i++ {
+		for j := 0; j < w; j++ {
+			gi, gj := i+1, j+1
+			var s float64
+			if gi == 1 {
+				s += g[(gi-1)*n+gj]
+			}
+			if gi == n-2 {
+				s += g[(gi+1)*n+gj]
+			}
+			if gj == 1 {
+				s += g[gi*n+gj-1]
+			}
+			if gj == n-2 {
+				s += g[gi*n+gj+1]
+			}
+			b[i*w+j] = s
+		}
+	}
+	return b
+}
+
+// cgResume carries the solver state restored from a committed
+// checkpoint: global x, r, p over the interior (nil when symbolic), the
+// residual norm rho, and the first iteration still to run.
+type cgResume struct {
+	start   int
+	rho     float64
+	x, r, p []float64
+}
+
+// cgRecover carries the recovery hooks into cgRank. nil means a plain
+// run.
+type cgRecover struct {
+	interval int
+	ck       *mpi.Checkpointer
+}
+
+// cgDot computes the global inner product <a, b> of two band-distributed
+// interior vectors: per-row left-to-right partial sums, gathered at rank
+// 0 in global row order, summed sequentially, scalar broadcast back.
+// The 2 flops per point are charged before the gather.
+func cgDot(c mpi.Comm, a, b []float64, rows, w int, frac float64, symbolic bool) float64 {
+	c.Compute(2 * float64(rows) * float64(w) / frac)
+	part := make([]float64, rows)
+	if !symbolic {
+		for i := 0; i < rows; i++ {
+			var s float64
+			for j := 0; j < w; j++ {
+				s += a[i*w+j] * b[i*w+j]
+			}
+			part[i] = s
+		}
+	}
+	parts := c.Gatherv(0, part)
+	var tot []float64
+	if c.Rank() == 0 {
+		tot = make([]float64, 1)
+		if !symbolic {
+			var s float64
+			for _, pr := range parts {
+				for _, v := range pr {
+					s += v
+				}
+			}
+			tot[0] = s
+		}
+	}
+	return c.Bcast(0, tot)[0]
+}
+
+// cgRank is the per-rank program body. It returns (x, iterTimeMS) at
+// rank 0; the iteration time is the virtual time of the iteration loop
+// alone, barrier to barrier, excluding the one-time distribution and
+// collection (the same metering window as the stencils' sweep time). b
+// is the fresh-start right-hand side (rank 0, nil when symbolic); resume
+// is non-nil when replaying from a checkpoint.
+func cgRank(c mpi.Comm, n int, ranges [][2]int, b []float64, resume *cgResume, symbolic bool, rec *cgRecover) ([]float64, float64, error) {
+	rank, p := c.Rank(), c.Size()
+	const frac = DefaultCGSustained
+	w := n - 2
+	lo0 := ranges[rank][0]
+	rows := ranges[rank][1] - ranges[rank][0]
+
+	xv := make([]float64, rows*w)
+	rv := make([]float64, rows*w)
+	pv := make([]float64, (rows+2)*w) // ghost row above and below, zero at the global edges
+	qv := make([]float64, rows*w)
+
+	// --- Distribution: rank 0 scatters either the fresh b bands or the
+	// restored [x|r|p] bands.
+	var rho float64
+	startIt := 0
+	if resume == nil {
+		var segs [][]float64
+		if rank == 0 {
+			segs = make([][]float64, p)
+			for r := range segs {
+				cnt := ranges[r][1] - ranges[r][0]
+				seg := make([]float64, cnt*w)
+				if !symbolic {
+					copy(seg, b[ranges[r][0]*w:ranges[r][1]*w])
+				}
+				segs[r] = seg
+			}
+		}
+		band := c.Scatterv(0, segs)
+		if len(band) != rows*w {
+			return nil, 0, fmt.Errorf("workload: rank %d band size %d, want %d", rank, len(band), rows*w)
+		}
+		if !symbolic {
+			// x0 = 0, r0 = b, p0 = r0.
+			copy(rv, band)
+			copy(pv[w:(rows+1)*w], band)
+		}
+		rho = cgDot(c, rv, rv, rows, w, frac, symbolic)
+	} else {
+		startIt = resume.start
+		rho = resume.rho
+		var segs [][]float64
+		if rank == 0 {
+			segs = make([][]float64, p)
+			for r := range segs {
+				cnt := ranges[r][1] - ranges[r][0]
+				seg := make([]float64, 3*cnt*w)
+				if !symbolic {
+					rlo, rhi := ranges[r][0]*w, ranges[r][1]*w
+					copy(seg[:cnt*w], resume.x[rlo:rhi])
+					copy(seg[cnt*w:2*cnt*w], resume.r[rlo:rhi])
+					copy(seg[2*cnt*w:], resume.p[rlo:rhi])
+				}
+				segs[r] = seg
+			}
+		}
+		band := c.Scatterv(0, segs)
+		if len(band) != 3*rows*w {
+			return nil, 0, fmt.Errorf("workload: rank %d resume band size %d, want %d", rank, len(band), 3*rows*w)
+		}
+		if !symbolic {
+			copy(xv, band[:rows*w])
+			copy(rv, band[rows*w:2*rows*w])
+			copy(pv[w:(rows+1)*w], band[2*rows*w:])
+		}
+	}
+
+	// Time the iteration loop barrier-to-barrier, like the stencils'
+	// sweep window: the one-shot O(n²) scatter/gather through rank 0 is
+	// outside the metered region.
+	c.Barrier()
+	iterStart := c.Clock()
+
+	up, down := rank-1, rank+1
+	needTop := up >= 0  // else the top ghost stays the zero Dirichlet closure
+	needBot := down < p // else the bottom ghost stays the zero Dirichlet closure
+
+	for it := startIt; it < CGIters; it++ {
+		// --- Halo exchange of the direction vector's edge rows.
+		if needTop {
+			c.Send(up, tagCGUp, pv[w:2*w])
+		}
+		if needBot {
+			c.Send(down, tagCGDown, pv[rows*w:(rows+1)*w])
+		}
+		if needTop {
+			ghost := c.Recv(up, tagCGDown)
+			if !symbolic {
+				copy(pv[:w], ghost)
+			}
+		}
+		if needBot {
+			ghost := c.Recv(down, tagCGUp)
+			if !symbolic {
+				copy(pv[(rows+1)*w:], ghost)
+			}
+		}
+
+		// --- q = A p: the 5-point operator over the interior system.
+		// Global edge neighbours subtract an exact zero from the padded
+		// ghosts, matching the sequential reference bitwise.
+		c.Compute(6 * float64(rows) * float64(w) / frac)
+		if !symbolic {
+			for i := 0; i < rows; i++ {
+				for j := 0; j < w; j++ {
+					idx := (i+1)*w + j
+					s := 4 * pv[idx]
+					if j > 0 {
+						s -= pv[idx-1]
+					}
+					if j < w-1 {
+						s -= pv[idx+1]
+					}
+					s -= pv[idx-w]
+					s -= pv[idx+w]
+					qv[i*w+j] = s
+				}
+			}
+		}
+
+		pq := cgDot(c, pv[w:(rows+1)*w], qv, rows, w, frac, symbolic)
+		var alpha float64
+		if !symbolic && pq != 0 {
+			alpha = rho / pq
+		}
+
+		// --- x += alpha p, r -= alpha q.
+		c.Compute(4 * float64(rows) * float64(w) / frac)
+		if !symbolic {
+			for i := 0; i < rows*w; i++ {
+				xv[i] += alpha * pv[w+i]
+				rv[i] -= alpha * qv[i]
+			}
+		}
+
+		rhoNew := cgDot(c, rv, rv, rows, w, frac, symbolic)
+		var beta float64
+		if !symbolic && rho != 0 {
+			beta = rhoNew / rho
+		}
+		rho = rhoNew
+
+		// --- p = r + beta p.
+		c.Compute(2 * float64(rows) * float64(w) / frac)
+		if !symbolic {
+			for i := 0; i < rows*w; i++ {
+				pv[w+i] = rv[i] + beta*pv[w+i]
+			}
+		}
+
+		if rec != nil && rec.interval > 0 && (it+1)%rec.interval == 0 && it+1 < CGIters {
+			rec.ck.Save(c, packCGState(it+1, lo0, rows, w, rho, xv, rv, pv))
+		}
+	}
+
+	c.Barrier()
+	iterMS := c.Clock() - iterStart
+
+	// --- Collection at rank 0.
+	own := make([]float64, rows*w)
+	if !symbolic {
+		copy(own, xv)
+	}
+	parts := c.Gatherv(0, own)
+	if rank != 0 {
+		return nil, 0, nil
+	}
+	if symbolic {
+		return nil, iterMS, nil
+	}
+	out := make([]float64, w*w)
+	for r := 0; r < p; r++ {
+		copy(out[ranges[r][0]*w:], parts[r])
+	}
+	return out, iterMS, nil
+}
+
+// cgSequential runs the same iteration single-threaded for verification:
+// identical iteration count, identical per-row reduction order, identical
+// ghost-padded operator — bitwise equal to the parallel run at any p.
+func cgSequential(n, iters int, seed int64) ([]float64, error) {
+	if n < 3 {
+		return nil, fmt.Errorf("workload: CG needs n >= 3, got %d", n)
+	}
+	if iters <= 0 {
+		return nil, fmt.Errorf("workload: CG needs iters > 0, got %d", iters)
+	}
+	w := n - 2
+	m := w * w
+	x := make([]float64, m)
+	r := cgRHS(n, seed)
+	pv := make([]float64, (w+2)*w) // ghost-padded like the parallel bands
+	copy(pv[w:w+m], r)
+	q := make([]float64, m)
+	dot := func(a, b []float64) float64 {
+		var tot float64
+		for i := 0; i < w; i++ {
+			var s float64
+			for j := 0; j < w; j++ {
+				s += a[i*w+j] * b[i*w+j]
+			}
+			tot += s
+		}
+		return tot
+	}
+	rho := dot(r, r)
+	for it := 0; it < iters; it++ {
+		for i := 0; i < w; i++ {
+			for j := 0; j < w; j++ {
+				idx := (i+1)*w + j
+				s := 4 * pv[idx]
+				if j > 0 {
+					s -= pv[idx-1]
+				}
+				if j < w-1 {
+					s -= pv[idx+1]
+				}
+				s -= pv[idx-w]
+				s -= pv[idx+w]
+				q[i*w+j] = s
+			}
+		}
+		pq := dot(pv[w:w+m], q)
+		var alpha float64
+		if pq != 0 {
+			alpha = rho / pq
+		}
+		for i := 0; i < m; i++ {
+			x[i] += alpha * pv[w+i]
+			r[i] -= alpha * q[i]
+		}
+		rhoNew := dot(r, r)
+		var beta float64
+		if rho != 0 {
+			beta = rhoNew / rho
+		}
+		rho = rhoNew
+		for i := 0; i < m; i++ {
+			pv[w+i] = r[i] + beta*pv[w+i]
+		}
+	}
+	return x, nil
+}
+
+// cgOverhead returns the analytic To(n) in ms for the fixed-iteration CG
+// ITERATION LOOP on the given cluster: per iteration, each interior rank
+// exchanges two halo rows, and two inner products each gather the
+// per-rank partial rows at rank 0 and broadcast the scalar back. The
+// one-time distribution/collection is outside the model, matching the
+// iteration-window measurement.
+func cgOverhead(cl *cluster.Cluster, m simnet.CostModel) (func(n float64) float64, error) {
+	if cl == nil || m == nil {
+		return nil, fmt.Errorf("workload: CG overhead needs cluster and model")
+	}
+	p := cl.Size()
+	return func(n float64) float64 {
+		w := n - 2
+		if w < 0 {
+			w = 0
+		}
+		row := int(wordB * w)
+		exchanges := 2
+		if p == 1 {
+			exchanges = 0
+		}
+		halo := float64(exchanges) * (m.SendTime(row) + m.TransferTime(row) + m.RecvTime(row))
+		var dot float64
+		if p > 1 {
+			share := int(wordB * w / float64(p))
+			scalar := int(wordB)
+			dot = float64(p-1)*(m.TransferTime(share)+m.RecvTime(share)) + m.BcastTime(p, scalar)
+		}
+		return float64(CGIters) * (halo + 2*dot)
 	}, nil
 }
 
-func (w cgWorkload) RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, mpiOpts mpi.Options, spec Spec, rcfg algs.RecoveryConfig) (Outcome, mpi.RecoveredResult, error) {
-	out, rec, err := algs.RunCGRecoveredContext(ctx, cl, model, mpiOpts, spec.N, w.options(spec), rcfg)
-	if err != nil {
-		// rec is populated even on failure (attempt accounting, death
-		// clocks): schedulers price the abandoned run from it.
-		return Outcome{}, rec, err
+// packCGState encodes one rank's solver state after an iteration:
+// [iters done, first interior row, row count, rho, then count*w values
+// each of x, r, p]. The rho scalar is identical on every rank (it is the
+// broadcast reduction result), which the decoder cross-checks.
+func packCGState(iters, lo, rows, w int, rho float64, x, r, pv []float64) []float64 {
+	out := make([]float64, 4, 4+3*rows*w)
+	out[0] = float64(iters)
+	out[1] = float64(lo)
+	out[2] = float64(rows)
+	out[3] = rho
+	out = append(out, x...)
+	out = append(out, r...)
+	out = append(out, pv[w:(rows+1)*w]...)
+	return out
+}
+
+// decodeCGSnapshot rebuilds the global solver state from a committed
+// checkpoint.
+func decodeCGSnapshot(n int, snap *mpi.Snapshot, symbolic bool) (*cgResume, error) {
+	w := n - 2
+	if len(snap.Parts) == 0 || len(snap.Parts[0]) < 4 {
+		return nil, fmt.Errorf("workload: CG snapshot %d malformed", snap.Seq)
 	}
-	return Outcome{
-		Work:        out.Work,
-		VirtualTime: rec.TimeMS,
-		Stats:       rec.Result,
-		Check:       Checksum(out.X),
-	}, rec, nil
+	k0 := int(snap.Parts[0][0])
+	res := &cgResume{start: k0, rho: snap.Parts[0][3]}
+	if !symbolic {
+		m := w * w
+		res.x = make([]float64, m)
+		res.r = make([]float64, m)
+		res.p = make([]float64, m)
+	}
+	for pi, part := range snap.Parts {
+		if len(part) < 4 || int(part[0]) != k0 || part[3] != res.rho {
+			return nil, fmt.Errorf("workload: CG snapshot %d part %d inconsistent", snap.Seq, pi)
+		}
+		lo, rows := int(part[1]), int(part[2])
+		if len(part) != 4+3*rows*w || lo < 0 || lo+rows > w {
+			return nil, fmt.Errorf("workload: CG snapshot %d part %d shape invalid", snap.Seq, pi)
+		}
+		if symbolic {
+			continue
+		}
+		off := 4
+		copy(res.x[lo*w:(lo+rows)*w], part[off:off+rows*w])
+		copy(res.r[lo*w:(lo+rows)*w], part[off+rows*w:off+2*rows*w])
+		copy(res.p[lo*w:(lo+rows)*w], part[off+2*rows*w:off+3*rows*w])
+	}
+	return res, nil
 }

@@ -1,6 +1,7 @@
-package algs
+package workload
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -11,23 +12,21 @@ import (
 func TestCGMatchesSequential(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
-	for _, tc := range []struct{ n, iters int }{
-		{8, 5}, {16, 20}, {40, 30},
-	} {
-		out, err := RunCG(cl, m, mpi.Options{}, tc.n, CGOptions{Iters: tc.iters, Seed: 3})
+	for _, n := range []int{8, 16, 40} {
+		_, _, x, err := CG{}.run(context.Background(), cl, m, mpi.Options{}, Spec{N: n, Seed: 3}, nil)
 		if err != nil {
-			t.Fatalf("n=%d: %v", tc.n, err)
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		ref, err := CGSequential(tc.n, tc.iters, 3)
+		ref, err := cgSequential(n, CGIters, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(ref) != len(out.X) {
-			t.Fatalf("n=%d: solution length %d, ref %d", tc.n, len(out.X), len(ref))
+		if len(ref) != len(x) {
+			t.Fatalf("n=%d: solution length %d, ref %d", n, len(x), len(ref))
 		}
 		for i := range ref {
-			if ref[i] != out.X[i] {
-				t.Fatalf("n=%d iters=%d: x[%d] = %g, ref %g", tc.n, tc.iters, i, out.X[i], ref[i])
+			if ref[i] != x[i] {
+				t.Fatalf("n=%d: x[%d] = %g, ref %g", n, i, x[i], ref[i])
 			}
 		}
 	}
@@ -38,7 +37,7 @@ func TestCGSolvesLaplaceSystem(t *testing.T) {
 	// accuracy: CG on the SPD 5-point operator converges.
 	n := 12
 	w := n - 2
-	x, err := CGSequential(n, 200, 5)
+	x, err := cgSequential(n, 200, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,24 +65,23 @@ func TestCGSolvesLaplaceSystem(t *testing.T) {
 func TestCGSymbolicMatchesRealTiming(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
-	opts := CGOptions{Iters: 30, Seed: 2}
-	real, err := RunCG(cl, m, mpi.Options{}, 32, opts)
+	ctx := context.Background()
+	real, _, _, err := CG{}.run(ctx, cl, m, mpi.Options{}, Spec{N: 32, Seed: 2}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Symbolic = true
-	sym, err := RunCG(cl, m, mpi.Options{}, 32, opts)
+	sym, _, symX, err := CG{}.run(ctx, cl, m, mpi.Options{}, Spec{N: 32, Seed: 2, Symbolic: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sym.X != nil {
+	if symX != nil {
 		t.Error("symbolic run returned a solution")
 	}
-	if real.Res.TimeMS != sym.Res.TimeMS || real.IterTimeMS != sym.IterTimeMS {
+	if real.Stats.TimeMS != sym.Stats.TimeMS || real.VirtualTime != sym.VirtualTime {
 		t.Errorf("symbolic time %g/%g != real %g/%g",
-			sym.Res.TimeMS, sym.IterTimeMS, real.Res.TimeMS, real.IterTimeMS)
+			sym.Stats.TimeMS, sym.VirtualTime, real.Stats.TimeMS, real.VirtualTime)
 	}
-	if real.Res.Messages != sym.Res.Messages || real.Res.BytesMoved != sym.Res.BytesMoved {
+	if real.Stats.Messages != sym.Stats.Messages || real.Stats.BytesMoved != sym.Stats.BytesMoved {
 		t.Error("traffic differs between symbolic and real")
 	}
 }
@@ -91,29 +89,29 @@ func TestCGSymbolicMatchesRealTiming(t *testing.T) {
 func TestCGRecoveredBitwiseEqual(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
-	n := 24
-	opts := CGOptions{Iters: 30, Seed: 7}
-	base, err := RunCG(cl, m, mpi.Options{}, n, opts)
+	ctx := context.Background()
+	spec := Spec{N: 24, Seed: 7}
+	base, _, baseX, err := CG{}.run(ctx, cl, m, mpi.Options{}, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := faults.Plan{Seed: 11, Crashes: []faults.Crash{
-		{Rank: cl.Size() - 1, AtMS: 0.5 * base.Res.TimeMS},
+		{Rank: cl.Size() - 1, AtMS: 0.5 * base.Stats.TimeMS},
 	}}
 	_, _, inj, err := plan.Apply(cl, m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, rec, err := RunCGRecovered(cl, m, mpi.Options{Faults: inj}, n, opts, RecoveryConfig{IntervalSteps: 4})
+	_, rec, x, err := CG{}.run(ctx, cl, m, mpi.Options{Faults: inj}, spec, &RecoveryConfig{IntervalSteps: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Attempts < 2 {
 		t.Errorf("Attempts = %d, want a rollback", rec.Attempts)
 	}
-	for i := range base.X {
-		if base.X[i] != out.X[i] {
-			t.Fatalf("x[%d] = %g, undisturbed %g", i, out.X[i], base.X[i])
+	for i := range baseX {
+		if baseX[i] != x[i] {
+			t.Fatalf("x[%d] = %g, undisturbed %g", i, x[i], baseX[i])
 		}
 	}
 }

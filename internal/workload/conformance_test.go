@@ -4,7 +4,6 @@ import (
 	"context"
 	"testing"
 
-	"repro/internal/algs"
 	"repro/internal/cluster"
 	"repro/internal/faults"
 	"repro/internal/mpi"
@@ -14,8 +13,8 @@ import (
 
 // The conformance suite is the contract every registered workload must
 // honor. It runs against workload.All(), so registering a new workload
-// automatically subjects it to every assertion here; the only per-workload
-// code is the direct-reference entry in directReference below.
+// automatically subjects it to every assertion here with no per-workload
+// test code.
 
 const (
 	confP    = 4
@@ -41,94 +40,52 @@ func confCluster(t *testing.T, w workload.Workload, p int) *cluster.Cluster {
 	return cl
 }
 
-// directReference runs one workload through its typed algs entry point,
-// bypassing the registry: the byte-identity oracle of assertion (a).
-// Every registered workload needs an entry here.
-func directReference(t *testing.T, name string, cl *cluster.Cluster, model simnet.CostModel) workload.Outcome {
-	t.Helper()
-	ctx := context.Background()
-	switch name {
-	case "ge":
-		out, err := algs.RunGEContext(ctx, cl, model, mpi.Options{}, confN, algs.GEOptions{Seed: confSeed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return workload.Outcome{Work: out.Work, VirtualTime: out.Res.TimeMS, Stats: out.Res, Check: workload.Checksum(out.X)}
-	case "mm":
-		out, err := algs.RunMMContext(ctx, cl, model, mpi.Options{}, confN, algs.MMOptions{Seed: confSeed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return workload.Outcome{Work: out.Work, VirtualTime: out.Res.TimeMS, Stats: out.Res, Check: workload.Checksum(out.C.Data)}
-	case "jacobi":
-		out, err := algs.RunJacobiContext(ctx, cl, model, mpi.Options{}, confN, algs.JacobiOptions{
-			Iters: workload.JacobiIters, CheckEvery: workload.JacobiCheckEvery, Seed: confSeed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return workload.Outcome{Work: out.Work, VirtualTime: out.SweepTimeMS, Stats: out.Res, Check: workload.Checksum(out.Grid)}
-	case "mg":
-		out, err := algs.RunMGContext(ctx, cl, model, mpi.Options{}, confN, algs.MGOptions{
-			Iters: workload.MGIters, Seed: confSeed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return workload.Outcome{Work: out.Work, VirtualTime: out.SweepTimeMS, Stats: out.Res, Check: workload.Checksum(out.Grid)}
-	case "spmv":
-		out, err := algs.RunSpMVContext(ctx, cl, model, mpi.Options{}, confN, algs.SpMVOptions{
-			Iters: workload.SpMVIters, Seed: confSeed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return workload.Outcome{Work: out.Work, VirtualTime: out.IterTimeMS, Stats: out.Res, Check: workload.Checksum(out.X)}
-	case "cg":
-		out, err := algs.RunCGContext(ctx, cl, model, mpi.Options{}, confN, algs.CGOptions{
-			Iters: workload.CGIters, Seed: confSeed,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return workload.Outcome{Work: out.Work, VirtualTime: out.IterTimeMS, Stats: out.Res, Check: workload.Checksum(out.X)}
-	default:
-		t.Fatalf("no direct reference for workload %q: add one to directReference in conformance_test.go", name)
-		return workload.Outcome{}
-	}
-}
-
-// Assertion (a): the registry Run is byte-identical to the direct algs
-// call — same work, same virtual time, same transport stats, and a
-// bitwise-equal numeric output (equal FNV-1a checksums over the float
-// bits).
-func TestConformanceRunMatchesDirectCall(t *testing.T) {
+// Assertion (a): the two branches of a workload's one run path agree.
+// With a zero RecoveryConfig and no faults the supervisor runs a single
+// instance of the same rank program the plain branch runs through
+// mpi.Run, so the work, the transport stats and the numeric output must
+// be identical. VirtualTime is deliberately not compared: an iterative
+// workload's plain run meters only its loop window, while a recovered
+// run meters the recovered makespan.
+func TestConformanceRecoveredPathMatchesPlain(t *testing.T) {
 	model := confModel(t)
+	modes := []struct {
+		name     string
+		opts     mpi.Options
+		symbolic bool
+	}{
+		{"live-numeric", mpi.Options{Engine: mpi.EngineLive}, false},
+		{"des-symbolic", mpi.Options{Engine: mpi.EngineDES}, true},
+		{"symbolic-symbolic", mpi.Options{Engine: mpi.EngineSymbolic}, true},
+	}
 	for _, w := range workload.All() {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			cl := confCluster(t, w, confP)
-			got, err := w.Run(context.Background(), cl, model, mpi.Options{}, workload.Spec{N: confN, Seed: confSeed})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := directReference(t, w.Name(), cl, model)
-			if got.Work != want.Work {
-				t.Errorf("Work = %g, direct call %g", got.Work, want.Work)
-			}
-			if got.VirtualTime != want.VirtualTime {
-				t.Errorf("VirtualTime = %g, direct call %g", got.VirtualTime, want.VirtualTime)
-			}
-			if got.Stats.TimeMS != want.Stats.TimeMS ||
-				got.Stats.Messages != want.Stats.Messages ||
-				got.Stats.BytesMoved != want.Stats.BytesMoved {
-				t.Errorf("Stats = %+v, direct call %+v", got.Stats, want.Stats)
-			}
-			if got.Check == 0 {
-				t.Error("Check = 0 on a non-symbolic run")
-			}
-			if got.Check != want.Check {
-				t.Errorf("Check = %#x, direct call %#x: outputs differ bitwise", got.Check, want.Check)
+			for _, mode := range modes {
+				spec := workload.Spec{N: confN, Seed: confSeed, Symbolic: mode.symbolic}
+				plain, err := w.Run(context.Background(), cl, model, mode.opts, spec)
+				if err != nil {
+					t.Fatalf("%s: %v", mode.name, err)
+				}
+				rec, _, err := w.RunRecovered(context.Background(), cl, model, mode.opts, spec, workload.RecoveryConfig{})
+				if err != nil {
+					t.Fatalf("%s: recovered: %v", mode.name, err)
+				}
+				if rec.Work != plain.Work {
+					t.Errorf("%s: recovered Work = %g, plain %g", mode.name, rec.Work, plain.Work)
+				}
+				if rec.Stats.TimeMS != plain.Stats.TimeMS ||
+					rec.Stats.Messages != plain.Stats.Messages ||
+					rec.Stats.BytesMoved != plain.Stats.BytesMoved {
+					t.Errorf("%s: recovered Stats = %+v, plain %+v", mode.name, rec.Stats, plain.Stats)
+				}
+				if (plain.Check == 0) != mode.symbolic {
+					t.Errorf("%s: plain Check = %#x", mode.name, plain.Check)
+				}
+				if rec.Check != plain.Check {
+					t.Errorf("%s: recovered Check = %#x, plain %#x: outputs differ bitwise", mode.name, rec.Check, plain.Check)
+				}
 			}
 		})
 	}
@@ -167,10 +124,11 @@ func TestConformanceOverheadShape(t *testing.T) {
 		w := w
 		t.Run(w.Name(), func(t *testing.T) {
 			for _, p := range []int{2, 4, 8} {
-				to, err := w.Overhead(confCluster(t, w, p), model)
+				m, err := w.Machine(confCluster(t, w, p), model)
 				if err != nil {
 					t.Fatalf("p=%d: %v", p, err)
 				}
+				to := m.Overhead
 				prev := 0.0
 				for _, n := range grid {
 					v := to(n)
@@ -207,7 +165,7 @@ func TestConformanceRecoveredOutputBitwiseEqual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rcfg := algs.RecoveryConfig{IntervalSteps: 5}
+			rcfg := workload.RecoveryConfig{IntervalSteps: 5}
 			out, rec, err := w.RunRecovered(context.Background(), cl, model, mpi.Options{Faults: inj}, spec, rcfg)
 			if err != nil {
 				t.Fatal(err)

@@ -29,10 +29,11 @@ func TestOverheadNonNegativeAndMonotoneInP(t *testing.T) {
 		t.Run(w.Name(), func(t *testing.T) {
 			prev := make([]float64, len(sizes))
 			for _, p := range rungs {
-				to, err := w.Overhead(confCluster(t, w, p), model)
+				m, err := w.Machine(confCluster(t, w, p), model)
 				if err != nil {
 					t.Fatalf("p=%d: %v", p, err)
 				}
+				to := m.Overhead
 				for i, n := range sizes {
 					v := to(n)
 					if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {

@@ -1,4 +1,4 @@
-package algs
+package workload
 
 import (
 	"context"
@@ -30,85 +30,75 @@ var recoverEngines = []struct {
 func TestGERecoveredHealthyMatchesPlain(t *testing.T) {
 	cl := geCluster(t)
 	m := testModel(t)
-	const n = 40
-	opts := GEOptions{Seed: 3}
-	plain, err := RunGE(cl, m, mpi.Options{}, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, rec, err := RunGERecovered(cl, m, mpi.Options{}, n, opts, RecoveryConfig{})
+	spec := Spec{N: 40, Seed: 3}
+	plain, plainX := runGE(t, GE{}, cl, m, mpi.Options{}, spec)
+	out, rec, x, err := GE{}.run(context.Background(), cl, m, mpi.Options{}, spec, &RecoveryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rec.Recovered || rec.Attempts != 1 || rec.Checkpoints != 0 {
 		t.Errorf("healthy run shows recovery bookkeeping: %+v", rec)
 	}
-	if out.Res.TimeMS != plain.Res.TimeMS {
-		t.Errorf("healthy recovered TimeMS %.9f != plain %.9f", out.Res.TimeMS, plain.Res.TimeMS)
+	if out.Stats.TimeMS != plain.Stats.TimeMS {
+		t.Errorf("healthy recovered TimeMS %.9f != plain %.9f", out.Stats.TimeMS, plain.Stats.TimeMS)
 	}
-	if !reflect.DeepEqual(out.X, plain.X) {
+	if !reflect.DeepEqual(x, plainX) {
 		t.Error("healthy recovered solution differs from the plain run")
 	}
 }
 
-// TestGERecoveredCrashCompletes is the PR's acceptance scenario: a GE run
-// with a mid-run crash from the fault plan completes with the correct
+// TestGERecoveredCrashCompletes is the recovery acceptance scenario: a GE
+// run with a mid-run crash from the fault plan completes with the correct
 // numerical result on both engines, with bit-identical virtual times.
 func TestGERecoveredCrashCompletes(t *testing.T) {
 	cl := geCluster(t)
 	m := testModel(t)
 	const n = 60
-	opts := GEOptions{
-		Seed:     7,
-		Strategy: dist.Pinned{Speeds: cl.Speeds(), Inner: dist.HetCyclic{}},
-	}
-	plain, err := RunGE(cl, m, mpi.Options{}, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := crashInjector{at: map[int]float64{2: 0.45 * plain.Res.TimeMS}}
-	rcfg := RecoveryConfig{IntervalSteps: 10}
+	spec := Spec{N: n, Seed: 7, PinnedSpeeds: cl.Speeds()}
+	plain, plainX := runGE(t, GE{}, cl, m, mpi.Options{}, spec)
+	inj := crashInjector{at: map[int]float64{2: 0.45 * plain.Stats.TimeMS}}
+	rcfg := &RecoveryConfig{IntervalSteps: 10}
 
 	var recs []mpi.RecoveredResult
-	var outs []GEOutcome
+	var xs [][]float64
 	for _, e := range recoverEngines {
 		mo := e.opts
 		mo.Faults = inj
-		out, rec, err := RunGERecovered(cl, m, mo, n, opts, rcfg)
+		_, rec, x, err := GE{}.run(context.Background(), cl, m, mo, spec, rcfg)
 		if err != nil {
 			t.Fatalf("%s: recovered GE failed: %v", e.name, err)
 		}
 		if !rec.Recovered {
-			t.Fatalf("%s: crash at %.3f ms did not trigger recovery (T=%.3f)", e.name, 0.45*plain.Res.TimeMS, rec.TimeMS)
+			t.Fatalf("%s: crash at %.3f ms did not trigger recovery (T=%.3f)", e.name, 0.45*plain.Stats.TimeMS, rec.TimeMS)
 		}
-		outs = append(outs, out)
+		xs = append(xs, x)
 		recs = append(recs, rec)
 	}
 	if !reflect.DeepEqual(recs[0], recs[1]) {
 		t.Errorf("recovered results differ across engines:\nlive: %+v\ndes:  %+v", recs[0], recs[1])
 	}
 
-	out := outs[0]
+	x := xs[0]
 	// Replay-exact numerics: the recovered solution is bit-identical to
 	// the undisturbed run's, and solves the system.
-	if !reflect.DeepEqual(out.X, plain.X) {
+	if !reflect.DeepEqual(x, plainX) {
 		t.Error("recovered solution differs from the undisturbed run")
 	}
-	if out.Residual > 1e-8*n {
-		t.Errorf("recovered residual %g too large", out.Residual)
+	if r := geResidual(t, n, 7, x); r > 1e-8*n {
+		t.Errorf("recovered residual %g too large", r)
 	}
 	ref, err := linalg.SolveGaussNoPivot(linalg.RandomDiagDominant(n, 7), linalg.RandomVector(n, 8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range ref {
-		if math.Abs(ref[i]-out.X[i]) > 1e-8 {
-			t.Fatalf("x[%d] = %g, sequential reference %g", i, out.X[i], ref[i])
+		if math.Abs(ref[i]-x[i]) > 1e-8 {
+			t.Fatalf("x[%d] = %g, sequential reference %g", i, x[i], ref[i])
 		}
 	}
 	// Recovery costs time: the recovered run is slower than undisturbed.
-	if out.Res.TimeMS <= plain.Res.TimeMS {
-		t.Errorf("recovered makespan %.3f not beyond undisturbed %.3f", out.Res.TimeMS, plain.Res.TimeMS)
+	if recs[0].TimeMS <= plain.Stats.TimeMS {
+		t.Errorf("recovered makespan %.3f not beyond undisturbed %.3f", recs[0].TimeMS, plain.Stats.TimeMS)
 	}
 	if recs[0].Checkpoints == 0 {
 		t.Error("no checkpoint committed despite IntervalSteps=10")
@@ -118,14 +108,10 @@ func TestGERecoveredCrashCompletes(t *testing.T) {
 func TestGERecoveredScratchRestartCompletes(t *testing.T) {
 	cl := geCluster(t)
 	m := testModel(t)
-	const n = 30
-	opts := GEOptions{Seed: 11}
-	plain, err := RunGE(cl, m, mpi.Options{}, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mo := mpi.Options{Faults: crashInjector{at: map[int]float64{0: 0.5 * plain.Res.TimeMS}}}
-	out, rec, err := RunGERecovered(cl, m, mo, n, opts, RecoveryConfig{})
+	spec := Spec{N: 30, Seed: 11}
+	plain, plainX := runGE(t, GE{}, cl, m, mpi.Options{}, spec)
+	mo := mpi.Options{Faults: crashInjector{at: map[int]float64{0: 0.5 * plain.Stats.TimeMS}}}
+	_, rec, x, err := GE{}.run(context.Background(), cl, m, mo, spec, &RecoveryConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +120,7 @@ func TestGERecoveredScratchRestartCompletes(t *testing.T) {
 	}
 	// Rank 0 died; the survivors redid everything and still got the
 	// exact solution.
-	if !reflect.DeepEqual(out.X, plain.X) {
+	if !reflect.DeepEqual(x, plainX) {
 		t.Error("scratch-restarted solution differs from the undisturbed run")
 	}
 }
@@ -143,40 +129,33 @@ func TestMMRecoveredCrashComputesProduct(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
 	const n = 48
-	opts := MMOptions{
-		Seed:     5,
-		Strategy: dist.Pinned{Speeds: cl.Speeds(), Inner: dist.HetBlock{}},
-	}
-	plain, err := RunMM(cl, m, mpi.Options{}, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := crashInjector{at: map[int]float64{1: 0.5 * plain.Res.TimeMS}}
-	rcfg := RecoveryConfig{IntervalSteps: 4}
+	spec := Spec{N: n, Seed: 5, PinnedSpeeds: cl.Speeds()}
+	plain, plainC := runMM(t, MM{}, cl, m, mpi.Options{}, spec)
+	inj := crashInjector{at: map[int]float64{1: 0.5 * plain.Stats.TimeMS}}
+	rcfg := &RecoveryConfig{IntervalSteps: 4}
 
 	var recs []mpi.RecoveredResult
-	var outs []MMOutcome
+	var cs []*linalg.Matrix
 	for _, e := range recoverEngines {
 		mo := e.opts
 		mo.Faults = inj
-		out, rec, err := RunMMRecovered(cl, m, mo, n, opts, rcfg)
+		_, rec, c, err := MM{}.run(context.Background(), cl, m, mo, spec, rcfg)
 		if err != nil {
 			t.Fatalf("%s: recovered MM failed: %v", e.name, err)
 		}
 		if !rec.Recovered {
 			t.Fatalf("%s: crash did not trigger recovery", e.name)
 		}
-		outs = append(outs, out)
+		cs = append(cs, c)
 		recs = append(recs, rec)
 	}
 	if !reflect.DeepEqual(recs[0], recs[1]) {
 		t.Errorf("recovered results differ across engines:\nlive: %+v\ndes:  %+v", recs[0], recs[1])
 	}
-	out := outs[0]
-	if out.MaxError != plain.MaxError {
-		t.Errorf("recovered MaxError %g, undisturbed %g", out.MaxError, plain.MaxError)
+	if got, want := mmMaxError(t, n, 5, cs[0]), mmMaxError(t, n, 5, plainC); got != want {
+		t.Errorf("recovered max error %g, undisturbed %g", got, want)
 	}
-	if !reflect.DeepEqual(out.C.Data, plain.C.Data) {
+	if !reflect.DeepEqual(cs[0].Data, plainC.Data) {
 		t.Error("recovered product differs from the undisturbed run")
 	}
 }
@@ -184,38 +163,35 @@ func TestMMRecoveredCrashComputesProduct(t *testing.T) {
 func TestJacobiRecoveredCrashMatchesSequential(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
-	const n, iters = 32, 20
-	opts := JacobiOptions{Iters: iters, CheckEvery: 5, Seed: 9}
-	plain, err := RunJacobi(cl, m, mpi.Options{}, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := crashInjector{at: map[int]float64{3: 0.5 * plain.Res.TimeMS}}
-	rcfg := RecoveryConfig{IntervalSteps: 4}
+	const n = 32
+	spec := Spec{N: n, Seed: 9}
+	plain, _ := runJacobi(t, Jacobi{}, cl, m, mpi.Options{}, spec)
+	inj := crashInjector{at: map[int]float64{3: 0.5 * plain.Stats.TimeMS}}
+	rcfg := &RecoveryConfig{IntervalSteps: 4}
 
 	var recs []mpi.RecoveredResult
-	var outs []JacobiOutcome
+	var grids [][]float64
 	for _, e := range recoverEngines {
 		mo := e.opts
 		mo.Faults = inj
-		out, rec, err := RunJacobiRecovered(cl, m, mo, n, opts, rcfg)
+		_, rec, grid, err := Jacobi{}.run(context.Background(), cl, m, mo, spec, rcfg)
 		if err != nil {
 			t.Fatalf("%s: recovered Jacobi failed: %v", e.name, err)
 		}
 		if !rec.Recovered {
 			t.Fatalf("%s: crash did not trigger recovery", e.name)
 		}
-		outs = append(outs, out)
+		grids = append(grids, grid)
 		recs = append(recs, rec)
 	}
 	if !reflect.DeepEqual(recs[0], recs[1]) {
 		t.Errorf("recovered results differ across engines:\nlive: %+v\ndes:  %+v", recs[0], recs[1])
 	}
-	ref, err := JacobiSequential(n, iters, 9)
+	ref, err := jacobiSequential(n, JacobiIters, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(outs[0].Grid, ref) {
+	if !reflect.DeepEqual(grids[0], ref) {
 		t.Error("recovered grid differs from the sequential reference")
 	}
 }
@@ -244,42 +220,38 @@ func TestSurvivorStrategyPinnedSubset(t *testing.T) {
 func TestJacobiReconfiguredShrinkGrowBitwiseEqual(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
-	const n, iters = 32, 20
-	opts := JacobiOptions{Iters: iters, CheckEvery: 5, Seed: 9}
-	plain, err := RunJacobi(cl, m, mpi.Options{}, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg := RecoveryConfig{
+	spec := Spec{N: 32, Seed: 9}
+	plain, plainGrid := runJacobi(t, Jacobi{}, cl, m, mpi.Options{}, spec)
+	rcfg := &RecoveryConfig{
 		IntervalSteps: 2,
 		Plan: []mpi.ReconfigEvent{
-			{AtMS: 0.35 * plain.Res.TimeMS, Ranks: []int{0, 1, 3}},
-			{AtMS: 0.80 * plain.Res.TimeMS, Ranks: []int{0, 1, 2, 3}},
+			{AtMS: 0.35 * plain.Stats.TimeMS, Ranks: []int{0, 1, 3}},
+			{AtMS: 0.80 * plain.Stats.TimeMS, Ranks: []int{0, 1, 2, 3}},
 		},
 	}
 
 	var recs []mpi.RecoveredResult
-	var outs []JacobiOutcome
+	var grids [][]float64
 	for _, e := range recoverEngines {
-		out, rec, err := RunJacobiRecoveredContext(context.Background(), cl, m, e.opts, n, opts, rcfg)
+		_, rec, grid, err := Jacobi{}.run(context.Background(), cl, m, e.opts, spec, rcfg)
 		if err != nil {
 			t.Fatalf("%s: reconfigured Jacobi failed: %v", e.name, err)
 		}
 		if rec.Reconfigs != 2 || rec.Recovered {
 			t.Fatalf("%s: want 2 planned reconfigs and no recovery, got %+v", e.name, rec)
 		}
-		outs = append(outs, out)
+		grids = append(grids, grid)
 		recs = append(recs, rec)
 	}
 	if !reflect.DeepEqual(recs[0], recs[1]) {
 		t.Errorf("reconfigured results differ across engines:\nlive: %+v\ndes:  %+v", recs[0], recs[1])
 	}
-	if !reflect.DeepEqual(outs[0].Grid, plain.Grid) {
+	if !reflect.DeepEqual(grids[0], plainGrid) {
 		t.Error("reconfigured grid differs from the undisturbed run")
 	}
 	// Elasticity costs time (rollbacks + reconfig charges), never answers.
-	if recs[0].TimeMS <= plain.Res.TimeMS {
-		t.Errorf("reconfigured makespan %.3f not beyond undisturbed %.3f", recs[0].TimeMS, plain.Res.TimeMS)
+	if recs[0].TimeMS <= plain.Stats.TimeMS {
+		t.Errorf("reconfigured makespan %.3f not beyond undisturbed %.3f", recs[0].TimeMS, plain.Stats.TimeMS)
 	}
 }
 
@@ -290,24 +262,22 @@ func TestGEReconfiguredGrowBitwiseEqual(t *testing.T) {
 	cl := geCluster(t)
 	m := testModel(t)
 	const n = 60
-	opts := GEOptions{Seed: 3, Strategy: dist.Pinned{Speeds: cl.Speeds(), Inner: dist.HetBlock{}}}
-	plain, err := RunGE(cl, m, mpi.Options{}, n, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := GE{Strategy: dist.HetBlock{}}
+	spec := Spec{N: n, Seed: 3, PinnedSpeeds: cl.Speeds()}
+	_, plainX := runGE(t, g, cl, m, mpi.Options{}, spec)
 	// First pass: the run planned onto {1,2} from the start, to learn how
 	// long the narrow phase lasts (GE at this n is comm-bound, so the
 	// narrow run is FASTER than the full cluster — the grow instant must
 	// come from its own clock, not the full run's).
-	narrow := RecoveryConfig{
+	narrow := &RecoveryConfig{
 		IntervalSteps: 10,
 		Plan:          []mpi.ReconfigEvent{{AtMS: 0, Ranks: []int{1, 2}}},
 	}
-	_, nrec, err := RunGERecoveredContext(context.Background(), cl, m, recoverEngines[1].opts, n, opts, narrow)
+	_, nrec, _, err := g.run(context.Background(), cl, m, recoverEngines[1].opts, spec, narrow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := RecoveryConfig{
+	rcfg := &RecoveryConfig{
 		IntervalSteps: 10,
 		Plan: []mpi.ReconfigEvent{
 			{AtMS: 0, Ranks: []int{1, 2}},
@@ -315,25 +285,25 @@ func TestGEReconfiguredGrowBitwiseEqual(t *testing.T) {
 		},
 	}
 	var recs []mpi.RecoveredResult
-	var outs []GEOutcome
+	var xs [][]float64
 	for _, e := range recoverEngines {
-		out, rec, err := RunGERecoveredContext(context.Background(), cl, m, e.opts, n, opts, rcfg)
+		_, rec, x, err := g.run(context.Background(), cl, m, e.opts, spec, rcfg)
 		if err != nil {
 			t.Fatalf("%s: reconfigured GE failed: %v", e.name, err)
 		}
 		if rec.Reconfigs != 2 || rec.Recovered {
 			t.Fatalf("%s: want 2 planned reconfigs and no recovery, got %+v", e.name, rec)
 		}
-		outs = append(outs, out)
+		xs = append(xs, x)
 		recs = append(recs, rec)
 	}
 	if !reflect.DeepEqual(recs[0], recs[1]) {
 		t.Errorf("reconfigured results differ across engines:\nlive: %+v\ndes:  %+v", recs[0], recs[1])
 	}
-	if !reflect.DeepEqual(outs[0].X, plain.X) {
+	if !reflect.DeepEqual(xs[0], plainX) {
 		t.Error("reconfigured solution differs from the undisturbed run")
 	}
-	if outs[0].Residual != plain.Residual {
-		t.Errorf("reconfigured residual %g, undisturbed %g", outs[0].Residual, plain.Residual)
+	if got, want := geResidual(t, n, 3, xs[0]), geResidual(t, n, 3, plainX); got != want {
+		t.Errorf("reconfigured residual %g, undisturbed %g", got, want)
 	}
 }

@@ -1,6 +1,7 @@
-package algs
+package workload
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,20 +11,18 @@ import (
 func TestSpMVMatchesSequential(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
-	for _, tc := range []struct{ n, iters int }{
-		{12, 5}, {33, 20}, {64, 50},
-	} {
-		out, err := RunSpMV(cl, m, mpi.Options{}, tc.n, SpMVOptions{Iters: tc.iters, Seed: 3})
+	for _, n := range []int{12, 33, 64} {
+		_, _, x, err := SpMV{}.run(context.Background(), cl, m, mpi.Options{}, Spec{N: n, Seed: 3}, nil)
 		if err != nil {
-			t.Fatalf("n=%d: %v", tc.n, err)
+			t.Fatalf("n=%d: %v", n, err)
 		}
-		ref, err := SpMVSequential(tc.n, tc.iters, 3)
+		ref, err := spmvSequential(n, SpMVIters, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for i := range ref {
-			if ref[i] != out.X[i] {
-				t.Fatalf("n=%d iters=%d: x[%d] = %g, ref %g", tc.n, tc.iters, i, out.X[i], ref[i])
+			if ref[i] != x[i] {
+				t.Fatalf("n=%d: x[%d] = %g, ref %g", n, i, x[i], ref[i])
 			}
 		}
 	}
@@ -67,18 +66,18 @@ func TestSpMVWorkCounts(t *testing.T) {
 			t.Errorf("n=%d: range count %g, closed form %g", n, got, want)
 		}
 	}
-	if got := WorkSpMV(64, 10); got != 2*(5*64-6)*10 {
-		t.Errorf("WorkSpMV(64,10) = %g", got)
+	if got := (SpMV{}).WorkAt(64); got != 2*(5*64-6)*SpMVIters {
+		t.Errorf("SpMV WorkAt(64) = %g", got)
 	}
 }
 
 func TestSpMVIterationStaysBounded(t *testing.T) {
 	// Row-stochastic averaging: max |x| never grows.
-	x0, err := SpMVSequential(48, 1, 9)
+	x0, err := spmvSequential(48, 1, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x1, err := SpMVSequential(48, 40, 9)
+	x1, err := spmvSequential(48, 40, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

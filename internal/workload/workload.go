@@ -1,28 +1,42 @@
-// Package workload is the one seam between the algorithm implementations
-// in internal/algs and everything that consumes them: the isospeed study
-// in internal/core, the experiment suite, and the CLIs. The paper's metric
-// is algorithm-generic — Definition 4 and Theorem 1 apply to any
+// Package workload holds the algorithm–system combinations and is the
+// one seam between them and everything that consumes them: the isospeed
+// study in internal/core, the experiment suite, and the CLIs. The paper's
+// metric is algorithm-generic — Definition 4 and Theorem 1 apply to any
 // algorithm–system combination — so the rest of the system should be too.
 //
-// A Workload bundles the full quadruple one combination needs: the
-// cluster ladder it runs on, a uniform virtual-time run entry point, the
-// checkpoint/rollback variant with its snapshot codec, the analytic
-// overhead model To(n), and the work/memory polynomials. Registering a
-// new workload is one file in this package (plus its algs implementation);
-// study, fault sweep, recovered sweep, and both CLIs pick it up with zero
-// consumer edits.
+// Each combination is written once, in its own file: the rank program,
+// its checkpoint codec, a sequential reference for verification, the
+// analytic machine (work polynomial, sustained fraction, overhead model
+// To(n)) and the registration. Its Run and RunRecovered only forward to
+// a single unexported run function that builds the rank program once and
+// runs it either plainly through mpi.Run or under the reconfiguration
+// supervisor (mpi.RunReconfigurable). Registering a new
+// workload is that one file; study, fault sweep, recovered sweep, and
+// both CLIs pick it up with zero consumer edits.
+//
+// Every algorithm moves real data and produces verifiable numerics, or
+// runs in symbolic mode, which skips the host arithmetic while performing
+// exactly the same message traffic and virtual-time accounting.
+//
+// Achieved speed vs marked speed: marked speed is benchmarked with NPB-
+// style kernels, but real applications sustain only a fraction of it (the
+// paper: "the achieved speed of an application may not be the same as the
+// benchmarked marked speed"). Each combination charges its compute at a
+// fixed Default…Sustained fraction; the values put the speed-efficiency
+// curves in the paper's observed range (E_s saturating well below 1,
+// targets 0.3/0.2 crossed at moderate N).
 package workload
 
 import (
 	"context"
+	"fmt"
 	"math"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/dist"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
-
-	"repro/internal/algs"
 )
 
 // Spec selects one run of a workload. The zero value of every field is
@@ -46,9 +60,10 @@ type Spec struct {
 type Outcome struct {
 	// Work is the flop count actually executed (Definition 2's W).
 	Work float64
-	// VirtualTime is the time the study meters, in ms. For most workloads
-	// this is the full makespan; iterative workloads may meter only the
-	// steady-state loop (Jacobi's sweep window). Stats.TimeMS always
+	// VirtualTime is the time the study meters, in ms. GE and MM meter
+	// the full makespan; a plain run of an iterative workload (cg,
+	// jacobi, mg, spmv) meters only its steady-state loop window, while
+	// a recovered run meters the recovered makespan. Stats.TimeMS always
 	// carries the full makespan.
 	VirtualTime float64
 	// Stats is the transport-level result: makespan, messages, bytes.
@@ -76,19 +91,117 @@ type Workload interface {
 	WorkAt(n int) float64
 	// MemBytes is the aggregate memory footprint of a size-n problem.
 	MemBytes(n int) float64
-	// Overhead returns the analytic parallel-overhead model To(n) in ms
-	// under the given cost model.
-	Overhead(cl *cluster.Cluster, model simnet.CostModel) (func(n float64) float64, error)
 	// Machine returns the full analytic machine (work polynomial,
-	// sustained fraction, overhead) used to predict required problem
-	// sizes.
+	// sustained fraction, overhead model To(n) in ms) used to predict
+	// required problem sizes.
 	Machine(cl *cluster.Cluster, model simnet.CostModel) (core.AnalyticMachine, error)
 	// Run executes the workload once in virtual time.
 	Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, mpiOpts mpi.Options, spec Spec) (Outcome, error)
 	// RunRecovered executes under checkpoint/rollback recovery with the
-	// workload's own snapshot codec.
-	RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, mpiOpts mpi.Options, spec Spec, rcfg algs.RecoveryConfig) (Outcome, mpi.RecoveredResult, error)
+	// workload's own snapshot codec. The RecoveredResult is populated
+	// even on failure (attempt accounting, death clocks): schedulers
+	// price the abandoned run from it.
+	RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, mpiOpts mpi.Options, spec Spec, rcfg RecoveryConfig) (Outcome, mpi.RecoveredResult, error)
 }
+
+// RecoveryConfig configures a recovered run.
+type RecoveryConfig struct {
+	mpi.RecoveryOptions
+	// IntervalSteps is the checkpoint cadence in algorithm steps: GE
+	// pivots, MM rows per chunk, sweeps or iterations of the iterative
+	// workloads. 0 disables checkpointing — recovery then restarts the
+	// computation from scratch on the survivors.
+	IntervalSteps int
+	// Plan schedules planned membership changes: at each event's virtual
+	// instant the run stops at its last committed checkpoint and
+	// continues on the event's target ranks (shrink or grow), with the
+	// shares redistributed exactly like a crash rollback but no
+	// detection latency charged. Nil keeps every membership change
+	// unplanned.
+	Plan []mpi.ReconfigEvent
+}
+
+// interval is a run's checkpoint cadence: 0 (never) on a plain run.
+func (c *RecoveryConfig) interval() int {
+	if c == nil {
+		return 0
+	}
+	return c.IntervalSteps
+}
+
+// execute is the one run path of every workload. The build function is
+// the workload's program factory: given a membership instance it lays
+// out the distribution, restores any checkpoint, and returns the rank
+// program. With a nil rcfg it builds once for the whole cluster and runs
+// that program plainly through mpi.Run (no checkpointer, no supervisor);
+// otherwise the reconfiguration supervisor calls it for the initial
+// instance and again after every membership change, on a crash rollback
+// (the numerics are replay-exact: updates depend on data, never on
+// ownership, so a recovered run is bitwise equal to an undisturbed one)
+// and on each planned event of rcfg.Plan.
+func execute(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, rcfg *RecoveryConfig, build func(mpi.Instance) (mpi.RecoverableProgram, error)) (mpi.RecoveredResult, error) {
+	if rcfg == nil {
+		ranks := make([]int, cl.Size())
+		for r := range ranks {
+			ranks[r] = r
+		}
+		prog, err := build(mpi.Instance{Cluster: cl, Ranks: ranks})
+		if err != nil {
+			return mpi.RecoveredResult{}, err
+		}
+		res, err := mpi.Run(ctx, cl, model, o, func(c mpi.Comm) error { return prog(c, nil) })
+		return mpi.RecoveredResult{Result: res}, err
+	}
+	if rcfg.IntervalSteps < 0 {
+		return mpi.RecoveredResult{}, fmt.Errorf("workload: negative checkpoint interval %d", rcfg.IntervalSteps)
+	}
+	return mpi.RunReconfigurable(ctx, cl, model, o, rcfg.RecoveryOptions, rcfg.Plan, build)
+}
+
+// distribution resolves one run's distribution strategy: st, pinned to
+// the spec's nominal speeds when the spec names them.
+func distribution(spec Spec, st dist.Strategy) dist.Strategy {
+	if spec.PinnedSpeeds != nil {
+		return dist.Pinned{Speeds: spec.PinnedSpeeds, Inner: st}
+	}
+	return st
+}
+
+// survivorStrategy restricts a distribution strategy to the instance's
+// original ranks: a Pinned strategy keeps distributing by the members'
+// nominal marked speeds (a dead rank's share is split proportionally),
+// any other strategy re-assigns from the observed member speeds as-is.
+func survivorStrategy(st dist.Strategy, ranks []int) dist.Strategy {
+	p, ok := st.(dist.Pinned)
+	if !ok {
+		return st
+	}
+	speeds := make([]float64, 0, len(ranks))
+	for _, r := range ranks {
+		if r < 0 || r >= len(p.Speeds) {
+			return st // let Assign report the mismatch
+		}
+		speeds = append(speeds, p.Speeds[r])
+	}
+	return dist.Pinned{Speeds: speeds, Inner: p.Inner}
+}
+
+// isBlockAssignment reports whether every rank owns one contiguous band,
+// in rank order — what the band-decomposed algorithms need.
+func isBlockAssignment(asn dist.Assignment) bool {
+	prev := 0
+	for _, o := range asn.Owner {
+		if o < prev {
+			return false
+		}
+		prev = o
+	}
+	return true
+}
+
+// wordB is shorthand for the wire size of one element in the analytic
+// overhead models.
+const wordB = float64(simnet.WordBytes)
 
 // Checksum hashes the IEEE-754 bit patterns of the given slices with
 // FNV-1a, returning 0 when no values are present (symbolic runs). Equal
