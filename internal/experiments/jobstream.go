@@ -46,10 +46,14 @@ func (s *Suite) JobStreamWith(ctx context.Context, stream job.StreamSpec, shared
 	if err != nil {
 		return nil, err
 	}
+	// One memo for every Simulate call below: they share the cost
+	// model, MPI options and seed, so each distinct inner run executes
+	// once per experiment call.
 	opts := job.Options{
 		MPI:   s.Cfg.mpiOpts(),
 		Alloc: cluster.AllocatorOptions{AcquireMS: JobStreamAcquireMS, ReleaseMS: JobStreamReleaseMS},
 		Seed:  s.Cfg.Seed,
+		Memo:  new(job.Memo),
 	}
 
 	tenants := &Table{

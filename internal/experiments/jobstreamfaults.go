@@ -69,10 +69,14 @@ func (s *Suite) JobStreamFaultsWith(ctx context.Context, stream job.StreamSpec, 
 	if err != nil {
 		return nil, err
 	}
+	// One memo for every Simulate call below: they share the cost
+	// model, MPI options and seed, so each distinct inner run executes
+	// once per experiment call.
 	plain := job.Options{
 		MPI:   s.Cfg.mpiOpts(),
 		Alloc: cluster.AllocatorOptions{AcquireMS: JobStreamAcquireMS, ReleaseMS: JobStreamReleaseMS},
 		Seed:  s.Cfg.Seed,
+		Memo:  new(job.Memo),
 	}
 	faulted := plain
 	faulted.Health = health

@@ -2,7 +2,6 @@ package job
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 
@@ -42,6 +41,10 @@ type Options struct {
 	// spec keeps the active set exactly as Membership and Health leave
 	// it.
 	Autoscale AutoscaleSpec
+	// Memo, when non-nil, is the inner-run memo this call reads and
+	// fills, shared with every other call given the same Memo; nil keeps
+	// a private memo for this call alone.
+	Memo *Memo
 }
 
 // JobResult is one job's fate under a policy.
@@ -108,19 +111,6 @@ type Result struct {
 	// Scale is the autoscaler's window-by-window record; nil when the
 	// autoscaler is disabled.
 	Scale []ScaleSample
-}
-
-// innerRun memoizes one workload execution on one placement under one
-// crash plan.
-type innerRun struct {
-	// finished is false when the run lost its survivor set or its
-	// recovery attempt budget; then failMS (run start to abandonment)
-	// is set instead of timeMS.
-	finished  bool
-	timeMS    float64
-	failMS    float64
-	work      float64
-	rollbacks int
 }
 
 // jobState is the scheduler's mutable per-job bookkeeping.
@@ -220,39 +210,27 @@ func Simulate(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, 
 		return 0, false
 	}
 
-	memo := map[string]innerRun{}
-	runOn := func(j *Job, sub *cluster.Cluster, ranks []int, crashes []faults.Crash) (innerRun, error) {
-		key := fmt.Sprintf("%s/%d/%v/%v", j.Workload, j.N, ranks, crashes)
-		if r, ok := memo[key]; ok {
+	memo := opts.Memo
+	if memo == nil {
+		memo = new(Memo)
+	}
+	// runOn executes j on the leased subset (speeds is its speedKey;
+	// ranks, the leased node IDs, only label errors) under the crash
+	// plan, at most once per memo.
+	runOn := func(j *Job, sub *cluster.Cluster, speeds string, ranks []int, crashes []faults.Crash) (innerRun, error) {
+		key := memoKey{workload: j.Workload, n: j.N, speeds: speeds}
+		if len(crashes) > 0 {
+			key.crashes = crashKey(crashes)
+			key.ckptSteps = opts.Retry.CkptSteps
+		}
+		if r, ok := memo.runs[key]; ok {
 			return r, nil
 		}
-		spec := workload.Spec{N: j.N, Seed: opts.Seed, Symbolic: true}
-		var r innerRun
-		if len(crashes) == 0 {
-			out, err := ests[j.Workload].Run(ctx, sub, model, opts.MPI, spec)
-			if err != nil {
-				return innerRun{}, fmt.Errorf("job: job %d (%s n=%d) on %v: %w", j.ID, j.Workload, j.N, ranks, err)
-			}
-			r = innerRun{finished: true, timeMS: out.Stats.TimeMS, work: out.Work}
-		} else {
-			// Survivor replay redistributes the dead ranks' shares by the
-			// leased subset's nominal speeds: dist.Pinned, subset to the
-			// survivors by the recovery supervisor.
-			spec.PinnedSpeeds = sub.Speeds()
-			mopts := opts.MPI
-			mopts.Faults = faults.Plan{Crashes: crashes}.Injector()
-			rcfg := workload.RecoveryConfig{IntervalSteps: opts.Retry.CkptSteps}
-			out, rec, err := ests[j.Workload].RunRecovered(ctx, sub, model, mopts, spec, rcfg)
-			switch {
-			case err == nil:
-				r = innerRun{finished: true, timeMS: rec.TimeMS, work: out.Work, rollbacks: rec.Attempts - 1}
-			case errors.Is(err, mpi.ErrRecoveryFailed):
-				r = innerRun{finished: false, failMS: rec.FailedAtMS(), rollbacks: rec.Attempts - 1}
-			default:
-				return innerRun{}, fmt.Errorf("job: job %d (%s n=%d) on %v: %w", j.ID, j.Workload, j.N, ranks, err)
-			}
+		r, err := runInner(ctx, ests[j.Workload], sub, model, opts, j.N, crashes)
+		if err != nil {
+			return innerRun{}, fmt.Errorf("job: job %d (%s n=%d) on %v: %w", j.ID, j.Workload, j.N, ranks, err)
 		}
-		memo[key] = r
+		memo.put(key, r)
 		return r, nil
 	}
 
@@ -373,8 +351,9 @@ func Simulate(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, 
 				return
 			}
 			// Node failures later heal the lease in place; keep the
-			// granted placement for the result record and the memo key.
+			// granted placement for the result record.
 			placed := append([]int(nil), lease.Ranks...)
+			speeds := speedKey(lease.Sub)
 			ready := lease.ReadyMS
 
 			// Crash fixed point: fold every scheduled node-down event that
@@ -388,7 +367,7 @@ func Simulate(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, 
 			deadPos := make(map[int]bool, len(placed))
 			var run innerRun
 			for {
-				run, err = runOn(j, lease.Sub, placed, crashes)
+				run, err = runOn(j, lease.Sub, speeds, placed, crashes)
 				if err != nil {
 					fail(err)
 					return
@@ -474,7 +453,7 @@ func Simulate(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, 
 			// Dedicated baseline: same placement, zero wait, zero charges
 			// and no faults — the undisturbed run time alone over the same
 			// subset's C.
-			base, err := runOn(j, lease.Sub, placed, nil)
+			base, err := runOn(j, lease.Sub, speeds, placed, nil)
 			if err != nil {
 				fail(err)
 				return

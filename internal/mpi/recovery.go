@@ -330,6 +330,10 @@ func newCheckpointer(opts RecoveryOptions, ranks []int, log *recoveryLog) *Check
 // arriving at the barrier, a dead rank never contributes after leaving
 // it, so the contributor set is fixed the instant the barrier releases,
 // on every transport.
+//
+// Save takes ownership of state: the committed snapshot holds the slice
+// itself, so the caller must not modify it afterwards. Pass a freshly
+// packed blob.
 func (ck *Checkpointer) Save(c Comm, state []float64) {
 	cc, ok := c.(*comm)
 	if !ok {
@@ -356,7 +360,7 @@ func (ck *Checkpointer) Save(c Comm, state []float64) {
 	ck.log.chargeWrite(end - start)
 
 	ck.mu.Lock()
-	p.parts[cc.rank] = copySlice(state)
+	p.parts[cc.rank] = state
 	p.count++
 	if end > p.doneMS {
 		p.doneMS = end
@@ -389,16 +393,14 @@ func (ck *Checkpointer) Save(c Comm, state []float64) {
 
 // commit moves a fully-contributed checkpoint to stable storage, keyed by
 // the contributing ranks' original ids so later (smaller) instances can
-// still interpret the parts.
+// still interpret the parts. The snapshot takes the sealed checkpoint's
+// parts as they are: no rank writes to them again, and every reader
+// copies out of them.
 func (ck *Checkpointer) commit(p *pendingCkpt) {
-	parts := make([][]float64, len(p.parts))
-	for i, s := range p.parts {
-		parts[i] = copySlice(s)
-	}
 	ck.log.append(Snapshot{
 		AtMS:  p.doneMS,
 		Ranks: append([]int(nil), ck.ranks...),
-		Parts: parts,
+		Parts: p.parts,
 	})
 }
 

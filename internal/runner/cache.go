@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"container/list"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -54,10 +55,15 @@ func (s Stats) String() string {
 // concurrent Do calls for the same key run the computation once and share
 // the outcome. Errors are cached too — the experiment substrate is
 // deterministic, so a failed computation would fail identically on
-// retry.
+// retry. By default the table keeps every entry; SetMaxEntries bounds
+// the completed ones.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
+	// maxDone bounds the completed entries kept (0: unbounded); lru
+	// orders them most recently used first while it is set.
+	maxDone int
+	lru     list.List
 	disk    *DiskCache
 	hits    atomic.Int64
 	misses  atomic.Int64
@@ -66,9 +72,13 @@ type Cache struct {
 }
 
 type cacheEntry struct {
+	key  string
 	done chan struct{}
 	val  any
 	err  error
+	// elem is the entry's place in Cache.lru once it completed under a
+	// bound; nil while in flight or when the cache is unbounded.
+	elem *list.Element
 }
 
 // NewCache returns an empty cache.
@@ -84,6 +94,14 @@ func (c *Cache) AttachDisk(d *DiskCache) { c.disk = d }
 // Disk returns the attached persistent layer, or nil.
 func (c *Cache) Disk() *DiskCache { return c.disk }
 
+// SetMaxEntries keeps at most n completed entries in memory, evicting
+// the least recently used (a hit refreshes an entry); n <= 0 keeps every
+// entry. In-flight computations are never evicted, so single-flight
+// holds. An evicted key is served again from the disk layer or
+// recomputed, so bound only caches whose values are persisted or cheap
+// to recompute identically. Set before concurrent use.
+func (c *Cache) SetMaxEntries(n int) { c.maxDone = max(n, 0) }
+
 // Do returns the cached value for key, computing it with compute on the
 // first request. Concurrent callers with the same key block until the
 // first caller's computation finishes. A caller whose ctx is canceled
@@ -94,6 +112,9 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 	}
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
+		if e.elem != nil {
+			c.lru.MoveToFront(e.elem)
+		}
 		c.mu.Unlock()
 		select {
 		case <-e.done:
@@ -103,13 +124,22 @@ func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error))
 			return nil, ctx.Err()
 		}
 	}
-	e := &cacheEntry{done: make(chan struct{})}
+	e := &cacheEntry{key: key, done: make(chan struct{})}
 	c.entries[key] = e
 	c.mu.Unlock()
 
 	c.misses.Add(1)
 	e.val, e.err = compute()
 	close(e.done)
+	if c.maxDone > 0 {
+		c.mu.Lock()
+		e.elem = c.lru.PushFront(e)
+		for c.lru.Len() > c.maxDone {
+			old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+			delete(c.entries, old.key)
+		}
+		c.mu.Unlock()
+	}
 	return e.val, e.err
 }
 
@@ -183,7 +213,9 @@ func DoPersist[T any](ctx context.Context, c *Cache, key string, codec Codec[T],
 	return v.(T), nil
 }
 
-// Len returns the number of distinct keys ever computed (or in flight).
+// Len returns the number of keys held in memory, completed or in
+// flight: every key ever requested unless SetMaxEntries bounds the
+// table.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -148,3 +148,91 @@ func TestSignatureCanonicalAndStable(t *testing.T) {
 		t.Error("close floats render identically")
 	}
 }
+
+func TestCacheMaxEntriesEvictsLeastRecentlyUsed(t *testing.T) {
+	c := NewCache()
+	c.SetMaxEntries(2)
+	computed := map[string]int{}
+	do := func(k string) {
+		t.Helper()
+		if _, err := c.Do(context.Background(), k, func() (any, error) {
+			computed[k]++
+			return k, nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	do("a")
+	do("b")
+	do("a") // hit: a becomes the most recently used
+	do("c") // evicts b
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want 2", c.Len())
+	}
+	do("a")
+	do("b")
+	if computed["a"] != 1 || computed["b"] != 2 || computed["c"] != 1 {
+		t.Errorf("computations = %v, want a once, b twice (evicted), c once", computed)
+	}
+	if st := c.Stats(); st.Hits != 2 || st.Misses != 4 {
+		t.Errorf("stats = %+v, want 2 hits, 4 misses", st)
+	}
+}
+
+func TestCacheMaxEntriesKeepsInFlightSingleFlight(t *testing.T) {
+	// A bounded cache must never evict a computation in flight: callers
+	// arriving while other keys churn through the bound still share it.
+	c := NewCache()
+	c.SetMaxEntries(1)
+	release := make(chan struct{})
+	var computed atomic.Int64
+	slow := func() (any, error) {
+		computed.Add(1)
+		<-release
+		return 42, nil
+	}
+	const callers = 16
+	var wg sync.WaitGroup
+	vals := make([]any, callers)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		v, err := c.Do(context.Background(), "k", slow)
+		if err != nil {
+			t.Error(err)
+		}
+		vals[0] = v
+	}()
+	for c.Len() == 0 {
+	}
+	for i := 0; i < 10; i++ {
+		k := string(rune('a' + i))
+		if _, err := c.Do(context.Background(), k, func() (any, error) { return k, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if c.Len() != 2 {
+		t.Fatalf("len = %d, want the in-flight key plus one completed entry", c.Len())
+	}
+	for i := 1; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			v, err := c.Do(context.Background(), "k", slow)
+			if err != nil {
+				t.Error(err)
+			}
+			vals[i] = v
+		}(i)
+	}
+	close(release)
+	wg.Wait()
+	if n := computed.Load(); n != 1 {
+		t.Errorf("computed %d times, want 1", n)
+	}
+	for i, v := range vals {
+		if v.(int) != 42 {
+			t.Errorf("caller %d got %v", i, v)
+		}
+	}
+}

@@ -28,6 +28,14 @@ import (
 // the same spec so stale disk entries read as misses.
 const scanGeneration = 1
 
+// scanMemEntries bounds the completed scan results a disk-backed
+// executor keeps in memory. A result it evicts is served again from
+// disk, or recomputed byte-identically when the disk layer dropped it,
+// so the bound changes memory, never bytes: a long-running server stays
+// flat while one-off specs stream through, and hot specs, used most
+// recently, stay memory hits.
+const scanMemEntries = 64
+
 // ExecutorOptions configures an Executor.
 type ExecutorOptions struct {
 	// Jobs bounds each run's own worker pool (<= 0: one per CPU).
@@ -80,6 +88,7 @@ func NewExecutor(opts ExecutorOptions) (*Executor, error) {
 			return nil, fmt.Errorf("spec: %w", err)
 		}
 		e.scan.AttachDisk(disk)
+		e.scan.SetMaxEntries(scanMemEntries)
 	}
 	return e, nil
 }

@@ -263,3 +263,59 @@ func TestRunValidatesBeforeExecuting(t *testing.T) {
 		t.Errorf("invalid spec wrote %d bytes", buf.Len())
 	}
 }
+
+// TestDiskExecutorBoundsMemoryLayer streams 200 distinct faultscan specs
+// through a disk-backed executor: its in-memory result layer keeps at
+// most scanMemEntries completed results, a spec touched every few
+// requests stays a memory hit, and an evicted spec comes back from disk
+// byte-identical. A memory-only executor has nowhere to restore from,
+// so it keeps every result.
+func TestDiskExecutorBoundsMemoryLayer(t *testing.T) {
+	scan := func(seed int64) RunSpec {
+		return RunSpec{
+			Kind: KindFaultscan, Workload: "ge", P: 4, N: 40,
+			Faults: &faults.Spec{Seed: seed, StragglerFrac: 0.5, StragglerFactor: 2},
+		}
+	}
+	const distinct = 200
+	ex := newExecutor(t, ExecutorOptions{Jobs: 1, CacheDir: t.TempDir()})
+	hot := scan(distinct + 1)
+	hotOut := runSpec(t, ex, hot)
+	firstOut := runSpec(t, ex, scan(1))
+	for i := 2; i <= distinct; i++ {
+		runSpec(t, ex, scan(int64(i)))
+		if n := ex.scan.Len(); n > scanMemEntries {
+			t.Fatalf("after %d specs the memory layer holds %d results, bound %d", i, n, scanMemEntries)
+		}
+		if i%5 != 0 {
+			continue
+		}
+		before := ex.CacheStats()
+		if out := runSpec(t, ex, hot); !bytes.Equal(out, hotOut) {
+			t.Fatal("hot spec bytes changed")
+		}
+		after := ex.CacheStats()
+		if after.Hits != before.Hits+1 || after.DiskHits != before.DiskHits {
+			t.Fatalf("hot spec after %d specs: want a memory hit, stats %+v -> %+v", i, before, after)
+		}
+	}
+	if n := ex.scan.Len(); n != scanMemEntries {
+		t.Errorf("memory layer holds %d results, want the bound %d", n, scanMemEntries)
+	}
+	before := ex.CacheStats()
+	if out := runSpec(t, ex, scan(1)); !bytes.Equal(out, firstOut) {
+		t.Error("evicted spec restored from disk with different bytes")
+	}
+	after := ex.CacheStats()
+	if after.DiskHits != before.DiskHits+1 || after.DiskMisses != before.DiskMisses {
+		t.Errorf("evicted spec: want one disk hit and no recomputation, stats %+v -> %+v", before, after)
+	}
+
+	mem := newExecutor(t, ExecutorOptions{Jobs: 1})
+	for i := 1; i <= distinct; i++ {
+		runSpec(t, mem, scan(int64(i)))
+	}
+	if n := mem.scan.Len(); n != distinct {
+		t.Errorf("memory-only executor holds %d results, want all %d", n, distinct)
+	}
+}

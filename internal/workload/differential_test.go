@@ -126,6 +126,9 @@ func FuzzSymbolicVsDESWorkloads(f *testing.F) {
 	f.Add(uint8(1), uint16(64), uint8(6), 0.0, 1.0)
 	f.Add(uint8(2), uint16(17), uint8(3), 2.0, 250.0)
 	f.Add(uint8(3), uint16(48), uint8(0), 0.4, 55.5)
+	// spmv at n = 19 on the p = 7 rung: the proportional split leaves a
+	// rank one row, below the halo depth.
+	f.Add(uint8(5), uint16(3), uint8(5), 0.1, 11.0)
 	f.Fuzz(func(t *testing.T, wsel uint8, nRaw uint16, psel uint8, latency, bw float64) {
 		ws := workload.All()
 		w := ws[int(wsel)%len(ws)]

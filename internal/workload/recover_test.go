@@ -307,3 +307,66 @@ func TestGEReconfiguredGrowBitwiseEqual(t *testing.T) {
 		t.Errorf("reconfigured residual %g, undisturbed %g", got, want)
 	}
 }
+
+// TestRecoveredSecondCrashResumesSameSnapshot strikes the replay of a
+// crashed run again before it commits its next checkpoint, so two
+// attempts resume from one committed snapshot. The answer must still be
+// bitwise the undisturbed run's: the snapshot a resume reads is the
+// very blob a rank saved (Save takes ownership, commit does not copy),
+// so no attempt may write into what a later attempt resumes from. Jacobi
+// and CG are the checkpointing workloads of the job streams.
+func TestRecoveredSecondCrashResumesSameSnapshot(t *testing.T) {
+	cl := mmCluster(t)
+	m := testModel(t)
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		run  func(mpi.Options, Spec, *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error)
+	}{
+		{"jacobi", func(o mpi.Options, s Spec, r *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
+			return Jacobi{}.run(ctx, cl, m, o, s, r)
+		}},
+		{"cg", func(o mpi.Options, s Spec, r *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
+			return CG{}.run(ctx, cl, m, o, s, r)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := Spec{N: 32, Seed: 5, PinnedSpeeds: cl.Speeds()}
+			base, _, baseX, err := tc.run(mpi.Options{}, spec, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rcfg := &RecoveryConfig{IntervalSteps: 4}
+			first := map[int]float64{3: 0.5 * base.Stats.TimeMS}
+			_, once, _, err := tc.run(mpi.Options{Faults: crashInjector{at: first}}, spec, rcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(once.Events) != 1 || once.Events[0].ResumeSeq < 0 {
+				t.Fatalf("first crash must resume from a committed snapshot: %+v", once.Events)
+			}
+			// Rank 1 dies just after the replay starts, long before the
+			// replay can finish another IntervalSteps steps.
+			twice := map[int]float64{3: first[3], 1: once.Events[0].ResumeMS + 1e-3*base.Stats.TimeMS}
+			var recs []mpi.RecoveredResult
+			for _, e := range recoverEngines {
+				mo := e.opts
+				mo.Faults = crashInjector{at: twice}
+				out, rec, x, err := tc.run(mo, spec, rcfg)
+				if err != nil {
+					t.Fatalf("%s: %v", e.name, err)
+				}
+				if len(rec.Events) != 2 || rec.Events[1].ResumeSeq != rec.Events[0].ResumeSeq {
+					t.Fatalf("%s: want two rollbacks to one snapshot, got %+v", e.name, rec.Events)
+				}
+				if out.Work != base.Work || out.Check != base.Check || !reflect.DeepEqual(x, baseX) {
+					t.Errorf("%s: twice-recovered answer differs from the undisturbed run", e.name)
+				}
+				recs = append(recs, rec)
+			}
+			if !reflect.DeepEqual(recs[0], recs[1]) {
+				t.Errorf("recovered results differ across engines:\nlive: %+v\ndes:  %+v", recs[0], recs[1])
+			}
+		})
+	}
+}

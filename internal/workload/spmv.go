@@ -224,7 +224,10 @@ func spmvInitialVector(n int, seed int64) []float64 {
 // spmvRanges distributes the n rows and validates the block/halo
 // preconditions: a contiguous block assignment (each rank owns one
 // band) with at least spmvHalo rows per rank, so ghost values always
-// come from rank±1.
+// come from rank±1. When n >= spmvHalo·p the floor is always reachable:
+// a block the strategy left short (a slow rank's proportional share) is
+// topped up by spmvTopUp; assignments that already meet it are used as
+// the strategy made them.
 func spmvRanges(n, p int, strat dist.Strategy, speeds []float64) ([][2]int, error) {
 	asn, err := strat.Assign(n, speeds)
 	if err != nil {
@@ -233,13 +236,40 @@ func spmvRanges(n, p int, strat dist.Strategy, speeds []float64) ([][2]int, erro
 	if !isBlockAssignment(asn) {
 		return nil, fmt.Errorf("workload: SpMV needs a contiguous block distribution, %T is not", strat)
 	}
-	for r, cnt := range asn.Counts {
+	counts := asn.Counts
+	if n >= spmvHalo*p {
+		counts = spmvTopUp(counts)
+	}
+	for r, cnt := range counts {
 		if cnt < spmvHalo {
 			return nil, fmt.Errorf("workload: SpMV vector too small: rank %d owns %d rows, halo depth needs >= %d (n=%d, p=%d)",
 				r, cnt, spmvHalo, n, p)
 		}
 	}
-	return dist.BlockRanges(asn.Counts), nil
+	return dist.BlockRanges(counts), nil
+}
+
+// spmvTopUp returns counts with every block below spmvHalo rows raised,
+// in rank order, by moving rows one at a time from the currently largest
+// block (lowest rank on ties); blocks that meet the floor everywhere come
+// back unchanged. With at least spmvHalo rows per rank in total the
+// largest block holds more than spmvHalo whenever another is short, so
+// no donor drops below the floor.
+func spmvTopUp(counts []int) []int {
+	out := append([]int(nil), counts...)
+	for r := range out {
+		for out[r] < spmvHalo {
+			big := 0
+			for i, c := range out {
+				if c > out[big] {
+					big = i
+				}
+			}
+			out[big]--
+			out[r]++
+		}
+	}
+	return out
 }
 
 // spmvRank is the per-rank program body. It returns (vector,

@@ -3,8 +3,11 @@ package workload
 import (
 	"context"
 	"math"
+	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/dist"
 	"repro/internal/mpi"
 )
 
@@ -90,5 +93,62 @@ func TestSpMVIterationStaysBounded(t *testing.T) {
 	}
 	if maxAbs(x1) > maxAbs(x0)+1e-9 {
 		t.Errorf("iteration grew: after 40 iters %g, after 1 iter %g", maxAbs(x1), maxAbs(x0))
+	}
+}
+
+func TestSpMVTopUpMovesRowsFromLargestBlock(t *testing.T) {
+	// Short blocks are raised in rank order, each row taken from the
+	// currently largest block, the lowest rank winning ties.
+	got := spmvTopUp([]int{1, 4, 4, 0})
+	if want := []int{2, 2, 3, 2}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("spmvTopUp = %v, want %v", got, want)
+	}
+	// A distribution that already meets the floor is left as it is.
+	if got := spmvTopUp([]int{2, 5, 3}); !reflect.DeepEqual(got, []int{2, 5, 3}) {
+		t.Fatalf("spmvTopUp changed a valid distribution: %v", got)
+	}
+}
+
+func TestSpMVShortBlocksToppedUpOnLadder(t *testing.T) {
+	// The p = 7 rung at n = 19: the proportional split leaves a rank one
+	// row, below the halo depth. The top-up must make the run valid on
+	// both engines, with every rank owning at least spmvHalo rows, and
+	// the engines must still agree bit for bit.
+	const n, p = 19, 7
+	cl, err := SpMV{}.ClusterLadder(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	asn, err := dist.HetBlock{}.Assign(n, cl.Speeds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slices.Min(asn.Counts) >= spmvHalo {
+		t.Fatalf("precondition: proportional split %v leaves no rank short", asn.Counts)
+	}
+	ranges, err := spmvRanges(n, p, dist.HetBlock{}, cl.Speeds())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r, rg := range ranges {
+		if rows := rg[1] - rg[0]; rows < spmvHalo {
+			t.Errorf("rank %d owns %d rows, want >= %d", r, rows, spmvHalo)
+		}
+	}
+	if _, err := spmvRanges(2*p-1, p, dist.HetBlock{}, cl.Speeds()); err == nil {
+		t.Error("n < 2p must still be rejected")
+	}
+	m := testModel(t)
+	spec := Spec{N: n, Seed: 8}
+	des, err := SpMV{}.Run(context.Background(), cl, m, mpi.Options{Engine: mpi.EngineDES}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sym, err := SpMV{}.Run(context.Background(), cl, m, mpi.Options{Engine: mpi.EngineSymbolic}, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(des, sym) {
+		t.Fatalf("des %+v != symbolic %+v", des, sym)
 	}
 }

@@ -63,6 +63,17 @@ done
 cmp "$JSDIR/faults-des.out" "$JSDIR/faults-live.out" || { echo "jobstream-faults live bytes differ from des"; exit 1; }
 cmp "$JSDIR/faults-des.out" "$JSDIR/faults-symbolic.out" || { echo "jobstream-faults symbolic bytes differ from des"; exit 1; }
 
+# Job-stream trace determinism: the trace holds each distinct inner run
+# once per experiment call (the inner-run memo is shared across the
+# experiment's Simulate calls), and its bytes must not depend on the
+# worker count.
+echo "==> hetsim -exp jobstream-faults -trace (trace bytes independent of -jobs)"
+for jobs in 1 4; do
+	go run -race ./cmd/hetsim -exp jobstream-faults -quick -engine des -jobs "$jobs" \
+		-trace "$JSDIR/faults-trace-$jobs.json" > /dev/null
+done
+cmp "$JSDIR/faults-trace-1.json" "$JSDIR/faults-trace-4.json" || { echo "jobstream-faults trace differs between -jobs 1 and -jobs 4"; exit 1; }
+
 # Elastic-membership smoke: the autoscaler-vs-fixed comparison must land
 # on identical bytes across engines under the race detector — planned
 # drains/joins, graceful shrink and the windowed E_s controller included.
