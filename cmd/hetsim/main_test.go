@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -294,6 +295,49 @@ func TestJobstreamByteIdenticalAcrossEnginesAndJobs(t *testing.T) {
 	}
 	if again != base {
 		t.Error("-jobs 8 jobstream output differs from -jobs 1")
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files from current output")
+
+// TestJobstreamGolden pins the job-stream studies byte for byte: the
+// jobstream, jobstream-faults and elastic experiments, and RunSpec
+// documents that plan membership next to the autoscaler — one of them
+// with every section composed, one with a plan drain of a node the
+// autoscaler holds drained. The symbolic engine renders the same bytes
+// as des and live, in a few milliseconds.
+func TestJobstreamGolden(t *testing.T) {
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"jobstream.golden", []string{"-exp", "jobstream", "-engine", "symbolic"}},
+		{"jobstream-faults.golden", []string{"-exp", "jobstream-faults", "-engine", "symbolic"}},
+		{"elastic.golden", []string{"-exp", "elastic", "-engine", "symbolic"}},
+		{"readme-elastic.golden", []string{"-spec", "testdata/readme-elastic.json"}},
+		{"composed.golden", []string{"-spec", "testdata/composed.json"}},
+		{"takeover.golden", []string{"-spec", "testdata/takeover.json"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			got, err := runOut(t, tc.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join("testdata", tc.golden)
+			if *update {
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != string(want) {
+				t.Errorf("output drifted from %s (rerun with -update to accept):\n--- got ---\n%s--- want ---\n%s", path, got, want)
+			}
+		})
 	}
 }
 

@@ -44,40 +44,27 @@ func ElasticStream() job.StreamSpec {
 // E_s; the summary compares how much of each run stayed at or above the
 // set-point floor.
 func (s *Suite) Elastic(ctx context.Context) ([]Renderable, error) {
-	return s.ElasticWith(ctx, ElasticStream(), JobStreamP, job.Policies(),
-		cluster.MembershipPlan{}, ElasticAutoscale())
+	return s.ElasticWith(ctx, ElasticStream(), JobStreamP, job.Policies(), job.Options{
+		Autoscale: ElasticAutoscale(),
+	})
 }
 
 // ElasticWith is the parameterized core shared with the jobstream
-// RunSpec kind when membership or autoscale sections are set: any
-// stream, shared width, policy subset, planned membership schedule and
-// autoscaler configuration. With the autoscaler on, each policy's
-// stream runs twice — elastic and fixed at StartP (extra nodes drained
-// at t = 0) — and the windowed E_s of both runs is reported side by
-// side. With only a membership plan, the fixed baseline is the plain
-// undisturbed run.
-func (s *Suite) ElasticWith(ctx context.Context, stream job.StreamSpec, sharedP int, policies []string, membership cluster.MembershipPlan, autoscale job.AutoscaleSpec) ([]Renderable, error) {
-	cl, err := cluster.MMConfig(sharedP)
+// RunSpec kind when a membership or autoscale section is set: any
+// stream, shared width, policy subset and scenario. Each policy's stream
+// runs under the whole scenario and fixed — the same scenario without
+// its Membership and Autoscale, so outages, retry and admission stay in
+// both runs. With the autoscaler on, the fixed run is provisioned at
+// StartP (extra nodes drained at t = 0) and the windowed E_s of both
+// runs is reported side by side.
+func (s *Suite) ElasticWith(ctx context.Context, stream job.StreamSpec, sharedP int, policies []string, scenario job.Options) ([]Renderable, error) {
+	cl, jobs, elastic, err := s.streamSetup(stream, sharedP, scenario)
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := stream.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	// One memo for every Simulate call below: they share the cost
-	// model, MPI options and seed, so each distinct inner run executes
-	// once per experiment call.
-	plain := job.Options{
-		MPI:   s.Cfg.mpiOpts(),
-		Alloc: cluster.AllocatorOptions{AcquireMS: JobStreamAcquireMS, ReleaseMS: JobStreamReleaseMS},
-		Seed:  s.Cfg.Seed,
-		Memo:  new(job.Memo),
-	}
-	elastic := plain
-	elastic.Membership = membership
-	elastic.Autoscale = autoscale
-	fixed := plain
+	membership, autoscale := elastic.Membership, elastic.Autoscale
+	fixed := elastic
+	fixed.Membership, fixed.Autoscale = cluster.MembershipPlan{}, job.AutoscaleSpec{}
 	startP := sharedP
 	if !autoscale.IsZero() {
 		startP = autoscale.StartP
@@ -150,6 +137,9 @@ func (s *Suite) ElasticWith(ctx context.Context, stream job.StreamSpec, sharedP 
 				autoscale.TargetEs, autoscale.Band, autoscale.WindowMS, autoscale.MinP, autoscale.MaxP),
 			"held = fraction of windows with completions whose mean E_s stayed at or above the set-point floor (target - band); drifting below that floor is the failure the controller prevents",
 			"grows and shrinks are planned membership changes: a shrink drains its node gracefully and never interrupts a running job")
+	}
+	if !elastic.Health.IsZero() || elastic.Retry != (job.RetrySpec{}) || !elastic.Admission.IsZero() {
+		notes = append(notes, "fixed = the same scenario without membership and autoscaler: the outages, retry and admission of the fault study above run in both")
 	}
 	summary.Notes = append(summary.Notes, notes...)
 	rend := []Renderable{summary}

@@ -38,22 +38,9 @@ func (s *Suite) JobStream(ctx context.Context) ([]Renderable, error) {
 // JobStreamWith is the parameterized core shared with the jobstream
 // RunSpec kind: any stream, shared width and policy subset.
 func (s *Suite) JobStreamWith(ctx context.Context, stream job.StreamSpec, sharedP int, policies []string) ([]Renderable, error) {
-	cl, err := cluster.MMConfig(sharedP)
+	cl, jobs, opts, err := s.streamSetup(stream, sharedP, job.Options{})
 	if err != nil {
 		return nil, err
-	}
-	jobs, err := stream.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	// One memo for every Simulate call below: they share the cost
-	// model, MPI options and seed, so each distinct inner run executes
-	// once per experiment call.
-	opts := job.Options{
-		MPI:   s.Cfg.mpiOpts(),
-		Alloc: cluster.AllocatorOptions{AcquireMS: JobStreamAcquireMS, ReleaseMS: JobStreamReleaseMS},
-		Seed:  s.Cfg.Seed,
-		Memo:  new(job.Memo),
 	}
 
 	tenants := &Table{
@@ -107,6 +94,30 @@ func (s *Suite) JobStreamWith(ctx context.Context, stream job.StreamSpec, shared
 	summary.Notes = append(summary.Notes,
 		"pack (speed-aware backfill) trades fairness for throughput; fcfs preserves order at the cost of head-of-line blocking")
 	return []Renderable{tenants, summary}, nil
+}
+
+// streamSetup builds what every job-stream study runs on: the shared
+// cluster, the stream's jobs, and the scenario completed with the
+// suite's MPI options and seed, the lease charges and a memo — the
+// scenario's own when set, else a fresh one. Every Simulate call of a
+// study shares the cost model, MPI options and seed, so they share one
+// memo and each distinct inner run executes once.
+func (s *Suite) streamSetup(stream job.StreamSpec, sharedP int, scenario job.Options) (*cluster.Cluster, []job.Job, job.Options, error) {
+	cl, err := cluster.MMConfig(sharedP)
+	if err != nil {
+		return nil, nil, job.Options{}, err
+	}
+	jobs, err := stream.Jobs()
+	if err != nil {
+		return nil, nil, job.Options{}, err
+	}
+	scenario.MPI = s.Cfg.mpiOpts()
+	scenario.Alloc = cluster.AllocatorOptions{AcquireMS: JobStreamAcquireMS, ReleaseMS: JobStreamReleaseMS}
+	scenario.Seed = s.Cfg.Seed
+	if scenario.Memo == nil {
+		scenario.Memo = new(job.Memo)
+	}
+	return cl, jobs, scenario, nil
 }
 
 // describeStream renders a stream's tenant mixes on one line.

@@ -51,37 +51,26 @@ func JobStreamFaultsAdmission() job.AdmissionSpec {
 // tenant's speed-efficiency retained of the undisturbed stream, plus
 // the full rejected/shed/retried/recovered/failed breakdown.
 func (s *Suite) JobStreamFaults(ctx context.Context) ([]Renderable, error) {
-	return s.JobStreamFaultsWith(ctx, job.DefaultStream(), JobStreamP, job.Policies(),
-		JobStreamFaultsHealth(), job.DefaultRetry(), JobStreamFaultsAdmission())
+	return s.JobStreamFaultsWith(ctx, job.DefaultStream(), JobStreamP, job.Policies(), job.Options{
+		Health:    JobStreamFaultsHealth(),
+		Retry:     job.DefaultRetry(),
+		Admission: JobStreamFaultsAdmission(),
+	})
 }
 
 // JobStreamFaultsWith is the parameterized core shared with the
-// jobstream RunSpec kind when node faults are on: any stream, shared
-// width, policy subset and fault/retry/admission policy. Each policy's
-// stream is simulated undisturbed and faulted; the retention columns
-// compare the two.
-func (s *Suite) JobStreamFaultsWith(ctx context.Context, stream job.StreamSpec, sharedP int, policies []string, health cluster.HealthSpec, retry job.RetrySpec, admission job.AdmissionSpec) ([]Renderable, error) {
-	cl, err := cluster.MMConfig(sharedP)
+// jobstream RunSpec kind when a fault section is set: any stream, shared
+// width, policy subset and scenario. Each policy's stream is simulated
+// under the whole scenario and undisturbed — the same scenario without
+// its Health, Retry and Admission, so a membership plan or autoscaler
+// stays in both runs; the retention columns compare the two.
+func (s *Suite) JobStreamFaultsWith(ctx context.Context, stream job.StreamSpec, sharedP int, policies []string, scenario job.Options) ([]Renderable, error) {
+	cl, jobs, faulted, err := s.streamSetup(stream, sharedP, scenario)
 	if err != nil {
 		return nil, err
 	}
-	jobs, err := stream.Jobs()
-	if err != nil {
-		return nil, err
-	}
-	// One memo for every Simulate call below: they share the cost
-	// model, MPI options and seed, so each distinct inner run executes
-	// once per experiment call.
-	plain := job.Options{
-		MPI:   s.Cfg.mpiOpts(),
-		Alloc: cluster.AllocatorOptions{AcquireMS: JobStreamAcquireMS, ReleaseMS: JobStreamReleaseMS},
-		Seed:  s.Cfg.Seed,
-		Memo:  new(job.Memo),
-	}
-	faulted := plain
-	faulted.Health = health
-	faulted.Retry = retry
-	faulted.Admission = admission
+	plain := faulted
+	plain.Health, plain.Retry, plain.Admission = cluster.HealthSpec{}, job.RetrySpec{}, job.AdmissionSpec{}
 
 	tenants := &Table{
 		Title: fmt.Sprintf("Job-stream faults: per-tenant E_s retention vs the undisturbed stream (%d shared nodes)", sharedP),
@@ -148,12 +137,17 @@ func (s *Suite) JobStreamFaultsWith(ctx context.Context, stream job.StreamSpec, 
 			fmtFloat(minRet, 4),
 		)
 	}
+	retry := faulted.Retry
 	tenants.Notes = append(tenants.Notes,
 		fmt.Sprintf("stream seed %d: %s", stream.Seed, describeStream(stream)),
-		fmt.Sprintf("outages: %s", health.String()),
+		fmt.Sprintf("outages: %s", faulted.Health.String()),
 		fmt.Sprintf("retry: up to %d requeues, backoff base %g ms doubling, checkpoints every %d steps", retry.MaxRetries, retry.BackoffMS, retry.CkptSteps),
-		describeAdmission(admission),
+		describeAdmission(faulted.Admission),
 		"E_s means are over completed jobs; retention = faulted mean / undisturbed mean per tenant")
+	if !faulted.Membership.IsZero() || !faulted.Autoscale.IsZero() {
+		tenants.Notes = append(tenants.Notes,
+			"undisturbed = the same scenario without outages, retry and admission: the membership plan and autoscaler of the elastic study below run in both")
+	}
 	summary.Notes = append(summary.Notes,
 		"a crashed node shrinks its lease to the survivors; the run rolls back to its last coordinated checkpoint and replays there",
 		"a lease that loses every node requeues the job under the backoff budget; exhaustion marks it failed")

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -250,16 +251,91 @@ func TestSimulateElasticDeterministicAcrossEngines(t *testing.T) {
 	}
 }
 
+func TestSimulatePlanDrainTakesOverPooledNode(t *testing.T) {
+	// With StartP 2 on 16 nodes, nodes 2..15 start in the autoscaler's
+	// drained pool. A plan drain of a pooled node hands it to the plan:
+	// the run must not error, the takeover counts as one reconfig, and
+	// the node stays unplaceable — the controller never joins it — until
+	// the plan's own join. Node 2 heads the pool, so the controller's
+	// first grow would have taken it; node 15 is the fastest, so pack
+	// places on it as soon as it is back.
+	const joinMS = 1500.0
+	jobs, err := elasticStream(64, 16).Jobs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pol, err := GetPolicy("pack")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		node int
+		join bool
+	}{
+		{"node 15 drain only", 15, false},
+		{"node 15 drain then join", 15, true},
+		{"node 2 drain then join", 2, true},
+	} {
+		t.Run(strings.ReplaceAll(tc.name, " ", "_"), func(t *testing.T) {
+			plan := []cluster.MemberEvent{{Node: tc.node, AtMS: 100, Op: cluster.OpDrain}}
+			if tc.join {
+				plan = append(plan, cluster.MemberEvent{Node: tc.node, AtMS: joinMS, Op: cluster.OpJoin})
+			}
+			opts := Options{
+				MPI:        mpi.Options{Engine: mpi.EngineSymbolic},
+				Alloc:      cluster.AllocatorOptions{AcquireMS: 2, ReleaseMS: 1},
+				Membership: cluster.MembershipPlan{Events: plan},
+				Autoscale:  AutoscaleSpec{TargetEs: 0.1, Band: 0.02, WindowMS: 200, MinP: 2, MaxP: 5, StartP: 2},
+			}
+			res, err := Simulate(context.Background(), testCluster(t, 16), testModel(t), jobs, pol, opts)
+			if err != nil {
+				t.Fatalf("plan drain of a pooled node errored: %v", err)
+			}
+			if res.Completed != len(jobs) {
+				t.Fatalf("completed %d of %d", res.Completed, len(jobs))
+			}
+			placedAfterJoin := false
+			for _, jr := range res.Jobs {
+				if !slices.Contains(jr.Ranks, tc.node) {
+					continue
+				}
+				if acquired := jr.StartMS - opts.Alloc.AcquireMS; !tc.join || acquired < joinMS {
+					t.Fatalf("job %d placed on node %d at %g ms, before any plan join", jr.ID, tc.node, acquired)
+				}
+				placedAfterJoin = true
+			}
+			if tc.join && !placedAfterJoin {
+				t.Errorf("node %d never placed after the plan joined it", tc.node)
+			}
+			moves := 0
+			for _, s := range res.Scale {
+				if s.Decision != "hold" {
+					moves++
+				}
+			}
+			if moves == 0 {
+				t.Fatalf("the controller never moved: %+v", res.Scale)
+			}
+			if want := moves + len(plan); res.Reconfigs != want {
+				t.Errorf("Reconfigs = %d, want %d controller moves + %d plan events", res.Reconfigs, moves, len(plan))
+			}
+		})
+	}
+}
+
 // FuzzMembershipPlan drives Simulate with fuzz-derived streams under
-// random drain/join churn interleaved with random crash schedules.
-// Whatever the interleaving: the simulation must terminate, every
-// submitted job must be accounted exactly once, reruns must be
-// bit-identical, and the zero (no-op) plan must leave the baseline
-// simulation bitwise untouched.
+// random drain/join churn composed with every other section: random
+// crash schedules, retries, admission control and the autoscaler from a
+// drawn starting size. Whatever the interleaving: the simulation must
+// terminate without error, every submitted job must be accounted
+// exactly once, reruns must be bit-identical, and the zero (no-op) plan
+// must leave the baseline simulation bitwise untouched.
 func FuzzMembershipPlan(f *testing.F) {
-	f.Add(int64(7), uint8(2), int64(3), uint8(2), uint8(1), uint8(0))
-	f.Add(int64(42), uint8(4), int64(9), uint8(3), uint8(2), uint8(1))
-	f.Add(int64(-5), uint8(0), int64(0), uint8(0), uint8(3), uint8(2))
+	f.Add(int64(7), uint8(2), int64(3), uint8(2), uint8(1), uint8(0), uint8(0), 0.0, uint8(0))
+	f.Add(int64(42), uint8(4), int64(9), uint8(3), uint8(2), uint8(1), uint8(2), 300.0, uint8(1))
+	f.Add(int64(-5), uint8(0), int64(0), uint8(0), uint8(3), uint8(2), uint8(1), 1000.0, uint8(4))
+	f.Add(int64(9), uint8(4), int64(5), uint8(1), uint8(0), uint8(3), uint8(4), 3000.0, uint8(2))
 
 	model, err := simnet.NewParamModel("sunwulf", simnet.Sunwulf100())
 	if err != nil {
@@ -270,7 +346,10 @@ func FuzzMembershipPlan(f *testing.F) {
 		f.Fatal(err)
 	}
 
-	f.Fuzz(func(t *testing.T, seed int64, cycles uint8, faultSeed int64, failures, widthSeed, polIdx uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, cycles uint8, faultSeed int64, failures, widthSeed, polIdx, maxQueue uint8, maxWaitMS float64, startP uint8) {
+		if math.IsNaN(maxWaitMS) || math.IsInf(maxWaitMS, 0) || maxWaitMS < 0 {
+			maxWaitMS = 0
+		}
 		stream := StreamSpec{Seed: seed, Tenants: []TenantSpec{
 			{Name: "a", Workload: "jacobi", N: 32, Width: 1 + int(widthSeed)%3, Jobs: 2, MeanGapMS: 150, Shape: 1},
 			{Name: "b", Workload: "cg", N: 33, Width: 1 + int(polIdx)%2, Jobs: 2, MeanGapMS: 250, Shape: 0},
@@ -285,16 +364,22 @@ func FuzzMembershipPlan(f *testing.F) {
 			t.Fatal(err)
 		}
 		base := Options{
-			MPI:   mpi.Options{Engine: mpi.EngineSymbolic},
-			Alloc: cluster.AllocatorOptions{AcquireMS: 2, ReleaseMS: 1},
-			Seed:  seed,
-			Retry: RetrySpec{MaxRetries: 1, BackoffMS: 30, CkptSteps: 4},
+			MPI:       mpi.Options{Engine: mpi.EngineSymbolic},
+			Alloc:     cluster.AllocatorOptions{AcquireMS: 2, ReleaseMS: 1},
+			Seed:      seed,
+			Retry:     RetrySpec{MaxRetries: 1, BackoffMS: 30, CkptSteps: 4},
+			Admission: AdmissionSpec{MaxQueue: int(maxQueue) % 5, MaxWaitMS: maxWaitMS},
 		}
 		if int(failures)%4 > 0 {
 			base.Health = cluster.HealthSpec{
 				Seed: faultSeed, Failures: int(failures) % 4,
 				MeanUpMS: 300, MeanDownMS: 150,
 			}
+		}
+		// A drawn starting size of 2..6 nodes turns the autoscaler on;
+		// every sixth draw leaves it off.
+		if sp := int(startP) % 6; sp > 0 {
+			base.Autoscale = AutoscaleSpec{TargetEs: 0.1, Band: 0.02, WindowMS: 200, MinP: 2, MaxP: 6, StartP: sp + 1}
 		}
 		plain, err := Simulate(context.Background(), cl, model, jobs, pol, base)
 		if err != nil {
@@ -318,9 +403,10 @@ func FuzzMembershipPlan(f *testing.F) {
 		}
 		res, err := Simulate(context.Background(), cl, model, jobs, pol, churned)
 		if err != nil {
-			// A drain landing on a node the health schedule handles is a
-			// structural conflict only when the plan collides with itself;
-			// seeded plans never do, so any error here is a real bug.
+			// Seeded plans never collide with themselves, drains and
+			// outages are orthogonal, and a plan drain of a node the
+			// autoscaler holds drained takes it over: any error here is a
+			// real bug.
 			t.Fatalf("churned simulate errored: %v", err)
 		}
 		if got := res.Completed + res.Rejected + res.Shed + res.Failed + res.Starved; got != len(jobs) {

@@ -36,24 +36,6 @@ func lowestFree(alloc *cluster.Allocator, width int) ([]int, bool) {
 	return free[:width], true
 }
 
-// fastestFree returns the width fastest free ranks, speed-descending
-// (ties broken by lower index): rank 0 of the job lands on the fastest
-// leased node, wherever it sits in the shared cluster.
-func fastestFree(alloc *cluster.Allocator, width int) ([]int, bool) {
-	free := alloc.FreeRanks()
-	if len(free) < width {
-		return nil, false
-	}
-	speeds := alloc.Cluster().Speeds()
-	sort.SliceStable(free, func(a, b int) bool {
-		if speeds[free[a]] != speeds[free[b]] {
-			return speeds[free[a]] > speeds[free[b]]
-		}
-		return free[a] < free[b]
-	})
-	return free[:width], true
-}
-
 // fcfs admits strictly in arrival order: the head job waits for enough
 // free nodes, blocking everything behind it (no backfilling). Placement
 // is the lowest-index free nodes.
@@ -143,11 +125,13 @@ func (pack) Pick(queue []*Job, alloc *cluster.Allocator, est Estimator, nowMS fl
 	return 0, nil, false
 }
 
-// steeredFastest is fastestFree with the outage outlook folded in: the
-// job's run window is estimated from its work on the width fastest free
-// nodes (marked speed is Mflops = 1e3 flops/ms), and free nodes whose
+// steeredFastest returns the width fastest free ranks, speed-descending
+// (ties to lower index), with the outage outlook folded in: the job's
+// run window is estimated from its work on the width fastest free nodes
+// (marked speed is Mflops = 1e3 flops/ms), and free nodes whose
 // scheduled downtime intersects that window sort last — then by speed
-// descending, index ascending, as always.
+// descending, index ascending, as always. Rank 0 of the job lands on
+// the fastest clean node, wherever it sits in the shared cluster.
 func steeredFastest(alloc *cluster.Allocator, width int, workFlops, nowMS float64) ([]int, bool) {
 	free := alloc.FreeRanks()
 	if len(free) < width {

@@ -1,8 +1,10 @@
 package job
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -94,10 +96,21 @@ type Result struct {
 	// Utilization is busy node-ms over cluster node-ms across the
 	// makespan.
 	Utilization float64
-	// Per-status job counts; Completed + Rejected + Shed + Failed +
-	// Starved always equals len(Jobs). Retried counts jobs that
-	// re-entered the queue at least once, Recovered the completed jobs
-	// that survived at least one rollback.
+	// Per-status counts over every job: Completed, Rejected, Shed, ...
+	tally
+	// Reconfigs counts applied membership changes: plan drains and
+	// joins plus autoscaler moves.
+	Reconfigs int
+	// Scale is the autoscaler's window-by-window record; nil when the
+	// autoscaler is disabled.
+	Scale []ScaleSample
+}
+
+// tally counts jobs by terminal status: Completed + Rejected + Shed +
+// Failed + Starved always equals the jobs added. Retried counts jobs
+// that re-entered the queue at least once, Recovered the completed jobs
+// that survived at least one rollback.
+type tally struct {
 	Completed int
 	Rejected  int
 	Shed      int
@@ -105,12 +118,28 @@ type Result struct {
 	Starved   int
 	Retried   int
 	Recovered int
-	// Reconfigs counts applied membership changes: plan drains and
-	// joins plus autoscaler moves.
-	Reconfigs int
-	// Scale is the autoscaler's window-by-window record; nil when the
-	// autoscaler is disabled.
-	Scale []ScaleSample
+}
+
+// add counts one job's fate.
+func (t *tally) add(jr JobResult) {
+	switch jr.Status {
+	case StatusDone:
+		t.Completed++
+		if jr.Recoveries > 0 {
+			t.Recovered++
+		}
+	case StatusRejected:
+		t.Rejected++
+	case StatusShed:
+		t.Shed++
+	case StatusFailed:
+		t.Failed++
+	case StatusStarved:
+		t.Starved++
+	}
+	if jr.Retries > 0 {
+		t.Retried++
+	}
 }
 
 // jobState is the scheduler's mutable per-job bookkeeping.
@@ -120,6 +149,36 @@ type jobState struct {
 	gen       int
 	retries   int
 	rollbacks int
+}
+
+// sim is the state machine of one Simulate call: one handler method per
+// event kind on the shared DES clock (arrive, shed, release, retry,
+// down, up, drain, join). Handlers return their error; at keeps the
+// first one and drops every later event.
+type sim struct {
+	ctx   context.Context
+	model simnet.CostModel
+	opts  Options
+	pol   Policy
+	jobs  []Job
+	k     *des.Kernel
+	alloc *cluster.Allocator
+	memo  *Memo
+	ests  map[string]workload.Workload // by workload name
+	est   Estimator                    // the policies' work estimate
+	// downsAt holds each node's scheduled down instants, ascending.
+	downsAt [][]float64
+	// shrinks is set when failures, drains or the autoscaler can take
+	// capacity away, so a queued job may legitimately never fit again.
+	shrinks       bool
+	as            *autoscaler    // nil when the autoscaler is off
+	queue         []*Job         // in queue-entry order
+	queuedBy      map[string]int // queued jobs per tenant
+	results       []JobResult    // by job ID; Status "" until decided
+	states        []jobState     // by job ID
+	lastReleaseMS float64
+	reconfigs     int
+	err           error // the first handler error
 }
 
 // Simulate runs the job stream on one shared cluster under the given
@@ -136,7 +195,9 @@ type jobState struct {
 // exponential-backoff budget in opts.Retry; admission control
 // (opts.Admission) rejects and sheds deterministically. With the zero
 // Health/Retry/Admission the simulation is identical — event for event,
-// bit for bit — to the undisturbed stream.
+// bit for bit — to the undisturbed stream. Every section composes with
+// the others: a membership plan and the autoscaler run under the same
+// outages and admission control.
 func Simulate(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, jobs []Job, pol Policy, opts Options) (Result, error) {
 	if cl == nil || model == nil {
 		return Result{}, fmt.Errorf("job: Simulate needs a cluster and a cost model")
@@ -158,452 +219,449 @@ func Simulate(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, 
 	if err != nil {
 		return Result{}, err
 	}
-	// With shrinking capacity — failures, drains or an autoscaler — a
-	// queued job may legitimately never fit again.
-	faulted := len(health) > 0 || len(member) > 0 || !opts.Autoscale.IsZero()
+	s, err := newSim(ctx, cl, model, jobs, pol, opts, health)
+	if err != nil {
+		return Result{}, err
+	}
+	s.shrinks = len(health) > 0 || len(member) > 0 || s.as != nil
+
+	// Health events are scheduled FIRST: at equal virtual instants the
+	// kernel fires them before arrivals (and before any timer scheduled
+	// mid-run), so placement never hands out a node in the same instant
+	// it fails — the invariant the crash fixed point (settle) builds on.
+	for _, ev := range health {
+		s.at(ev.DownMS, func() error { return s.down(ev.Node) })
+		if ev.UpMS > 0 {
+			s.at(ev.UpMS, func() error { return s.up(ev.Node) })
+		}
+	}
+	// Planned membership changes ride the same clock, after failures at
+	// equal instants: a node failing and draining in the same moment is
+	// a failure first.
+	for _, ev := range member {
+		switch ev.Op {
+		case cluster.OpDrain:
+			s.at(ev.AtMS, func() error { return s.drain(ev.Node, true) })
+		case cluster.OpJoin:
+			s.at(ev.AtMS, func() error { return s.join(ev.Node, true) })
+		}
+	}
+	for i := range s.jobs {
+		j := &s.jobs[i]
+		s.at(j.ArrivalMS, func() error { return s.arrive(j) })
+	}
+	if err := s.k.Run(); err != nil {
+		return Result{}, err
+	}
+	if s.err != nil {
+		return Result{}, s.err
+	}
+	return s.result()
+}
+
+// newSim checks the stream against the cluster and builds the state
+// machine: the allocator with the outage forecast, each node's down
+// instants, and the autoscaler with its initial drained pool.
+func newSim(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, jobs []Job, pol Policy, opts Options, health []cluster.NodeEvent) (*sim, error) {
 	ests := make(map[string]workload.Workload, 4)
 	for _, j := range jobs {
 		w, ok := workload.Lookup(j.Workload)
 		if !ok {
-			return Result{}, fmt.Errorf("job: job %d: unknown workload %q", j.ID, j.Workload)
+			return nil, fmt.Errorf("job: job %d: unknown workload %q", j.ID, j.Workload)
 		}
 		ests[j.Workload] = w
 		if j.Width > cl.Size() {
-			return Result{}, fmt.Errorf("job: job %d (tenant %q) wants %d nodes, cluster has %d",
+			return nil, fmt.Errorf("job: job %d (tenant %q) wants %d nodes, cluster has %d",
 				j.ID, j.Tenant, j.Width, cl.Size())
 		}
 	}
 	alloc, err := cluster.NewAllocator(cl, opts.Alloc)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
 	// Hand placement the outage forecast (pack steers around it).
 	alloc.SetOutlook(health)
-	var as *autoscaler
+	s := &sim{
+		ctx: ctx, model: model, opts: opts, pol: pol, jobs: slices.Clone(jobs),
+		k: des.NewKernel(), alloc: alloc, memo: opts.Memo, ests: ests,
+		downsAt: make([][]float64, cl.Size()), queuedBy: map[string]int{},
+		results: make([]JobResult, len(jobs)), states: make([]jobState, len(jobs)),
+	}
+	if s.memo == nil {
+		s.memo = new(Memo)
+	}
+	s.est = func(j *Job) float64 { return s.ests[j.Workload].WorkAt(j.N) }
+	// Instantiate sorts by DownMS, so each node's instants ascend.
+	for _, ev := range health {
+		s.downsAt[ev.Node] = append(s.downsAt[ev.Node], ev.DownMS)
+	}
 	if !opts.Autoscale.IsZero() {
-		as, err = newAutoscaler(opts.Autoscale, cl.Size(), jobs, model)
-		if err != nil {
-			return Result{}, err
+		if s.as, err = newAutoscaler(opts.Autoscale, cl.Size(), jobs, model); err != nil {
+			return nil, err
 		}
 		// Nodes above the starting size begin drained, joinable
 		// lowest-first as the controller grows.
-		for node := as.active; node < cl.Size(); node++ {
+		for node := s.as.active; node < cl.Size(); node++ {
 			if err := alloc.NodeDrain(node, 0); err != nil {
-				return Result{}, err
+				return nil, err
 			}
-			as.pool = append(as.pool, node)
+			s.as.pool = append(s.as.pool, node)
 		}
 	}
-	est := func(j *Job) float64 { return ests[j.Workload].WorkAt(j.N) }
+	return s, nil
+}
 
-	// Per-node down instants, ascending (Instantiate sorts by DownMS).
-	downsAt := make([][]float64, cl.Size())
-	for _, ev := range health {
-		downsAt[ev.Node] = append(downsAt[ev.Node], ev.DownMS)
-	}
-	nextDown := func(node int, fromMS float64) (float64, bool) {
-		for _, t := range downsAt[node] {
-			if t >= fromMS {
-				return t, true
-			}
+// at schedules handler h at virtual instant t. It is the one error
+// gate: the first handler error is kept and every event after it is
+// dropped, so Simulate returns the error where the run first failed.
+func (s *sim) at(t float64, h func() error) {
+	s.k.ScheduleAt(t, func() {
+		if s.err == nil {
+			s.err = h()
 		}
-		return 0, false
-	}
+	})
+}
 
-	memo := opts.Memo
-	if memo == nil {
-		memo = new(Memo)
+// arrive submits j. A tenant at its queue cap has the job rejected;
+// otherwise it queues as a retry does.
+func (s *sim) arrive(j *Job) error {
+	if s.opts.Admission.MaxQueue > 0 && s.queuedBy[j.Tenant] >= s.opts.Admission.MaxQueue {
+		s.record(j, JobResult{Status: StatusRejected})
+		return nil
 	}
-	// runOn executes j on the leased subset (speeds is its speedKey;
-	// ranks, the leased node IDs, only label errors) under the crash
-	// plan, at most once per memo.
-	runOn := func(j *Job, sub *cluster.Cluster, speeds string, ranks []int, crashes []faults.Crash) (innerRun, error) {
-		key := memoKey{workload: j.Workload, n: j.N, speeds: speeds}
-		if len(crashes) > 0 {
-			key.crashes = crashKey(crashes)
-			key.ckptSteps = opts.Retry.CkptSteps
-		}
-		if r, ok := memo.runs[key]; ok {
-			return r, nil
-		}
-		r, err := runInner(ctx, ests[j.Workload], sub, model, opts, j.N, crashes)
-		if err != nil {
-			return innerRun{}, fmt.Errorf("job: job %d (%s n=%d) on %v: %w", j.ID, j.Workload, j.N, ranks, err)
-		}
-		memo.put(key, r)
-		return r, nil
-	}
+	return s.retry(j)
+}
 
-	k := des.NewKernel()
-	results := make([]JobResult, len(jobs))
-	states := make([]jobState, len(jobs))
-	queuedBy := map[string]int{}
-	var queue []*Job
-	var lastReleaseMS float64
-	var reconfigs int
-	var simErr error
-	fail := func(err error) {
-		if simErr == nil {
-			simErr = err
+// retry is a failed job's wake-up after its backoff: the job re-enters
+// the queue, bypassing the cap (it was admitted once), and an admission
+// pass runs.
+func (s *sim) retry(j *Job) error {
+	s.enqueue(j)
+	return s.admit()
+}
+
+// shed drops j at its admission deadline, unless j already left the
+// queue entry the deadline was armed for (gen). Shedding the head can
+// unblock fcfs, so an admission pass follows.
+func (s *sim) shed(j *Job, gen int) error {
+	if s.states[j.ID].gen != gen {
+		return nil
+	}
+	s.dequeue(slices.Index(s.queue, j))
+	s.record(j, JobResult{Status: StatusShed, WaitMS: s.k.Now() - j.ArrivalMS})
+	return s.admit()
+}
+
+// release ends lease and runs an admission pass on the freed nodes. A
+// lease fully consumed by node failures retired itself.
+func (s *sim) release(lease *cluster.Lease) error {
+	if s.alloc.Holds(lease) {
+		if err := s.alloc.Release(lease, s.k.Now()); err != nil {
+			return err
 		}
 	}
+	s.lastReleaseMS = max(s.lastReleaseMS, s.k.Now())
+	return s.admit()
+}
 
-	// tick evaluates every autoscaler window that has closed by now.
-	// It runs at the head of each admission pass, so grows take effect
-	// before placement and shrinks (graceful drains) never preempt: the
-	// controller only moves nodes between the free set and its own
-	// drained pool.
-	tick := func() {
-		if as == nil || simErr != nil {
-			return
-		}
-		for float64(as.nextWin)*as.spec.WindowMS <= k.Now() {
-			sample, dir := as.decide(as.nextWin)
-			as.nextWin++
-			switch {
-			case dir > 0 && len(as.pool) > 0:
-				node := as.pool[0]
-				if err := alloc.NodeJoin(node, k.Now()); err != nil {
-					fail(err)
-					return
-				}
-				as.pool = as.pool[1:]
-				as.active++
-				reconfigs++
-			case dir < 0:
-				node := -1
-				for n := cl.Size() - 1; n >= 0; n-- {
-					if !alloc.IsDraining(n) {
-						node = n
-						break
-					}
-				}
-				if node < 0 {
-					sample.Decision = "hold"
-					break
-				}
-				if err := alloc.NodeDrain(node, k.Now()); err != nil {
-					fail(err)
-					return
-				}
-				as.pool = append(as.pool, node)
-				sort.Ints(as.pool)
-				as.active--
-				reconfigs++
-			case dir > 0:
-				sample.Decision = "hold" // nothing left to join
-			}
-			as.samples = append(as.samples, sample)
+// down fails node: a lease on it heals in place to the survivors, whose
+// rollback settle already planned. Capacity only shrank, so no
+// admission pass follows.
+func (s *sim) down(node int) error {
+	_, err := s.alloc.NodeDown(node, s.k.Now())
+	return err
+}
+
+// up returns a failed node to service and runs an admission pass.
+func (s *sim) up(node int) error {
+	if err := s.alloc.NodeUp(node, s.k.Now()); err != nil {
+		return err
+	}
+	return s.admit()
+}
+
+// drain gracefully takes node out of placement for a plan event (plan)
+// or an autoscaler shrink: a lease the node serves runs to its own
+// release. A plan drain of a node in the autoscaler's pool takes the
+// node over: it leaves the pool and stays drained until the plan's own
+// join. Capacity only shrank, so no admission pass follows.
+func (s *sim) drain(node int, plan bool) error {
+	if plan && s.as != nil {
+		if i := slices.Index(s.as.pool, node); i >= 0 {
+			s.as.pool = slices.Delete(s.as.pool, i, i+1)
+			s.reconfigs++
+			return nil
 		}
 	}
+	if err := s.alloc.NodeDrain(node, s.k.Now()); err != nil {
+		return err
+	}
+	s.reconfigs++
+	return nil
+}
 
-	var admit func()
-	enqueue := func(j *Job, atMS float64) {
-		st := &states[j.ID]
-		st.gen++
+// join returns a drained node to placement for a plan event (plan) or
+// an autoscaler grow. A plan join ends in an admission pass; a grow
+// already runs inside one.
+func (s *sim) join(node int, plan bool) error {
+	if err := s.alloc.NodeJoin(node, s.k.Now()); err != nil {
+		return err
+	}
+	s.reconfigs++
+	if !plan {
+		return nil
+	}
+	return s.admit()
+}
+
+// enqueue appends j to the queue and, under a max wait, arms the shed
+// deadline of this queue entry.
+func (s *sim) enqueue(j *Job) {
+	st := &s.states[j.ID]
+	st.gen++
+	s.queue = append(s.queue, j)
+	s.queuedBy[j.Tenant]++
+	if s.opts.Admission.MaxWaitMS > 0 {
 		gen := st.gen
-		queue = append(queue, j)
-		queuedBy[j.Tenant]++
-		if opts.Admission.MaxWaitMS > 0 {
-			k.ScheduleAt(atMS+opts.Admission.MaxWaitMS, func() {
-				if simErr != nil || states[j.ID].gen != gen {
-					return // the job left the queue before the deadline
-				}
-				for qi, q := range queue {
-					if q == j {
-						queue = append(queue[:qi], queue[qi+1:]...)
-						break
-					}
-				}
-				st.gen++
-				queuedBy[j.Tenant]--
-				results[j.ID] = JobResult{
-					Job: *j, Status: StatusShed,
-					WaitMS:  k.Now() - j.ArrivalMS,
-					Retries: st.retries, Recoveries: st.rollbacks,
-				}
-				// Shedding the head can unblock fcfs.
-				admit()
+		s.at(s.k.Now()+s.opts.Admission.MaxWaitMS, func() error { return s.shed(j, gen) })
+	}
+}
+
+// dequeue removes and returns the job at queue index idx.
+func (s *sim) dequeue(idx int) *Job {
+	j := s.queue[idx]
+	s.queue = slices.Delete(s.queue, idx, idx+1)
+	s.states[j.ID].gen++
+	s.queuedBy[j.Tenant]--
+	return j
+}
+
+// admit is one admission pass: first the autoscaler windows closed by
+// now (scale), so grows take effect before placement and shrinks never
+// preempt, then the policy's picks until it admits nothing more.
+func (s *sim) admit() error {
+	if err := s.scale(); err != nil {
+		return err
+	}
+	for len(s.queue) > 0 {
+		if err := s.ctx.Err(); err != nil {
+			return err
+		}
+		idx, ranks, ok := s.pol.Pick(s.queue, s.alloc, s.est, s.k.Now())
+		if !ok {
+			return nil
+		}
+		if err := s.start(s.dequeue(idx), ranks); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// start leases ranks to j, fixes the run's fate under the outage
+// schedule (settle) and records it: a completion next to its dedicated
+// baseline, or a failure that requeues while the retry budget lasts.
+// The retry wake-up is scheduled before the lease release, so at equal
+// instants the job is back in the queue for the release's admission.
+func (s *sim) start(j *Job, ranks []int) error {
+	lease, err := s.alloc.Acquire(j.Tenant, ranks, s.k.Now())
+	if err != nil {
+		return err
+	}
+	// Node failures later heal the lease in place; keep the granted
+	// placement for the result record.
+	placed := append([]int(nil), lease.Ranks...)
+	speeds := speedKey(lease.Sub)
+	ready := lease.ReadyMS
+	run, err := s.settle(j, lease, placed, speeds)
+	if err != nil {
+		return err
+	}
+	st := &s.states[j.ID]
+	st.rollbacks += run.rollbacks
+	if !run.finished {
+		failAt := ready + run.failMS
+		if st.retries < s.opts.Retry.MaxRetries {
+			st.retries++
+			s.at(failAt+faults.Backoff(s.opts.Retry.BackoffMS, st.retries-1), func() error { return s.retry(j) })
+		} else {
+			s.record(j, JobResult{
+				Ranks: placed, StartMS: ready, FinishMS: failAt,
+				WaitMS: ready - j.ArrivalMS, RunMS: run.failMS, Status: StatusFailed,
 			})
 		}
+		s.at(failAt+s.opts.Alloc.ReleaseMS, func() error { return s.release(lease) })
+		return nil
 	}
 
-	admit = func() {
-		tick()
-		for simErr == nil && len(queue) > 0 {
-			if err := ctx.Err(); err != nil {
-				fail(err)
-				return
-			}
-			idx, ranks, ok := pol.Pick(queue, alloc, est, k.Now())
-			if !ok {
-				return
-			}
-			j := queue[idx]
-			queue = append(queue[:idx], queue[idx+1:]...)
-			st := &states[j.ID]
-			st.gen++
-			queuedBy[j.Tenant]--
-			now := k.Now()
-			lease, err := alloc.Acquire(j.Tenant, ranks, now)
-			if err != nil {
-				fail(err)
-				return
-			}
-			// Node failures later heal the lease in place; keep the
-			// granted placement for the result record.
-			placed := append([]int(nil), lease.Ranks...)
-			speeds := speedKey(lease.Sub)
-			ready := lease.ReadyMS
+	finish := ready + run.timeMS
+	es, err := core.SpeedEfficiency(run.work, finish-j.ArrivalMS, lease.Sub.MarkedSpeed())
+	if err != nil {
+		return err
+	}
+	// Dedicated baseline: same placement, zero wait, zero charges and no
+	// faults — the undisturbed run time alone over the same subset's C.
+	base, err := s.run(j, lease.Sub, speeds, placed, nil)
+	if err != nil {
+		return err
+	}
+	ded, err := core.SpeedEfficiency(base.work, base.timeMS, lease.Sub.MarkedSpeed())
+	if err != nil {
+		return err
+	}
+	s.record(j, JobResult{
+		Ranks: placed, StartMS: ready, FinishMS: finish,
+		WaitMS: ready - j.ArrivalMS, RunMS: run.timeMS,
+		Work: run.work, Es: es, EsDedicated: ded, Retention: es / ded,
+		Status: StatusDone,
+	})
+	if s.as != nil {
+		s.as.observe(finish, es, j.N)
+	}
+	s.at(finish+s.opts.Alloc.ReleaseMS, func() error { return s.release(lease) })
+	return nil
+}
 
-			// Crash fixed point: fold every scheduled node-down event that
-			// strikes the placement before the (re)computed end of the run
-			// into the run's crash plan. Each iteration kills at most one
-			// more position, so it terminates within the lease width. The
-			// plan is consistent with the allocator because health events
-			// are scheduled before arrivals: a node down at exactly now was
-			// never handed out.
-			var crashes []faults.Crash
-			deadPos := make(map[int]bool, len(placed))
-			var run innerRun
-			for {
-				run, err = runOn(j, lease.Sub, speeds, placed, crashes)
-				if err != nil {
-					fail(err)
-					return
-				}
-				endAbs := ready + run.timeMS
-				if !run.finished {
-					endAbs = ready + run.failMS
-				}
-				pos, hitAt := -1, 0.0
-				for i, node := range placed {
-					if deadPos[i] {
-						continue
-					}
-					t, ok := nextDown(node, now)
-					if !ok || t >= endAbs {
-						continue
-					}
-					if pos < 0 || t < hitAt {
-						pos, hitAt = i, t
-					}
-				}
-				if pos < 0 {
-					break
-				}
-				deadPos[pos] = true
-				rel := hitAt - ready
-				if rel < 0 {
-					rel = 0 // struck during the acquire charge: dead at first op
-				}
-				crashes = append(crashes, faults.Crash{Rank: pos, AtMS: rel})
-			}
-
-			st.rollbacks += run.rollbacks
-			release := func(atMS float64) {
-				k.ScheduleAt(atMS, func() {
-					if simErr != nil {
-						return
-					}
-					// A lease fully consumed by node failures retired itself.
-					if alloc.Holds(lease) {
-						if err := alloc.Release(lease, k.Now()); err != nil {
-							fail(err)
-							return
-						}
-					}
-					if k.Now() > lastReleaseMS {
-						lastReleaseMS = k.Now()
-					}
-					admit()
-				})
-			}
-
-			if !run.finished {
-				failAt := ready + run.failMS
-				if st.retries < opts.Retry.MaxRetries {
-					st.retries++
-					wake := failAt + faults.Backoff(opts.Retry.BackoffMS, st.retries-1)
-					k.ScheduleAt(wake, func() {
-						if simErr != nil {
-							return
-						}
-						enqueue(j, k.Now())
-						admit()
-					})
-				} else {
-					results[j.ID] = JobResult{
-						Job: *j, Ranks: placed,
-						StartMS: ready, FinishMS: failAt,
-						WaitMS: ready - j.ArrivalMS, RunMS: run.failMS,
-						Status: StatusFailed, Retries: st.retries, Recoveries: st.rollbacks,
-					}
-				}
-				release(failAt + opts.Alloc.ReleaseMS)
+// settle is the crash fixed point of j's run on a fresh lease: fold
+// every scheduled down that strikes the placement before the (re)computed
+// end of the run into its crash plan, and rerun. Each round kills one
+// more position, so it ends within the lease width. Health events fire
+// before arrivals, so a node down at exactly now was never handed out.
+func (s *sim) settle(j *Job, lease *cluster.Lease, placed []int, speeds string) (innerRun, error) {
+	now, ready := s.k.Now(), lease.ReadyMS
+	var crashes []faults.Crash
+	deadPos := make(map[int]bool, len(placed))
+	for {
+		run, err := s.run(j, lease.Sub, speeds, placed, crashes)
+		if err != nil {
+			return innerRun{}, err
+		}
+		endAbs := ready + run.timeMS
+		if !run.finished {
+			endAbs = ready + run.failMS
+		}
+		pos, hitAt := -1, 0.0
+		for i, node := range placed {
+			downs := s.downsAt[node]
+			next := sort.SearchFloat64s(downs, now) // first down at or after now
+			if deadPos[i] || next == len(downs) || downs[next] >= endAbs {
 				continue
 			}
+			if t := downs[next]; pos < 0 || t < hitAt {
+				pos, hitAt = i, t
+			}
+		}
+		if pos < 0 {
+			return run, nil
+		}
+		deadPos[pos] = true
+		rel := hitAt - ready
+		if rel < 0 {
+			rel = 0 // struck during the acquire charge: dead at first op
+		}
+		crashes = append(crashes, faults.Crash{Rank: pos, AtMS: rel})
+	}
+}
 
-			finish := ready + run.timeMS
-			es, err := core.SpeedEfficiency(run.work, finish-j.ArrivalMS, lease.Sub.MarkedSpeed())
-			if err != nil {
-				fail(err)
-				return
-			}
-			// Dedicated baseline: same placement, zero wait, zero charges
-			// and no faults — the undisturbed run time alone over the same
-			// subset's C.
-			base, err := runOn(j, lease.Sub, speeds, placed, nil)
-			if err != nil {
-				fail(err)
-				return
-			}
-			ded, err := core.SpeedEfficiency(base.work, base.timeMS, lease.Sub.MarkedSpeed())
-			if err != nil {
-				fail(err)
-				return
-			}
-			results[j.ID] = JobResult{
-				Job: *j, Ranks: placed,
-				StartMS: ready, FinishMS: finish,
-				WaitMS: ready - j.ArrivalMS, RunMS: run.timeMS,
-				Work: run.work, Es: es, EsDedicated: ded, Retention: es / ded,
-				Status: StatusDone, Retries: st.retries, Recoveries: st.rollbacks,
-			}
-			if as != nil {
-				as.observe(finish, es, j.N)
-			}
-			release(finish + opts.Alloc.ReleaseMS)
-		}
+// run executes j on the leased subset (speeds is its speedKey; ranks,
+// the leased node IDs, only label errors) under the crash plan, at most
+// once per memo.
+func (s *sim) run(j *Job, sub *cluster.Cluster, speeds string, ranks []int, crashes []faults.Crash) (innerRun, error) {
+	key := memoKey{workload: j.Workload, n: j.N, speeds: speeds}
+	if len(crashes) > 0 {
+		key.crashes = crashKey(crashes)
+		key.ckptSteps = s.opts.Retry.CkptSteps
 	}
+	if r, ok := s.memo.runs[key]; ok {
+		return r, nil
+	}
+	r, err := runInner(s.ctx, s.ests[j.Workload], sub, s.model, s.opts, j.N, crashes)
+	if err != nil {
+		return innerRun{}, fmt.Errorf("job: job %d (%s n=%d) on %v: %w", j.ID, j.Workload, j.N, ranks, err)
+	}
+	s.memo.put(key, r)
+	return r, nil
+}
 
-	// Health events are scheduled FIRST: at equal virtual instants the
-	// kernel fires them before arrivals (and before any timer scheduled
-	// mid-run), so placement never hands out a node in the same instant
-	// it fails — the invariant the crash fixed point above builds on.
-	for _, ev := range health {
-		ev := ev
-		k.ScheduleAt(ev.DownMS, func() {
-			if simErr != nil {
-				return
+// scale evaluates every autoscaler window closed by now — lazily, at
+// the head of each admission pass, never as kernel events — through the
+// plan events' join and drain handlers: a grow joins the pool's lowest
+// node, a shrink drains the highest-index node not already draining.
+func (s *sim) scale() error {
+	as := s.as
+	if as == nil {
+		return nil
+	}
+	for float64(as.nextWin)*as.spec.WindowMS <= s.k.Now() {
+		sample, dir := as.decide(as.nextWin)
+		as.nextWin++
+		switch {
+		case dir > 0 && len(as.pool) > 0:
+			if err := s.join(as.pool[0], false); err != nil {
+				return err
 			}
-			if _, err := alloc.NodeDown(ev.Node, k.Now()); err != nil {
-				fail(err)
+			as.pool = as.pool[1:]
+			as.active++
+		case dir < 0:
+			node := s.alloc.Cluster().Size() - 1
+			for node >= 0 && s.alloc.IsDraining(node) {
+				node--
 			}
-		})
-		if ev.UpMS > 0 {
-			k.ScheduleAt(ev.UpMS, func() {
-				if simErr != nil {
-					return
-				}
-				if err := alloc.NodeUp(ev.Node, k.Now()); err != nil {
-					fail(err)
-					return
-				}
-				admit()
-			})
+			if node < 0 {
+				sample.Decision = "hold"
+				break
+			}
+			if err := s.drain(node, false); err != nil {
+				return err
+			}
+			as.pool = append(as.pool, node)
+			sort.Ints(as.pool)
+			as.active--
+		case dir > 0:
+			sample.Decision = "hold" // nothing left to join
 		}
+		as.samples = append(as.samples, sample)
 	}
-	// Planned membership changes ride the same clock, after failures at
-	// equal instants: a node failing and draining in the same moment is
-	// a failure first. Drains are graceful — no lease is touched — so
-	// only joins can unblock admission.
-	for _, ev := range member {
-		ev := ev
-		switch ev.Op {
-		case cluster.OpDrain:
-			k.ScheduleAt(ev.AtMS, func() {
-				if simErr != nil {
-					return
-				}
-				if err := alloc.NodeDrain(ev.Node, k.Now()); err != nil {
-					fail(err)
-					return
-				}
-				reconfigs++
-			})
-		case cluster.OpJoin:
-			k.ScheduleAt(ev.AtMS, func() {
-				if simErr != nil {
-					return
-				}
-				if err := alloc.NodeJoin(ev.Node, k.Now()); err != nil {
-					fail(err)
-					return
-				}
-				reconfigs++
-				admit()
-			})
-		}
-	}
-	for i := range jobs {
-		j := jobs[i]
-		k.ScheduleAt(j.ArrivalMS, func() {
-			if simErr != nil {
-				return
-			}
-			if opts.Admission.MaxQueue > 0 && queuedBy[j.Tenant] >= opts.Admission.MaxQueue {
-				results[j.ID] = JobResult{Job: j, Status: StatusRejected, WaitMS: 0}
-				return
-			}
-			enqueue(&j, k.Now())
-			admit()
-		})
-	}
-	if err := k.Run(); err != nil {
-		return Result{}, err
-	}
-	if simErr != nil {
-		return Result{}, simErr
-	}
+	return nil
+}
+
+// record fixes j's terminal fate, stamped with its retry and rollback
+// counts.
+func (s *sim) record(j *Job, r JobResult) {
+	st := s.states[j.ID]
+	r.Job, r.Retries, r.Recoveries = *j, st.retries, st.rollbacks
+	s.results[j.ID] = r
+}
+
+// result tallies the finished simulation. A job still without a fate
+// starved in the queue, which only shrinking capacity explains: without
+// it, a hole is a policy bug, not a simulation outcome.
+func (s *sim) result() (Result, error) {
 	res := Result{
-		Policy:      pol.Name(),
-		MakespanMS:  lastReleaseMS,
-		Utilization: alloc.Utilization(lastReleaseMS),
-		Reconfigs:   reconfigs,
+		Policy:      s.pol.Name(),
+		MakespanMS:  s.lastReleaseMS,
+		Utilization: s.alloc.Utilization(s.lastReleaseMS),
+		Reconfigs:   s.reconfigs,
 	}
-	if as != nil {
-		res.Scale = as.samples
+	if s.as != nil {
+		res.Scale = s.as.samples
 	}
-	for i := range results {
-		r := &results[i]
-		if r.Status == "" {
-			if !faulted {
-				// Without faults every job must eventually be admitted; a
-				// hole here is a policy bug, not a simulation outcome.
-				return Result{}, fmt.Errorf("job: job %d never admitted (policy %s)", i, pol.Name())
+	for i := range s.results {
+		if s.results[i].Status == "" {
+			if !s.shrinks {
+				return Result{}, fmt.Errorf("job: job %d never admitted (policy %s)", i, s.pol.Name())
 			}
-			*r = JobResult{
-				Job: jobs[i], Status: StatusStarved,
-				Retries: states[i].retries, Recoveries: states[i].rollbacks,
-			}
+			s.record(&s.jobs[i], JobResult{Status: StatusStarved})
 		}
-		switch r.Status {
-		case StatusDone:
-			res.Completed++
-			if r.Recoveries > 0 {
-				res.Recovered++
-			}
-		case StatusRejected:
-			res.Rejected++
-		case StatusShed:
-			res.Shed++
-		case StatusFailed:
-			res.Failed++
-		case StatusStarved:
-			res.Starved++
-		}
-		if r.Retries > 0 {
-			res.Retried++
-		}
+		res.add(s.results[i])
 	}
-	res.Jobs = results
+	res.Jobs = s.results
 	return res, nil
 }
 
 // TenantSummary aggregates one tenant's jobs under one policy. The
-// means are over COMPLETED jobs only; the counters account for every
-// submitted job.
+// means are over COMPLETED jobs only; the status counts account for
+// every submitted job.
 type TenantSummary struct {
 	Tenant        string
 	Jobs          int
@@ -612,13 +670,7 @@ type TenantSummary struct {
 	MeanEs        float64
 	MeanDedicated float64
 	Retention     float64 // MeanEs / MeanDedicated
-	Completed     int
-	Rejected      int
-	Shed          int
-	Failed        int
-	Starved       int
-	Retried       int
-	Recovered     int
+	tally
 }
 
 // ByTenant folds a result into per-tenant summaries, tenant-name order.
@@ -634,26 +686,9 @@ func (r Result) ByTenant() []TenantSummary {
 		}
 		s := &out[i]
 		s.Jobs++
-		if jr.Retries > 0 {
-			s.Retried++
-		}
-		switch jr.Status {
-		case StatusRejected:
-			s.Rejected++
+		s.add(jr)
+		if jr.Status != StatusDone {
 			continue
-		case StatusShed:
-			s.Shed++
-			continue
-		case StatusFailed:
-			s.Failed++
-			continue
-		case StatusStarved:
-			s.Starved++
-			continue
-		}
-		s.Completed++
-		if jr.Recoveries > 0 {
-			s.Recovered++
 		}
 		s.MeanWaitMS += jr.WaitMS
 		s.MeanRespMS += jr.FinishMS - jr.ArrivalMS
@@ -671,14 +706,6 @@ func (r Result) ByTenant() []TenantSummary {
 		out[i].MeanDedicated /= n
 		out[i].Retention = out[i].MeanEs / out[i].MeanDedicated
 	}
-	sortTenantSummaries(out)
+	slices.SortFunc(out, func(a, b TenantSummary) int { return cmp.Compare(a.Tenant, b.Tenant) })
 	return out
-}
-
-func sortTenantSummaries(s []TenantSummary) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Tenant < s[j-1].Tenant; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -91,9 +91,6 @@ func NewCache() *Cache {
 // before concurrent use; a nil d detaches.
 func (c *Cache) AttachDisk(d *DiskCache) { c.disk = d }
 
-// Disk returns the attached persistent layer, or nil.
-func (c *Cache) Disk() *DiskCache { return c.disk }
-
 // SetMaxEntries keeps at most n completed entries in memory, evicting
 // the least recently used (a hit refreshes an entry); n <= 0 keeps every
 // entry. In-flight computations are never evicted, so single-flight

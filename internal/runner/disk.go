@@ -79,13 +79,6 @@ func (d *DiskCache) SetMaxBytes(n int64) error {
 	return d.sweep()
 }
 
-// MaxBytes returns the configured size cap (0: unbounded).
-func (d *DiskCache) MaxBytes() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.maxBytes
-}
-
 func (d *DiskCache) path(key string) string {
 	// Keys are hex digests from Signature.Key; anything else is hashed
 	// down so arbitrary keys can never escape the directory.

@@ -465,8 +465,10 @@ func (e *Executor) runJobstream(ctx context.Context, rs RunSpec, out io.Writer) 
 }
 
 // jobstreamBody simulates the stream under every selected policy on one
-// shared cluster and renders the per-tenant and policy-comparison
-// tables.
+// shared cluster and renders the studies its sections select: the fault
+// study when nodeFaults, retry or admission is set, then the elastic
+// study when membership or autoscale is set, and the plain study when
+// neither is.
 func jobstreamBody(ctx context.Context, rs RunSpec, out io.Writer) error {
 	renderer, err := experiments.NewRenderer(rs.Format)
 	if err != nil {
@@ -486,45 +488,46 @@ func jobstreamBody(ctx context.Context, rs RunSpec, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var rend []experiments.Renderable
-	switch {
-	case rs.Membership != nil || rs.Autoscale != nil:
-		// The elastic body: planned membership changes and/or the isospeed
-		// autoscaler, reported against the fixed-provisioning baseline.
-		// Validate guarantees the fault sections are absent here.
-		var plan cluster.MembershipPlan
-		if rs.Membership != nil {
-			plan = *rs.Membership
-		}
-		var autoscale job.AutoscaleSpec
-		if rs.Autoscale != nil {
-			autoscale = *rs.Autoscale
-		}
-		rend, err = suite.ElasticWith(ctx, *rs.Stream, rs.SharedP, rs.Policies, plan, autoscale)
-	case rs.NodeFaults == nil && rs.Retry == nil && rs.Admission == nil:
-		rend, err = suite.JobStreamWith(ctx, *rs.Stream, rs.SharedP, rs.Policies)
-	default:
-		// The faulted body: node outages and/or admission control on the
-		// same stream, with retention reported against the undisturbed
-		// run. Normalize guarantees Retry is set whenever NodeFaults is.
-		var health cluster.HealthSpec
-		if rs.NodeFaults != nil {
-			health = *rs.NodeFaults
-		}
-		var retry job.RetrySpec
-		if rs.Retry != nil {
-			retry = *rs.Retry
-		}
-		var admission job.AdmissionSpec
-		if rs.Admission != nil {
-			admission = *rs.Admission
-		}
-		rend, err = suite.JobStreamFaultsWith(ctx, *rs.Stream, rs.SharedP, rs.Policies, health, retry, admission)
+	// One scenario from whichever sections are set, with one memo for
+	// every Simulate call of the studies it renders. Each study compares
+	// the whole scenario against the same scenario without its own
+	// sections; Normalize guarantees Retry is set whenever NodeFaults is.
+	scenario := job.Options{
+		Health: orZero(rs.NodeFaults), Retry: orZero(rs.Retry), Admission: orZero(rs.Admission),
+		Membership: orZero(rs.Membership), Autoscale: orZero(rs.Autoscale),
+		Memo: new(job.Memo),
 	}
-	if err != nil {
-		return err
+	faulted := rs.NodeFaults != nil || rs.Retry != nil || rs.Admission != nil
+	elastic := rs.Membership != nil || rs.Autoscale != nil
+	var rend []experiments.Renderable
+	if faulted {
+		r, err := suite.JobStreamFaultsWith(ctx, *rs.Stream, rs.SharedP, rs.Policies, scenario)
+		if err != nil {
+			return err
+		}
+		rend = append(rend, r...)
+	}
+	if elastic {
+		r, err := suite.ElasticWith(ctx, *rs.Stream, rs.SharedP, rs.Policies, scenario)
+		if err != nil {
+			return err
+		}
+		rend = append(rend, r...)
+	}
+	if !faulted && !elastic {
+		if rend, err = suite.JobStreamWith(ctx, *rs.Stream, rs.SharedP, rs.Policies); err != nil {
+			return err
+		}
 	}
 	return renderer.Render(out, rend)
+}
+
+// orZero returns *p, or the zero value when p is nil.
+func orZero[T any](p *T) (v T) {
+	if p != nil {
+		v = *p
+	}
+	return v
 }
 
 // faultscanBody is the fault study itself: one healthy run, one run

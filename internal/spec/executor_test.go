@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/experiments"
 	"repro/internal/faults"
 	"repro/internal/job"
 )
@@ -216,6 +217,36 @@ func TestJobstreamElasticByteIdenticalAcrossEngines(t *testing.T) {
 	}
 	if again := runSpec(t, ex, elastic("des")); !bytes.Equal(base, again) {
 		t.Error("elastic rerun differs")
+	}
+}
+
+// TestJobstreamComposedRendersBothStudies sets every jobstream section
+// in one spec: it validates, renders the fault study followed by the
+// elastic study, and stays byte-identical across engines.
+func TestJobstreamComposedRendersBothStudies(t *testing.T) {
+	composed := func(engine string) RunSpec {
+		stream, autoscale := experiments.ElasticStream(), experiments.ElasticAutoscale()
+		return RunSpec{Kind: KindJobstream, Engine: engine, Stream: &stream,
+			NodeFaults: &cluster.HealthSpec{Seed: 5, Failures: 6, MeanUpMS: 300, MeanDownMS: 200},
+			Admission:  &job.AdmissionSpec{MaxQueue: 4, MaxWaitMS: 3000},
+			Membership: &cluster.MembershipPlan{Events: []cluster.MemberEvent{
+				{Node: 0, AtMS: 250, Op: cluster.OpDrain},
+				{Node: 0, AtMS: 900, Op: cluster.OpJoin},
+			}},
+			Autoscale: &autoscale,
+		}
+	}
+	ex := newExecutor(t, ExecutorOptions{})
+	base := runSpec(t, ex, composed("symbolic"))
+	faults := bytes.Index(base, []byte("Job-stream faults:"))
+	elastic := bytes.Index(base, []byte("Elastic:"))
+	if faults < 0 || elastic < faults {
+		t.Fatalf("composed output is not the fault study followed by the elastic study:\n%s", base)
+	}
+	for _, eng := range []string{"des", "live"} {
+		if got := runSpec(t, ex, composed(eng)); !bytes.Equal(base, got) {
+			t.Errorf("engine %s composed output differs from symbolic", eng)
+		}
 	}
 }
 

@@ -417,10 +417,6 @@ func (rs *RunSpec) Validate() error {
 				return fmt.Errorf("spec: %w", err)
 			}
 		}
-		if (rs.Membership != nil || rs.Autoscale != nil) &&
-			(rs.NodeFaults != nil || rs.Retry != nil || rs.Admission != nil) {
-			return fmt.Errorf("spec: membership/autoscale and nodeFaults/retry/admission are mutually exclusive in one jobstream spec")
-		}
 	default:
 		return fmt.Errorf("spec: unknown kind %q (experiments, scalescan, faultscan or jobstream)", rs.Kind)
 	}

@@ -212,9 +212,6 @@ func TestValidateRejections(t *testing.T) {
 			Autoscale: &job.AutoscaleSpec{TargetEs: 0.1, Band: 0.02, WindowMS: 100, MinP: 2, MaxP: 32}}, "exceeds cluster size"},
 		{"jobstream autoscale one rung", RunSpec{Kind: KindJobstream,
 			Autoscale: &job.AutoscaleSpec{TargetEs: 0.1, Band: 0.02, WindowMS: 100, MinP: 4, MaxP: 4}}, "two-rung ladder"},
-		{"jobstream elastic with faults", RunSpec{Kind: KindJobstream,
-			NodeFaults: &cluster.HealthSpec{Events: []cluster.NodeEvent{{Node: 1, DownMS: 100, UpMS: 200}}},
-			Autoscale:  &job.AutoscaleSpec{TargetEs: 0.1, Band: 0.02, WindowMS: 100, MinP: 2, MaxP: 4}}, "mutually exclusive"},
 	}
 	for _, tc := range cases {
 		t.Run(strings.ReplaceAll(tc.name, " ", "_"), func(t *testing.T) {

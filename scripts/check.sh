@@ -84,6 +84,21 @@ done
 cmp "$JSDIR/elastic-des.out" "$JSDIR/elastic-live.out" || { echo "elastic live bytes differ from des"; exit 1; }
 cmp "$JSDIR/elastic-des.out" "$JSDIR/elastic-symbolic.out" || { echo "elastic symbolic bytes differ from des"; exit 1; }
 
+# Composed-spec smoke: one jobstream spec sets every section — the
+# elastic experiment's stream and autoscaler, seeded node outages,
+# admission control and a node-0 drain/join plan (the spec behind the
+# composed golden) — and must render the fault study followed by the
+# elastic study, clean under the race detector and byte-identical on
+# every engine.
+echo "==> hetsim -spec composed jobstream (race smoke, engine byte-identity)"
+for eng in des live symbolic; do
+	sed "s/\"engine\": \"symbolic\"/\"engine\": \"$eng\"/" cmd/hetsim/testdata/composed.json > "$JSDIR/composed-$eng.json"
+	go run -race ./cmd/hetsim -spec "$JSDIR/composed-$eng.json" > "$JSDIR/composed-$eng.out"
+done
+grep -q "^Job-stream faults:" "$JSDIR/composed-des.out" && grep -q "^Elastic:" "$JSDIR/composed-des.out" || { echo "composed spec did not render both studies"; exit 1; }
+cmp "$JSDIR/composed-des.out" "$JSDIR/composed-live.out" || { echo "composed live bytes differ from des"; exit 1; }
+cmp "$JSDIR/composed-des.out" "$JSDIR/composed-symbolic.out" || { echo "composed symbolic bytes differ from des"; exit 1; }
+
 # Server smoke: a race-instrumented `hetsim -serve` on a random port
 # must answer a POSTed quick spec with exactly the bytes the CLI prints
 # for the same spec — the RunSpec API's core contract, end to end over
@@ -129,6 +144,7 @@ for pkgfn in \
 	./internal/workload:FuzzSymbolicVsDESWorkloads \
 	./internal/job:FuzzJobStreamFaults \
 	./internal/job:FuzzMembershipPlan \
+	./internal/spec:FuzzRunSpec \
 ; do
 	pkg="${pkgfn%%:*}"
 	fn="${pkgfn##*:}"
