@@ -235,14 +235,15 @@ func TestCacheFlagErrors(t *testing.T) {
 }
 
 // TestParallelOutputByteIdentical is the contract of the concurrent
-// runner: `-exp all -quick` renders byte-identically whether experiments
-// run serially or on four workers, on both engines. Run under -race this
-// also exercises the suite cache's concurrency.
+// runner and of the engines: `-exp all -quick` renders byte-identically
+// whether experiments run serially or on four workers, on every engine,
+// and equals the pinned quick.golden. Run under -race this also
+// exercises the suite cache's concurrency.
 func TestParallelOutputByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick sweep is slow")
 	}
-	for _, engine := range []string{"live", "des", "symbolic"} {
+	for i, engine := range []string{"live", "des", "symbolic"} {
 		serial, err := runOut(t, "-exp", "all", "-quick", "-engine", engine, "-jobs", "1")
 		if err != nil {
 			t.Fatalf("engine %s jobs 1: %v", engine, err)
@@ -257,6 +258,9 @@ func TestParallelOutputByteIdentical(t *testing.T) {
 		if len(serial) == 0 {
 			t.Errorf("engine %s: empty output", engine)
 		}
+		// -update rewrites the golden from the first engine only; the
+		// others must then match it.
+		checkGolden(t, "quick.golden", serial, i == 0)
 	}
 }
 
@@ -323,21 +327,28 @@ func TestJobstreamGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", tc.golden)
-			if *update {
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != string(want) {
-				t.Errorf("output drifted from %s (rerun with -update to accept):\n--- got ---\n%s--- want ---\n%s", path, got, want)
-			}
+			checkGolden(t, tc.golden, got, true)
 		})
+	}
+}
+
+// checkGolden compares got with testdata/name, or, under -update with
+// write set, rewrites the golden from got.
+func checkGolden(t *testing.T, name, got string, write bool) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update && write {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("output drifted from %s (rerun with -update to accept):\n--- got ---\n%s--- want ---\n%s", path, got, want)
 	}
 }
 

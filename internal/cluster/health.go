@@ -92,16 +92,16 @@ func (h HealthSpec) Instantiate(size int) ([]NodeEvent, error) {
 	// Random outages ride on a single splitmix64 stream: start gap, node,
 	// duration per failure, in that fixed draw order.
 	g := healthRNG(h.Seed)
+	admit := newDrawFilter(events, h.Failures, size)
 	at := 0.0
 	for i := 0; i < h.Failures; i++ {
 		at += g.exp(h.MeanUpMS)
 		node := int(g.next() % uint64(size))
 		dur := g.exp(h.MeanDownMS)
 		ev := NodeEvent{Node: node, DownMS: at, UpMS: at + dur}
-		if overlapsNode(events, ev) {
-			continue
+		if admit(ev) {
+			events = append(events, ev)
 		}
-		events = append(events, ev)
 	}
 
 	sort.SliceStable(events, func(a, b int) bool {
@@ -135,6 +135,76 @@ func overlapsNode(events []NodeEvent, ev NodeEvent) bool {
 		}
 	}
 	return false
+}
+
+// newDrawFilter returns the admission test for the given number of
+// seeded draws on a cluster of size nodes, over a schedule's validated
+// explicit windows: a draw is admitted, and joins the schedule, unless
+// overlapsNode finds it intersecting a window of its node — explicit or
+// an earlier admitted draw. A node's windows are disjoint, so ordered by
+// start they are ordered by end too, and draw starts never decrease. A
+// window that has ended by a draw's start therefore overlaps no later
+// draw and is dropped, and of the windows left only the earliest can
+// overlap the draw: the others start after it ends. That earliest window
+// is the node's live admitted draw or else its first explicit one, so
+// each draw is tested against at most two windows and the draws cost
+// O(draws), not O(draws²). The per-node state is a slice indexed by node
+// when the cluster has no more nodes than the schedule has windows and
+// draws, and a map otherwise, so its memory never exceeds the input's.
+func newDrawFilter(windows []NodeEvent, draws, size int) func(NodeEvent) bool {
+	type nodeWindows struct {
+		explicit []NodeEvent // by start, ended ones dropped
+		drawn    NodeEvent   // latest admitted draw that can still overlap
+		hasDrawn bool
+	}
+	var dense []nodeWindows
+	var sparse map[int]*nodeWindows
+	if size <= draws+len(windows) {
+		dense = make([]nodeWindows, size)
+	} else {
+		sparse = map[int]*nodeWindows{}
+	}
+	node := func(n int) *nodeWindows {
+		if dense != nil {
+			return &dense[n]
+		}
+		nw := sparse[n]
+		if nw == nil {
+			nw = &nodeWindows{}
+			sparse[n] = nw
+		}
+		return nw
+	}
+	byStart := append([]NodeEvent(nil), windows...)
+	sort.SliceStable(byStart, func(a, b int) bool { return byStart[a].DownMS < byStart[b].DownMS })
+	for _, w := range byStart {
+		nw := node(w.Node)
+		nw.explicit = append(nw.explicit, w)
+	}
+	ended := func(w NodeEvent, at float64) bool { return w.UpMS != 0 && w.UpMS <= at }
+	return func(ev NodeEvent) bool {
+		nw := node(ev.Node)
+		for len(nw.explicit) > 0 && ended(nw.explicit[0], ev.DownMS) {
+			nw.explicit = nw.explicit[1:]
+		}
+		near := make([]NodeEvent, 0, 2)
+		if len(nw.explicit) > 0 {
+			near = append(near, nw.explicit[0])
+		}
+		if nw.hasDrawn && !ended(nw.drawn, ev.DownMS) {
+			near = append(near, nw.drawn)
+		}
+		if overlapsNode(near, ev) {
+			return false
+		}
+		// An admitted draw that ends where it starts can overlap no later
+		// draw, so it is not kept; any other starts after the node's
+		// earlier draws have all ended, so it replaces them.
+		if !ended(ev, ev.DownMS) {
+			nw.drawn, nw.hasDrawn = ev, true
+		}
+		return true
+	}
 }
 
 // checkOutageOverlap rejects explicit events that overlap per node.

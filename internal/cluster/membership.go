@@ -106,16 +106,16 @@ func (m MembershipPlan) Instantiate(size int) ([]MemberEvent, error) {
 	// Random cycles ride on a single splitmix64 stream: in-service gap,
 	// node, drained duration per cycle, in that fixed draw order.
 	g := healthRNG(m.Seed)
+	admit := newDrawFilter(windows, m.Cycles, size)
 	at := 0.0
 	for i := 0; i < m.Cycles; i++ {
 		at += g.exp(m.MeanInMS)
 		node := int(g.next() % uint64(size))
 		dur := g.exp(m.MeanOutMS)
 		w := NodeEvent{Node: node, DownMS: at, UpMS: at + dur}
-		if overlapsNode(windows, w) {
+		if !admit(w) {
 			continue
 		}
-		windows = append(windows, w)
 		events = append(events,
 			MemberEvent{Node: node, AtMS: w.DownMS, Op: OpDrain},
 			MemberEvent{Node: node, AtMS: w.UpMS, Op: OpJoin},

@@ -19,7 +19,8 @@ import "fmt"
 
 // BcastLinear broadcasts data from root by sending to every peer in turn
 // — the flat algorithm early MPICH used on Ethernet (and the shape behind
-// the paper's measured 0.23·p ms). Every rank returns its own copy.
+// the paper's measured 0.23·p ms). Every rank returns its own copy, or,
+// for a Blank, the same read-only view.
 func BcastLinear(c Comm, root, tag int, data []float64) []float64 {
 	if c.Rank() == root {
 		for r := 0; r < c.Size(); r++ {
@@ -27,7 +28,7 @@ func BcastLinear(c Comm, root, tag int, data []float64) []float64 {
 				c.Send(r, tag, data)
 			}
 		}
-		return copySlice(data)
+		return share(data)
 	}
 	return c.Recv(root, tag)
 }
@@ -35,13 +36,15 @@ func BcastLinear(c Comm, root, tag int, data []float64) []float64 {
 // BcastTree broadcasts data from root along a binomial tree: in round k,
 // every rank that already has the payload forwards it to the rank 2^k
 // positions away (relative to root, modulo p). ⌈log2 p⌉ rounds instead of
-// p-1 sequential sends.
+// p-1 sequential sends. Every rank returns its own copy, or, for a
+// Blank, the same read-only view: a Blank is forwarded on every hop
+// without a copy.
 func BcastTree(c Comm, root, tag int, data []float64) []float64 {
 	p := c.Size()
 	me := (c.Rank() - root + p) % p // position relative to root
 	var have []float64
 	if me == 0 {
-		have = copySlice(data)
+		have = share(data)
 	}
 	for dist := 1; dist < p; dist <<= 1 {
 		if me < dist {
@@ -66,7 +69,8 @@ func BcastTree(c Comm, root, tag int, data []float64) []float64 {
 // root. Every rank returns the fully reduced vector.
 //
 // The vector is chunked into p near-equal pieces; op is applied
-// elementwise. All ranks must pass vectors of identical length.
+// elementwise. All ranks must pass vectors of identical length. The
+// result is always a private slice, even for a Blank input.
 func AllreduceRing(c Comm, tag int, data []float64, op ReduceOp) []float64 {
 	if op == nil {
 		panic(fmt.Sprintf("mpi: rank %d: AllreduceRing nil op", c.Rank()))
@@ -116,8 +120,8 @@ func AllreduceRing(c Comm, tag int, data []float64, op ReduceOp) []float64 {
 
 // GatherTree gathers every rank's fixed-size slice at root along a
 // binomial tree: ⌈log2 p⌉ rounds, each halving the number of senders.
-// Root returns the concatenation in rank order; others nil. All slices
-// must have identical length.
+// Root returns the concatenation in rank order, in a private slice;
+// others nil. All slices must have identical length.
 func GatherTree(c Comm, root, tag int, data []float64) []float64 {
 	p := c.Size()
 	width := len(data)

@@ -9,9 +9,14 @@
 //     simnet.CostModel and the causality of message delivery (a receive
 //     cannot complete before the matching payload arrives).
 //
-// Payloads are real data ([]float64 slices): the algorithms in
-// internal/workload perform genuine numerics, so their results can be verified
-// against sequential solvers while their timing comes from the model.
+// Payloads are []float64 slices, priced by their length alone. The
+// algorithms in internal/workload move real data and perform genuine
+// numerics, so their results can be verified against sequential solvers
+// while their timing comes from the model. Their symbolic mode sends
+// Blank payloads instead: read-only views of one shared zero array,
+// handed from rank to rank by reference, so a run that needs no values
+// allocates, clears and copies no payload, at exactly the same virtual
+// cost.
 //
 // Architecturally the package is a single rank runtime over pluggable
 // transports. The runtime (runtime.go + ops.go) owns everything that
@@ -121,7 +126,8 @@ type Comm interface {
 	Sleep(ms float64)
 
 	// Send transmits data to rank `to` with the given tag. The payload is
-	// copied; the caller may reuse data.
+	// copied; the caller may reuse data. A Blank is passed by reference
+	// instead (see Blank): the receiver gets the same read-only view.
 	Send(to, tag int, data []float64)
 	// ISend is the non-blocking variant: the sender is busy only for the
 	// software send overhead while the transfer proceeds in the
@@ -131,20 +137,23 @@ type Comm interface {
 	ISend(to, tag int, data []float64)
 	// Recv receives the oldest message from rank `from`; its tag must
 	// equal tag (mismatch panics: it is a program bug, not a data error).
+	// A payload sent as a Blank arrives as that Blank: never write to it.
 	Recv(from, tag int) []float64
 
 	// Bcast broadcasts data from root to all ranks; every rank returns the
 	// same shared copy, which must be treated as READ-ONLY (copy it before
-	// mutating). All ranks must call it.
+	// mutating). A Blank is shared as itself. All ranks must call it.
 	Bcast(root int, data []float64) []float64
 	// Barrier synchronizes all ranks: afterwards every clock equals the
 	// maximum arrival time plus the model's barrier cost.
 	Barrier()
 	// Gatherv collects every rank's slice at root. Root receives a
-	// per-rank slice; other ranks receive nil.
+	// per-rank slice (a Blank part arrives as that Blank); other ranks
+	// receive nil.
 	Gatherv(root int, data []float64) [][]float64
 	// Scatterv distributes parts[i] to rank i from root; every rank
-	// returns its part. Only root's parts argument is consulted.
+	// returns its part (a Blank part arrives as that Blank). Only root's
+	// parts argument is consulted.
 	Scatterv(root int, parts [][]float64) []float64
 	// Reduce folds one value per rank with op at root (returned at root;
 	// zero elsewhere).

@@ -222,7 +222,7 @@ func (c *comm) Send(to, tag int, data []float64) {
 	if c.inj == nil {
 		c.adv(c.stretch(send))
 		c.xfer(xfer, to)
-		c.post(to, Message{Tag: tag, Avail: c.now(), Data: copySlice(data)})
+		c.post(to, Message{Tag: tag, Avail: c.now(), Data: share(data)})
 		c.w.countMsg(b)
 	} else {
 		c.sendReliable(to, tag, b, send, xfer, data)
@@ -242,7 +242,7 @@ func (c *comm) sendReliable(to, tag, b int, send, xfer float64, data []float64) 
 		seq := c.sendSeq[to]
 		c.sendSeq[to]++
 		if !c.inj.DropSend(c.rank, to, seq) {
-			c.post(to, Message{Tag: tag, Avail: c.now(), Data: copySlice(data)})
+			c.post(to, Message{Tag: tag, Avail: c.now(), Data: share(data)})
 			return
 		}
 		if attempt+1 >= maxAttempts {
@@ -264,7 +264,7 @@ func (c *comm) ISend(to, tag int, data []float64) {
 	send, xfer := c.sendCost(to, b)
 	c.adv(c.stretch(send))
 	if c.inj == nil {
-		c.post(to, Message{Tag: tag, Avail: c.now() + xfer, Data: copySlice(data)})
+		c.post(to, Message{Tag: tag, Avail: c.now() + xfer, Data: share(data)})
 		c.w.countMsg(b)
 	} else {
 		// The offloaded NIC retransmits in the background: each lost
@@ -279,7 +279,7 @@ func (c *comm) ISend(to, tag int, data []float64) {
 			seq := c.sendSeq[to]
 			c.sendSeq[to]++
 			if !c.inj.DropSend(c.rank, to, seq) {
-				c.post(to, Message{Tag: tag, Avail: avail, Data: copySlice(data)})
+				c.post(to, Message{Tag: tag, Avail: avail, Data: share(data)})
 				break
 			}
 			if attempt+1 >= maxAttempts {
@@ -324,6 +324,7 @@ func (c *comm) Recv(from, tag int) []float64 {
 // it as read-only. (Ranks run concurrently in real time; the shared copy
 // insulates receivers from the root's buffer reuse but not from each
 // other's writes.) Callers that need to mutate the payload must copy it.
+// A Blank is shared as itself, with no copy at all.
 func (c *comm) Bcast(root int, data []float64) []float64 {
 	c.checkPeer(root, "Bcast")
 	c.checkCrash()
@@ -333,7 +334,7 @@ func (c *comm) Bcast(root int, data []float64) []float64 {
 	if c.rank == root {
 		b := payloadBytes(data)
 		done := c.now() + c.stretch(c.w.model.BcastTime(p, b))
-		shared := copySlice(data)
+		shared := share(data)
 		for r := 0; r < p; r++ {
 			if r == root {
 				continue
@@ -384,7 +385,7 @@ func (c *comm) Gatherv(root int, data []float64) [][]float64 {
 		return nil
 	}
 	parts := make([][]float64, c.Size())
-	parts[root] = copySlice(data)
+	parts[root] = share(data)
 	for r := 0; r < c.Size(); r++ {
 		if r != root {
 			parts[r] = c.Recv(r, tagGather)
@@ -407,7 +408,7 @@ func (c *comm) Scatterv(root int, parts [][]float64) []float64 {
 			c.Send(r, tagScatter, parts[r])
 		}
 	}
-	return copySlice(parts[root])
+	return share(parts[root])
 }
 
 // Reduce implements Comm.

@@ -23,6 +23,10 @@ func FuzzRunSpec(f *testing.F) {
 		  "admission":{"maxQueue":4,"maxWaitMS":3000},
 		  "membership":{"events":[{"node":0,"atMS":250,"op":"drain"},{"node":0,"atMS":900,"op":"join"}]},
 		  "autoscale":{"targetEs":0.1,"band":0.02,"windowMS":200,"minP":2,"maxP":5,"startP":2}}`,
+		// Long seeded schedules: validating them must stay linear in the
+		// count.
+		`{"kind":"jobstream","membership":{"seed":1,"cycles":100000,"meanInMS":1,"meanOutMS":5}}`,
+		`{"kind":"jobstream","nodeFaults":{"seed":1,"failures":100000,"meanUpMS":1,"meanDownMS":5}}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -56,6 +56,40 @@ func BenchmarkWorkloadRung(b *testing.B) {
 	}
 }
 
+// BenchmarkSymbolicRung runs each registered workload's symbolic mode
+// once per iteration at p = 8, N = 800 on the live and symbolic engines.
+// Its payloads are megabytes per message, so B/op shows whether a
+// symbolic run builds or copies them (it should not: every payload is an
+// mpi.Blank).
+func BenchmarkSymbolicRung(b *testing.B) {
+	model := benchModelW(b)
+	engines := []struct {
+		name string
+		e    mpi.Engine
+	}{
+		{"live", mpi.EngineLive},
+		{"symbolic", mpi.EngineSymbolic},
+	}
+	for _, w := range workload.All() {
+		for _, eng := range engines {
+			b.Run(w.Name()+"/"+eng.name, func(b *testing.B) {
+				cl, err := w.ClusterLadder(8)
+				if err != nil {
+					b.Fatal(err)
+				}
+				spec := workload.Spec{N: 800, Seed: 7, Symbolic: true}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := w.Run(context.Background(), cl, model, mpi.Options{Engine: eng.e}, spec); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkAsymptoticMillionRankRung prices one closed-form ladder rung at
 // p = 10^6 — cluster construction included, exactly what scalescan -asym
 // and the asymscale experiment do per rung. This is the acceptance-scale

@@ -217,7 +217,7 @@ type cgRecover struct {
 // The 2 flops per point are charged before the gather.
 func cgDot(c mpi.Comm, a, b []float64, rows, w int, frac float64, symbolic bool) float64 {
 	c.Compute(2 * float64(rows) * float64(w) / frac)
-	part := make([]float64, rows)
+	part := buffer(rows, symbolic)
 	if !symbolic {
 		for i := 0; i < rows; i++ {
 			var s float64
@@ -230,7 +230,7 @@ func cgDot(c mpi.Comm, a, b []float64, rows, w int, frac float64, symbolic bool)
 	parts := c.Gatherv(0, part)
 	var tot []float64
 	if c.Rank() == 0 {
-		tot = make([]float64, 1)
+		tot = buffer(1, symbolic)
 		if !symbolic {
 			var s float64
 			for _, pr := range parts {
@@ -257,10 +257,10 @@ func cgRank(c mpi.Comm, n int, ranges [][2]int, b []float64, resume *cgResume, s
 	lo0 := ranges[rank][0]
 	rows := ranges[rank][1] - ranges[rank][0]
 
-	xv := make([]float64, rows*w)
-	rv := make([]float64, rows*w)
-	pv := make([]float64, (rows+2)*w) // ghost row above and below, zero at the global edges
-	qv := make([]float64, rows*w)
+	xv := buffer(rows*w, symbolic)
+	rv := buffer(rows*w, symbolic)
+	pv := buffer((rows+2)*w, symbolic) // ghost row above and below, zero at the global edges
+	qv := buffer(rows*w, symbolic)
 
 	// --- Distribution: rank 0 scatters either the fresh b bands or the
 	// restored [x|r|p] bands.
@@ -272,7 +272,7 @@ func cgRank(c mpi.Comm, n int, ranges [][2]int, b []float64, resume *cgResume, s
 			segs = make([][]float64, p)
 			for r := range segs {
 				cnt := ranges[r][1] - ranges[r][0]
-				seg := make([]float64, cnt*w)
+				seg := buffer(cnt*w, symbolic)
 				if !symbolic {
 					copy(seg, b[ranges[r][0]*w:ranges[r][1]*w])
 				}
@@ -297,7 +297,7 @@ func cgRank(c mpi.Comm, n int, ranges [][2]int, b []float64, resume *cgResume, s
 			segs = make([][]float64, p)
 			for r := range segs {
 				cnt := ranges[r][1] - ranges[r][0]
-				seg := make([]float64, 3*cnt*w)
+				seg := buffer(3*cnt*w, symbolic)
 				if !symbolic {
 					rlo, rhi := ranges[r][0]*w, ranges[r][1]*w
 					copy(seg[:cnt*w], resume.x[rlo:rhi])
@@ -331,10 +331,10 @@ func cgRank(c mpi.Comm, n int, ranges [][2]int, b []float64, resume *cgResume, s
 	for it := startIt; it < CGIters; it++ {
 		// --- Halo exchange of the direction vector's edge rows.
 		if needTop {
-			c.Send(up, tagCGUp, pv[w:2*w])
+			c.Send(up, tagCGUp, section(pv, w, 2*w, symbolic))
 		}
 		if needBot {
-			c.Send(down, tagCGDown, pv[rows*w:(rows+1)*w])
+			c.Send(down, tagCGDown, section(pv, rows*w, (rows+1)*w, symbolic))
 		}
 		if needTop {
 			ghost := c.Recv(up, tagCGDown)
@@ -410,7 +410,7 @@ func cgRank(c mpi.Comm, n int, ranges [][2]int, b []float64, resume *cgResume, s
 	iterMS := c.Clock() - iterStart
 
 	// --- Collection at rank 0.
-	own := make([]float64, rows*w)
+	own := buffer(rows*w, symbolic)
 	if !symbolic {
 		copy(own, xv)
 	}

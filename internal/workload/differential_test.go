@@ -31,6 +31,17 @@ var wlEngines = []struct {
 // dimension an engine can influence.
 func requireOutcomeBitIdentical(t *testing.T, label string, base, got workload.Outcome) {
 	t.Helper()
+	requireSameCost(t, label, base, got)
+	if base.Check != got.Check {
+		t.Errorf("%s: output checksums differ: %#x vs %#x", label, base.Check, got.Check)
+	}
+}
+
+// requireSameCost asserts two Outcomes agree exactly in everything but
+// the numeric output: work, virtual times and traffic — what a symbolic
+// run must share with a real-data one.
+func requireSameCost(t *testing.T, label string, base, got workload.Outcome) {
+	t.Helper()
 	if base.Work != got.Work {
 		t.Errorf("%s: Work differs: %g vs %g", label, base.Work, got.Work)
 	}
@@ -56,9 +67,6 @@ func requireOutcomeBitIdentical(t *testing.T, label string, base, got workload.O
 			t.Errorf("%s rank %d: comm differs: %v vs %v", label, r,
 				base.Stats.CommMS[r], got.Stats.CommMS[r])
 		}
-	}
-	if base.Check != got.Check {
-		t.Errorf("%s: output checksums differ: %#x vs %#x", label, base.Check, got.Check)
 	}
 }
 
@@ -120,7 +128,8 @@ func TestWorkloadsSymbolicMatchesDESAtP32(t *testing.T) {
 // FuzzSymbolicVsDESWorkloads fuzzes the bitwise contract across the whole
 // registry surface: workload choice, problem size, rung width and network
 // constants are all adversarial, and symbolic-vs-DES agreement must never
-// diverge.
+// diverge — nor may a symbolic-data run (Blank payloads) on the symbolic
+// engine cost anything but what the real-data DES run costs.
 func FuzzSymbolicVsDESWorkloads(f *testing.F) {
 	f.Add(uint8(0), uint16(33), uint8(2), 0.1, 11.0)
 	f.Add(uint8(1), uint16(64), uint8(6), 0.0, 1.0)
@@ -155,6 +164,12 @@ func FuzzSymbolicVsDESWorkloads(f *testing.F) {
 			t.Fatalf("%s symbolic: %v", w.Name(), err)
 		}
 		requireOutcomeBitIdentical(t, w.Name(), des, sym)
+		spec.Symbolic = true
+		blank, err := w.Run(context.Background(), cl, model, mpi.Options{Engine: mpi.EngineSymbolic}, spec)
+		if err != nil {
+			t.Fatalf("%s symbolic data: %v", w.Name(), err)
+		}
+		requireSameCost(t, w.Name()+" symbolic data", des, blank)
 	})
 }
 

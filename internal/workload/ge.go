@@ -196,8 +196,8 @@ func geRank(c mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float6
 	if rank == 0 {
 		for r := p - 1; r >= 0; r-- {
 			idx := asn.Rows(r)
-			rows := make([]float64, len(idx)*n)
-			rhs := make([]float64, len(idx))
+			rows := buffer(len(idx)*n, symbolic)
+			rhs := buffer(len(idx), symbolic)
 			if !symbolic {
 				for pos, i := range idx {
 					copy(rows[pos*n:(pos+1)*n], a.Row(i))
@@ -227,7 +227,7 @@ func geRank(c mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float6
 	if rec != nil {
 		k0 = rec.k0
 	}
-	pivBuf := make([]float64, n+1)
+	pivBuf := buffer(n+1, symbolic)
 	for k := k0; k < n-1; k++ {
 		for next < len(myRowIdx) && myRowIdx[next] <= k {
 			next++
@@ -273,7 +273,7 @@ func geRank(c mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float6
 	}
 
 	// --- Phase 3: collection + back substitution (paper step 3) -----------
-	packed := make([]float64, len(myRowIdx)*(n+1))
+	packed := buffer(len(myRowIdx)*(n+1), symbolic)
 	if !symbolic {
 		for pos, i := range myRowIdx {
 			copy(packed[pos*(n+1):pos*(n+1)+n], myRows[i])
@@ -282,6 +282,18 @@ func geRank(c mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float6
 	}
 	if rank != 0 {
 		c.Send(0, tagGECollect, packed)
+		return nil, nil
+	}
+	// Back substitution is the sequential portion t0: ~N(N+1) flops at
+	// rank 0 only — the paper's α = O(1/N).
+	backSub := float64(n) * float64(n+1) / frac
+	if symbolic {
+		// Same collection traffic and charge, without assembling the
+		// triangular system no symbolic run solves.
+		for r := 1; r < p; r++ {
+			c.Recv(r, tagGECollect)
+		}
+		c.Compute(backSub)
 		return nil, nil
 	}
 
@@ -298,12 +310,7 @@ func geRank(c mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float6
 		data := c.Recv(r, tagGECollect)
 		fill(asn.Rows(r), data)
 	}
-	// Back substitution is the sequential portion t0: ~N(N+1) flops at
-	// rank 0 only — the paper's α = O(1/N).
-	c.Compute(float64(n) * float64(n+1) / frac)
-	if symbolic {
-		return nil, nil
-	}
+	c.Compute(backSub)
 	x, err := linalg.BackSubstitute(u, y)
 	if err != nil {
 		return nil, fmt.Errorf("workload: back substitution: %w", err)

@@ -229,22 +229,22 @@ func jacobiRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic, ov
 	rows := hi - lo
 
 	// Local storage: rows+2 rows of n values (ghost row above and below).
-	cur := make([]float64, (rows+2)*n)
-	nxt := make([]float64, (rows+2)*n)
+	cur := buffer((rows+2)*n, symbolic)
+	nxt := buffer((rows+2)*n, symbolic)
 
 	// --- Distribution: rank 0 sends each band including its initial ghost
 	// rows (boundary values live in the ghosts of edge ranks).
 	if rank == 0 {
 		for r := p - 1; r >= 0; r-- {
 			rlo, rhi := ranges[r][0]+1, ranges[r][1]+1
-			band := make([]float64, (rhi-rlo+2)*n)
+			band := buffer((rhi-rlo+2)*n, symbolic)
 			if !symbolic {
 				copy(band, grid[(rlo-1)*n:(rhi+1)*n])
 			}
-			if r == 0 {
-				copy(cur, band)
-			} else {
+			if r != 0 {
 				c.Send(r, tagJacInit, band)
+			} else if !symbolic {
+				copy(cur, band)
 			}
 		}
 	} else {
@@ -252,9 +252,13 @@ func jacobiRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic, ov
 		if len(band) != len(cur) {
 			return nil, 0, fmt.Errorf("workload: rank %d band size %d, want %d", rank, len(band), len(cur))
 		}
-		copy(cur, band)
+		if !symbolic {
+			copy(cur, band)
+		}
 	}
-	copy(nxt, cur)
+	if !symbolic {
+		copy(nxt, cur)
+	}
 
 	// Time the sweep loop barrier-to-barrier: after these barriers every
 	// rank's virtual clock is identical, so the window is a well-defined
@@ -303,10 +307,10 @@ func jacobiRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic, ov
 			// rows that need no ghost while the transfers fly, then
 			// receive and finish the ghost-dependent edge rows.
 			if needTop {
-				c.ISend(up, tagJacUp, cur[n:2*n])
+				c.ISend(up, tagJacUp, section(cur, n, 2*n, symbolic))
 			}
 			if needBot {
-				c.ISend(down, tagJacDown, cur[rows*n:(rows+1)*n])
+				c.ISend(down, tagJacDown, section(cur, rows*n, (rows+1)*n, symbolic))
 			}
 			innerLo, innerHi := 1, rows
 			if needTop {
@@ -347,10 +351,10 @@ func jacobiRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic, ov
 			// runtime's sends do not rendezvous, so the symmetric pattern
 			// cannot deadlock.
 			if needTop {
-				c.Send(up, tagJacUp, cur[n:2*n]) // my first owned row
+				c.Send(up, tagJacUp, section(cur, n, 2*n, symbolic)) // my first owned row
 			}
 			if needBot {
-				c.Send(down, tagJacDown, cur[rows*n:(rows+1)*n]) // my last owned row
+				c.Send(down, tagJacDown, section(cur, rows*n, (rows+1)*n, symbolic)) // my last owned row
 			}
 			if needTop {
 				ghost := c.Recv(up, tagJacDown)
@@ -393,7 +397,7 @@ func jacobiRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic, ov
 	sweepMS := c.Clock() - sweepStart
 
 	// --- Collection at rank 0.
-	own := make([]float64, rows*n)
+	own := buffer(rows*n, symbolic)
 	if !symbolic {
 		copy(own, cur[n:(rows+1)*n])
 	}

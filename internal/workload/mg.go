@@ -172,21 +172,21 @@ func mgRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic bool, r
 	lo, hi := ranges[rank][0]+1, ranges[rank][1]+1
 	rows := hi - lo
 
-	cur := make([]float64, (rows+2)*n)
-	nxt := make([]float64, (rows+2)*n)
+	cur := buffer((rows+2)*n, symbolic)
+	nxt := buffer((rows+2)*n, symbolic)
 
 	// --- Distribution: rank 0 sends each band including its ghost rows.
 	if rank == 0 {
 		for r := p - 1; r >= 0; r-- {
 			rlo, rhi := ranges[r][0]+1, ranges[r][1]+1
-			band := make([]float64, (rhi-rlo+2)*n)
+			band := buffer((rhi-rlo+2)*n, symbolic)
 			if !symbolic {
 				copy(band, grid[(rlo-1)*n:(rhi+1)*n])
 			}
-			if r == 0 {
-				copy(cur, band)
-			} else {
+			if r != 0 {
 				c.Send(r, tagMGInit, band)
+			} else if !symbolic {
+				copy(cur, band)
 			}
 		}
 	} else {
@@ -194,9 +194,13 @@ func mgRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic bool, r
 		if len(band) != len(cur) {
 			return nil, 0, fmt.Errorf("workload: rank %d band size %d, want %d", rank, len(band), len(cur))
 		}
-		copy(cur, band)
+		if !symbolic {
+			copy(cur, band)
+		}
 	}
-	copy(nxt, cur)
+	if !symbolic {
+		copy(nxt, cur)
+	}
 
 	c.Barrier()
 	sweepStart := c.Clock()
@@ -211,10 +215,10 @@ func mgRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic bool, r
 	}
 	for it := startIt; it < MGIters; it++ {
 		if needTop {
-			c.Send(up, tagMGUp, cur[n:2*n])
+			c.Send(up, tagMGUp, section(cur, n, 2*n, symbolic))
 		}
 		if needBot {
-			c.Send(down, tagMGDown, cur[rows*n:(rows+1)*n])
+			c.Send(down, tagMGDown, section(cur, rows*n, (rows+1)*n, symbolic))
 		}
 		if needTop {
 			ghost := c.Recv(up, tagMGDown)
@@ -256,7 +260,7 @@ func mgRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic bool, r
 	sweepMS := c.Clock() - sweepStart
 
 	// --- Collection at rank 0.
-	own := make([]float64, rows*n)
+	own := buffer(rows*n, symbolic)
 	if !symbolic {
 		copy(own, cur[n:(rows+1)*n])
 	}

@@ -161,7 +161,7 @@ func mmRank(c mpi.Comm, n int, ranges [][2]int, a, b *linalg.Matrix, symbolic bo
 		for r := 0; r < p; r++ {
 			rl, rh := ranges[r][0], ranges[r][1]
 			if symbolic {
-				parts[r] = make([]float64, (rh-rl)*n)
+				parts[r] = mpi.Blank((rh - rl) * n)
 			} else {
 				parts[r] = a.Data[rl*n : rh*n]
 			}
@@ -175,7 +175,7 @@ func mmRank(c mpi.Comm, n int, ranges [][2]int, a, b *linalg.Matrix, symbolic bo
 	var bFlat []float64
 	if rank == 0 {
 		if symbolic {
-			bFlat = make([]float64, n*n)
+			bFlat = mpi.Blank(n * n)
 		} else {
 			bFlat = b.Data
 		}
@@ -186,7 +186,7 @@ func mmRank(c mpi.Comm, n int, ranges [][2]int, a, b *linalg.Matrix, symbolic bo
 	c.Compute(2 * float64(n) * float64(n) * float64(myCount) / frac)
 	var myC []float64
 	if symbolic {
-		myC = make([]float64, myCount*n)
+		myC = mpi.Blank(myCount * n)
 	} else {
 		band := &linalg.Matrix{Rows: myCount, Cols: n, Data: myA}
 		bm := &linalg.Matrix{Rows: n, Cols: n, Data: bFlat}
@@ -225,7 +225,7 @@ func mmRecoverRank(c mpi.Comm, n int, remaining []int, ranges [][2]int, done map
 		parts = make([][]float64, p)
 		for r := 0; r < p; r++ {
 			list := remaining[ranges[r][0]:ranges[r][1]]
-			flat := make([]float64, len(list)*n)
+			flat := buffer(len(list)*n, symbolic)
 			if !symbolic {
 				for j, idx := range list {
 					copy(flat[j*n:(j+1)*n], a.Row(idx))
@@ -242,7 +242,7 @@ func mmRecoverRank(c mpi.Comm, n int, remaining []int, ranges [][2]int, done map
 	var bFlat []float64
 	if rank == 0 {
 		if symbolic {
-			bFlat = make([]float64, n*n)
+			bFlat = mpi.Blank(n * n)
 		} else {
 			bFlat = b.Data
 		}
@@ -253,7 +253,7 @@ func mmRecoverRank(c mpi.Comm, n int, remaining []int, ranges [][2]int, done map
 	// Multiply in rounds. Every rank runs the same number of rounds — the
 	// Save collective requires it — so a rank that finishes its rows early
 	// still checkpoints (an empty chunk) with the others.
-	myC := make([]float64, myCount*n)
+	myC := buffer(myCount*n, symbolic)
 	rounds := 1
 	if interval > 0 {
 		maxCount := 0

@@ -286,22 +286,22 @@ func spmvRank(c mpi.Comm, n int, ranges [][2]int, x []float64, symbolic bool, se
 	rows := hi - lo
 	flops := 2 * spmvNNZRange(lo, hi, n)
 
-	cur := make([]float64, rows+2*spmvHalo)
-	nxt := make([]float64, rows+2*spmvHalo)
+	cur := buffer(rows+2*spmvHalo, symbolic)
+	nxt := buffer(rows+2*spmvHalo, symbolic)
 
 	// --- Distribution: rank 0 sends each band (owned entries only; the
 	// first halo exchange of the loop fills the ghosts).
 	if rank == 0 {
 		for r := p - 1; r >= 0; r-- {
 			rlo, rhi := ranges[r][0], ranges[r][1]
-			band := make([]float64, rhi-rlo)
+			band := buffer(rhi-rlo, symbolic)
 			if !symbolic {
 				copy(band, x[rlo:rhi])
 			}
-			if r == 0 {
-				copy(cur[spmvHalo:spmvHalo+rows], band)
-			} else {
+			if r != 0 {
 				c.Send(r, tagSpMVInit, band)
+			} else if !symbolic {
+				copy(cur[spmvHalo:spmvHalo+rows], band)
 			}
 		}
 	} else {
@@ -309,9 +309,13 @@ func spmvRank(c mpi.Comm, n int, ranges [][2]int, x []float64, symbolic bool, se
 		if len(band) != rows {
 			return nil, 0, fmt.Errorf("workload: rank %d band size %d, want %d", rank, len(band), rows)
 		}
-		copy(cur[spmvHalo:spmvHalo+rows], band)
+		if !symbolic {
+			copy(cur[spmvHalo:spmvHalo+rows], band)
+		}
 	}
-	copy(nxt, cur)
+	if !symbolic {
+		copy(nxt, cur)
+	}
 
 	c.Barrier()
 	iterStart := c.Clock()
@@ -326,10 +330,10 @@ func spmvRank(c mpi.Comm, n int, ranges [][2]int, x []float64, symbolic bool, se
 	}
 	for it := startIt; it < SpMVIters; it++ {
 		if needTop {
-			c.Send(up, tagSpMVUp, cur[spmvHalo:2*spmvHalo])
+			c.Send(up, tagSpMVUp, section(cur, spmvHalo, 2*spmvHalo, symbolic))
 		}
 		if needBot {
-			c.Send(down, tagSpMVDown, cur[rows:rows+spmvHalo])
+			c.Send(down, tagSpMVDown, section(cur, rows, rows+spmvHalo, symbolic))
 		}
 		if needTop {
 			ghost := c.Recv(up, tagSpMVDown)
@@ -373,7 +377,7 @@ func spmvRank(c mpi.Comm, n int, ranges [][2]int, x []float64, symbolic bool, se
 	iterMS := c.Clock() - iterStart
 
 	// --- Collection at rank 0.
-	own := make([]float64, rows)
+	own := buffer(rows, symbolic)
 	if !symbolic {
 		copy(own, cur[spmvHalo:spmvHalo+rows])
 	}

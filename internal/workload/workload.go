@@ -15,8 +15,9 @@
 // both CLIs pick it up with zero consumer edits.
 //
 // Every algorithm moves real data and produces verifiable numerics, or
-// runs in symbolic mode, which skips the host arithmetic while performing
-// exactly the same message traffic and virtual-time accounting.
+// runs in symbolic mode, which skips the host arithmetic and allocates no
+// payload (every message is an mpi.Blank) while performing exactly the
+// same message traffic and virtual-time accounting.
 //
 // Achieved speed vs marked speed: marked speed is benchmarked with NPB-
 // style kernels, but real applications sustain only a fraction of it (the
@@ -47,8 +48,9 @@ type Spec struct {
 	N int
 	// Seed drives deterministic input generation.
 	Seed int64
-	// Symbolic skips host arithmetic while keeping traffic and virtual
-	// time identical; outputs (and hence Outcome.Check) are empty.
+	// Symbolic skips host arithmetic and sends mpi.Blank payloads while
+	// keeping traffic and virtual time identical; outputs (and hence
+	// Outcome.Check) are empty.
 	Symbolic bool
 	// PinnedSpeeds, when non-nil, pins the distribution to these nominal
 	// marked speeds via dist.Pinned so a derated or faulted cluster still
@@ -197,6 +199,26 @@ func isBlockAssignment(asn dist.Assignment) bool {
 		prev = o
 	}
 	return true
+}
+
+// buffer returns a length-n message or working buffer: a fresh zeroed
+// slice for a real-data run, a read-only mpi.Blank for a symbolic one,
+// whose rank programs never write their buffers.
+func buffer(n int, symbolic bool) []float64 {
+	if symbolic {
+		return mpi.Blank(n)
+	}
+	return make([]float64, n)
+}
+
+// section returns buf[lo:hi] as a message payload, or in a symbolic run
+// a Blank of that length: the runtime passes only a whole Blank by
+// reference and would copy a sub-slice of one at an offset.
+func section(buf []float64, lo, hi int, symbolic bool) []float64 {
+	if symbolic {
+		return mpi.Blank(hi - lo)
+	}
+	return buf[lo:hi]
 }
 
 // wordB is shorthand for the wire size of one element in the analytic

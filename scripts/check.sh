@@ -34,19 +34,25 @@ go test -shuffle=on -count=1 ./...
 echo "==> go test -run=NONE -bench=. -benchtime=1x ./..."
 go test -run=NONE -bench=. -benchtime=1x ./... > /dev/null
 
+JSDIR="$(mktemp -d)"
+trap 'rm -rf "$JSDIR"' EXIT
+
 # Parallel-runner smoke: the full quick batch on four race-instrumented
-# workers must run clean and byte-identical to serial (the identity itself
-# is asserted by TestParallelOutputByteIdentical above; this exercises the
-# real binary end to end).
-echo "==> hetsim -exp all -quick -jobs 4 (race smoke)"
-go run -race ./cmd/hetsim -exp all -quick -jobs 4 -v > /dev/null
+# workers must run clean and print exactly the pinned quick.golden bytes
+# (TestParallelOutputByteIdentical above asserts the same at -jobs 1 and
+# 4 on every engine; this exercises the real binary end to end). The
+# sweeps send shared Blank payloads on every engine, so a rank that wrote
+# into one would race here.
+for eng in live symbolic; do
+	echo "==> hetsim -exp all -quick -jobs 4 -engine $eng (race smoke, quick.golden bytes)"
+	go run -race ./cmd/hetsim -exp all -quick -jobs 4 -engine "$eng" -v > "$JSDIR/quick-$eng.out"
+	cmp "$JSDIR/quick-$eng.out" cmd/hetsim/testdata/quick.golden || { echo "quick $eng bytes differ from quick.golden"; exit 1; }
+done
 
 # Multi-tenant smoke: the jobstream experiment must run clean under the
 # race detector on every engine and print the same bytes each time (the
 # shared-clock scheduler is deterministic by construction).
 echo "==> hetsim -exp jobstream (race smoke, engine byte-identity)"
-JSDIR="$(mktemp -d)"
-trap 'rm -rf "$JSDIR"' EXIT
 for eng in des live symbolic; do
 	go run -race ./cmd/hetsim -exp jobstream -quick -engine "$eng" > "$JSDIR/$eng.out"
 done
