@@ -171,7 +171,7 @@ func TestScanJSONGolden(t *testing.T) {
 
 // TestScanRecoveredBothEnginesAgree asserts a recovered run reports the
 // same table — recovered T, ψ, and the full rollback history notes — on
-// the channel and the DES transport.
+// the live and the DES transport.
 func TestScanRecoveredBothEnginesAgree(t *testing.T) {
 	var live, des strings.Builder
 	base := []string{"-spec", "testdata/crashplan.json", "-alg", "ge", "-p", "4", "-n", "100", "-recover", "-csv"}

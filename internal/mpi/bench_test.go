@@ -106,16 +106,16 @@ func BenchmarkPingPongLive(b *testing.B) {
 
 // benchTransports names the engine selector of each built-in transport,
 // so the same program can be benchmarked on all three (sub-benchmark
-// names: /channel, /des, /symbolic).
+// names: /live, /des, /symbolic).
 var benchTransports = map[string]Engine{
-	"channel":  EngineLive,
+	"live":     EngineLive,
 	"des":      EngineDES,
 	"symbolic": EngineSymbolic,
 }
 
 // BenchmarkTransportPingPong measures the per-message substrate cost —
-// Post/Take/clock bookkeeping with no collective machinery — on both
-// built-in transports running the identical program.
+// Post/Take/clock bookkeeping with no collective machinery — on every
+// built-in transport running the identical program.
 func BenchmarkTransportPingPong(b *testing.B) {
 	cl, m := benchWorld(b, 2)
 	payload := make([]float64, 128)
@@ -142,7 +142,7 @@ func BenchmarkTransportPingPong(b *testing.B) {
 }
 
 // BenchmarkTransportBarrier measures the Park/Unpark path of the shared
-// max-reduction barrier on both transports.
+// max-reduction barrier on every transport.
 func BenchmarkTransportBarrier(b *testing.B) {
 	cl, m := benchWorld(b, 8)
 	for name, eng := range benchTransports {
@@ -168,4 +168,26 @@ func BenchmarkAllreduceLive(b *testing.B) {
 		}
 		return nil
 	})
+}
+
+// BenchmarkLiveRun measures whole live-engine runs of a single Barrier:
+// transport construction, rank start-up and teardown, the per-run cost
+// the fixed-world Benchmark*Live benchmarks amortize away.
+func BenchmarkLiveRun(b *testing.B) {
+	prog := func(c Comm) error {
+		c.Barrier()
+		return nil
+	}
+	for _, p := range []int{8, 32, 128} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			cl, m := benchWorld(b, p)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(context.Background(), cl, m, Options{Engine: EngineLive}, prog); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

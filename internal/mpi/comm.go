@@ -27,8 +27,9 @@
 // how a dying rank interrupts blocked peers. Three transports ship with the
 // package, selected by Options.Engine:
 //
-//   - EngineLive -> the channel transport (NewChannelTransport): one
-//     goroutine per rank, buffered channels for message streams. Virtual
+//   - EngineLive -> the live transport (NewLiveTransport): one goroutine
+//     per rank and one mailbox per receiving rank, holding an unbounded
+//     FIFO per source, so a send never blocks the real goroutine. Virtual
 //     time is computed from message timestamps, so results are
 //     bit-deterministic regardless of Go scheduling.
 //   - EngineDES -> the DES transport (NewDESTransport): ranks are
@@ -194,21 +195,16 @@ func (e Engine) String() string {
 
 // Options configures a Run.
 type Options struct {
-	// Engine selects live (default) or DES execution.
+	// Engine selects live (default), DES or symbolic execution.
 	Engine Engine
 	// Contended enables shared-medium queueing for point-to-point
 	// transfers (shorthand for Network: simnet.WireShared). Only the DES
-	// engine honors it; Run rejects the combination EngineLive+Contended.
+	// engine honors it; Run rejects it on the other engines.
 	Contended bool
 	// Network selects the medium model for point-to-point transfers:
 	// ideal (default), shared hub Ethernet, or a non-blocking switch with
 	// per-port queueing. DES engine only.
 	Network simnet.WireMode
-	// ChanCap is the per-rank-pair message buffer for the live engine
-	// (default 1024). Programs that send more than ChanCap messages to a
-	// rank between its receives would block the real goroutine (virtual
-	// time is unaffected); raise it for unusual communication patterns.
-	ChanCap int
 	// Trace, when non-nil, records every rank's virtual timeline
 	// (compute/send/recv/wait/collective spans) for Gantt rendering and
 	// overhead decomposition.
@@ -224,8 +220,8 @@ type Options struct {
 	// Faults, when non-nil, injects the run's fault plan: probabilistic
 	// message loss with timeout/backoff retransmission, and rank crashes
 	// with graceful exclusion (peers that depend on a dead rank abort at
-	// its death time; barriers proceed without it). Both engines honor it
-	// and produce identical virtual times for the same injector. Fault
+	// its death time; barriers proceed without it). Every engine honors
+	// it and produces identical virtual times for the same injector. Fault
 	// deaths surface as CrashError / PeerCrashError / DropStormError in
 	// the joined Run error; see ClassifyFaults.
 	Faults FaultInjector
@@ -296,7 +292,7 @@ func validateRun(cl *cluster.Cluster, model simnet.CostModel, opts Options, prog
 // context prevents the program from starting, and a cancellation arriving
 // mid-run surfaces after the engine drains. A started program always runs
 // to completion — tearing ranks down mid-protocol would leak goroutines
-// blocked on message channels — so callers running sweeps get
+// blocked on message streams — so callers running sweeps get
 // cancellation granularity of one program execution, which is
 // milliseconds of real time.
 func Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program) (Result, error) {

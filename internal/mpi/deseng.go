@@ -54,7 +54,7 @@ func (t *desTransport) Advance(rank int, dt float64) { t.procs[rank].Delay(dt) }
 
 // WaitUntil uses DelayUntil (absolute deadline) rather than Delay(ts-now):
 // the relative form can land one ulp off ts, which is the one arithmetic
-// divergence that would break bitwise equality with the channel and
+// divergence that would break bitwise equality with the live and
 // symbolic substrates (both assign clocks[rank] = ts directly).
 func (t *desTransport) WaitUntil(rank int, ts float64) {
 	p := t.procs[rank]

@@ -12,7 +12,7 @@ import (
 )
 
 // Randomized differential testing: generate random (but deterministic,
-// seeded) parallel programs and require the channel, DES and symbolic
+// seeded) parallel programs and require the live, DES and symbolic
 // engines to produce bit-identical virtual times, message counts and
 // accounting. This covers interleavings of primitives no hand-written test
 // enumerates. Equality is exact (==, no tolerance): all charging policy

@@ -240,7 +240,7 @@ func TestRecoverableNonFaultErrorPassesThrough(t *testing.T) {
 
 // TestRecoveredSpansIdenticalAcrossEngines asserts recovered runs emit
 // identical crash classifications and identical recovery span sequences
-// on the channel and DES transports.
+// on the live and DES transports.
 func TestRecoveredSpansIdenticalAcrossEngines(t *testing.T) {
 	speeds := []float64{100, 80, 120, 90}
 	cl := testCluster(t, speeds...)

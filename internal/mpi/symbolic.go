@@ -25,14 +25,14 @@ import (
 // sound because all charging policy lives in the shared runtime (ops.go) and
 // every cross-rank time dependency is expressed through message Avail
 // stamps and the max-reduction barrier, both of which are order-independent.
-// Fault-free uncontended runs are therefore bit-identical to the channel and
+// Fault-free uncontended runs are therefore bit-identical to the live and
 // DES engines (asserted by the differential suites); contention is the one
 // feature the substrate cannot price, because wire queueing needs a global
 // event order.
 type symTransport struct {
 	size    int
-	clocks  []float64   // clocks[r]: rank r's virtual time (ms)
-	streams []symStream // streams[from*size+to]
+	clocks  []float64 // clocks[r]: rank r's virtual time (ms)
+	streams []fifo    // streams[from*size+to]
 
 	state    []symState
 	waitSrc  []int  // rank r blocked in Take waits on messages from waitSrc[r]
@@ -60,34 +60,13 @@ const (
 	symDone                     // body returned
 )
 
-// symStream is a head-indexed FIFO of messages on one (from, to) pair.
-// Post is an append; Take is an index bump — no events, no channel traffic.
-type symStream struct {
-	items []Message
-	head  int
-}
-
-func (s *symStream) push(m Message) { s.items = append(s.items, m) }
-func (s *symStream) empty() bool    { return s.head >= len(s.items) }
-
-func (s *symStream) pop() Message {
-	m := s.items[s.head]
-	s.items[s.head] = Message{} // drop the payload reference
-	s.head++
-	if s.head == len(s.items) {
-		s.items = s.items[:0]
-		s.head = 0
-	}
-	return m
-}
-
 // NewSymbolicTransport returns the symbolic fast-forward Transport for size
 // ranks.
 func NewSymbolicTransport(size int) Transport {
 	t := &symTransport{
 		size:     size,
 		clocks:   make([]float64, size),
-		streams:  make([]symStream, size*size),
+		streams:  make([]fifo, size*size),
 		state:    make([]symState, size),
 		waitSrc:  make([]int, size),
 		unparked: make([]bool, size),
@@ -103,7 +82,7 @@ func NewSymbolicTransport(size int) Transport {
 	return t
 }
 
-func (t *symTransport) stream(from, to int) *symStream { return &t.streams[from*t.size+to] }
+func (t *symTransport) stream(from, to int) *fifo { return &t.streams[from*t.size+to] }
 
 // makeRunnable queues rank for the scheduler; the rank's state is corrected
 // when it actually resumes (wakes are allowed to be spurious — Take rechecks

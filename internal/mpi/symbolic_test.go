@@ -10,9 +10,10 @@ import (
 )
 
 // Tests specific to the symbolic fast-forward transport: scheduler edge
-// paths (deadlock, wake ordering at scale) and the fuzzed symbolic-vs-DES
-// agreement property. The engine-matrix tests in mpi_test.go and the
-// differential suite already exercise it alongside the other engines.
+// paths (deadlock, wake ordering at scale) and the fuzzed agreement of the
+// symbolic and live engines with DES. The engine-matrix tests in
+// mpi_test.go and the differential suite already exercise it alongside the
+// other engines.
 
 func TestSymbolicDeadlockReported(t *testing.T) {
 	cl := testCluster(t, 50, 50)
@@ -48,9 +49,7 @@ func TestSymbolicCrossDeadlockUnwinds(t *testing.T) {
 func TestSymbolicManyRanksMatchesDES(t *testing.T) {
 	// A wider world than the differential suite uses: ring shifts,
 	// collectives and skewed compute across 96 ranks must fast-forward to
-	// the exact clocks the DES engine computes. (DES is the comparison
-	// baseline here because the channel engine runs 96 real goroutines and
-	// is orders of magnitude slower at this width.)
+	// the exact clocks the DES engine computes.
 	speeds := make([]float64, 96)
 	for i := range speeds {
 		speeds[i] = 40 + float64(i%7)*9.5
@@ -83,10 +82,10 @@ func TestSymbolicManyRanksMatchesDES(t *testing.T) {
 	requireBitIdentical(t, "p=96", des, sym, EngineDES, EngineSymbolic)
 }
 
-// FuzzSymbolicVsDESPrograms asserts the heart of the tentpole contract on
+// FuzzSymbolicVsDESPrograms asserts the engines' shared contract on
 // arbitrary inputs: for any random program, world size and (valid) network
-// parameters, the symbolic fast-forward engine and the DES engine produce
-// bit-identical times, accounting and traffic.
+// parameters, the symbolic fast-forward engine and the live engine both
+// produce times, accounting and traffic bit-identical to the DES engine's.
 func FuzzSymbolicVsDESPrograms(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(4), 0.1, 11.0, 0.03, 0.23, 0.39)
 	f.Add(int64(42), uint8(30), uint8(7), 0.0, 1.0, 0.0, 0.0, 0.0)
@@ -122,6 +121,11 @@ func FuzzSymbolicVsDESPrograms(f *testing.F) {
 			t.Fatalf("symbolic: %v", err)
 		}
 		requireBitIdentical(t, "fuzz", des, sym, EngineDES, EngineSymbolic)
+		live, err := Run(context.Background(), cl, m, Options{Engine: EngineLive}, prog)
+		if err != nil {
+			t.Fatalf("live: %v", err)
+		}
+		requireBitIdentical(t, "fuzz", des, live, EngineDES, EngineLive)
 	})
 }
 

@@ -106,7 +106,7 @@ func TestTracingDeterministicAcrossRuns(t *testing.T) {
 }
 
 // TestTraceIdenticalAcrossEngines is the trace-level differential test:
-// because spans are emitted only by the shared runtime, the channel and
+// because spans are emitted only by the shared runtime, the live and
 // DES transports must record the *same span sequence* — and therefore
 // serialize to byte-identical Chrome trace JSON.
 func TestTraceIdenticalAcrossEngines(t *testing.T) {

@@ -16,11 +16,11 @@ type Message struct {
 // crash/tombstone fault protocol, traffic accounting, trace emission —
 // lives in the shared runtime (runtime.go), so a new execution backend is
 // exactly one Transport implementation. Three ship with the package: the
-// channel transport (NewChannelTransport, one goroutine per rank), the
-// DES transport (NewDESTransport, ranks as discrete-event processes,
-// optionally contending for a simnet.Wire), and the symbolic fast-forward
-// transport (NewSymbolicTransport, cooperative ranks under a sequential
-// scheduler with closed-form clock arithmetic).
+// live transport (NewLiveTransport, one goroutine per rank and one mailbox
+// per receiving rank), the DES transport (NewDESTransport, ranks as
+// discrete-event processes, optionally contending for a simnet.Wire), and
+// the symbolic fast-forward transport (NewSymbolicTransport, cooperative
+// ranks under a sequential scheduler with closed-form clock arithmetic).
 //
 // A Transport is single-use: it is constructed for one run of a fixed
 // number of ranks and driven by exactly one Run call.
@@ -46,7 +46,8 @@ type Transport interface {
 
 	// Post delivers m on the from->to stream; m.Avail is the instant the
 	// payload becomes usable at the receiver. Posting to a dead rank is a
-	// silent no-op.
+	// silent no-op. Post never blocks: streams are unbounded, so a rank
+	// may post any number of messages ahead of the matching Takes.
 	Post(from, to int, m Message)
 
 	// Take blocks rank to until a message from rank from is available and
@@ -74,4 +75,27 @@ type Transport interface {
 	// detects the resulting stall (the DES kernel's deadlock report) may
 	// implement it as a no-op.
 	Abort()
+}
+
+// fifo is a head-indexed FIFO of messages on one (from, to) stream, shared
+// by the live and symbolic transports. Push is an append; pop is an index
+// bump that rewinds to the start of the backing array once the queue
+// drains, so a stream in steady use allocates nothing.
+type fifo struct {
+	items []Message
+	head  int
+}
+
+func (s *fifo) push(m Message) { s.items = append(s.items, m) }
+func (s *fifo) empty() bool    { return s.head >= len(s.items) }
+
+func (s *fifo) pop() Message {
+	m := s.items[s.head]
+	s.items[s.head] = Message{} // drop the payload reference
+	s.head++
+	if s.head == len(s.items) {
+		s.items = s.items[:0]
+		s.head = 0
+	}
+	return m
 }

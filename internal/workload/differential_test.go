@@ -12,7 +12,7 @@ import (
 
 // Three-way engine differential over the registry: every registered
 // workload must produce bit-identical virtual times, transport stats and
-// numeric output checksums on the channel, DES and symbolic engines. This
+// numeric output checksums on the live, DES and symbolic engines. This
 // is the workload-level face of the contract the random-program suite in
 // internal/mpi proves at the primitive level — and the cross-validation
 // that licenses trusting the symbolic engine at ranks the event engines
@@ -100,9 +100,7 @@ func TestWorkloadsSymbolicMatchesDESAtP32(t *testing.T) {
 	// The acceptance bound of the symbolic substrate's bitwise contract:
 	// at the widest paper rung (p = 32) every workload's symbolic run must
 	// equal the DES run exactly — virtual time, stats, and the numeric
-	// output checksum. (The channel engine is excluded here only because
-	// running 32+ real goroutines per workload is slow, not because it
-	// would disagree; the p=4 matrix above covers it.)
+	// output checksum. (The p=4 matrix above covers the live engine.)
 	model := confModel(t)
 	for _, w := range workload.All() {
 		w := w

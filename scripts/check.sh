@@ -22,6 +22,13 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# Race stress for the live transport's mailboxes: repeat the tests that
+# drive its wake-ups — Post/Take hand-offs, draining a dead peer's stream
+# before its death shows, barrier Park/Unpark with early Unparks, and
+# Abort unwinding blocked ranks — so a rare interleaving gets many tries.
+echo "==> go test -race -count=20 (live transport stress) ./internal/mpi"
+go test -race -count=20 -run 'Live|Crash|Barrier|Abort|Differential|Panic|ProgramError' ./internal/mpi
+
 # Order-independence smoke: the suite must pass with tests shuffled —
 # scheduler and cache state must not leak between tests. Go prints the
 # chosen shuffle seed, so a failure is reproducible from the log.
