@@ -18,64 +18,21 @@ import (
 // distributions).
 type MemoryNeed func(n float64, share float64) float64
 
-// GEMemoryRootHeavy models this repository's (and the paper's) GE: rank 0
-// materializes the full N x N system before distributing, so the root
-// needs ~8N² bytes while every rank also holds its share of rows.
-func GEMemoryRootHeavy(isRoot bool) MemoryNeed {
-	return func(n, share float64) float64 {
-		own := 8 * (share*n*n + 2*n)
-		if isRoot {
-			return 8*n*n + own
-		}
-		return own
-	}
-}
-
-// GEMemoryDistributed models a GE that reads its input pre-distributed:
-// each rank only ever holds its share of rows.
-func GEMemoryDistributed() MemoryNeed {
-	return func(n, share float64) float64 {
-		return 8 * (share*n*n + 2*n)
-	}
-}
-
-// MMMemory models the HoHe matrix multiplication: every rank holds its
-// band of A and C plus ALL of B — the replication that makes MM
-// memory-hungry on small nodes.
-func MMMemory(isRoot bool) MemoryNeed {
-	return func(n, share float64) float64 {
-		own := 8 * (2*share*n*n + n*n) // A band + C band + full B
-		if isRoot {
-			return 8*2*n*n + own // root builds A and B
-		}
-		return own
-	}
-}
-
-// JacobiMemory models the stencil: two band-sized buffers plus ghosts.
-func JacobiMemory() MemoryNeed {
-	return func(n, share float64) float64 {
-		return 8 * 2 * (share*n*n + 2*n)
-	}
-}
-
 // NodeMemory describes one rank's capacity and work share.
 type NodeMemory struct {
 	MemBytes float64
 	Share    float64 // fraction of work (C_i/C)
-	IsRoot   bool
 }
 
 // MaxProblemSize returns the largest integer n such that every rank's
-// memory need fits, given a per-rank MemoryNeed builder. needFor selects
-// the need function per rank (so root-heavy layouts can differ).
-// The need is assumed non-decreasing in n; binary search over [1, limit].
-func MaxProblemSize(ranks []NodeMemory, needFor func(r NodeMemory) MemoryNeed, limit int) (int, error) {
+// memory need fits. The need is assumed non-decreasing in n; binary
+// search over [1, limit].
+func MaxProblemSize(ranks []NodeMemory, need MemoryNeed, limit int) (int, error) {
 	if len(ranks) == 0 {
 		return 0, errors.New("core: MaxProblemSize needs ranks")
 	}
-	if needFor == nil {
-		return 0, errors.New("core: MaxProblemSize needs a MemoryNeed selector")
+	if need == nil {
+		return 0, errors.New("core: MaxProblemSize needs a MemoryNeed")
 	}
 	if limit < 1 {
 		return 0, fmt.Errorf("core: MaxProblemSize limit %d < 1", limit)
@@ -90,7 +47,7 @@ func MaxProblemSize(ranks []NodeMemory, needFor func(r NodeMemory) MemoryNeed, l
 	}
 	fits := func(n int) bool {
 		for _, r := range ranks {
-			if needFor(r)(float64(n), r.Share) > r.MemBytes {
+			if need(float64(n), r.Share) > r.MemBytes {
 				return false
 			}
 		}
@@ -129,7 +86,7 @@ type MemBoundResult struct {
 // MemoryBoundedCheck combines an analytic machine with a memory model:
 // does the problem size that the isospeed-efficiency condition demands
 // still fit? Returns the per-rung verdict.
-func MemoryBoundedCheck(m AnalyticMachine, ranks []NodeMemory, needFor func(NodeMemory) MemoryNeed, target, loN, hiN float64) (MemBoundResult, error) {
+func MemoryBoundedCheck(m AnalyticMachine, ranks []NodeMemory, need MemoryNeed, target, loN, hiN float64) (MemBoundResult, error) {
 	if err := m.Validate(); err != nil {
 		return MemBoundResult{}, err
 	}
@@ -137,7 +94,7 @@ func MemoryBoundedCheck(m AnalyticMachine, ranks []NodeMemory, needFor func(Node
 	if err != nil {
 		return MemBoundResult{}, err
 	}
-	maxN, err := MaxProblemSize(ranks, needFor, int(hiN))
+	maxN, err := MaxProblemSize(ranks, need, int(hiN))
 	if err != nil {
 		return MemBoundResult{}, err
 	}

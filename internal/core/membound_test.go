@@ -6,35 +6,15 @@ import (
 	"testing/quick"
 )
 
-func TestMemoryNeedModels(t *testing.T) {
-	// Root-heavy GE: root needs ~2x² more than a peer with the same share.
-	root := GEMemoryRootHeavy(true)
-	peer := GEMemoryRootHeavy(false)
-	if root(1000, 0.25) <= peer(1000, 0.25) {
-		t.Error("root should need more than peer")
-	}
-	// Distributed GE at full share equals peer's own need.
-	d := GEMemoryDistributed()
-	if d(1000, 0.25) != peer(1000, 0.25) {
-		t.Error("distributed need mismatch")
-	}
-	// MM replicates B: even a tiny-share rank needs >= 8n².
-	mm := MMMemory(false)
-	if mm(500, 0.01) < 8*500*500 {
-		t.Error("MM need must include full B")
-	}
-	// Jacobi double buffers.
-	j := JacobiMemory()
-	if j(100, 0.5) != 8*2*(0.5*100*100+200) {
-		t.Errorf("Jacobi need = %g", j(100, 0.5))
-	}
-}
+// distributedGE is a row-distributed GE's need: each rank holds its
+// share of the rows plus two length-n vectors.
+func distributedGE(n, share float64) float64 { return 8 * (share*n*n + 2*n) }
 
 func TestMaxProblemSize(t *testing.T) {
 	// One rank with 80 MB, full share, distributed GE: need 8n² <= 80e6
 	// -> n <= ~3162 (plus the 2n term).
 	ranks := []NodeMemory{{MemBytes: 80e6, Share: 1}}
-	n, err := MaxProblemSize(ranks, func(NodeMemory) MemoryNeed { return GEMemoryDistributed() }, 1e6)
+	n, err := MaxProblemSize(ranks, distributedGE, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,22 +22,22 @@ func TestMaxProblemSize(t *testing.T) {
 		t.Errorf("MaxProblemSize = %d, want ~3160", n)
 	}
 	// Exact check: n fits, n+1 does not.
-	need := GEMemoryDistributed()
+	need := distributedGE
 	if need(float64(n), 1) > 80e6 || need(float64(n+1), 1) <= 80e6 {
 		t.Errorf("boundary wrong at %d", n)
 	}
 }
 
 func TestMaxProblemSizeHeterogeneous(t *testing.T) {
-	// The smallest-memory rank binds; with MM replication even a fast,
-	// small-memory node is the limit.
+	// The smallest-memory rank binds; with MM replication (a band of A
+	// and C plus all of B) even a fast, small-memory node is the limit.
 	ranks := []NodeMemory{
-		{MemBytes: 4e9, Share: 0.3, IsRoot: true},
+		{MemBytes: 4e9, Share: 0.3},
 		{MemBytes: 128e6, Share: 0.2},
 		{MemBytes: 2e9, Share: 0.5},
 	}
-	sel := func(r NodeMemory) MemoryNeed { return MMMemory(r.IsRoot) }
-	n, err := MaxProblemSize(ranks, sel, 1e6)
+	mm := func(n, share float64) float64 { return 8 * (2*share*n*n + n*n) }
+	n, err := MaxProblemSize(ranks, mm, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,24 +49,24 @@ func TestMaxProblemSizeHeterogeneous(t *testing.T) {
 }
 
 func TestMaxProblemSizeErrors(t *testing.T) {
-	sel := func(NodeMemory) MemoryNeed { return GEMemoryDistributed() }
-	if _, err := MaxProblemSize(nil, sel, 100); err == nil {
+	need := distributedGE
+	if _, err := MaxProblemSize(nil, need, 100); err == nil {
 		t.Error("no ranks accepted")
 	}
 	if _, err := MaxProblemSize([]NodeMemory{{MemBytes: 1, Share: 0.5}}, nil, 100); err == nil {
-		t.Error("nil selector accepted")
+		t.Error("nil need accepted")
 	}
-	if _, err := MaxProblemSize([]NodeMemory{{MemBytes: 0, Share: 0.5}}, sel, 100); err == nil {
+	if _, err := MaxProblemSize([]NodeMemory{{MemBytes: 0, Share: 0.5}}, need, 100); err == nil {
 		t.Error("zero memory accepted")
 	}
-	if _, err := MaxProblemSize([]NodeMemory{{MemBytes: 1e6, Share: 2}}, sel, 100); err == nil {
+	if _, err := MaxProblemSize([]NodeMemory{{MemBytes: 1e6, Share: 2}}, need, 100); err == nil {
 		t.Error("share > 1 accepted")
 	}
-	if _, err := MaxProblemSize([]NodeMemory{{MemBytes: 1e6, Share: 0.5}}, sel, 0); err == nil {
+	if _, err := MaxProblemSize([]NodeMemory{{MemBytes: 1e6, Share: 0.5}}, need, 0); err == nil {
 		t.Error("limit 0 accepted")
 	}
 	// Even n=1 not fitting is an error.
-	if _, err := MaxProblemSize([]NodeMemory{{MemBytes: 10, Share: 1}}, sel, 100); err == nil {
+	if _, err := MaxProblemSize([]NodeMemory{{MemBytes: 10, Share: 1}}, need, 100); err == nil {
 		t.Error("impossible fit accepted")
 	}
 }
@@ -94,8 +74,8 @@ func TestMaxProblemSizeErrors(t *testing.T) {
 func TestMemoryBoundedCheck(t *testing.T) {
 	m := gePredictMachine("C8", 411.1, 9)
 	roomy := []NodeMemory{{MemBytes: 1e12, Share: 1}}
-	sel := func(NodeMemory) MemoryNeed { return GEMemoryDistributed() }
-	res, err := MemoryBoundedCheck(m, roomy, sel, 0.3, 10, 1e6)
+	need := distributedGE
+	res, err := MemoryBoundedCheck(m, roomy, need, 0.3, 10, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +88,7 @@ func TestMemoryBoundedCheck(t *testing.T) {
 
 	// Tiny memory: required N cannot fit; achievable efficiency < target.
 	tiny := []NodeMemory{{MemBytes: 2e6, Share: 1}}
-	res, err = MemoryBoundedCheck(m, tiny, sel, 0.3, 10, 1e6)
+	res, err = MemoryBoundedCheck(m, tiny, need, 0.3, 10, 1e6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,18 +104,18 @@ func TestMemoryBoundedCheck(t *testing.T) {
 
 	bad := m
 	bad.C = 0
-	if _, err := MemoryBoundedCheck(bad, roomy, sel, 0.3, 10, 1e6); err == nil {
+	if _, err := MemoryBoundedCheck(bad, roomy, need, 0.3, 10, 1e6); err == nil {
 		t.Error("invalid machine accepted")
 	}
 }
 
 // Property: MaxProblemSize is monotone in memory.
 func TestMaxProblemSizeMonotoneQuick(t *testing.T) {
-	sel := func(NodeMemory) MemoryNeed { return GEMemoryDistributed() }
+	need := distributedGE
 	f := func(raw uint32) bool {
 		mem := 1e5 + float64(raw%1000)*1e5
-		n1, err1 := MaxProblemSize([]NodeMemory{{MemBytes: mem, Share: 1}}, sel, 1e6)
-		n2, err2 := MaxProblemSize([]NodeMemory{{MemBytes: 2 * mem, Share: 1}}, sel, 1e6)
+		n1, err1 := MaxProblemSize([]NodeMemory{{MemBytes: mem, Share: 1}}, need, 1e6)
+		n2, err2 := MaxProblemSize([]NodeMemory{{MemBytes: 2 * mem, Share: 1}}, need, 1e6)
 		if err1 != nil || err2 != nil {
 			return false
 		}

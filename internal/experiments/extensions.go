@@ -105,12 +105,9 @@ func (s *Suite) MemBound(ctx context.Context) (*Table, error) {
 				ranks[i] = core.NodeMemory{
 					MemBytes: float64(node.MemMB) * (1 << 20),
 					Share:    node.SpeedMflops / total,
-					IsRoot:   i == 0,
 				}
 			}
-			need := func(core.NodeMemory) core.MemoryNeed {
-				return func(n, share float64) float64 { return share * w.MemBytes(int(n)) }
-			}
+			need := func(n, share float64) float64 { return share * w.MemBytes(int(n)) }
 			res, err := core.MemoryBoundedCheck(m, ranks, need, target, 8, 5e6)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: membound %s %s: %w", w.Name(), cl.Name, err)

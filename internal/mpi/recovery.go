@@ -231,7 +231,9 @@ type RecoveredResult struct {
 	Recovered bool
 	Reconfigs int
 	// Checkpoints counts committed snapshots; CheckpointMS is the total
-	// virtual time ranks spent writing them (committed or not).
+	// virtual time ranks spent writing them (committed or not), summed
+	// per rank and then in rank order, so every engine and rerun reads
+	// the same bits.
 	Checkpoints  int
 	CheckpointMS float64
 	// Events records each rollback in order.
@@ -265,11 +267,14 @@ func (r RecoveredResult) FailedAtMS() float64 {
 }
 
 // recoveryLog is the run's stable storage: committed snapshots survive
-// the failure of the attempt that wrote them.
+// the failure of the attempt that wrote them. It also keeps each
+// original rank's checkpoint write time apart: one rank's charges arrive
+// in its own program order, while ranks arrive in whatever order the
+// engine runs them, and float addition does not associate.
 type recoveryLog struct {
 	mu      sync.Mutex
 	history []Snapshot
-	writeMS float64
+	writeMS []float64 // by original rank id
 }
 
 func (l *recoveryLog) append(s Snapshot) {
@@ -279,10 +284,22 @@ func (l *recoveryLog) append(s Snapshot) {
 	l.mu.Unlock()
 }
 
-func (l *recoveryLog) chargeWrite(ms float64) {
+func (l *recoveryLog) chargeWrite(rank int, ms float64) {
 	l.mu.Lock()
-	l.writeMS += ms
+	l.writeMS[rank] += ms
 	l.mu.Unlock()
+}
+
+// totalWriteMS sums the ranks' write times in rank order; only called
+// between attempts, when no rank is running.
+func (l *recoveryLog) totalWriteMS() float64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	var tot float64
+	for _, ms := range l.writeMS {
+		tot += ms
+	}
+	return tot
 }
 
 // snapshots returns the committed history; only called between attempts,
@@ -357,7 +374,7 @@ func (ck *Checkpointer) Save(c Comm, state []float64) {
 	cc.adv(cc.stretch(ck.opts.WriteLatencyMS + float64(b)/(ck.opts.WriteMBps*1e3)))
 	end := cc.now()
 	cc.span(trace.KindCheckpoint, start, end, b, -1)
-	ck.log.chargeWrite(end - start)
+	ck.log.chargeWrite(ck.ranks[cc.rank], end-start)
 
 	ck.mu.Lock()
 	p.parts[cc.rank] = state
@@ -536,7 +553,7 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 		return RecoveredResult{}, err
 	}
 
-	log := &recoveryLog{}
+	log := &recoveryLog{writeMS: make([]float64, p)}
 	ranks := make([]int, p)
 	for i := range ranks {
 		ranks[i] = i
@@ -663,7 +680,7 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 		}
 		res.Attempts = attempt + 1
 		res.Checkpoints = len(log.snapshots())
-		res.CheckpointMS = log.writeMS
+		res.CheckpointMS = log.totalWriteMS()
 
 		if runErr == nil {
 			res.TimeMS = r.TimeMS

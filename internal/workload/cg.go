@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
 )
@@ -41,12 +40,6 @@ const CGIters = 40
 // DefaultCGSustained is the sustained fraction for the CG kernels (SpMV
 // plus stream-like vector updates: memory-bound, below the stencils).
 const DefaultCGSustained = 0.5
-
-// Message tags used by the CG program.
-const (
-	tagCGUp   = 221 // halo row travelling to the lower-index neighbour
-	tagCGDown = 222 // halo row travelling to the higher-index neighbour
-)
 
 func (CG) Name() string { return "cg" }
 func (CG) About() string {
@@ -116,44 +109,21 @@ func (CG) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, 
 	if n < 3 {
 		return Outcome{}, mpi.RecoveredResult{}, nil, fmt.Errorf("workload: CG needs n >= 3, got %d", n)
 	}
-	st := distribution(spec, dist.HetBlock{})
-
 	var b []float64
 	if !symbolic {
 		b = cgRHS(n, spec.Seed)
 	}
-
-	var outX []float64
-	var iterMS float64
-	rec, err := execute(ctx, cl, model, o, rcfg, func(inst mpi.Instance) (mpi.RecoverableProgram, error) {
-		ranges, err := gridRanges("CG", n, st, inst)
-		if err != nil {
-			return nil, err
+	restore := func(snap *mpi.Snapshot) (int, *cgResume, error) {
+		if snap == nil {
+			return 0, nil, nil
 		}
-		var resume *cgResume
-		if inst.Resume != nil {
-			resume, err = decodeCGSnapshot(n, inst.Resume, symbolic)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
-			rec := &cgRecover{interval: rcfg.interval(), ck: ck}
-			x, it, err := cgRank(c, n, ranges, b, resume, symbolic, rec)
-			if c.Rank() == 0 {
-				outX, iterMS = x, it
-			}
-			return err
-		}, nil
-	})
-	if err != nil {
-		return Outcome{}, rec, nil, err
+		return decodeCGSnapshot(n, snap, symbolic)
 	}
-	out := Outcome{Work: cgWork(n), VirtualTime: rec.TimeMS, Stats: rec.Result, Check: Checksum(outX)}
-	if rcfg == nil {
-		out.VirtualTime = iterMS
+	body := func(r *bandRank, resume *cgResume, start, interval int, ck *mpi.Checkpointer) ([]float64, float64, error) {
+		return cgRank(r, b, resume, start, interval, ck)
 	}
-	return out, rec, outX, nil
+	shape := band{name: "CG", count: n - 2, width: n - 2, depth: 1}
+	return runBand(ctx, cl, model, o, spec, rcfg, shape, cgWork(n), restore, body)
 }
 
 // cgWork is W(n) for CGIters iterations.
@@ -196,19 +166,11 @@ func cgRHS(n int, seed int64) []float64 {
 }
 
 // cgResume carries the solver state restored from a committed
-// checkpoint: global x, r, p over the interior (nil when symbolic), the
-// residual norm rho, and the first iteration still to run.
+// checkpoint: global x, r, p over the interior (nil when symbolic) and
+// the residual norm rho.
 type cgResume struct {
-	start   int
 	rho     float64
 	x, r, p []float64
-}
-
-// cgRecover carries the recovery hooks into cgRank. nil means a plain
-// run.
-type cgRecover struct {
-	interval int
-	ck       *mpi.Checkpointer
 }
 
 // cgDot computes the global inner product <a, b> of two band-distributed
@@ -244,39 +206,30 @@ func cgDot(c mpi.Comm, a, b []float64, rows, w int, frac float64, symbolic bool)
 	return c.Bcast(0, tot)[0]
 }
 
-// cgRank is the per-rank program body. It returns (x, iterTimeMS) at
-// rank 0; the iteration time is the virtual time of the iteration loop
-// alone, barrier to barrier, excluding the one-time distribution and
-// collection (the same metering window as the stencils' sweep time). b
-// is the fresh-start right-hand side (rank 0, nil when symbolic); resume
-// is non-nil when replaying from a checkpoint.
-func cgRank(c mpi.Comm, n int, ranges [][2]int, b []float64, resume *cgResume, symbolic bool, rec *cgRecover) ([]float64, float64, error) {
+// cgRank is the per-rank program body from iteration start on. It
+// returns (x, iterTimeMS) at rank 0; the iteration time is the band loop
+// window, the same metering window as the stencils' sweep time. b is the
+// fresh-start right-hand side (rank 0, nil when symbolic); resume is
+// non-nil when replaying from a checkpoint.
+func cgRank(r *bandRank, b []float64, resume *cgResume, start, interval int, ck *mpi.Checkpointer) ([]float64, float64, error) {
+	c, rows, w, symbolic := r.c, r.rows, r.width, r.symbolic
 	rank, p := c.Rank(), c.Size()
 	const frac = DefaultCGSustained
-	w := n - 2
-	lo0 := ranges[rank][0]
-	rows := ranges[rank][1] - ranges[rank][0]
 
 	xv := buffer(rows*w, symbolic)
 	rv := buffer(rows*w, symbolic)
-	pv := buffer((rows+2)*w, symbolic) // ghost row above and below, zero at the global edges
+	pv := r.buffer() // ghost row above and below, zero at the global edges
 	qv := buffer(rows*w, symbolic)
 
 	// --- Distribution: rank 0 scatters either the fresh b bands or the
-	// restored [x|r|p] bands.
+	// restored [x|r|p] bands, in ascending rank order.
 	var rho float64
-	startIt := 0
 	if resume == nil {
 		var segs [][]float64
 		if rank == 0 {
 			segs = make([][]float64, p)
-			for r := range segs {
-				cnt := ranges[r][1] - ranges[r][0]
-				seg := buffer(cnt*w, symbolic)
-				if !symbolic {
-					copy(seg, b[ranges[r][0]*w:ranges[r][1]*w])
-				}
-				segs[r] = seg
+			for q := range segs {
+				segs[q] = section(b, r.ranges[q][0]*w, r.ranges[q][1]*w, symbolic)
 			}
 		}
 		band := c.Scatterv(0, segs)
@@ -290,21 +243,20 @@ func cgRank(c mpi.Comm, n int, ranges [][2]int, b []float64, resume *cgResume, s
 		}
 		rho = cgDot(c, rv, rv, rows, w, frac, symbolic)
 	} else {
-		startIt = resume.start
 		rho = resume.rho
 		var segs [][]float64
 		if rank == 0 {
 			segs = make([][]float64, p)
-			for r := range segs {
-				cnt := ranges[r][1] - ranges[r][0]
+			for q := range segs {
+				cnt := r.ranges[q][1] - r.ranges[q][0]
 				seg := buffer(3*cnt*w, symbolic)
 				if !symbolic {
-					rlo, rhi := ranges[r][0]*w, ranges[r][1]*w
+					rlo, rhi := r.ranges[q][0]*w, r.ranges[q][1]*w
 					copy(seg[:cnt*w], resume.x[rlo:rhi])
 					copy(seg[cnt*w:2*cnt*w], resume.r[rlo:rhi])
 					copy(seg[2*cnt*w:], resume.p[rlo:rhi])
 				}
-				segs[r] = seg
+				segs[q] = seg
 			}
 		}
 		band := c.Scatterv(0, segs)
@@ -318,114 +270,70 @@ func cgRank(c mpi.Comm, n int, ranges [][2]int, b []float64, resume *cgResume, s
 		}
 	}
 
-	// Time the iteration loop barrier-to-barrier, like the stencils'
-	// sweep window: the one-shot O(n²) scatter/gather through rank 0 is
-	// outside the metered region.
-	c.Barrier()
-	iterStart := c.Clock()
+	iterMS := window(c, func() {
+		for it := start; it < CGIters; it++ {
+			// --- Halo exchange of the direction vector's edge rows; the
+			// global edges keep the zero Dirichlet closure.
+			r.exchange(pv)
 
-	up, down := rank-1, rank+1
-	needTop := up >= 0  // else the top ghost stays the zero Dirichlet closure
-	needBot := down < p // else the bottom ghost stays the zero Dirichlet closure
-
-	for it := startIt; it < CGIters; it++ {
-		// --- Halo exchange of the direction vector's edge rows.
-		if needTop {
-			c.Send(up, tagCGUp, section(pv, w, 2*w, symbolic))
-		}
-		if needBot {
-			c.Send(down, tagCGDown, section(pv, rows*w, (rows+1)*w, symbolic))
-		}
-		if needTop {
-			ghost := c.Recv(up, tagCGDown)
+			// --- q = A p: the 5-point operator over the interior system.
+			// Global edge neighbours subtract an exact zero from the padded
+			// ghosts, matching the sequential reference bitwise.
+			c.Compute(6 * float64(rows) * float64(w) / frac)
 			if !symbolic {
-				copy(pv[:w], ghost)
-			}
-		}
-		if needBot {
-			ghost := c.Recv(down, tagCGUp)
-			if !symbolic {
-				copy(pv[(rows+1)*w:], ghost)
-			}
-		}
-
-		// --- q = A p: the 5-point operator over the interior system.
-		// Global edge neighbours subtract an exact zero from the padded
-		// ghosts, matching the sequential reference bitwise.
-		c.Compute(6 * float64(rows) * float64(w) / frac)
-		if !symbolic {
-			for i := 0; i < rows; i++ {
-				for j := 0; j < w; j++ {
-					idx := (i+1)*w + j
-					s := 4 * pv[idx]
-					if j > 0 {
-						s -= pv[idx-1]
+				for i := 0; i < rows; i++ {
+					for j := 0; j < w; j++ {
+						idx := (i+1)*w + j
+						s := 4 * pv[idx]
+						if j > 0 {
+							s -= pv[idx-1]
+						}
+						if j < w-1 {
+							s -= pv[idx+1]
+						}
+						s -= pv[idx-w]
+						s -= pv[idx+w]
+						qv[i*w+j] = s
 					}
-					if j < w-1 {
-						s -= pv[idx+1]
-					}
-					s -= pv[idx-w]
-					s -= pv[idx+w]
-					qv[i*w+j] = s
 				}
 			}
-		}
 
-		pq := cgDot(c, pv[w:(rows+1)*w], qv, rows, w, frac, symbolic)
-		var alpha float64
-		if !symbolic && pq != 0 {
-			alpha = rho / pq
-		}
+			pq := cgDot(c, pv[w:(rows+1)*w], qv, rows, w, frac, symbolic)
+			var alpha float64
+			if !symbolic && pq != 0 {
+				alpha = rho / pq
+			}
 
-		// --- x += alpha p, r -= alpha q.
-		c.Compute(4 * float64(rows) * float64(w) / frac)
-		if !symbolic {
-			for i := 0; i < rows*w; i++ {
-				xv[i] += alpha * pv[w+i]
-				rv[i] -= alpha * qv[i]
+			// --- x += alpha p, r -= alpha q.
+			c.Compute(4 * float64(rows) * float64(w) / frac)
+			if !symbolic {
+				for i := 0; i < rows*w; i++ {
+					xv[i] += alpha * pv[w+i]
+					rv[i] -= alpha * qv[i]
+				}
+			}
+
+			rhoNew := cgDot(c, rv, rv, rows, w, frac, symbolic)
+			var beta float64
+			if !symbolic && rho != 0 {
+				beta = rhoNew / rho
+			}
+			rho = rhoNew
+
+			// --- p = r + beta p.
+			c.Compute(2 * float64(rows) * float64(w) / frac)
+			if !symbolic {
+				for i := 0; i < rows*w; i++ {
+					pv[w+i] = rv[i] + beta*pv[w+i]
+				}
+			}
+
+			if checkpointDue(it, interval, CGIters) {
+				ck.Save(c, packCGState(it+1, r.lo, rows, w, rho, xv, rv, pv))
 			}
 		}
-
-		rhoNew := cgDot(c, rv, rv, rows, w, frac, symbolic)
-		var beta float64
-		if !symbolic && rho != 0 {
-			beta = rhoNew / rho
-		}
-		rho = rhoNew
-
-		// --- p = r + beta p.
-		c.Compute(2 * float64(rows) * float64(w) / frac)
-		if !symbolic {
-			for i := 0; i < rows*w; i++ {
-				pv[w+i] = rv[i] + beta*pv[w+i]
-			}
-		}
-
-		if rec != nil && rec.interval > 0 && (it+1)%rec.interval == 0 && it+1 < CGIters {
-			rec.ck.Save(c, packCGState(it+1, lo0, rows, w, rho, xv, rv, pv))
-		}
-	}
-
-	c.Barrier()
-	iterMS := c.Clock() - iterStart
-
-	// --- Collection at rank 0.
-	own := buffer(rows*w, symbolic)
-	if !symbolic {
-		copy(own, xv)
-	}
-	parts := c.Gatherv(0, own)
-	if rank != 0 {
-		return nil, 0, nil
-	}
-	if symbolic {
-		return nil, iterMS, nil
-	}
-	out := make([]float64, w*w)
-	for r := 0; r < p; r++ {
-		copy(out[ranges[r][0]*w:], parts[r])
-	}
-	return out, iterMS, nil
+	})
+	return r.collect(xv, nil), iterMS, nil
 }
 
 // cgSequential runs the same iteration single-threaded for verification:
@@ -544,14 +452,14 @@ func packCGState(iters, lo, rows, w int, rho float64, x, r, pv []float64) []floa
 }
 
 // decodeCGSnapshot rebuilds the global solver state from a committed
-// checkpoint.
-func decodeCGSnapshot(n int, snap *mpi.Snapshot, symbolic bool) (*cgResume, error) {
+// checkpoint, and returns the completed iteration count.
+func decodeCGSnapshot(n int, snap *mpi.Snapshot, symbolic bool) (int, *cgResume, error) {
 	w := n - 2
 	if len(snap.Parts) == 0 || len(snap.Parts[0]) < 4 {
-		return nil, fmt.Errorf("workload: CG snapshot %d malformed", snap.Seq)
+		return 0, nil, fmt.Errorf("workload: CG snapshot %d malformed", snap.Seq)
 	}
 	k0 := int(snap.Parts[0][0])
-	res := &cgResume{start: k0, rho: snap.Parts[0][3]}
+	res := &cgResume{rho: snap.Parts[0][3]}
 	if !symbolic {
 		m := w * w
 		res.x = make([]float64, m)
@@ -560,11 +468,11 @@ func decodeCGSnapshot(n int, snap *mpi.Snapshot, symbolic bool) (*cgResume, erro
 	}
 	for pi, part := range snap.Parts {
 		if len(part) < 4 || int(part[0]) != k0 || part[3] != res.rho {
-			return nil, fmt.Errorf("workload: CG snapshot %d part %d inconsistent", snap.Seq, pi)
+			return 0, nil, fmt.Errorf("workload: CG snapshot %d part %d inconsistent", snap.Seq, pi)
 		}
 		lo, rows := int(part[1]), int(part[2])
 		if len(part) != 4+3*rows*w || lo < 0 || lo+rows > w {
-			return nil, fmt.Errorf("workload: CG snapshot %d part %d shape invalid", snap.Seq, pi)
+			return 0, nil, fmt.Errorf("workload: CG snapshot %d part %d shape invalid", snap.Seq, pi)
 		}
 		if symbolic {
 			continue
@@ -574,5 +482,5 @@ func decodeCGSnapshot(n int, snap *mpi.Snapshot, symbolic bool) (*cgResume, erro
 		copy(res.r[lo*w:(lo+rows)*w], part[off+rows*w:off+2*rows*w])
 		copy(res.p[lo*w:(lo+rows)*w], part[off+2*rows*w:off+3*rows*w])
 	}
-	return res, nil
+	return k0, res, nil
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
 )
@@ -48,14 +47,6 @@ const (
 // DefaultJacobiSustained is the sustained fraction for the stencil
 // kernel (streaming-friendly, between GE and MM).
 const DefaultJacobiSustained = 0.58
-
-// Message tags used by the Jacobi program.
-const (
-	tagJacInit    = 200 // initial band distribution
-	tagJacUp      = 201 // halo row travelling to the lower-index neighbour
-	tagJacDown    = 202 // halo row travelling to the higher-index neighbour
-	tagJacCollect = 203 // final band collection
-)
 
 func (Jacobi) Name() string { return "jacobi" }
 func (Jacobi) About() string {
@@ -105,56 +96,128 @@ func (j Jacobi) RunRecovered(ctx context.Context, cl *cluster.Cluster, model sim
 	return out, rec, err
 }
 
-// run executes the heterogeneous Jacobi relaxation on an n x n grid
-// (n >= 3): rank 0 scatters proportional row bands, every sweep
-// exchanges one halo row with each neighbour and relaxes the interior,
-// every JacobiCheckEvery sweeps the global residual is all-reduced, and
-// rank 0 gathers the final grid. Under recovery the band state is
-// checkpointed every IntervalSteps sweeps. It also returns rank 0's
-// final grid (nil when symbolic).
+// run executes the heterogeneous Jacobi relaxation: the stencil with the
+// 5-point average, a residual all-reduce every JacobiCheckEvery sweeps,
+// and optionally overlapped halo transfers.
 func (j Jacobi) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
-	n, symbolic := spec.N, spec.Symbolic
+	s := stencil{
+		name: "Jacobi", iters: JacobiIters, checkEvery: JacobiCheckEvery, frac: DefaultJacobiSustained,
+		overlap: j.Overlap, initial: jacobiInitialGrid, sweep: jacobiSweep,
+	}
+	return s.run(ctx, cl, model, o, spec, rcfg)
+}
+
+// stencil is a 5-point sweep program over the interior of an n x n grid
+// in heterogeneous row bands; Jacobi and MG are two values of it. Rank 0
+// ships each rank its band with one ghost row on each side, every sweep
+// exchanges one halo row with each neighbour and relaxes the band's
+// interior points, every checkEvery sweeps a residual all-reduce
+// synchronizes the ranks, and rank 0 gathers the final grid. Under
+// recovery the bands are checkpointed every IntervalSteps sweeps.
+type stencil struct {
+	name       string
+	iters      int     // sweeps per run
+	checkEvery int     // sweeps between residual all-reduces, 0 for none
+	frac       float64 // sustained fraction
+	// overlap hides the halo transfers behind the ghost-independent
+	// interior rows with non-blocking sends.
+	overlap bool
+	initial func(n int, seed int64) []float64
+	// sweep applies the point update to local rows lo..hi of a band.
+	sweep func(cur, nxt []float64, n, lo, hi int)
+}
+
+// run executes the stencil on an n x n grid (n >= 3). It also returns
+// rank 0's final grid (nil when symbolic).
+func (s stencil) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
+	n := spec.N
 	if n < 3 {
-		return Outcome{}, mpi.RecoveredResult{}, nil, fmt.Errorf("workload: Jacobi needs n >= 3, got %d", n)
+		return Outcome{}, mpi.RecoveredResult{}, nil, fmt.Errorf("workload: %s needs n >= 3, got %d", s.name, n)
 	}
-	st := distribution(spec, dist.HetBlock{})
-
 	var initial []float64
-	if !symbolic {
-		initial = jacobiInitialGrid(n, spec.Seed)
+	if !spec.Symbolic {
+		initial = s.initial(n, spec.Seed)
+	}
+	b := band{name: s.name, count: n - 2, width: n, first: 1, depth: 1, ship: 1}
+	restore := func(snap *mpi.Snapshot) (int, []float64, error) { return b.restore(snap, initial) }
+	return runBand(ctx, cl, model, o, spec, rcfg, b, stencilWork(n, s.iters), restore, s.rank)
+}
+
+// rank is the per-rank program body from sweep start on. It returns
+// (grid, sweepTimeMS) at rank 0; the sweep time is the band loop window.
+// The residual all-reduce prices the synchronization only: the sweep
+// count is fixed, so results stay a pure function of the inputs.
+func (s stencil) rank(r *bandRank, grid []float64, start, interval int, ck *mpi.Checkpointer) ([]float64, float64, error) {
+	c, n, rows := r.c, r.width, r.rows
+	cur, nxt, err := r.distribute(grid)
+	if err != nil {
+		return nil, 0, err
+	}
+	top := c.Rank() > 0          // else the top ghost is the fixed boundary row
+	bot := c.Rank() < c.Size()-1 // else the bottom ghost is the fixed boundary row
+
+	// relax updates local rows [lo, hi] (1-based within the band),
+	// charging virtual compute first.
+	relax := func(lo, hi int) {
+		if hi < lo {
+			return
+		}
+		c.Compute(6 * float64(hi-lo+1) * float64(n-2) / s.frac)
+		if !r.symbolic {
+			s.sweep(cur, nxt, n, lo, hi)
+		}
 	}
 
-	var outGrid []float64
-	var sweepMS float64
-	rec, err := execute(ctx, cl, model, o, rcfg, func(inst mpi.Instance) (mpi.RecoverableProgram, error) {
-		ranges, err := gridRanges("Jacobi", n, st, inst)
-		if err != nil {
-			return nil, err
-		}
-		k0, grid := 0, initial
-		if inst.Resume != nil {
-			k0, grid, err = decodeJacobiSnapshot(n, spec.Seed, inst.Resume, symbolic)
-			if err != nil {
-				return nil, err
+	sweepMS := window(c, func() {
+		for it := start; it < s.iters; it++ {
+			if s.overlap {
+				// Relax the rows that need no ghost while the halo
+				// transfers fly, then receive and finish the edge rows (a
+				// single owned row waits for both ghosts).
+				r.sendHalo(cur, true)
+				lo, hi := 1, rows
+				if top {
+					lo = 2
+				}
+				if bot {
+					hi = rows - 1
+				}
+				relax(lo, hi)
+				if top {
+					r.recvTop(cur)
+					if rows > 1 || !bot {
+						relax(1, 1)
+					}
+				}
+				if bot {
+					r.recvBottom(cur)
+					relax(rows, rows)
+				}
+			} else {
+				r.exchange(cur)
+				relax(1, rows)
+			}
+
+			if !r.symbolic {
+				// Preserve ghost and boundary columns, then swap.
+				copy(nxt[:n], cur[:n])
+				copy(nxt[(rows+1)*n:], cur[(rows+1)*n:])
+				for i := 1; i <= rows; i++ {
+					nxt[i*n] = cur[i*n]
+					nxt[i*n+n-1] = cur[i*n+n-1]
+				}
+				cur, nxt = nxt, cur
+			}
+
+			if s.checkEvery > 0 && (it+1)%s.checkEvery == 0 {
+				c.Allreduce(0, mpi.OpMax)
+			}
+			if checkpointDue(it, interval, s.iters) {
+				ck.Save(c, r.pack(it+1, cur))
 			}
 		}
-		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
-			rec := &jacRecover{start: k0, interval: rcfg.interval(), ck: ck}
-			g, sw, err := jacobiRank(c, n, ranges, grid, symbolic, j.Overlap, rec)
-			if c.Rank() == 0 {
-				outGrid, sweepMS = g, sw
-			}
-			return err
-		}, nil
 	})
-	if err != nil {
-		return Outcome{}, rec, nil, err
-	}
-	out := Outcome{Work: stencilWork(n, JacobiIters), VirtualTime: rec.TimeMS, Stats: rec.Result, Check: Checksum(outGrid)}
-	if rcfg == nil {
-		out.VirtualTime = sweepMS
-	}
-	return out, rec, outGrid, nil
+	return r.collect(r.owned(cur), grid), sweepMS, nil
 }
 
 // stencilWork is W(n) for iters sweeps of a 5-point stencil charging 6
@@ -167,26 +230,15 @@ func stencilWork(n, iters int) float64 {
 	return 6 * inner * float64(iters)
 }
 
-// gridRanges distributes the n-2 interior rows of an n x n grid over an
-// instance's members (boundary rows 0 and n-1 are fixed and never owned)
-// and validates what the band stencils need: a contiguous block
-// assignment, so the halo-exchange neighbours stay rank±1, with at least
-// one row per rank. The ranges index interior rows, offset by 1.
-func gridRanges(alg string, n int, st dist.Strategy, inst mpi.Instance) ([][2]int, error) {
-	asn, err := survivorStrategy(st, inst.Ranks).Assign(n-2, inst.Cluster.Speeds())
-	if err != nil {
-		return nil, fmt.Errorf("workload: %s distribution: %w", alg, err)
-	}
-	if !isBlockAssignment(asn) {
-		return nil, fmt.Errorf("workload: %s needs a contiguous block distribution, %T is not", alg, st)
-	}
-	for r, cnt := range asn.Counts {
-		if cnt == 0 {
-			return nil, fmt.Errorf("workload: %s grid too small: rank %d owns 0 rows (n=%d, p=%d)",
-				alg, r, n, inst.Cluster.Size())
+// jacobiSweep relaxes local rows lo..hi of a band with the 5-point
+// Jacobi update.
+func jacobiSweep(cur, nxt []float64, n, lo, hi int) {
+	for i := lo; i <= hi; i++ {
+		for j := 1; j < n-1; j++ {
+			idx := i*n + j
+			nxt[idx] = 0.25 * (cur[idx-1] + cur[idx+1] + cur[idx-n] + cur[idx+n])
 		}
 	}
-	return dist.BlockRanges(asn.Counts), nil
 }
 
 // jacobiInitialGrid builds the deterministic Dirichlet problem: boundary
@@ -202,219 +254,6 @@ func jacobiInitialGrid(n int, seed int64) []float64 {
 		g[i*n+n-1] = (1 - t) * s                   // right column
 	}
 	return g
-}
-
-// jacRecover carries the recovery hooks into the iterative rank bodies
-// (jacobiRank, mgRank, spmvRank): resume the loop at iteration start and
-// checkpoint the band state every interval iterations. nil means a plain
-// run.
-type jacRecover struct {
-	start    int
-	interval int
-	ck       *mpi.Checkpointer
-}
-
-// jacobiRank is the per-rank program body. It returns (grid,
-// sweepTimeMS) at rank 0. The sweep time is the virtual time of the
-// sweep loop alone, barrier to barrier, excluding the one-time
-// distribution and collection: the field lives distributed in a real
-// application, and the O(n²) one-shot scatter through rank 0 would
-// otherwise dominate W ∝ n² at large system sizes.
-func jacobiRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic, overlap bool, rec *jacRecover) ([]float64, float64, error) {
-	rank, p := c.Rank(), c.Size()
-	const frac = DefaultJacobiSustained
-	// Global interior row span of this rank: rows [lo, hi) with
-	// 1 <= lo < hi <= n-1.
-	lo, hi := ranges[rank][0]+1, ranges[rank][1]+1
-	rows := hi - lo
-
-	// Local storage: rows+2 rows of n values (ghost row above and below).
-	cur := buffer((rows+2)*n, symbolic)
-	nxt := buffer((rows+2)*n, symbolic)
-
-	// --- Distribution: rank 0 sends each band including its initial ghost
-	// rows (boundary values live in the ghosts of edge ranks).
-	if rank == 0 {
-		for r := p - 1; r >= 0; r-- {
-			rlo, rhi := ranges[r][0]+1, ranges[r][1]+1
-			band := buffer((rhi-rlo+2)*n, symbolic)
-			if !symbolic {
-				copy(band, grid[(rlo-1)*n:(rhi+1)*n])
-			}
-			if r != 0 {
-				c.Send(r, tagJacInit, band)
-			} else if !symbolic {
-				copy(cur, band)
-			}
-		}
-	} else {
-		band := c.Recv(0, tagJacInit)
-		if len(band) != len(cur) {
-			return nil, 0, fmt.Errorf("workload: rank %d band size %d, want %d", rank, len(band), len(cur))
-		}
-		if !symbolic {
-			copy(cur, band)
-		}
-	}
-	if !symbolic {
-		copy(nxt, cur)
-	}
-
-	// Time the sweep loop barrier-to-barrier: after these barriers every
-	// rank's virtual clock is identical, so the window is a well-defined
-	// makespan of the iteration region.
-	c.Barrier()
-	sweepStart := c.Clock()
-
-	up, down := rank-1, rank+1
-	needTop := up >= 0  // else the top ghost is the fixed boundary row
-	needBot := down < p // else the bottom ghost is the fixed boundary row
-	var localResid float64
-
-	// relax applies the 5-point update to local rows [lo, hi] (inclusive,
-	// 1-based within the band), charging virtual compute and, in real
-	// mode, updating nxt and the running residual.
-	relax := func(lo, hi int) {
-		if hi < lo {
-			return
-		}
-		c.Compute(6 * float64(hi-lo+1) * float64(n-2) / frac)
-		if symbolic {
-			return
-		}
-		for i := lo; i <= hi; i++ {
-			for j := 1; j < n-1; j++ {
-				idx := i*n + j
-				v := 0.25 * (cur[idx-1] + cur[idx+1] + cur[idx-n] + cur[idx+n])
-				if d := math.Abs(v - cur[idx]); d > localResid {
-					localResid = d
-				}
-				nxt[idx] = v
-			}
-		}
-	}
-
-	startIt := 0
-	if rec != nil {
-		startIt = rec.start
-	}
-	for it := startIt; it < JacobiIters; it++ {
-		if !symbolic {
-			localResid = 0
-		}
-		if overlap {
-			// --- Overlapped variant: non-blocking halo sends, relax the
-			// rows that need no ghost while the transfers fly, then
-			// receive and finish the ghost-dependent edge rows.
-			if needTop {
-				c.ISend(up, tagJacUp, section(cur, n, 2*n, symbolic))
-			}
-			if needBot {
-				c.ISend(down, tagJacDown, section(cur, rows*n, (rows+1)*n, symbolic))
-			}
-			innerLo, innerHi := 1, rows
-			if needTop {
-				innerLo = 2
-			}
-			if needBot {
-				innerHi = rows - 1
-			}
-			relax(innerLo, innerHi)
-			if rows == 1 && needTop && needBot {
-				// The single owned row needs both ghosts before relaxing.
-				top := c.Recv(up, tagJacDown)
-				bot := c.Recv(down, tagJacUp)
-				if !symbolic {
-					copy(cur[:n], top)
-					copy(cur[(rows+1)*n:], bot)
-				}
-				relax(1, 1)
-			} else {
-				if needTop {
-					ghost := c.Recv(up, tagJacDown)
-					if !symbolic {
-						copy(cur[:n], ghost)
-					}
-					relax(1, 1)
-				}
-				if needBot {
-					ghost := c.Recv(down, tagJacUp)
-					if !symbolic {
-						copy(cur[(rows+1)*n:], ghost)
-					}
-					relax(rows, rows)
-				}
-			}
-		} else {
-			// --- Bulk-synchronous variant (the baseline): exchange, then
-			// relax everything. Sends are issued before receives; the
-			// runtime's sends do not rendezvous, so the symmetric pattern
-			// cannot deadlock.
-			if needTop {
-				c.Send(up, tagJacUp, section(cur, n, 2*n, symbolic)) // my first owned row
-			}
-			if needBot {
-				c.Send(down, tagJacDown, section(cur, rows*n, (rows+1)*n, symbolic)) // my last owned row
-			}
-			if needTop {
-				ghost := c.Recv(up, tagJacDown)
-				if !symbolic {
-					copy(cur[:n], ghost)
-				}
-			}
-			if needBot {
-				ghost := c.Recv(down, tagJacUp)
-				if !symbolic {
-					copy(cur[(rows+1)*n:], ghost)
-				}
-			}
-			relax(1, rows)
-		}
-
-		if !symbolic {
-			// Preserve ghost and boundary columns, then swap.
-			copy(nxt[:n], cur[:n])
-			copy(nxt[(rows+1)*n:], cur[(rows+1)*n:])
-			for i := 1; i <= rows; i++ {
-				nxt[i*n] = cur[i*n]
-				nxt[i*n+n-1] = cur[i*n+n-1]
-			}
-			cur, nxt = nxt, cur
-		}
-
-		// --- Periodic global residual check (cost model only: the sweep
-		// count is fixed so results stay a pure function of inputs).
-		if (it+1)%JacobiCheckEvery == 0 {
-			c.Allreduce(localResid, mpi.OpMax)
-		}
-		if rec != nil && rec.interval > 0 && (it+1)%rec.interval == 0 && it+1 < JacobiIters {
-			rec.ck.Save(c, packJacobiState(it+1, lo, rows, n, cur))
-		}
-	}
-
-	// Close the timed sweep region.
-	c.Barrier()
-	sweepMS := c.Clock() - sweepStart
-
-	// --- Collection at rank 0.
-	own := buffer(rows*n, symbolic)
-	if !symbolic {
-		copy(own, cur[n:(rows+1)*n])
-	}
-	parts := c.Gatherv(0, own)
-	if rank != 0 {
-		return nil, 0, nil
-	}
-	if symbolic {
-		return nil, sweepMS, nil
-	}
-	out := make([]float64, n*n)
-	copy(out, grid) // boundary
-	for r := 0; r < p; r++ {
-		rlo := ranges[r][0] + 1
-		copy(out[rlo*n:rlo*n+len(parts[r])], parts[r])
-	}
-	return out, sweepMS, nil
 }
 
 // jacobiSequential runs the same relaxation single-threaded for
@@ -439,45 +278,6 @@ func jacobiSequential(n, iters int, seed int64) ([]float64, error) {
 		cur, nxt = nxt, cur
 	}
 	return cur, nil
-}
-
-// packJacobiState encodes one rank's band after a sweep:
-// [sweeps done, first interior row, row count, then count*n grid values].
-// MG checkpoints its bands in the same layout.
-func packJacobiState(sweeps, lo, rows, n int, cur []float64) []float64 {
-	out := make([]float64, 3, 3+rows*n)
-	out[0] = float64(sweeps)
-	out[1] = float64(lo)
-	out[2] = float64(rows)
-	return append(out, cur[n:(rows+1)*n]...)
-}
-
-// decodeJacobiSnapshot rebuilds the full grid (boundary from the
-// deterministic initial profile, interior from the checkpointed bands)
-// and the completed sweep count.
-func decodeJacobiSnapshot(n int, seed int64, snap *mpi.Snapshot, symbolic bool) (int, []float64, error) {
-	if len(snap.Parts) == 0 || len(snap.Parts[0]) < 3 {
-		return 0, nil, fmt.Errorf("workload: Jacobi snapshot %d malformed", snap.Seq)
-	}
-	k0 := int(snap.Parts[0][0])
-	var grid []float64
-	if !symbolic {
-		grid = jacobiInitialGrid(n, seed)
-	}
-	for pi, part := range snap.Parts {
-		if len(part) < 3 || int(part[0]) != k0 {
-			return 0, nil, fmt.Errorf("workload: Jacobi snapshot %d part %d inconsistent", snap.Seq, pi)
-		}
-		lo, rows := int(part[1]), int(part[2])
-		if len(part) != 3+rows*n || lo < 1 || lo+rows > n-1 {
-			return 0, nil, fmt.Errorf("workload: Jacobi snapshot %d part %d shape invalid", snap.Seq, pi)
-		}
-		if symbolic {
-			continue
-		}
-		copy(grid[lo*n:(lo+rows)*n], part[3:])
-	}
-	return k0, grid, nil
 }
 
 // haloOverhead returns the analytic To(n) in ms for the fixed-iteration

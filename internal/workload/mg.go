@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/dist"
 	"repro/internal/mpi"
 	"repro/internal/simnet"
 )
@@ -21,9 +20,11 @@ import (
 // damps the checkerboard mode exactly) — 6 flops per interior point, the
 // same per-point cost the nasbench MG kernel charges, so the workload's
 // W(n) and the marked-speed benchmark's flop count agree by
-// construction. This file is the workload's entire integration: study
-// pipeline, experiment suite, fault/recovery sweeps and both scan CLIs
-// pick it up from the registry with no edits of their own.
+// construction. Its rank program is Jacobi's stencil with that point
+// update and no residual all-reduce. This file is the workload's entire
+// integration: study pipeline, experiment suite, fault/recovery sweeps
+// and both scan CLIs pick it up from the registry with no edits of their
+// own.
 type MG struct{}
 
 func init() { Register(MG{}) }
@@ -35,13 +36,6 @@ const MGIters = 80
 // (one fused multiply more per point than Jacobi, slightly better
 // arithmetic intensity).
 const DefaultMGSustained = 0.62
-
-// Message tags used by the MG program.
-const (
-	tagMGInit = 210 // initial band distribution
-	tagMGUp   = 211 // halo row travelling to the lower-index neighbour
-	tagMGDown = 212 // halo row travelling to the higher-index neighbour
-)
 
 func (MG) Name() string { return "mg" }
 func (MG) About() string {
@@ -94,55 +88,12 @@ func (m MG) RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.
 	return out, rec, err
 }
 
-// run executes the heterogeneous MG smoothing stencil on an n x n grid
-// (n >= 3): rank 0 scatters proportional row bands, every sweep
-// exchanges one halo row with each neighbour and applies the damped
-// update to the interior, and rank 0 gathers the final grid. Under
-// recovery the band state is checkpointed every IntervalSteps sweeps.
-// It also returns rank 0's final grid (nil when symbolic).
+// run executes the heterogeneous MG smoothing on an n x n grid (n >= 3)
+// as a stencil with no residual all-reduce; it also returns rank 0's
+// final grid (nil when symbolic).
 func (MG) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
-	n, symbolic := spec.N, spec.Symbolic
-	if n < 3 {
-		return Outcome{}, mpi.RecoveredResult{}, nil, fmt.Errorf("workload: MG needs n >= 3, got %d", n)
-	}
-	st := distribution(spec, dist.HetBlock{})
-
-	var initial []float64
-	if !symbolic {
-		initial = mgInitialGrid(n, spec.Seed)
-	}
-
-	var outGrid []float64
-	var sweepMS float64
-	rec, err := execute(ctx, cl, model, o, rcfg, func(inst mpi.Instance) (mpi.RecoverableProgram, error) {
-		ranges, err := gridRanges("MG", n, st, inst)
-		if err != nil {
-			return nil, err
-		}
-		k0, grid := 0, initial
-		if inst.Resume != nil {
-			k0, grid, err = decodeMGSnapshot(n, spec.Seed, inst.Resume, symbolic)
-			if err != nil {
-				return nil, err
-			}
-		}
-		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
-			rec := &jacRecover{start: k0, interval: rcfg.interval(), ck: ck}
-			g, sw, err := mgRank(c, n, ranges, grid, symbolic, rec)
-			if c.Rank() == 0 {
-				outGrid, sweepMS = g, sw
-			}
-			return err
-		}, nil
-	})
-	if err != nil {
-		return Outcome{}, rec, nil, err
-	}
-	out := Outcome{Work: stencilWork(n, MGIters), VirtualTime: rec.TimeMS, Stats: rec.Result, Check: Checksum(outGrid)}
-	if rcfg == nil {
-		out.VirtualTime = sweepMS
-	}
-	return out, rec, outGrid, nil
+	s := stencil{name: "MG", iters: MGIters, frac: DefaultMGSustained, initial: mgInitialGrid, sweep: mgSweep}
+	return s.run(ctx, cl, model, o, spec, rcfg)
 }
 
 // mgInitialGrid builds the deterministic smoothing problem: a seeded
@@ -161,123 +112,14 @@ func mgInitialGrid(n int, seed int64) []float64 {
 	return g
 }
 
-// mgRank is the per-rank program body. It returns (grid, sweepTimeMS) at
-// rank 0; the sweep time is the same barrier-to-barrier window as
-// Jacobi's. The structure mirrors jacobiRank's bulk-synchronous variant;
-// only the point update and the absence of the residual all-reduce
-// differ.
-func mgRank(c mpi.Comm, n int, ranges [][2]int, grid []float64, symbolic bool, rec *jacRecover) ([]float64, float64, error) {
-	rank, p := c.Rank(), c.Size()
-	const frac = DefaultMGSustained
-	lo, hi := ranges[rank][0]+1, ranges[rank][1]+1
-	rows := hi - lo
-
-	cur := buffer((rows+2)*n, symbolic)
-	nxt := buffer((rows+2)*n, symbolic)
-
-	// --- Distribution: rank 0 sends each band including its ghost rows.
-	if rank == 0 {
-		for r := p - 1; r >= 0; r-- {
-			rlo, rhi := ranges[r][0]+1, ranges[r][1]+1
-			band := buffer((rhi-rlo+2)*n, symbolic)
-			if !symbolic {
-				copy(band, grid[(rlo-1)*n:(rhi+1)*n])
-			}
-			if r != 0 {
-				c.Send(r, tagMGInit, band)
-			} else if !symbolic {
-				copy(cur, band)
-			}
-		}
-	} else {
-		band := c.Recv(0, tagMGInit)
-		if len(band) != len(cur) {
-			return nil, 0, fmt.Errorf("workload: rank %d band size %d, want %d", rank, len(band), len(cur))
-		}
-		if !symbolic {
-			copy(cur, band)
+// mgSweep applies the damped update to local rows lo..hi of a band.
+func mgSweep(cur, nxt []float64, n, lo, hi int) {
+	for i := lo; i <= hi; i++ {
+		for j := 1; j < n-1; j++ {
+			idx := i*n + j
+			nxt[idx] = 0.5*cur[idx] + 0.125*(cur[idx-1]+cur[idx+1]+cur[idx-n]+cur[idx+n])
 		}
 	}
-	if !symbolic {
-		copy(nxt, cur)
-	}
-
-	c.Barrier()
-	sweepStart := c.Clock()
-
-	up, down := rank-1, rank+1
-	needTop := up >= 0
-	needBot := down < p
-
-	startIt := 0
-	if rec != nil {
-		startIt = rec.start
-	}
-	for it := startIt; it < MGIters; it++ {
-		if needTop {
-			c.Send(up, tagMGUp, section(cur, n, 2*n, symbolic))
-		}
-		if needBot {
-			c.Send(down, tagMGDown, section(cur, rows*n, (rows+1)*n, symbolic))
-		}
-		if needTop {
-			ghost := c.Recv(up, tagMGDown)
-			if !symbolic {
-				copy(cur[:n], ghost)
-			}
-		}
-		if needBot {
-			ghost := c.Recv(down, tagMGUp)
-			if !symbolic {
-				copy(cur[(rows+1)*n:], ghost)
-			}
-		}
-
-		c.Compute(6 * float64(rows) * float64(n-2) / frac)
-		if !symbolic {
-			for i := 1; i <= rows; i++ {
-				for j := 1; j < n-1; j++ {
-					idx := i*n + j
-					nxt[idx] = 0.5*cur[idx] + 0.125*(cur[idx-1]+cur[idx+1]+cur[idx-n]+cur[idx+n])
-				}
-			}
-			// Preserve ghost rows and boundary columns, then swap.
-			copy(nxt[:n], cur[:n])
-			copy(nxt[(rows+1)*n:], cur[(rows+1)*n:])
-			for i := 1; i <= rows; i++ {
-				nxt[i*n] = cur[i*n]
-				nxt[i*n+n-1] = cur[i*n+n-1]
-			}
-			cur, nxt = nxt, cur
-		}
-
-		if rec != nil && rec.interval > 0 && (it+1)%rec.interval == 0 && it+1 < MGIters {
-			rec.ck.Save(c, packJacobiState(it+1, lo, rows, n, cur))
-		}
-	}
-
-	c.Barrier()
-	sweepMS := c.Clock() - sweepStart
-
-	// --- Collection at rank 0.
-	own := buffer(rows*n, symbolic)
-	if !symbolic {
-		copy(own, cur[n:(rows+1)*n])
-	}
-	parts := c.Gatherv(0, own)
-	if rank != 0 {
-		return nil, 0, nil
-	}
-	if symbolic {
-		return nil, sweepMS, nil
-	}
-	out := make([]float64, n*n)
-	copy(out, grid) // boundary rows/columns
-	for r := 0; r < p; r++ {
-		rlo := ranges[r][0] + 1
-		copy(out[rlo*n:rlo*n+len(parts[r])], parts[r])
-	}
-	return out, sweepMS, nil
 }
 
 // mgSequential runs the same smoothing single-threaded for verification:
@@ -302,33 +144,4 @@ func mgSequential(n, iters int, seed int64) ([]float64, error) {
 		cur, nxt = nxt, cur
 	}
 	return cur, nil
-}
-
-// decodeMGSnapshot rebuilds the full grid (boundary from the
-// deterministic initial profile, interior from the checkpointed bands)
-// and the completed sweep count. The band layout is Jacobi's codec; only
-// the boundary reconstruction differs.
-func decodeMGSnapshot(n int, seed int64, snap *mpi.Snapshot, symbolic bool) (int, []float64, error) {
-	if len(snap.Parts) == 0 || len(snap.Parts[0]) < 3 {
-		return 0, nil, fmt.Errorf("workload: MG snapshot %d malformed", snap.Seq)
-	}
-	k0 := int(snap.Parts[0][0])
-	var grid []float64
-	if !symbolic {
-		grid = mgInitialGrid(n, seed)
-	}
-	for pi, part := range snap.Parts {
-		if len(part) < 3 || int(part[0]) != k0 {
-			return 0, nil, fmt.Errorf("workload: MG snapshot %d part %d inconsistent", snap.Seq, pi)
-		}
-		lo, rows := int(part[1]), int(part[2])
-		if len(part) != 3+rows*n || lo < 1 || lo+rows > n-1 {
-			return 0, nil, fmt.Errorf("workload: MG snapshot %d part %d shape invalid", snap.Seq, pi)
-		}
-		if symbolic {
-			continue
-		}
-		copy(grid[lo*n:(lo+rows)*n], part[3:])
-	}
-	return k0, grid, nil
 }

@@ -370,3 +370,57 @@ func TestRecoveredSecondCrashResumesSameSnapshot(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckpointMSDeterministic pins RecoveredResult.CheckpointMS to its
+// last bit across engines and live reruns: every rank's checkpoint
+// writes are summed per rank and then in rank order, never in the order
+// the engine happens to run the ranks. The setup is the p = 7 rung at
+// N = 23, shrunk to ranks 0..5 by a planned event at half the makespan,
+// and again with rank 6 crashing there instead.
+func TestCheckpointMSDeterministic(t *testing.T) {
+	m := testModel(t)
+	ctx := context.Background()
+	const p = 7
+	spec := Spec{N: 23, Seed: 7}
+	for _, w := range All() {
+		t.Run(w.Name(), func(t *testing.T) {
+			cl, err := w.ClusterLadder(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, err := w.Run(ctx, cl, m, mpi.Options{Engine: mpi.EngineDES}, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			half := 0.5 * plain.Stats.TimeMS
+			for _, tc := range []struct {
+				name   string
+				faults mpi.FaultInjector
+				rcfg   RecoveryConfig
+			}{
+				{"shrink", nil, RecoveryConfig{IntervalSteps: 3, Plan: []mpi.ReconfigEvent{{AtMS: half, Ranks: firstRanks(p - 1)}}}},
+				{"crash", crashInjector{at: map[int]float64{p - 1: half}}, RecoveryConfig{IntervalSteps: 3}},
+			} {
+				engines := []mpi.Engine{mpi.EngineDES, mpi.EngineSymbolic}
+				for range 10 {
+					engines = append(engines, mpi.EngineLive)
+				}
+				var want float64
+				for i, e := range engines {
+					_, rec, err := w.RunRecovered(ctx, cl, m, mpi.Options{Engine: e, Faults: tc.faults}, spec, tc.rcfg)
+					if err != nil {
+						t.Fatalf("%s %v: %v", tc.name, e, err)
+					}
+					if rec.Checkpoints == 0 {
+						t.Fatalf("%s %v: no checkpoint committed", tc.name, e)
+					}
+					if i == 0 {
+						want = rec.CheckpointMS
+					} else if rec.CheckpointMS != want {
+						t.Fatalf("%s: %v run %d CheckpointMS = %v, des %v", tc.name, e, i, rec.CheckpointMS, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -99,13 +99,13 @@ func TestSpMVIterationStaysBounded(t *testing.T) {
 func TestSpMVTopUpMovesRowsFromLargestBlock(t *testing.T) {
 	// Short blocks are raised in rank order, each row taken from the
 	// currently largest block, the lowest rank winning ties.
-	got := spmvTopUp([]int{1, 4, 4, 0})
+	got := bandTopUp([]int{1, 4, 4, 0}, spmvHalo)
 	if want := []int{2, 2, 3, 2}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("spmvTopUp = %v, want %v", got, want)
+		t.Fatalf("bandTopUp = %v, want %v", got, want)
 	}
 	// A distribution that already meets the floor is left as it is.
-	if got := spmvTopUp([]int{2, 5, 3}); !reflect.DeepEqual(got, []int{2, 5, 3}) {
-		t.Fatalf("spmvTopUp changed a valid distribution: %v", got)
+	if got := bandTopUp([]int{2, 5, 3}, spmvHalo); !reflect.DeepEqual(got, []int{2, 5, 3}) {
+		t.Fatalf("bandTopUp changed a valid distribution: %v", got)
 	}
 }
 
@@ -126,7 +126,7 @@ func TestSpMVShortBlocksToppedUpOnLadder(t *testing.T) {
 	if slices.Min(asn.Counts) >= spmvHalo {
 		t.Fatalf("precondition: proportional split %v leaves no rank short", asn.Counts)
 	}
-	ranges, err := spmvRanges(n, p, dist.HetBlock{}, cl.Speeds())
+	ranges, err := bandRanges(n, spmvHalo, dist.HetBlock{}, cl.Speeds())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestSpMVShortBlocksToppedUpOnLadder(t *testing.T) {
 			t.Errorf("rank %d owns %d rows, want >= %d", r, rows, spmvHalo)
 		}
 	}
-	if _, err := spmvRanges(2*p-1, p, dist.HetBlock{}, cl.Speeds()); err == nil {
+	if _, err := bandRanges(2*p-1, spmvHalo, dist.HetBlock{}, cl.Speeds()); err == nil {
 		t.Error("n < 2p must still be rejected")
 	}
 	m := testModel(t)

@@ -155,6 +155,7 @@ for pkgfn in \
 	./internal/numeric:FuzzBrentFindsBracketedRoots \
 	./internal/mpi:FuzzSymbolicVsDESPrograms \
 	./internal/workload:FuzzSymbolicVsDESWorkloads \
+	./internal/workload:FuzzBandRanges \
 	./internal/job:FuzzJobStreamFaults \
 	./internal/job:FuzzMembershipPlan \
 	./internal/spec:FuzzRunSpec \
