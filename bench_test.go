@@ -35,14 +35,8 @@ var (
 func paperSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		cfg, err := experiments.Default()
-		if err != nil {
-			suiteErr = err
-			return
-		}
-		suite, err = experiments.NewSuite(cfg)
-		if err != nil {
-			suiteErr = err
+		suite, suiteErr = experiments.NewSuite(experiments.Default())
+		if suiteErr != nil {
 			return
 		}
 		// Warm the memoized chains so individual table benches time the

@@ -39,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"repro/internal/faults"
 	"repro/internal/spec"
@@ -109,7 +108,7 @@ func run(args []string, out io.Writer) error {
 		return fmt.Errorf("missing fault plan: pass -spec file or -intensity x (use -example for a template)")
 	}
 
-	name, err := workloadName(*wl, *alg)
+	name, err := spec.ParseWorkload(*wl, *alg)
 	if err != nil {
 		return err
 	}
@@ -136,22 +135,4 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	return ex.Run(context.Background(), rs, out)
-}
-
-// workloadName resolves the -workload/-alg pair ("" lets the spec
-// default to ge after checking the registry).
-func workloadName(wl, alg string) (string, error) {
-	name := strings.ToLower(wl)
-	if name == "" {
-		name = strings.ToLower(alg)
-	} else if alg != "" && !strings.EqualFold(alg, wl) {
-		return "", fmt.Errorf("-workload %q and -alg %q disagree (use -workload)", wl, alg)
-	}
-	if name == "" {
-		return "", nil
-	}
-	if _, err := workload.Get(name); err != nil {
-		return "", err
-	}
-	return name, nil
 }

@@ -132,6 +132,9 @@ func run(args []string, out, errw io.Writer) error {
 	if *serveTO != 0 {
 		return fmt.Errorf("-serve-timeout needs -serve")
 	}
+	if *md && (*csv || *jsonOut || *traceOut != "") {
+		return fmt.Errorf("-md writes a markdown report; it cannot be combined with -csv, -json or -trace")
+	}
 	var rs spec.RunSpec
 	switch {
 	case *specFile != "" && *exp != "":
@@ -205,7 +208,7 @@ func run(args []string, out, errw io.Writer) error {
 		if err != nil {
 			return err
 		}
-		opts := experiments.RunOptions{Jobs: *jobs, Hooks: runner.Progress(errw, *verbose)}
+		opts := runner.Options{Jobs: *jobs, Hooks: runner.Progress(errw, *verbose)}
 		if err := experiments.WriteMarkdownReport(ctx, suite, out, ids, time.Now(), opts); err != nil {
 			return err
 		}

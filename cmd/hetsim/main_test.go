@@ -164,6 +164,21 @@ func TestRunMarkdownReport(t *testing.T) {
 	}
 }
 
+// TestMarkdownRejectsOtherOutputs: -md renders its own report, so a
+// second output flag beside it is an error rather than silently dropped.
+func TestMarkdownRejectsOtherOutputs(t *testing.T) {
+	tracePath := filepath.Join(t.TempDir(), "t.json")
+	for _, extra := range [][]string{{"-csv"}, {"-json"}, {"-trace", tracePath}} {
+		args := append([]string{"-exp", "table1", "-quick", "-md"}, extra...)
+		if _, err := runOut(t, args...); err == nil {
+			t.Errorf("args %v accepted", args)
+		}
+	}
+	if _, err := os.Stat(tracePath); !os.IsNotExist(err) {
+		t.Errorf("-md -trace touched the trace file: %v", err)
+	}
+}
+
 // TestCacheDirSurvivesRestart runs the same experiment in two separate
 // run() invocations sharing a cache directory — two processes from the
 // CLI's point of view — and requires byte-identical output plus a

@@ -27,6 +27,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/experiments"
 	"repro/internal/nasbench"
+	"repro/internal/runner"
 )
 
 func main() {
@@ -48,17 +49,13 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	cfg, err := experiments.Quick()
-	if err != nil {
-		return err
-	}
-	suite, err := experiments.NewSuite(cfg)
+	suite, err := experiments.NewSuite(experiments.Quick())
 	if err != nil {
 		return err
 	}
 	// Table 1 comes from the experiment registry: markedspeed is just a
 	// focused front-end for that one entry.
-	outcomes, err := experiments.RunSelected(context.Background(), suite, []string{"table1"}, experiments.RunOptions{Jobs: 1})
+	outcomes, err := experiments.RunSelected(context.Background(), suite, []string{"table1"}, runner.Options{Jobs: 1})
 	if err != nil {
 		return err
 	}

@@ -108,7 +108,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out, exampleLadder)
 		return nil
 	}
-	name, err := workloadName(*wl, *alg)
+	name, err := spec.ParseWorkload(*wl, *alg)
 	if err != nil {
 		return err
 	}
@@ -191,24 +191,6 @@ func parseAsymSizes(s string) ([]int, error) {
 		return nil, fmt.Errorf("-asym needs at least two sizes to form a ψ chain, got %d", len(sizes))
 	}
 	return sizes, nil
-}
-
-// workloadName resolves the -workload/-alg pair ("" lets the spec
-// default to ge after checking the registry).
-func workloadName(wl, alg string) (string, error) {
-	name := strings.ToLower(wl)
-	if name == "" {
-		name = strings.ToLower(alg)
-	} else if alg != "" && !strings.EqualFold(alg, wl) {
-		return "", fmt.Errorf("-workload %q and -alg %q disagree (use -workload)", wl, alg)
-	}
-	if name == "" {
-		return "", nil
-	}
-	if _, err := workload.Get(name); err != nil {
-		return "", err
-	}
-	return name, nil
 }
 
 // printList writes the registry contents: workloads first (this tool's

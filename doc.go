@@ -42,6 +42,7 @@ import (
 	"fmt"
 
 	"repro/internal/experiments"
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -75,17 +76,9 @@ func ExperimentAbout(id string) (string, error) {
 // rendered outputs. quick=true uses the reduced 2/4/8-node ladder; false
 // runs the paper's full 2..32 ladder (minutes of CPU).
 func RunExperiment(id string, quick bool) ([]string, error) {
-	var (
-		cfg experiments.Config
-		err error
-	)
+	cfg := experiments.Default()
 	if quick {
-		cfg, err = experiments.Quick()
-	} else {
-		cfg, err = experiments.Default()
-	}
-	if err != nil {
-		return nil, err
+		cfg = experiments.Quick()
 	}
 	suite, err := experiments.NewSuite(cfg)
 	if err != nil {
@@ -95,7 +88,7 @@ func RunExperiment(id string, quick bool) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	outcomes, err := experiments.RunSelected(context.Background(), suite, ids, experiments.RunOptions{})
+	outcomes, err := experiments.RunSelected(context.Background(), suite, ids, runner.Options{})
 	if err != nil {
 		return nil, err
 	}

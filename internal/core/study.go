@@ -6,21 +6,22 @@ import (
 	"math"
 )
 
-// Study is the packaged form of the paper's full evaluation procedure
-// (§4.4 measurement + §4.5 prediction) for one algorithm over a ladder of
-// system configurations:
+// Study is the packaged form of the paper's measurement procedure (§4.4,
+// with the §4.5 analytic model placing each sweep) for one algorithm over
+// a ladder of system configurations:
 //
 //	for every configuration:
 //	    guess the interesting problem-size region from the analytic model,
 //	    sweep problem sizes and measure (W, T),
-//	    fit the trend to E_s(N), read off the required N at the target,
-//	    verify by a direct run at that N;
-//	then chain ψ across configurations and set the Theorem-1 prediction
-//	beside the measurement.
+//	    fit the trend to E_s(N), read off the required N at the target;
+//	then chain ψ across configurations.
 //
 // This is the API a downstream user calls to evaluate their own
-// algorithm-machine combinations; cmd/scalescan and the experiment suite
-// are thin wrappers over it.
+// algorithm-machine combinations, and the experiment suite's measured
+// chains run through it. The paper's grey-dot check and the Theorem-1
+// prediction are EfficiencyCurve.VerifyAt and PredictChain, which callers
+// run beside it (fig1 and Table 7 do). cmd/scalescan does not use it: its
+// read-off is a fixed eight-point sweep in package spec.
 
 // StudyTarget is one rung of the ladder.
 type StudyTarget struct {
@@ -28,8 +29,7 @@ type StudyTarget struct {
 	Label string
 	// C is the configuration's marked speed in Mflops.
 	C float64
-	// Machine is the analytic model used for the sweep guess and the
-	// prediction columns.
+	// Machine is the analytic model that guesses where to sweep.
 	Machine AnalyticMachine
 	// Run measures the combination at one problem size.
 	Run Runner
@@ -37,24 +37,23 @@ type StudyTarget struct {
 	WorkAt func(n int) float64
 }
 
-// StudyOptions tunes the procedure; zero values select the defaults the
-// experiment suite uses.
+// The read-off procedure's fixed settings: the sweep spans
+// [sweepLo, sweepHi] times the analytic guess, the trend is a
+// trendDegree polynomial, and a target outside the measured range widens
+// the sweep at most maxWiden times.
+const (
+	sweepLo     = 0.45
+	sweepHi     = 1.8
+	trendDegree = 3
+	maxWiden    = 4
+)
+
+// StudyOptions sets the procedure's target and sweep density.
 type StudyOptions struct {
 	// TargetEff is the speed-efficiency set-point (required, in (0,1)).
 	TargetEff float64
 	// SweepPoints per efficiency curve (default 8, minimum 4).
 	SweepPoints int
-	// SweepLo and SweepHi bound the sweep as multiples of the analytic
-	// guess (defaults 0.45 and 1.8).
-	SweepLo, SweepHi float64
-	// TrendDegree of the polynomial trend (default 3).
-	TrendDegree int
-	// MaxWiden bounds how many times an unreachable read-off widens the
-	// sweep (default 4).
-	MaxWiden int
-	// Verify re-runs each rung at the read-off size and records the
-	// achieved efficiency (the paper's grey-dot check).
-	Verify bool
 }
 
 func (o StudyOptions) withDefaults() (StudyOptions, error) {
@@ -67,29 +66,14 @@ func (o StudyOptions) withDefaults() (StudyOptions, error) {
 	if o.SweepPoints < 4 {
 		return o, fmt.Errorf("core: study needs >= 4 sweep points, got %d", o.SweepPoints)
 	}
-	if o.SweepLo == 0 {
-		o.SweepLo = 0.45
-	}
-	if o.SweepHi == 0 {
-		o.SweepHi = 1.8
-	}
-	if o.SweepLo <= 0 || o.SweepHi <= o.SweepLo {
-		return o, fmt.Errorf("core: study sweep window [%g, %g] invalid", o.SweepLo, o.SweepHi)
-	}
-	if o.TrendDegree == 0 {
-		o.TrendDegree = 3
-	}
-	if o.MaxWiden == 0 {
-		o.MaxWiden = 4
-	}
 	return o, nil
 }
 
 // sweepSizes builds strictly increasing integer sizes spanning the
 // window around the guess.
 func (o StudyOptions) sweepSizes(guess float64) []int {
-	lo := math.Max(16, o.SweepLo*guess)
-	hi := math.Max(lo*2, o.SweepHi*guess)
+	lo := math.Max(16, sweepLo*guess)
+	hi := math.Max(lo*2, sweepHi*guess)
 	sizes := make([]int, 0, o.SweepPoints)
 	prev := 0
 	for i := 0; i < o.SweepPoints; i++ {
@@ -115,8 +99,8 @@ func ReadOffRequiredSize(label string, c, target, guess float64, run Runner, opt
 	}
 	scale := 1.0
 	var lastErr error
-	for attempt := 0; attempt < o.MaxWiden; attempt++ {
-		curve, err := MeasureCurve(label, c, o.sweepSizes(guess*scale), o.TrendDegree, run)
+	for attempt := 0; attempt < maxWiden; attempt++ {
+		curve, err := MeasureCurve(label, c, o.sweepSizes(guess*scale), trendDegree, run)
 		if err != nil {
 			return EfficiencyCurve{}, 0, err
 		}
@@ -139,13 +123,11 @@ func ReadOffRequiredSize(label string, c, target, guess float64, run Runner, opt
 
 // StudyRung is the per-configuration outcome.
 type StudyRung struct {
-	Label       string
-	C           float64
-	Curve       EfficiencyCurve
-	RequiredN   int
-	Work        float64
-	PredictedN  float64 // from the analytic machine; 0 if prediction failed
-	VerifiedEff float64 // only when Verify was requested
+	Label     string
+	C         float64
+	Curve     EfficiencyCurve
+	RequiredN int
+	Work      float64
 }
 
 // StudyResult is the full ladder outcome.
@@ -153,8 +135,6 @@ type StudyResult struct {
 	Rungs []StudyRung
 	// PsiMeasured chains ψ between consecutive rungs from measurement.
 	PsiMeasured []float64
-	// PsiPredicted is the Theorem-1 chain from the analytic machines.
-	PsiPredicted []float64
 }
 
 // RunStudy executes the procedure over the ladder.
@@ -167,7 +147,6 @@ func RunStudy(targets []StudyTarget, opts StudyOptions) (StudyResult, error) {
 		return StudyResult{}, err
 	}
 	var res StudyResult
-	var machines []AnalyticMachine
 	points := make([]ScalePoint, 0, len(targets))
 	for _, tg := range targets {
 		if tg.Run == nil || tg.WorkAt == nil {
@@ -185,31 +164,13 @@ func RunStudy(targets []StudyTarget, opts StudyOptions) (StudyResult, error) {
 			return StudyResult{}, fmt.Errorf("core: study %s: %w", tg.Label, err)
 		}
 		n := int(math.Round(nReq))
-		rung := StudyRung{
-			Label:      tg.Label,
-			C:          tg.C,
-			Curve:      curve,
-			RequiredN:  n,
-			Work:       tg.WorkAt(n),
-			PredictedN: guess,
-		}
-		if o.Verify {
-			eff, err := curve.VerifyAt(n, tg.Run)
-			if err != nil {
-				return StudyResult{}, fmt.Errorf("core: study %s: verification: %w", tg.Label, err)
-			}
-			rung.VerifiedEff = eff
-		}
+		rung := StudyRung{Label: tg.Label, C: tg.C, Curve: curve, RequiredN: n, Work: tg.WorkAt(n)}
 		res.Rungs = append(res.Rungs, rung)
 		points = append(points, ScalePoint{Label: tg.Label, C: tg.C, N: n, W: rung.Work})
-		machines = append(machines, tg.Machine)
 	}
 	res.PsiMeasured, err = PsiChain(points)
 	if err != nil {
 		return StudyResult{}, err
-	}
-	if _, _, psiThm, err := PredictChain(machines, o.TargetEff, 8, 5e6); err == nil {
-		res.PsiPredicted = psiThm
 	}
 	return res, nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/mpi"
+	"repro/internal/simnet"
 	"repro/internal/workload"
 )
 
@@ -37,7 +38,7 @@ func (s *Suite) AblateDistribution(ctx context.Context) (*Table, error) {
 	geStrats := []dist.Strategy{dist.HetCyclic{}, dist.HomCyclic{}, dist.HomBlock{}}
 	var geBase float64
 	for i, st := range geStrats {
-		out, err := workload.GE{Strategy: st}.Run(ctx, geCl, s.Cfg.Model, s.Cfg.mpiOpts(),
+		out, err := workload.GE{Strategy: st}.Run(ctx, geCl, s.model, s.Cfg.mpiOpts(),
 			workload.Spec{N: nGE, Seed: s.Cfg.Seed, Symbolic: true})
 		if err != nil {
 			return nil, err
@@ -61,7 +62,7 @@ func (s *Suite) AblateDistribution(ctx context.Context) (*Table, error) {
 	mmStrats := []dist.Strategy{dist.HetBlock{}, dist.HomBlock{}}
 	var mmBase float64
 	for i, st := range mmStrats {
-		out, err := workload.MM{Strategy: st}.Run(ctx, mmCl, s.Cfg.Model, s.Cfg.mpiOpts(),
+		out, err := workload.MM{Strategy: st}.Run(ctx, mmCl, s.model, s.Cfg.mpiOpts(),
 			workload.Spec{N: nMM, Seed: s.Cfg.Seed, Symbolic: true})
 		if err != nil {
 			return nil, err
@@ -106,14 +107,14 @@ func (s *Suite) AblateContention(ctx context.Context) (*Table, error) {
 	}
 	runs := []runT{
 		{"GE", func(opts mpi.Options) (float64, float64, error) {
-			out, err := workload.GE{}.Run(ctx, geCl, s.Cfg.Model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
+			out, err := workload.GE{}.Run(ctx, geCl, s.model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
 			return out.Work, out.Stats.TimeMS, nil
 		}, geCl},
 		{"MM", func(opts mpi.Options) (float64, float64, error) {
-			out, err := workload.MM{}.Run(ctx, mmCl, s.Cfg.Model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
+			out, err := workload.MM{}.Run(ctx, mmCl, s.model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
@@ -121,8 +122,8 @@ func (s *Suite) AblateContention(ctx context.Context) (*Table, error) {
 		}, mmCl},
 	}
 	for _, r := range runs {
-		for _, contended := range []bool{false, true} {
-			w, timeMS, err := r.run(mpi.Options{Engine: mpi.EngineDES, Contended: contended})
+		for _, wire := range []simnet.WireMode{simnet.WireIdeal, simnet.WireShared} {
+			w, timeMS, err := r.run(mpi.Options{Engine: mpi.EngineDES, Network: wire})
 			if err != nil {
 				return nil, err
 			}
@@ -131,7 +132,7 @@ func (s *Suite) AblateContention(ctx context.Context) (*Table, error) {
 				return nil, err
 			}
 			net := "ideal (no contention)"
-			if contended {
+			if wire == simnet.WireShared {
 				net = "shared Ethernet (1 frame at a time)"
 			}
 			t.AddRow(r.alg, r.cl.Name, net, fmtFloat(timeMS, 2), fmtFloat(eff, 4))

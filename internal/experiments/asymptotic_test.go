@@ -55,10 +55,7 @@ func TestAsymptoticScaleReachesMillionRanksQuickly(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds 10^6-node clusters")
 	}
-	cfg, err := Default()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Default()
 	s, err := NewSuite(cfg)
 	if err != nil {
 		t.Fatal(err)

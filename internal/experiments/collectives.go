@@ -36,7 +36,7 @@ func (s *Suite) AblateCollectives(ctx context.Context) (*Table, error) {
 			return nil, err
 		}
 		for _, im := range impls {
-			out, err := workload.GE{Pivot: im.impl}.Run(ctx, cl, s.Cfg.Model, s.Cfg.mpiOpts(),
+			out, err := workload.GE{Pivot: im.impl}.Run(ctx, cl, s.model, s.Cfg.mpiOpts(),
 				workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return nil, err
@@ -71,7 +71,7 @@ func (s *Suite) AblateOverlap(ctx context.Context) (*Table, error) {
 		n := 120 * p // keep per-rank work roughly constant along the ladder
 		var base float64
 		for _, overlap := range []bool{false, true} {
-			out, err := workload.Jacobi{Overlap: overlap}.Run(ctx, cl, s.Cfg.Model, s.Cfg.mpiOpts(),
+			out, err := workload.Jacobi{Overlap: overlap}.Run(ctx, cl, s.model, s.Cfg.mpiOpts(),
 				workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return nil, err

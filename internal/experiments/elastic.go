@@ -100,11 +100,11 @@ func (s *Suite) ElasticWith(ctx context.Context, stream job.StreamSpec, sharedP 
 		if err != nil {
 			return nil, err
 		}
-		res, err := job.Simulate(ctx, cl, s.Cfg.Model, jobs, pol, elastic)
+		res, err := job.Simulate(ctx, cl, s.model, jobs, pol, elastic)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: elastic %s: %w", name, err)
 		}
-		base, err := job.Simulate(ctx, cl, s.Cfg.Model, jobs, pol, fixed)
+		base, err := job.Simulate(ctx, cl, s.model, jobs, pol, fixed)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: elastic %s (fixed): %w", name, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/runner"
 	"repro/internal/workload"
 )
 
@@ -12,10 +13,7 @@ import (
 // ladder runs in the benchmark harness instead).
 func quickSuite(t *testing.T) *Suite {
 	t.Helper()
-	cfg, err := Quick()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Quick()
 	s, err := NewSuite(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -24,19 +22,11 @@ func quickSuite(t *testing.T) *Suite {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cfg, err := Default()
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := Default()
 	if _, err := NewSuite(cfg); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
 	bad := cfg
-	bad.Model = nil
-	if _, err := NewSuite(bad); err == nil {
-		t.Error("nil model accepted")
-	}
-	bad = cfg
 	bad.Sizes = nil
 	if _, err := NewSuite(bad); err == nil {
 		t.Error("empty ladder accepted")
@@ -232,7 +222,7 @@ func TestRegistryRunsEverything(t *testing.T) {
 		t.Fatal("IDs/All mismatch")
 	}
 	for _, id := range ids {
-		outcomes, err := RunSelected(context.Background(), s, []string{id}, RunOptions{Jobs: 1})
+		outcomes, err := RunSelected(context.Background(), s, []string{id}, runner.Options{Jobs: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}

@@ -156,7 +156,7 @@ func (s *Suite) TraceDecomposition(ctx context.Context) (*Table, error) {
 		tr := trace.New()
 		opts := s.Cfg.mpiOpts()
 		opts.Trace = tr
-		out, err := w.Run(ctx, cl, s.Cfg.Model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
+		out, err := w.Run(ctx, cl, s.model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: tracedecomp %s: %w", w.Name(), err)
 		}
@@ -222,14 +222,14 @@ func (s *Suite) AblateNetworks(ctx context.Context) (*Table, error) {
 	}
 	for _, a := range []alg{
 		{"MM", func(opts mpi.Options) (float64, float64, error) {
-			out, err := workload.MM{}.Run(ctx, cl, s.Cfg.Model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
+			out, err := workload.MM{}.Run(ctx, cl, s.model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}
 			return out.Work, out.Stats.TimeMS, nil
 		}},
 		{"Jacobi", func(opts mpi.Options) (float64, float64, error) {
-			out, err := workload.Jacobi{}.Run(ctx, cl, s.Cfg.Model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
+			out, err := workload.Jacobi{}.Run(ctx, cl, s.model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
 			if err != nil {
 				return 0, 0, err
 			}

@@ -265,7 +265,7 @@ func TestReadOffRobustUnderJitter(t *testing.T) {
 	}
 	runner := func(jitter float64, seed int64) core.Runner {
 		return func(n int) (float64, float64, error) {
-			out, err := workload.GE{}.Run(context.Background(), cl, s.Cfg.Model, mpi.Options{
+			out, err := workload.GE{}.Run(context.Background(), cl, s.model, mpi.Options{
 				Jitter: jitter, JitterSeed: seed,
 			}, workload.Spec{N: n, Symbolic: true})
 			if err != nil {

@@ -55,7 +55,7 @@ func (s *Suite) FaultSweep(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dcl, dmodel, inj, err := plan.Apply(cl, s.Cfg.Model)
+		dcl, dmodel, inj, err := plan.Apply(cl, s.model)
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +105,7 @@ func (s *Suite) CrashRestart(ctx context.Context) (*Table, error) {
 	ge := workload.MustGet("ge")
 	opts := s.Cfg.mpiOpts()
 	spec := workload.Spec{N: faultSweepN, Seed: s.Cfg.Seed, Symbolic: true}
-	base, err := ge.Run(ctx, cl, s.Cfg.Model, opts, spec)
+	base, err := ge.Run(ctx, cl, s.model, opts, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -127,13 +127,13 @@ func (s *Suite) CrashRestart(ctx context.Context) (*Table, error) {
 	}
 	for _, sc := range scenarios {
 		plan := faults.Plan{Seed: s.Cfg.Seed, Crashes: sc.crashes}
-		_, _, inj, err := plan.Apply(cl, s.Cfg.Model)
+		_, _, inj, err := plan.Apply(cl, s.model)
 		if err != nil {
 			return nil, err
 		}
 		fopts := opts
 		fopts.Faults = inj
-		_, runErr := ge.Run(ctx, cl, s.Cfg.Model, fopts, spec)
+		_, runErr := ge.Run(ctx, cl, s.model, fopts, spec)
 		if runErr == nil {
 			return nil, fmt.Errorf("experiments: crash plan %q did not tear down the run", sc.label)
 		}
@@ -165,7 +165,7 @@ func (s *Suite) CrashRestart(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		rerun, err := ge.Run(ctx, sub, s.Cfg.Model, opts, spec)
+		rerun, err := ge.Run(ctx, sub, s.model, opts, spec)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: restart of %q: %w", sc.label, err)
 		}

@@ -5,6 +5,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 func TestFaultSweepDegradesPsi(t *testing.T) {
@@ -85,7 +87,7 @@ func TestFaultExperimentsDeterministic(t *testing.T) {
 		s := quickSuite(t)
 		out := map[string]string{}
 		for _, id := range []string{"fault-sweep", "crash-restart", "table2"} {
-			outcomes, err := RunSelected(context.Background(), s, []string{id}, RunOptions{Jobs: 1})
+			outcomes, err := RunSelected(context.Background(), s, []string{id}, runner.Options{Jobs: 1})
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}

@@ -61,7 +61,7 @@ func (s *Suite) JobStreamWith(ctx context.Context, stream job.StreamSpec, shared
 		if err != nil {
 			return nil, err
 		}
-		res, err := job.Simulate(ctx, cl, s.Cfg.Model, jobs, pol, opts)
+		res, err := job.Simulate(ctx, cl, s.model, jobs, pol, opts)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: jobstream %s: %w", name, err)
 		}

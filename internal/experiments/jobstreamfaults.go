@@ -91,11 +91,11 @@ func (s *Suite) JobStreamFaultsWith(ctx context.Context, stream job.StreamSpec, 
 		if err != nil {
 			return nil, err
 		}
-		base, err := job.Simulate(ctx, cl, s.Cfg.Model, jobs, pol, plain)
+		base, err := job.Simulate(ctx, cl, s.model, jobs, pol, plain)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: jobstream-faults %s (undisturbed): %w", name, err)
 		}
-		res, err := job.Simulate(ctx, cl, s.Cfg.Model, jobs, pol, faulted)
+		res, err := job.Simulate(ctx, cl, s.model, jobs, pol, faulted)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: jobstream-faults %s: %w", name, err)
 		}

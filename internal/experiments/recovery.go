@@ -66,7 +66,7 @@ func (s *Suite) RecoveredSweep(ctx context.Context) (*Table, error) {
 	ge := workload.MustGet("ge")
 	opts := s.Cfg.mpiOpts()
 	spec := recoveredGESpec(s, cl)
-	base, err := ge.Run(ctx, cl, s.Cfg.Model, opts, spec)
+	base, err := ge.Run(ctx, cl, s.model, opts, spec)
 	if err != nil {
 		return nil, err
 	}
@@ -84,13 +84,13 @@ func (s *Suite) RecoveredSweep(ctx context.Context) (*Table, error) {
 		fopts := opts
 		if withFaults != nil {
 			plan := faults.Plan{Seed: s.Cfg.Seed, Crashes: withFaults}
-			_, _, inj, err := plan.Apply(cl, s.Cfg.Model)
+			_, _, inj, err := plan.Apply(cl, s.model)
 			if err != nil {
 				return err
 			}
 			fopts.Faults = inj
 		}
-		out, rec, err := ge.RunRecovered(ctx, cl, s.Cfg.Model, fopts, spec, rcfg)
+		out, rec, err := ge.RunRecovered(ctx, cl, s.model, fopts, spec, rcfg)
 		if err != nil {
 			return fmt.Errorf("experiments: recovered scenario %q: %w", label, err)
 		}
@@ -142,13 +142,13 @@ func (s *Suite) CheckpointInterval(ctx context.Context) (*Table, error) {
 	ge := workload.MustGet("ge")
 	opts := s.Cfg.mpiOpts()
 	spec := recoveredGESpec(s, cl)
-	base, err := ge.Run(ctx, cl, s.Cfg.Model, opts, spec)
+	base, err := ge.Run(ctx, cl, s.model, opts, spec)
 	if err != nil {
 		return nil, err
 	}
 	crash := []faults.Crash{{Rank: 3, AtMS: 0.5 * base.VirtualTime}}
 	plan := faults.Plan{Seed: s.Cfg.Seed, Crashes: crash}
-	_, _, inj, err := plan.Apply(cl, s.Cfg.Model)
+	_, _, inj, err := plan.Apply(cl, s.model)
 	if err != nil {
 		return nil, err
 	}
@@ -159,13 +159,13 @@ func (s *Suite) CheckpointInterval(ctx context.Context) (*Table, error) {
 	}
 	for _, interval := range checkpointIntervals {
 		rcfg := workload.RecoveryConfig{IntervalSteps: interval}
-		_, healthy, err := ge.RunRecovered(ctx, cl, s.Cfg.Model, opts, spec, rcfg)
+		_, healthy, err := ge.RunRecovered(ctx, cl, s.model, opts, spec, rcfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: healthy interval %d: %w", interval, err)
 		}
 		fopts := opts
 		fopts.Faults = inj
-		out, crashed, err := ge.RunRecovered(ctx, cl, s.Cfg.Model, fopts, spec, rcfg)
+		out, crashed, err := ge.RunRecovered(ctx, cl, s.model, fopts, spec, rcfg)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: crashed interval %d: %w", interval, err)
 		}

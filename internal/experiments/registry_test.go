@@ -5,6 +5,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/runner"
 )
 
 func TestRegistryOrderAndGroups(t *testing.T) {
@@ -137,7 +139,7 @@ func TestLookupMatchesAll(t *testing.T) {
 		}
 	}
 	s := quickSuite(t)
-	outcomes, err := RunSelected(context.Background(), s, []string{"table1"}, RunOptions{Jobs: 1})
+	outcomes, err := RunSelected(context.Background(), s, []string{"table1"}, runner.Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"repro/internal/runner"
 )
 
 // WriteMarkdownReport runs the given experiments (all registered ones when
@@ -13,7 +15,7 @@ import (
 // are scheduled on the concurrent runner (opts.Jobs workers) but the
 // document order always follows ids. This is the self-generating
 // counterpart of EXPERIMENTS.md.
-func WriteMarkdownReport(ctx context.Context, s *Suite, w io.Writer, ids []string, generatedAt time.Time, opts RunOptions) error {
+func WriteMarkdownReport(ctx context.Context, s *Suite, w io.Writer, ids []string, generatedAt time.Time, opts runner.Options) error {
 	if len(ids) == 0 {
 		ids = IDs()
 	}

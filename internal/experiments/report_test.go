@@ -5,12 +5,14 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/runner"
 )
 
 func TestWriteMarkdownReport(t *testing.T) {
 	s := quickSuite(t)
 	var out strings.Builder
-	if err := WriteMarkdownReport(context.Background(), s, &out, []string{"table1", "ablate-tiling"}, time.Unix(0, 0).UTC(), RunOptions{}); err != nil {
+	if err := WriteMarkdownReport(context.Background(), s, &out, []string{"table1", "ablate-tiling"}, time.Unix(0, 0).UTC(), runner.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -26,7 +28,7 @@ func TestWriteMarkdownReport(t *testing.T) {
 			t.Errorf("report missing %q", frag)
 		}
 	}
-	if err := WriteMarkdownReport(context.Background(), s, &out, []string{"bogus"}, time.Now(), RunOptions{}); err == nil {
+	if err := WriteMarkdownReport(context.Background(), s, &out, []string{"bogus"}, time.Now(), runner.Options{}); err == nil {
 		t.Error("unknown id accepted")
 	}
 }

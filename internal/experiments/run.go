@@ -8,18 +8,6 @@ import (
 	"repro/internal/runner"
 )
 
-// RunOptions configures a scheduled experiment batch.
-type RunOptions struct {
-	// Jobs bounds the worker pool (<= 0: runtime.GOMAXPROCS(0)).
-	Jobs int
-	// Hooks receives per-experiment progress/timing callbacks (may be
-	// invoked concurrently).
-	Hooks runner.Hooks
-	// Pool, when non-nil, bounds execution across concurrent batches
-	// sharing it (e.g. simultaneous server requests) in addition to Jobs.
-	Pool *runner.Pool
-}
-
 // Outcome is one experiment's scheduled result.
 type Outcome struct {
 	ID          string
@@ -33,7 +21,8 @@ type Outcome struct {
 // measurement sweeps through the suite's memo cache, so a batch never
 // computes a (cluster, model, W) run point twice. On failure the
 // returned error is the one a serial execution would have hit first.
-func RunSelected(ctx context.Context, s *Suite, ids []string, opts RunOptions) ([]Outcome, error) {
+// opts sizes the worker pool and receives the per-experiment hooks.
+func RunSelected(ctx context.Context, s *Suite, ids []string, opts runner.Options) ([]Outcome, error) {
 	tasks := make([]runner.Task, len(ids))
 	for i, id := range ids {
 		exp, ok := Lookup(id)
@@ -53,7 +42,7 @@ func RunSelected(ctx context.Context, s *Suite, ids []string, opts RunOptions) (
 			},
 		}
 	}
-	results, err := runner.Run(ctx, tasks, runner.Options{Jobs: opts.Jobs, Hooks: opts.Hooks, Pool: opts.Pool})
+	results, err := runner.Run(ctx, tasks, opts)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

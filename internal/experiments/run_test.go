@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/runner"
 )
 
 // renderAll renders outcomes to one string through the text renderer —
@@ -36,16 +37,13 @@ func TestRunSelectedParallelMatchesSerial(t *testing.T) {
 	ids := []string{"table1", "table2", "table3", "table4", "table5", "fig1", "ablate-tiling"}
 	for _, engine := range []mpi.Engine{mpi.EngineLive, mpi.EngineDES} {
 		render := func(jobs int) string {
-			cfg, err := Quick()
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := Quick()
 			cfg.Engine = engine
 			s, err := NewSuite(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			outcomes, err := RunSelected(context.Background(), s, ids, RunOptions{Jobs: jobs})
+			outcomes, err := RunSelected(context.Background(), s, ids, runner.Options{Jobs: jobs})
 			if err != nil {
 				t.Fatalf("engine %s jobs %d: %v", engine, jobs, err)
 			}
@@ -76,7 +74,7 @@ func TestCacheSharesChainAcrossExperiments(t *testing.T) {
 	if st := s.CacheStats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("fresh suite has stats %+v", st)
 	}
-	if _, err := RunSelected(context.Background(), s, []string{"fig1", "table3"}, RunOptions{Jobs: 2}); err != nil {
+	if _, err := RunSelected(context.Background(), s, []string{"fig1", "table3"}, runner.Options{Jobs: 2}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.CacheStats()
@@ -94,11 +92,11 @@ func TestCacheSharesChainAcrossExperiments(t *testing.T) {
 // Repeating an experiment on the same suite is all hits, no new misses.
 func TestCacheRepeatIsAllHits(t *testing.T) {
 	s := quickSuite(t)
-	if _, err := RunSelected(context.Background(), s, []string{"table4"}, RunOptions{Jobs: 1}); err != nil {
+	if _, err := RunSelected(context.Background(), s, []string{"table4"}, runner.Options{Jobs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	first := s.CacheStats()
-	if _, err := RunSelected(context.Background(), s, []string{"table4"}, RunOptions{Jobs: 1}); err != nil {
+	if _, err := RunSelected(context.Background(), s, []string{"table4"}, runner.Options{Jobs: 1}); err != nil {
 		t.Fatal(err)
 	}
 	second := s.CacheStats()
@@ -112,7 +110,7 @@ func TestCacheRepeatIsAllHits(t *testing.T) {
 
 func TestRunSelectedUnknownID(t *testing.T) {
 	s := quickSuite(t)
-	if _, err := RunSelected(context.Background(), s, []string{"table1", "nope"}, RunOptions{}); err == nil {
+	if _, err := RunSelected(context.Background(), s, []string{"table1", "nope"}, runner.Options{}); err == nil {
 		t.Error("unknown id accepted")
 	}
 }
@@ -121,7 +119,7 @@ func TestRunSelectedHonorsCancellation(t *testing.T) {
 	s := quickSuite(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunSelected(ctx, s, []string{"table2"}, RunOptions{Jobs: 1}); err == nil {
+	if _, err := RunSelected(ctx, s, []string{"table2"}, runner.Options{Jobs: 1}); err == nil {
 		t.Error("canceled context accepted")
 	}
 }
@@ -129,7 +127,7 @@ func TestRunSelectedHonorsCancellation(t *testing.T) {
 func TestRunSelectedHooksFire(t *testing.T) {
 	s := quickSuite(t)
 	var started, finished atomic.Int32
-	opts := RunOptions{Jobs: 2}
+	opts := runner.Options{Jobs: 2}
 	opts.Hooks.Started = func(id string) { started.Add(1) }
 	opts.Hooks.Finished = func(id string, _ time.Duration, err error) {
 		if err != nil {
@@ -153,7 +151,7 @@ func TestRunSelectedHooksFire(t *testing.T) {
 
 func TestFlattenPreservesOrder(t *testing.T) {
 	s := quickSuite(t)
-	outcomes, err := RunSelected(context.Background(), s, []string{"table1", "ablate-tiling"}, RunOptions{Jobs: 2})
+	outcomes, err := RunSelected(context.Background(), s, []string{"table1", "ablate-tiling"}, runner.Options{Jobs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,9 +16,6 @@ import (
 
 // Config controls how the experiments run.
 type Config struct {
-	// Model is the communication cost model (default: Sunwulf 100 Mb
-	// Ethernet calibration).
-	Model simnet.CostModel
 	// Engine selects the execution engine for measurements.
 	Engine mpi.Engine
 	// Contended turns on shared-medium queueing (DES engine only).
@@ -57,13 +54,8 @@ type Config struct {
 }
 
 // Default returns the full-paper configuration.
-func Default() (Config, error) {
-	m, err := simnet.NewParamModel("sunwulf-100Mb", simnet.Sunwulf100())
-	if err != nil {
-		return Config{}, err
-	}
+func Default() Config {
 	return Config{
-		Model:       m,
 		Engine:      mpi.EngineLive,
 		Sizes:       append([]int(nil), cluster.PaperSizes...),
 		AsymSizes:   []int{100, 1000, 10000, 100000, 1000000},
@@ -71,26 +63,20 @@ func Default() (Config, error) {
 		MMTarget:    0.2,
 		SweepPoints: 8,
 		Seed:        20050614, // ICPP 2005
-	}, nil
+	}
 }
 
 // Quick returns a reduced configuration (smaller ladder, fewer sweep
 // points) for tests and smoke runs.
-func Quick() (Config, error) {
-	cfg, err := Default()
-	if err != nil {
-		return Config{}, err
-	}
+func Quick() Config {
+	cfg := Default()
 	cfg.Sizes = []int{2, 4, 8}
 	cfg.AsymSizes = []int{100, 1000, 10000}
 	cfg.SweepPoints = 6
-	return cfg, nil
+	return cfg
 }
 
 func (c Config) validate() error {
-	if c.Model == nil {
-		return errors.New("experiments: nil cost model")
-	}
 	if len(c.Sizes) == 0 {
 		return errors.New("experiments: empty size ladder")
 	}
@@ -115,7 +101,11 @@ func (c Config) validate() error {
 }
 
 func (c Config) mpiOpts() mpi.Options {
-	return mpi.Options{Engine: c.Engine, Contended: c.Contended, Trace: c.Trace}
+	o := mpi.Options{Engine: c.Engine, Trace: c.Trace}
+	if c.Contended {
+		o.Network = simnet.WireShared
+	}
+	return o
 }
 
 // Suite is the execution context shared by all experiments of one
@@ -128,6 +118,9 @@ func (c Config) mpiOpts() mpi.Options {
 type Suite struct {
 	Cfg Config
 
+	// model is the communication cost model every measurement runs
+	// under: the Sunwulf 100 Mb Ethernet calibration.
+	model simnet.CostModel
 	cache *runner.Cache
 }
 
@@ -145,7 +138,11 @@ func NewSuite(cfg Config) (*Suite, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	s := &Suite{Cfg: cfg, cache: runner.NewCache()}
+	model, err := simnet.NewParamModel("sunwulf-100Mb", simnet.Sunwulf100())
+	if err != nil {
+		return nil, err
+	}
+	s := &Suite{Cfg: cfg, model: model, cache: runner.NewCache()}
 	if cfg.CacheDir != "" && cfg.Trace == nil {
 		disk, err := runner.OpenDiskCache(cfg.CacheDir)
 		if err != nil {
@@ -174,7 +171,7 @@ const cacheGeneration = 1
 func (s *Suite) baseSig(kind string) *runner.Signature {
 	return runner.Sig(kind).
 		Add("gen", cacheGeneration).
-		Add("model", s.Cfg.Model.Name()).
+		Add("model", s.model.Name()).
 		Add("engine", s.Cfg.Engine).
 		Add("contended", s.Cfg.Contended).
 		Add("seed", s.Cfg.Seed)
@@ -215,7 +212,7 @@ func (s *Suite) cachedRun(ctx context.Context, alg string, cl *cluster.Cluster, 
 func (s *Suite) runnerFor(ctx context.Context, w workload.Workload, cl *cluster.Cluster) core.Runner {
 	return func(n int) (float64, float64, error) {
 		p, err := s.cachedRun(ctx, w.Name(), cl, n, func(ctx context.Context) (runPoint, error) {
-			out, err := w.Run(ctx, cl, s.Cfg.Model, s.Cfg.mpiOpts(), workload.Spec{
+			out, err := w.Run(ctx, cl, s.model, s.Cfg.mpiOpts(), workload.Spec{
 				N:        n,
 				Seed:     s.Cfg.Seed,
 				Symbolic: true,
@@ -235,7 +232,7 @@ func (s *Suite) runnerFor(ctx context.Context, w workload.Workload, cl *cluster.
 // machineFor builds the workload's analytic model (§4.5 for GE) under the
 // suite's cost model.
 func (s *Suite) machineFor(w workload.Workload, cl *cluster.Cluster) (core.AnalyticMachine, error) {
-	return w.Machine(cl, s.Cfg.Model)
+	return w.Machine(cl, s.model)
 }
 
 // targetFor maps a workload to its configured speed-efficiency set-point:
@@ -264,7 +261,7 @@ func (s *Suite) studyOpts(target float64) core.StudyOptions {
 func (s *Suite) measureChain(ctx context.Context, w workload.Workload, clusters []*cluster.Cluster, target float64) (*chainResult, error) {
 	targets := make([]core.StudyTarget, 0, len(clusters))
 	for _, cl := range clusters {
-		t, err := workload.Target(w, cl, s.Cfg.Model, s.runnerFor(ctx, w, cl))
+		t, err := workload.Target(w, cl, s.model, s.runnerFor(ctx, w, cl))
 		if err != nil {
 			return nil, err
 		}

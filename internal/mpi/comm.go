@@ -197,13 +197,10 @@ func (e Engine) String() string {
 type Options struct {
 	// Engine selects live (default), DES or symbolic execution.
 	Engine Engine
-	// Contended enables shared-medium queueing for point-to-point
-	// transfers (shorthand for Network: simnet.WireShared). Only the DES
-	// engine honors it; Run rejects it on the other engines.
-	Contended bool
 	// Network selects the medium model for point-to-point transfers:
 	// ideal (default), shared hub Ethernet, or a non-blocking switch with
-	// per-port queueing. DES engine only.
+	// per-port queueing. Only the DES engine queues; Run rejects a
+	// non-ideal mode on the other engines.
 	Network simnet.WireMode
 	// Trace, when non-nil, records every rank's virtual timeline
 	// (compute/send/recv/wait/collective spans) for Gantt rendering and
@@ -280,7 +277,7 @@ func validateRun(cl *cluster.Cluster, model simnet.CostModel, opts Options, prog
 	if opts.Engine != EngineLive && opts.Engine != EngineDES && opts.Engine != EngineSymbolic {
 		return fmt.Errorf("mpi: unknown engine %v", opts.Engine)
 	}
-	if opts.Engine != EngineDES && (opts.Contended || opts.Network != simnet.WireIdeal) {
+	if opts.Engine != EngineDES && opts.Network != simnet.WireIdeal {
 		return errors.New("mpi: network contention requires the DES engine")
 	}
 	return nil

@@ -102,21 +102,10 @@ func (t *desTransport) BroadcastDeath(rank int, atMS float64) {
 // alongside the rank's own error.
 func (t *desTransport) Abort() {}
 
-// wireMode normalizes the Options network selection.
-func wireMode(opts Options) simnet.WireMode {
-	if opts.Network != simnet.WireIdeal {
-		return opts.Network
-	}
-	if opts.Contended {
-		return simnet.WireShared
-	}
-	return simnet.WireIdeal
-}
-
 // runDES executes program on the DES transport, optionally with a
 // contended wire.
 func runDES(cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program) (Result, error) {
 	k := des.NewKernel()
-	wire := simnet.NewWireMode(k, model, wireMode(opts), cl.Size())
+	wire := simnet.NewWireMode(k, model, opts.Network, cl.Size())
 	return runWorld(cl, model, opts, program, NewDESTransport(k, wire, cl.Size()))
 }

@@ -40,7 +40,7 @@ var engines = []struct {
 }{
 	{"live", Options{Engine: EngineLive}},
 	{"des", Options{Engine: EngineDES}},
-	{"des-contended", Options{Engine: EngineDES, Contended: true}},
+	{"des-contended", Options{Engine: EngineDES, Network: simnet.WireShared}},
 	{"symbolic", Options{Engine: EngineSymbolic}},
 }
 
@@ -57,11 +57,11 @@ func TestValidateRun(t *testing.T) {
 	if _, err := Run(context.Background(), cl, m, Options{}, nil); err == nil {
 		t.Error("nil program accepted")
 	}
-	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineLive, Contended: true}, prog); err == nil {
-		t.Error("live+contended accepted")
+	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineLive, Network: simnet.WireShared}, prog); err == nil {
+		t.Error("live+shared network accepted")
 	}
-	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic, Contended: true}, prog); err == nil {
-		t.Error("symbolic+contended accepted")
+	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic, Network: simnet.WireShared}, prog); err == nil {
+		t.Error("symbolic+shared network accepted")
 	}
 	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic, Network: simnet.WireSwitched}, prog); err == nil {
 		t.Error("symbolic+switched network accepted")
@@ -453,7 +453,7 @@ func TestContentionSlowsConcurrentTransfers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	busy, err := Run(context.Background(), cl, m, Options{Engine: EngineDES, Contended: true}, prog)
+	busy, err := Run(context.Background(), cl, m, Options{Engine: EngineDES, Network: simnet.WireShared}, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

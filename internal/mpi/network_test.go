@@ -57,29 +57,3 @@ func TestNetworkModesOrdering(t *testing.T) {
 		t.Errorf("shared bus %g did not serialize 6 transfers (unit %g)", shared, m.TransferTime(40000*8))
 	}
 }
-
-func TestContendedAliasStillWorks(t *testing.T) {
-	cl := testCluster(t, 50, 50, 50)
-	m := testModel(t)
-	prog := func(c Comm) error {
-		if c.Rank() == 0 {
-			for r := 1; r < c.Size(); r++ {
-				c.Recv(r, 0)
-			}
-			return nil
-		}
-		c.Send(0, 0, make([]float64, 30000))
-		return nil
-	}
-	viaBool, err := Run(context.Background(), cl, m, Options{Engine: EngineDES, Contended: true}, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaMode, err := Run(context.Background(), cl, m, Options{Engine: EngineDES, Network: simnet.WireShared}, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaBool.TimeMS != viaMode.TimeMS {
-		t.Errorf("Contended alias %g != explicit shared %g", viaBool.TimeMS, viaMode.TimeMS)
-	}
-}

@@ -9,9 +9,9 @@ import (
 )
 
 // runReconfiguredBoth executes the factory under both engines with the
-// same plan, injector and recovery options, asserting the results are
-// bit-identical, and returns the live result.
-func runReconfiguredBoth(t *testing.T, speeds []float64, inj FaultInjector, ropts RecoveryOptions, plan []ReconfigEvent, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
+// same plan and injector, asserting the results are bit-identical, and
+// returns the live result.
+func runReconfiguredBoth(t *testing.T, speeds []float64, inj FaultInjector, plan []ReconfigEvent, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
 	t.Helper()
 	cl := testCluster(t, speeds...)
 	m := testModel(t)
@@ -20,7 +20,7 @@ func runReconfiguredBoth(t *testing.T, speeds []float64, inj FaultInjector, ropt
 	for _, e := range bothEngines {
 		opts := e.opts
 		opts.Faults = inj
-		res, err := RunReconfigurable(context.Background(), cl, m, opts, ropts, plan, factory)
+		res, err := RunReconfigurable(context.Background(), cl, m, opts, plan, factory)
 		results = append(results, res)
 		errs = append(errs, err)
 	}
@@ -55,8 +55,8 @@ func TestReconfigurableEmptyPlanMatchesRecoverable(t *testing.T) {
 	cl := testCluster(t, speeds...)
 	m := testModel(t)
 	opts := Options{Engine: EngineDES, Faults: inj}
-	a, errA := RunReconfigurable(context.Background(), cl, m, opts, RecoveryOptions{}, nil, factory)
-	b, errB := RunReconfigurable(context.Background(), cl, m, opts, RecoveryOptions{}, []ReconfigEvent{}, factory)
+	a, errA := RunReconfigurable(context.Background(), cl, m, opts, nil, factory)
+	b, errB := RunReconfigurable(context.Background(), cl, m, opts, []ReconfigEvent{}, factory)
 	if (errA == nil) != (errB == nil) {
 		t.Fatalf("error disagreement: %v vs %v", errA, errB)
 	}
@@ -80,7 +80,7 @@ func TestReconfigurableShrinkThenGrow(t *testing.T) {
 	}
 	var starts []int
 	var members [][]int
-	rec, err := runReconfiguredBoth(t, speeds, nil, RecoveryOptions{}, plan,
+	rec, err := runReconfiguredBoth(t, speeds, nil, plan,
 		memberFactory(20, 2, &starts, &members))
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestReconfigurableShrinkThenGrow(t *testing.T) {
 		if len(ev.Outcome.Crashed) != 0 {
 			t.Errorf("planned event %d blames crashes: %+v", i, ev.Outcome)
 		}
-		// Planned stops charge ReconfigMS (default = RestartMS = 5), no
+		// Planned stops charge the 5 ms reconfiguration cost, no
 		// detection latency.
 		if ev.ResumeMS != ev.FailedAtMS+5 {
 			t.Errorf("event %d ResumeMS %.3f, want FailedAtMS %.3f + 5", i, ev.ResumeMS, ev.FailedAtMS)
@@ -145,7 +145,7 @@ func TestReconfigurableStaleEventAppliesAtStart(t *testing.T) {
 	speeds := []float64{100, 80, 120}
 	plan := []ReconfigEvent{{AtMS: 0, Ranks: []int{0, 2}}}
 	var members [][]int
-	rec, err := runReconfiguredBoth(t, speeds, nil, RecoveryOptions{}, plan,
+	rec, err := runReconfiguredBoth(t, speeds, nil, plan,
 		memberFactory(8, 0, nil, &members))
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +169,7 @@ func TestReconfigurableCrashedRankNeverRejoins(t *testing.T) {
 	inj := &testInjector{crashAt: map[int]float64{1: 4.0}, maxAttempts: 1}
 	plan := []ReconfigEvent{{AtMS: 40, Ranks: []int{0, 1, 2}}}
 	var members [][]int
-	rec, err := runReconfiguredBoth(t, speeds, inj, RecoveryOptions{}, plan,
+	rec, err := runReconfiguredBoth(t, speeds, inj, plan,
 		memberFactory(30, 5, nil, &members))
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestReconfigurablePlanValidation(t *testing.T) {
 		{"unsorted ranks", []ReconfigEvent{{AtMS: 5, Ranks: []int{1, 0}}}, "ascending"},
 	}
 	for _, tc := range cases {
-		_, err := RunReconfigurable(context.Background(), cl, m, Options{}, RecoveryOptions{}, tc.plan, factory)
+		_, err := RunReconfigurable(context.Background(), cl, m, Options{}, tc.plan, factory)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: want error containing %q, got %v", tc.name, tc.want, err)
 		}
@@ -221,7 +221,7 @@ func TestReconfigurablePlanValidation(t *testing.T) {
 func TestReconfigurableDeadTarget(t *testing.T) {
 	inj := &testInjector{crashAt: map[int]float64{1: 2.0}, maxAttempts: 1}
 	plan := []ReconfigEvent{{AtMS: 10, Ranks: []int{1}}}
-	_, err := runReconfiguredBoth(t, []float64{100, 100}, inj, RecoveryOptions{}, plan,
+	_, err := runReconfiguredBoth(t, []float64{100, 100}, inj, plan,
 		phasedFactory(40, 5, nil))
 	if err == nil || !errors.Is(err, ErrRecoveryFailed) {
 		t.Fatalf("want ErrRecoveryFailed for a dead reconfiguration target, got %v", err)

@@ -43,71 +43,26 @@ import (
 	"repro/internal/trace"
 )
 
-// RecoveryOptions prices the recovery protocol in virtual time.
-type RecoveryOptions struct {
-	// WriteMBps is the per-rank bandwidth to stable storage for
-	// checkpoint writes (default 100 MB/s).
-	WriteMBps float64
-	// WriteLatencyMS is the fixed per-checkpoint write latency each rank
-	// pays regardless of blob size (default 0.5 ms).
-	WriteLatencyMS float64
-	// DetectMS is the failure-detection latency charged between an
-	// attempt's failure and the start of recovery (default 1 ms).
-	DetectMS float64
-	// RestartMS is the re-instantiation cost: rebuilding global state from
-	// stable storage and respawning the survivor processes (default 5 ms).
-	RestartMS float64
-	// ReconfigMS is the planned-reconfiguration cost charged between a
-	// scheduled membership stop and the next instance's start: quiescing,
-	// membership agreement and re-instantiation, with no detection
-	// latency — the change is scheduled, not discovered
-	// (default: RestartMS).
-	ReconfigMS float64
-	// MaxAttempts bounds UNPLANNED failures, the initial run included
-	// (default: cluster size — each recovery loses at least one rank).
-	// Planned reconfigurations do not consume the budget.
-	MaxAttempts int
-}
-
-func (o RecoveryOptions) withDefaults(size int) RecoveryOptions {
-	if o.WriteMBps == 0 {
-		o.WriteMBps = 100
-	}
-	if o.WriteLatencyMS == 0 {
-		o.WriteLatencyMS = 0.5
-	}
-	if o.DetectMS == 0 {
-		o.DetectMS = 1
-	}
-	if o.RestartMS == 0 {
-		o.RestartMS = 5
-	}
-	if o.ReconfigMS == 0 {
-		o.ReconfigMS = o.RestartMS
-	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = size
-	}
-	return o
-}
-
-func (o RecoveryOptions) validate() error {
-	switch {
-	case o.WriteMBps < 0 || math.IsNaN(o.WriteMBps) || math.IsInf(o.WriteMBps, 0):
-		return fmt.Errorf("mpi: recovery write bandwidth %g invalid", o.WriteMBps)
-	case o.WriteLatencyMS < 0 || math.IsNaN(o.WriteLatencyMS):
-		return fmt.Errorf("mpi: recovery write latency %g invalid", o.WriteLatencyMS)
-	case o.DetectMS < 0 || math.IsNaN(o.DetectMS):
-		return fmt.Errorf("mpi: recovery detection latency %g invalid", o.DetectMS)
-	case o.RestartMS < 0 || math.IsNaN(o.RestartMS):
-		return fmt.Errorf("mpi: recovery restart cost %g invalid", o.RestartMS)
-	case o.ReconfigMS < 0 || math.IsNaN(o.ReconfigMS):
-		return fmt.Errorf("mpi: reconfiguration cost %g invalid", o.ReconfigMS)
-	case o.MaxAttempts < 1:
-		return fmt.Errorf("mpi: recovery needs MaxAttempts >= 1, got %d", o.MaxAttempts)
-	}
-	return nil
-}
+// The recovery protocol's prices in virtual time.
+const (
+	// ckptWriteMBps is the per-rank bandwidth to stable storage for
+	// checkpoint writes.
+	ckptWriteMBps = 100.0
+	// ckptWriteLatencyMS is the fixed per-checkpoint write latency each
+	// rank pays regardless of blob size.
+	ckptWriteLatencyMS = 0.5
+	// detectMS is the failure-detection latency charged between an
+	// attempt's failure and the start of recovery.
+	detectMS = 1.0
+	// restartMS is the re-instantiation cost: rebuilding global state
+	// from stable storage and respawning the survivor processes.
+	restartMS = 5.0
+	// reconfigMS is the planned-reconfiguration cost charged between a
+	// scheduled membership stop and the next instance's start:
+	// quiescing, membership agreement and re-instantiation, with no
+	// detection latency — the change is scheduled, not discovered.
+	reconfigMS = restartMS
+)
 
 // ReconfigEvent is one planned membership change: at virtual instant
 // AtMS the running instance is stopped at its last committed checkpoint
@@ -185,7 +140,8 @@ type Instance struct {
 	// last entry), for programs whose state accretes across checkpoints.
 	History []Snapshot
 	// BaseMS is the virtual instant this instance starts at: 0 for the
-	// initial run, failure time + DetectMS + RestartMS afterwards.
+	// initial run, the previous attempt's end + the recovery charge
+	// (see RecoveryEvent.ResumeMS) afterwards.
 	BaseMS float64
 }
 
@@ -207,7 +163,8 @@ type RecoveryEvent struct {
 	// rank id.
 	Outcome FaultOutcome
 	// FailedAtMS is the failed attempt's makespan; ResumeMS is where the
-	// next attempt starts (FailedAtMS + DetectMS + RestartMS).
+	// next attempt starts: FailedAtMS + 1 ms detection + 5 ms restart,
+	// or + 5 ms reconfiguration for a planned change.
 	FailedAtMS float64
 	ResumeMS   float64
 	// ResumeSeq is the global Seq of the snapshot the next attempt
@@ -241,7 +198,8 @@ type RecoveredResult struct {
 }
 
 // ErrRecoveryFailed marks a run the recovery supervisor abandoned for a
-// priceable reason — the attempt budget ran out or no rank survived.
+// priceable reason — no rank survived a failure, or a planned
+// reconfiguration found none of its target ranks alive.
 // Schedulers match it with errors.Is to distinguish "this job died on
 // this placement" (requeue it) from a program bug (abort the
 // simulation). Non-fault errors are never wrapped in it.
@@ -320,7 +278,6 @@ type pendingCkpt struct {
 
 // Checkpointer provides the Save collective to one program instance.
 type Checkpointer struct {
-	opts  RecoveryOptions
 	log   *recoveryLog
 	ranks []int // instance rank -> original rank id
 
@@ -329,16 +286,16 @@ type Checkpointer struct {
 	pending []*pendingCkpt
 }
 
-func newCheckpointer(opts RecoveryOptions, ranks []int, log *recoveryLog) *Checkpointer {
-	return &Checkpointer{opts: opts, log: log, ranks: ranks, rankSeq: make([]int, len(ranks))}
+func newCheckpointer(ranks []int, log *recoveryLog) *Checkpointer {
+	return &Checkpointer{log: log, ranks: ranks, rankSeq: make([]int, len(ranks))}
 }
 
 // Save is the coordinated-checkpoint collective: every rank of the
 // instance must call it the same number of times at the same points of
 // the program. The rank writes its state blob to stable storage — paying
-// WriteLatencyMS + bytes/WriteMBps of virtual time, so a rank whose crash
-// lands mid-write dies there and contributes nothing — then synchronizes
-// on a barrier. The checkpoint commits iff every rank contributed by the
+// 0.5 ms + bytes at 100 MB/s of virtual time, so a rank whose crash lands
+// mid-write dies there and contributes nothing — then synchronizes on a
+// barrier. The checkpoint commits iff every rank contributed by the
 // time the barrier released; otherwise the survivors abort with
 // PeerCrashError against the first missing rank, exactly like any other
 // dependence on a dead peer.
@@ -371,7 +328,7 @@ func (ck *Checkpointer) Save(c Comm, state []float64) {
 	cc.checkCrash()
 	start := cc.now()
 	b := payloadBytes(state)
-	cc.adv(cc.stretch(ck.opts.WriteLatencyMS + float64(b)/(ck.opts.WriteMBps*1e3)))
+	cc.adv(cc.stretch(ckptWriteLatencyMS + float64(b)/(ckptWriteMBps*1e3)))
 	end := cc.now()
 	cc.span(trace.KindCheckpoint, start, end, b, -1)
 	ck.log.chargeWrite(ck.ranks[cc.rank], end-start)
@@ -523,8 +480,11 @@ func attemptFaults(err error) (crashed, stormed, aborted map[int]float64, ok boo
 //
 //   - An unplanned fault failure selects survivors (plan crashes and
 //     drop-storm deaths leave for good; peer-aborted ranks rejoin),
-//     advances virtual time by the detection + restart cost and replays,
-//     up to MaxAttempts unplanned failures.
+//     advances virtual time by the detection + restart cost and replays.
+//     Every unplanned failure removes at least one rank for good, so
+//     there are at most cluster-size of them: the run finishes, or a
+//     failure leaves no survivor and the run is abandoned with
+//     ErrRecoveryFailed.
 //   - A planned ReconfigEvent stops the instance at its scheduled
 //     instant, advances virtual time by the reconfiguration cost alone,
 //     and replays on the event's target ranks — minus any rank that
@@ -537,16 +497,12 @@ func attemptFaults(err error) (crashed, stormed, aborted map[int]float64, ok boo
 // errors abort immediately. Traces see each attempt's spans with ranks
 // remapped to original ids plus one KindRecover span per continuing rank
 // covering its rollback window.
-func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, ropts RecoveryOptions, plan []ReconfigEvent, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
+func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, plan []ReconfigEvent, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
 	if factory == nil {
 		return RecoveredResult{}, errors.New("mpi: nil recoverable program factory")
 	}
 	if cl == nil || cl.Size() == 0 {
 		return RecoveredResult{}, errors.New("mpi: nil or empty cluster")
-	}
-	ropts = ropts.withDefaults(cl.Size())
-	if err := ropts.validate(); err != nil {
-		return RecoveredResult{}, err
 	}
 	p := cl.Size()
 	if err := validateReconfigPlan(plan, p); err != nil {
@@ -562,7 +518,7 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 	baseMS := 0.0
 	dead := make([]bool, p) // by original rank id, across all attempts
 	eventIdx := 0
-	failures := 0 // unplanned rollbacks so far
+	recovered := false // any unplanned rollback so far
 
 	res := RecoveredResult{Result: Result{
 		RankClocks: make([]float64, p),
@@ -581,9 +537,6 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 	}
 
 	for attempt := 0; ; attempt++ {
-		if failures >= ropts.MaxAttempts {
-			return res, fmt.Errorf("%w: exhausted %d attempts", ErrRecoveryFailed, ropts.MaxAttempts)
-		}
 		// Planned events the clock already passed reshape the coming
 		// instance in place, without another stop/replay cycle.
 		for eventIdx < len(plan) && plan[eventIdx].AtMS <= baseMS {
@@ -625,7 +578,7 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 		if prog == nil {
 			return res, fmt.Errorf("mpi: recovery attempt %d: factory returned nil program", attempt)
 		}
-		ck := newCheckpointer(ropts, inst.Ranks, log)
+		ck := newCheckpointer(inst.Ranks, log)
 
 		stopMS := math.Inf(1)
 		if eventIdx < len(plan) {
@@ -684,7 +637,7 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 
 		if runErr == nil {
 			res.TimeMS = r.TimeMS
-			res.Recovered = failures > 0
+			res.Recovered = recovered
 			return res, nil
 		}
 
@@ -743,11 +696,11 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 		}
 		outcome.Survivors = len(ranks) - len(crashed) - len(stormed) - len(aborted)
 
-		charge := ropts.DetectMS + ropts.RestartMS
+		charge := detectMS + restartMS
 		if !unplanned {
-			charge = ropts.ReconfigMS
+			charge = reconfigMS
 		} else {
-			failures++
+			recovered = true
 		}
 		newBase := r.TimeMS + charge
 		res.Events = append(res.Events, RecoveryEvent{

@@ -42,9 +42,9 @@ func phasedFactory(phases, interval int, starts *[]int) func(Instance) (Recovera
 }
 
 // runRecoveredBoth executes the factory under both engines with the same
-// injector and recovery options, asserting the recovered results are
-// bit-identical, and returns the live result.
-func runRecoveredBoth(t *testing.T, speeds []float64, inj FaultInjector, ropts RecoveryOptions, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
+// injector, asserting the recovered results are bit-identical, and
+// returns the live result.
+func runRecoveredBoth(t *testing.T, speeds []float64, inj FaultInjector, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
 	t.Helper()
 	cl := testCluster(t, speeds...)
 	m := testModel(t)
@@ -53,7 +53,7 @@ func runRecoveredBoth(t *testing.T, speeds []float64, inj FaultInjector, ropts R
 	for _, e := range bothEngines {
 		opts := e.opts
 		opts.Faults = inj
-		res, err := RunReconfigurable(context.Background(), cl, m, opts, ropts, nil, factory)
+		res, err := RunReconfigurable(context.Background(), cl, m, opts, nil, factory)
 		results = append(results, res)
 		errs = append(errs, err)
 	}
@@ -70,7 +70,7 @@ func runRecoveredBoth(t *testing.T, speeds []float64, inj FaultInjector, ropts R
 func TestRecoverableNoFaultMatchesPlainRun(t *testing.T) {
 	speeds := []float64{100, 80, 120}
 	factory := phasedFactory(10, 0, nil)
-	rec, err := runRecoveredBoth(t, speeds, nil, RecoveryOptions{}, factory)
+	rec, err := runRecoveredBoth(t, speeds, nil, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestRecoverableCrashRecovers(t *testing.T) {
 	// phase-5 and phase-10 checkpoints have committed.
 	inj := &testInjector{crashAt: map[int]float64{2: 30.0}, maxAttempts: 1}
 	var starts []int
-	rec, err := runRecoveredBoth(t, speeds, inj, RecoveryOptions{}, phasedFactory(20, 5, &starts))
+	rec, err := runRecoveredBoth(t, speeds, inj, phasedFactory(20, 5, &starts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRecoverableCrashRecovers(t *testing.T) {
 			t.Errorf("dead rank 2 among survivors %v", ev.Survivors)
 		}
 	}
-	if ev.ResumeMS != ev.FailedAtMS+1+5 { // default DetectMS=1, RestartMS=5
+	if ev.ResumeMS != ev.FailedAtMS+1+5 { // 1 ms detection + 5 ms restart
 		t.Errorf("ResumeMS %.3f, want FailedAtMS %.3f + 6", ev.ResumeMS, ev.FailedAtMS)
 	}
 	if rec.TimeMS <= ev.ResumeMS {
@@ -142,7 +142,7 @@ func TestRecoverableRestartsFromScratchWithoutCheckpoints(t *testing.T) {
 	speeds := []float64{100, 100, 100}
 	inj := &testInjector{crashAt: map[int]float64{1: 4.0}, maxAttempts: 1}
 	var starts []int
-	rec, err := runRecoveredBoth(t, speeds, inj, RecoveryOptions{}, phasedFactory(12, 0, &starts))
+	rec, err := runRecoveredBoth(t, speeds, inj, phasedFactory(12, 0, &starts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +161,8 @@ func TestRecoverableRestartsFromScratchWithoutCheckpoints(t *testing.T) {
 
 func TestCheckpointMidWriteCrashDoesNotCommit(t *testing.T) {
 	speeds := []float64{100, 100, 100}
-	// Slow stable storage: the Save write takes 0.5 + 8/1 = 8.5 ms, and
-	// rank 1's crash lands inside its write window.
-	ropts := RecoveryOptions{WriteMBps: 0.001}
+	// The Save write takes 0.5 ms + 8 bytes at 100 MB/s from 10 ms on,
+	// and rank 1's crash at 10.25 ms lands inside its write window.
 	var resumes []bool
 	factory := func(inst Instance) (RecoverableProgram, error) {
 		resumes = append(resumes, inst.Resume != nil)
@@ -174,8 +173,8 @@ func TestCheckpointMidWriteCrashDoesNotCommit(t *testing.T) {
 			return nil
 		}, nil
 	}
-	inj := &testInjector{crashAt: map[int]float64{1: 12.0}, maxAttempts: 1}
-	rec, err := runRecoveredBoth(t, speeds, inj, ropts, factory)
+	inj := &testInjector{crashAt: map[int]float64{1: 10.25}, maxAttempts: 1}
+	rec, err := runRecoveredBoth(t, speeds, inj, factory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,21 +197,11 @@ func TestCheckpointMidWriteCrashDoesNotCommit(t *testing.T) {
 	}
 }
 
-func TestRecoverableExhaustsAttempts(t *testing.T) {
-	speeds := []float64{100, 100}
-	inj := &testInjector{crashAt: map[int]float64{0: 2.0}, maxAttempts: 1}
-	_, err := RunReconfigurable(context.Background(), testCluster(t, speeds...), testModel(t),
-		Options{Faults: inj}, RecoveryOptions{MaxAttempts: 1}, nil, phasedFactory(20, 5, nil))
-	if err == nil || !strings.Contains(err.Error(), "exhausted") {
-		t.Fatalf("want attempt exhaustion, got %v", err)
-	}
-}
-
 func TestRecoverableNoSurvivors(t *testing.T) {
 	speeds := []float64{100, 100}
 	inj := &testInjector{crashAt: map[int]float64{0: 2.0, 1: 2.5}, maxAttempts: 1}
 	_, err := RunReconfigurable(context.Background(), testCluster(t, speeds...), testModel(t),
-		Options{Faults: inj}, RecoveryOptions{}, nil, phasedFactory(20, 5, nil))
+		Options{Faults: inj}, nil, phasedFactory(20, 5, nil))
 	if err == nil || !strings.Contains(err.Error(), "no survivors") {
 		t.Fatalf("want no-survivors failure, got %v", err)
 	}
@@ -229,7 +218,7 @@ func TestRecoverableNonFaultErrorPassesThrough(t *testing.T) {
 		}, nil
 	}
 	rec, err := RunReconfigurable(context.Background(), testCluster(t, 100, 100), testModel(t),
-		Options{}, RecoveryOptions{}, nil, factory)
+		Options{}, nil, factory)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("want program error surfaced, got %v", err)
 	}
@@ -257,7 +246,7 @@ func TestRecoveredSpansIdenticalAcrossEngines(t *testing.T) {
 		opts := e.opts
 		opts.Faults = &testInjector{crashAt: map[int]float64{2: 5.0}, maxAttempts: 1}
 		opts.Trace = trace.New()
-		rec, err := RunReconfigurable(context.Background(), cl, m, opts, RecoveryOptions{}, nil, factory)
+		rec, err := RunReconfigurable(context.Background(), cl, m, opts, nil, factory)
 		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}

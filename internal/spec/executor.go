@@ -184,7 +184,7 @@ func (e *Executor) runExperiments(ctx context.Context, rs RunSpec, out io.Writer
 	} else if suite, err = e.suiteFor(rs); err != nil {
 		return err
 	}
-	opts := experiments.RunOptions{Jobs: e.opts.Jobs, Hooks: e.opts.Hooks, Pool: e.opts.Pool}
+	opts := runner.Options{Jobs: e.opts.Jobs, Hooks: e.opts.Hooks, Pool: e.opts.Pool}
 	outcomes, err := experiments.RunSelected(ctx, suite, ids, opts)
 	if err != nil {
 		return err
@@ -478,10 +478,7 @@ func jobstreamBody(ctx context.Context, rs RunSpec, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cfg, err := experiments.Default()
-	if err != nil {
-		return err
-	}
+	cfg := experiments.Default()
 	cfg.Engine = eng
 	cfg.Seed = rs.Seed
 	suite, err := experiments.NewSuite(cfg)

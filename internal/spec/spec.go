@@ -177,16 +177,14 @@ func (rs *RunSpec) Normalize() error {
 	if rs.Engine == "" {
 		rs.Engine = "live"
 	}
+	if eng, err := ParseEngine(rs.Engine); err == nil {
+		rs.Engine = eng.String() // one spelling per engine: "sym" is "symbolic"
+	}
 	switch rs.Kind {
 	case KindExperiments:
-		base, err := experiments.Default()
-		if err != nil {
-			return err
-		}
+		base := experiments.Default()
 		if rs.Quick {
-			if base, err = experiments.Quick(); err != nil {
-				return err
-			}
+			base = experiments.Quick()
 			rs.Quick = false
 		}
 		if rs.Sizes == nil {
@@ -236,11 +234,7 @@ func (rs *RunSpec) Normalize() error {
 			rs.SharedP = experiments.JobStreamP
 		}
 		if rs.Seed == 0 {
-			base, err := experiments.Default()
-			if err != nil {
-				return err
-			}
-			rs.Seed = base.Seed
+			rs.Seed = experiments.Default().Seed
 		}
 		// A zero fault/admission section means the same run as an absent
 		// one; fold it away so both spell the same canonical bytes (and
@@ -563,10 +557,7 @@ func (rs RunSpec) SuiteConfig() (experiments.Config, error) {
 	if rs.Kind != KindExperiments {
 		return experiments.Config{}, fmt.Errorf("spec: SuiteConfig on kind %s", rs.Kind)
 	}
-	cfg, err := experiments.Default()
-	if err != nil {
-		return experiments.Config{}, err
-	}
+	cfg := experiments.Default()
 	eng, err := ParseEngine(rs.Engine)
 	if err != nil {
 		return experiments.Config{}, err
@@ -612,6 +603,25 @@ func ParseFormat(csv, json bool) (string, error) {
 	default:
 		return "text", nil
 	}
+}
+
+// ParseWorkload resolves the -workload/-alg CLI flag pair, spellings of
+// one selector, to a registered workload name. The flags must agree when
+// both are set; "" (neither set) lets Normalize default to ge.
+func ParseWorkload(wl, alg string) (string, error) {
+	name := strings.ToLower(wl)
+	if name == "" {
+		name = strings.ToLower(alg)
+	} else if alg != "" && !strings.EqualFold(alg, wl) {
+		return "", fmt.Errorf("-workload %q and -alg %q disagree (use -workload)", wl, alg)
+	}
+	if name == "" {
+		return "", nil
+	}
+	if _, err := workload.Get(name); err != nil {
+		return "", err
+	}
+	return name, nil
 }
 
 // SunwulfModel returns the default communication cost model every tool

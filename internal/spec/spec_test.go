@@ -49,8 +49,9 @@ func TestCanonicalGoldenJobstream(t *testing.T) {
 func TestCanonicalEqualForEqualSpellings(t *testing.T) {
 	// Different spellings of the same run must canonicalize identically —
 	// that equality is what makes the encoding a cache signature.
-	base := RunSpec{Kind: KindExperiments, Experiments: "quick", Quick: true}
-	spellings := []RunSpec{
+	// Each group's first entry is the reference spelling.
+	groups := [][]RunSpec{{
+		{Kind: KindExperiments, Experiments: "quick", Quick: true},
 		{Kind: "Experiments", Experiments: "quick", Quick: true},                   // kind case
 		{Kind: KindExperiments, Format: "TEXT", Experiments: "quick", Quick: true}, // explicit default format
 		{Kind: KindExperiments, Engine: "Live", Experiments: "quick", Quick: true}, // explicit default engine
@@ -59,29 +60,35 @@ func TestCanonicalEqualForEqualSpellings(t *testing.T) {
 			Sizes: []int{2, 4, 8}, AsymSizes: []int{100, 1000, 10000}, SweepPoints: 6,
 			GETarget: 0.3, MMTarget: 0.2, Seed: 20050614,
 		},
-	}
-	want, err := base.Canonical()
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantKey, err := base.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rs := range spellings {
-		got, err := rs.Canonical()
+	}, {
+		{Kind: KindScalescan, Engine: "symbolic", AsymSizes: []int{100, 1000}},
+		{Kind: KindScalescan, Engine: "sym", AsymSizes: []int{100, 1000}}, // engine alias
+		{Kind: KindScalescan, Engine: "SYM", AsymSizes: []int{100, 1000}}, // alias case
+	}}
+	for g, group := range groups {
+		want, err := group[0].Canonical()
 		if err != nil {
-			t.Fatalf("spelling %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("spelling %d canonicalizes differently:\n got %s\nwant %s", i, got, want)
-		}
-		key, err := rs.Key()
+		wantKey, err := group[0].Key()
 		if err != nil {
-			t.Fatalf("spelling %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if key != wantKey {
-			t.Errorf("spelling %d key %s != %s", i, key, wantKey)
+		for i, rs := range group[1:] {
+			got, err := rs.Canonical()
+			if err != nil {
+				t.Fatalf("group %d spelling %d: %v", g, i, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("group %d spelling %d canonicalizes differently:\n got %s\nwant %s", g, i, got, want)
+			}
+			key, err := rs.Key()
+			if err != nil {
+				t.Fatalf("group %d spelling %d: %v", g, i, err)
+			}
+			if key != wantKey {
+				t.Errorf("group %d spelling %d key %s != %s", g, i, key, wantKey)
+			}
 		}
 	}
 }

@@ -119,17 +119,8 @@ func (m MM) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 			return nil, fmt.Errorf("workload: MM requires a contiguous block distribution, %q is not", sst.Name())
 		}
 		ranges := dist.BlockRanges(asn.Counts)
-		if rcfg == nil {
-			return func(c mpi.Comm, _ *mpi.Checkpointer) error {
-				prod, err := mmRank(c, n, ranges, a, b, symbolic)
-				if c.Rank() == 0 {
-					cOut = prod
-				}
-				return err
-			}, nil
-		}
 		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
-			prod, err := mmRecoverRank(c, n, remaining, ranges, done, a, b, symbolic, rcfg.IntervalSteps, ck)
+			prod, err := mmRank(c, n, remaining, ranges, done, a, b, symbolic, rcfg.interval(), ck)
 			if c.Rank() == 0 {
 				cOut = prod
 			}
@@ -147,74 +138,13 @@ func (m MM) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 	return out, rec, cOut, nil
 }
 
-// mmRank is the per-rank program body of a plain run.
-func mmRank(c mpi.Comm, n int, ranges [][2]int, a, b *linalg.Matrix, symbolic bool) (*linalg.Matrix, error) {
-	rank, p := c.Rank(), c.Size()
-	lo, hi := ranges[rank][0], ranges[rank][1]
-	myCount := hi - lo
-	const frac = DefaultMMSustained
-
-	// Distribute A bands from rank 0 (Scatterv) and replicate B (Bcast).
-	var parts [][]float64
-	if rank == 0 {
-		parts = make([][]float64, p)
-		for r := 0; r < p; r++ {
-			rl, rh := ranges[r][0], ranges[r][1]
-			if symbolic {
-				parts[r] = mpi.Blank((rh - rl) * n)
-			} else {
-				parts[r] = a.Data[rl*n : rh*n]
-			}
-		}
-	}
-	myA := c.Scatterv(0, parts)
-	if len(myA) != myCount*n {
-		return nil, fmt.Errorf("workload: rank %d band size %d, want %d", rank, len(myA), myCount*n)
-	}
-
-	var bFlat []float64
-	if rank == 0 {
-		if symbolic {
-			bFlat = mpi.Blank(n * n)
-		} else {
-			bFlat = b.Data
-		}
-	}
-	bFlat = c.Bcast(0, bFlat)
-
-	// Local multiply: the whole compute phase is communication-free.
-	c.Compute(2 * float64(n) * float64(n) * float64(myCount) / frac)
-	var myC []float64
-	if symbolic {
-		myC = mpi.Blank(myCount * n)
-	} else {
-		band := &linalg.Matrix{Rows: myCount, Cols: n, Data: myA}
-		bm := &linalg.Matrix{Rows: n, Cols: n, Data: bFlat}
-		prod, err := linalg.MulRowsInto(band, bm)
-		if err != nil {
-			return nil, fmt.Errorf("workload: rank %d multiply: %w", rank, err)
-		}
-		myC = prod.Data
-	}
-
-	// Collect result bands at rank 0.
-	gathered := c.Gatherv(0, myC)
-	if rank != 0 || symbolic {
-		return nil, nil
-	}
-	out := linalg.NewMatrix(n, n)
-	for r := 0; r < p; r++ {
-		rl := ranges[r][0]
-		copy(out.Data[rl*n:rl*n+len(gathered[r])], gathered[r])
-	}
-	return out, nil
-}
-
-// mmRecoverRank is the per-rank body of the recoverable MM: scatter the
-// not-yet-done rows of A, broadcast B, multiply in chunks of interval
-// rows with a coordinated checkpoint after each round, gather the fresh
-// rows, and assemble the result at rank 0 from history + gathered bands.
-func mmRecoverRank(c mpi.Comm, n int, remaining []int, ranges [][2]int, done map[int][]float64, a, b *linalg.Matrix, symbolic bool, interval int, ck *mpi.Checkpointer) (*linalg.Matrix, error) {
+// mmRank is the per-rank body of MM: scatter the not-yet-done rows of A,
+// broadcast B, multiply in chunks of interval rows with a coordinated
+// checkpoint after each round (one round, no checkpoint, when interval
+// is 0), gather the fresh rows, and assemble the result at rank 0 from
+// history + gathered bands. A plain run has every row still to do and
+// an empty history.
+func mmRank(c mpi.Comm, n int, remaining []int, ranges [][2]int, done map[int][]float64, a, b *linalg.Matrix, symbolic bool, interval int, ck *mpi.Checkpointer) (*linalg.Matrix, error) {
 	rank, p := c.Rank(), c.Size()
 	myList := remaining[ranges[rank][0]:ranges[rank][1]]
 	myCount := len(myList)

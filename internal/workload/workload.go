@@ -117,7 +117,6 @@ type Workload interface {
 
 // RecoveryConfig configures a recovered run.
 type RecoveryConfig struct {
-	mpi.RecoveryOptions
 	// IntervalSteps is the checkpoint cadence in algorithm steps: GE
 	// pivots, MM rows per chunk, sweeps or iterations of the iterative
 	// workloads. 0 disables checkpointing — recovery then restarts the
@@ -166,7 +165,7 @@ func execute(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o
 	if rcfg.IntervalSteps < 0 {
 		return mpi.RecoveredResult{}, fmt.Errorf("workload: negative checkpoint interval %d", rcfg.IntervalSteps)
 	}
-	return mpi.RunReconfigurable(ctx, cl, model, o, rcfg.RecoveryOptions, rcfg.Plan, build)
+	return mpi.RunReconfigurable(ctx, cl, model, o, rcfg.Plan, build)
 }
 
 // distribution resolves one run's distribution strategy: st, pinned to

@@ -22,6 +22,13 @@ go build ./...
 echo "==> go test -race ./..."
 go test -race ./...
 
+# The benchmark harness is a module of its own, compiled against
+# internal/ through `replace repro => ../`, so the `./...` patterns above
+# never build it: vet and test it here, or an internal API change could
+# break the benchmark with no signal.
+echo "==> (cd perfbench && go vet ./... && go test ./...)"
+(cd perfbench && go vet ./... && go test ./...)
+
 # Race stress for the live transport's mailboxes: repeat the tests that
 # drive its wake-ups — Post/Take hand-offs, draining a dead peer's stream
 # before its death shows, barrier Park/Unpark with early Unparks, and
