@@ -140,6 +140,18 @@ func run(args []string, out, errw io.Writer) error {
 	case *specFile != "" && *exp != "":
 		return fmt.Errorf("-exp and -spec are mutually exclusive")
 	case *specFile != "":
+		// The file sets the output format and every run setting; a flag
+		// for one of them beside it would be silently dropped.
+		var dropped []string
+		fs.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "csv", "json", "quick", "engine", "contended", "ge-target", "mm-target":
+				dropped = append(dropped, "-"+f.Name)
+			}
+		})
+		if len(dropped) > 0 {
+			return fmt.Errorf("-spec takes its format and run settings from the file; %s cannot be combined with it", strings.Join(dropped, ", "))
+		}
 		f, err := os.Open(*specFile)
 		if err != nil {
 			return err

@@ -145,6 +145,7 @@ func TestRunErrors(t *testing.T) {
 		{"-badflag"},
 		{"-exp", "table1", "-ge-target", "7"},
 		{"-exp", "table1", "-csv", "-json"},
+		{"-exp", "table1", "-quick", "-engine", "symbolic", "-contended"},
 	} {
 		if _, err := runOut(t, args...); err == nil {
 			t.Errorf("args %v accepted", args)
@@ -393,6 +394,46 @@ func TestSpecFileRunsJobstreamKind(t *testing.T) {
 	}
 	if _, err := runOut(t, "-spec", filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing -spec file accepted")
+	}
+}
+
+// TestSpecFileRejectsRunFlags: a spec file sets the output format and
+// every run setting, so each flag for one of them beside -spec is an
+// error rather than silently dropped — even when it repeats the default.
+// Pool, cache, verbosity and client flags do not change the result and
+// stay allowed.
+func TestSpecFileRejectsRunFlags(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t1.json")
+	if err := os.WriteFile(path, []byte(`{"kind":"experiments","experiments":"table1","quick":true}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, extra := range [][]string{
+		{"-csv"},
+		{"-json"},
+		{"-quick"},
+		{"-engine", "live"},
+		{"-engine", "des"},
+		{"-contended"},
+		{"-ge-target", "0.5"},
+		{"-mm-target", "0.2"},
+	} {
+		args := append([]string{"-spec", path}, extra...)
+		if _, err := runOut(t, args...); err == nil {
+			t.Errorf("args %v accepted", args)
+		} else if !strings.Contains(err.Error(), extra[0]) {
+			t.Errorf("args %v: error %q does not name %s", args, err, extra[0])
+		}
+	}
+	want, err := runOut(t, "-spec", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runOut(t, "-spec", path, "-jobs", "1", "-v", "-cache-dir", t.TempDir())
+	if err != nil {
+		t.Fatalf("-spec with pool, verbosity and cache flags: %v", err)
+	}
+	if got != want {
+		t.Error("-jobs, -v or -cache-dir changed -spec output")
 	}
 }
 

@@ -115,37 +115,6 @@ func (c *Cluster) Speeds() []float64 {
 	return out
 }
 
-// IsHomogeneous reports whether all nodes have (numerically) identical
-// marked speed. The homogeneous case is where isospeed-efficiency must
-// reduce to the classic isospeed metric.
-func (c *Cluster) IsHomogeneous() bool {
-	if len(c.Nodes) <= 1 {
-		return true
-	}
-	first := c.Nodes[0].SpeedMflops
-	for _, n := range c.Nodes[1:] {
-		if n.SpeedMflops != first {
-			return false
-		}
-	}
-	return true
-}
-
-// HeterogeneityRatio returns max speed / min speed, a simple dispersion
-// measure (1 for homogeneous systems).
-func (c *Cluster) HeterogeneityRatio() float64 {
-	lo, hi := c.Nodes[0].SpeedMflops, c.Nodes[0].SpeedMflops
-	for _, n := range c.Nodes[1:] {
-		if n.SpeedMflops < lo {
-			lo = n.SpeedMflops
-		}
-		if n.SpeedMflops > hi {
-			hi = n.SpeedMflops
-		}
-	}
-	return hi / lo
-}
-
 // ByClass returns node counts per hardware class, for reporting.
 func (c *Cluster) ByClass() map[string]int {
 	m := make(map[string]int)

@@ -58,30 +58,6 @@ func TestMarkedSpeedSum(t *testing.T) {
 	}
 }
 
-func TestHomogeneityChecks(t *testing.T) {
-	u, err := Uniform("u", 5, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !u.IsHomogeneous() {
-		t.Error("uniform cluster reported heterogeneous")
-	}
-	if got := u.HeterogeneityRatio(); got != 1 {
-		t.Errorf("HeterogeneityRatio = %g, want 1", got)
-	}
-	h, _ := New("h", Node{Name: "a", SpeedMflops: 10}, Node{Name: "b", SpeedMflops: 40})
-	if h.IsHomogeneous() {
-		t.Error("heterogeneous cluster reported homogeneous")
-	}
-	if got := h.HeterogeneityRatio(); got != 4 {
-		t.Errorf("HeterogeneityRatio = %g, want 4", got)
-	}
-	single, _ := New("s", Node{Name: "a", SpeedMflops: 3})
-	if !single.IsHomogeneous() {
-		t.Error("singleton should be homogeneous")
-	}
-}
-
 func TestUniformErrors(t *testing.T) {
 	if _, err := Uniform("u", 0, 42); err == nil {
 		t.Error("p=0 accepted")
@@ -129,14 +105,16 @@ func TestGEConfigMatchesPaperStructure(t *testing.T) {
 		t.Errorf("C8 classes = %v", classes)
 	}
 	// Marked speed strictly increases along the paper ladder.
-	chain, err := GEChain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(chain); i++ {
-		if chain[i].MarkedSpeed() <= chain[i-1].MarkedSpeed() {
-			t.Errorf("GE chain speed not increasing at step %d", i)
+	prev := 0.0
+	for _, p := range PaperSizes {
+		c, err := GEConfig(p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		if c.MarkedSpeed() <= prev {
+			t.Errorf("GE chain speed not increasing at p=%d", p)
+		}
+		prev = c.MarkedSpeed()
 	}
 }
 
@@ -154,13 +132,13 @@ func TestMMConfigMatchesPaperStructure(t *testing.T) {
 	if math.Abs(c8.MarkedSpeed()-want) > 1e-9 {
 		t.Errorf("C8' = %g, want %g", c8.MarkedSpeed(), want)
 	}
-	chain, err := MMChain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range chain {
-		if c.Size() != PaperSizes[i] {
-			t.Errorf("MM chain size[%d] = %d, want %d", i, c.Size(), PaperSizes[i])
+	for _, p := range PaperSizes {
+		c, err := MMConfig(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Size() != p {
+			t.Errorf("MM chain size = %d, want %d", c.Size(), p)
 		}
 	}
 	if _, err := MMConfig(1); err == nil {

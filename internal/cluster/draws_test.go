@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"sort"
 	"testing"
+
+	"repro/internal/numeric"
 )
 
 // The seeded draws of HealthSpec and MembershipPlan admit a draw unless
@@ -16,12 +18,12 @@ import (
 // valid by testing each draw against all earlier outages.
 func quadraticHealth(h HealthSpec, size int) []NodeEvent {
 	events := append([]NodeEvent(nil), h.Events...)
-	g := healthRNG(h.Seed)
+	g := numeric.SplitMix(h.Seed)
 	at := 0.0
 	for i := 0; i < h.Failures; i++ {
-		at += g.exp(h.MeanUpMS)
-		node := int(g.next() % uint64(size))
-		dur := g.exp(h.MeanDownMS)
+		at += g.Exp(h.MeanUpMS)
+		node := int(g.Next() % uint64(size))
+		dur := g.Exp(h.MeanDownMS)
 		ev := NodeEvent{Node: node, DownMS: at, UpMS: at + dur}
 		if overlapsNode(events, ev) {
 			continue
@@ -48,12 +50,12 @@ func quadraticMembership(m MembershipPlan, size int) []MemberEvent {
 		panic(err)
 	}
 	events := append([]MemberEvent(nil), m.Events...)
-	g := healthRNG(m.Seed)
+	g := numeric.SplitMix(m.Seed)
 	at := 0.0
 	for i := 0; i < m.Cycles; i++ {
-		at += g.exp(m.MeanInMS)
-		node := int(g.next() % uint64(size))
-		dur := g.exp(m.MeanOutMS)
+		at += g.Exp(m.MeanInMS)
+		node := int(g.Next() % uint64(size))
+		dur := g.Exp(m.MeanOutMS)
 		w := NodeEvent{Node: node, DownMS: at, UpMS: at + dur}
 		if overlapsNode(windows, w) {
 			continue

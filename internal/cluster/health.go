@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/numeric"
 )
 
 // NodeEvent is one node outage on the shared cluster's virtual clock:
@@ -91,13 +93,13 @@ func (h HealthSpec) Instantiate(size int) ([]NodeEvent, error) {
 
 	// Random outages ride on a single splitmix64 stream: start gap, node,
 	// duration per failure, in that fixed draw order.
-	g := healthRNG(h.Seed)
+	g := numeric.SplitMix(h.Seed)
 	admit := newDrawFilter(events, h.Failures, size)
 	at := 0.0
 	for i := 0; i < h.Failures; i++ {
-		at += g.exp(h.MeanUpMS)
-		node := int(g.next() % uint64(size))
-		dur := g.exp(h.MeanDownMS)
+		at += g.Exp(h.MeanUpMS)
+		node := int(g.Next() % uint64(size))
+		dur := g.Exp(h.MeanDownMS)
 		ev := NodeEvent{Node: node, DownMS: at, UpMS: at + dur}
 		if admit(ev) {
 			events = append(events, ev)
@@ -242,27 +244,4 @@ func (h HealthSpec) String() string {
 			h.Failures, h.Seed, h.MeanUpMS, h.MeanDownMS)
 	}
 	return out
-}
-
-// --- Seeded outage draws -------------------------------------------------
-
-// healthGen is a splitmix64 stream (same construction as the job
-// stream's gap generator: deterministic across platforms and releases).
-type healthGen struct{ state uint64 }
-
-func healthRNG(seed int64) *healthGen { return &healthGen{state: uint64(seed)} }
-
-func (g *healthGen) next() uint64 {
-	g.state += 0x9e3779b97f4a7c15
-	z := g.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// exp draws an exponential with the given mean; the uniform is in
-// (0, 1] so the log is finite.
-func (g *healthGen) exp(mean float64) float64 {
-	u := (float64(g.next()>>11) + 1) / float64(1<<53)
-	return -mean * math.Log(u)
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sort"
+
+	"repro/internal/numeric"
 )
 
 // MemberOp is one side of a planned membership change.
@@ -105,13 +107,13 @@ func (m MembershipPlan) Instantiate(size int) ([]MemberEvent, error) {
 
 	// Random cycles ride on a single splitmix64 stream: in-service gap,
 	// node, drained duration per cycle, in that fixed draw order.
-	g := healthRNG(m.Seed)
+	g := numeric.SplitMix(m.Seed)
 	admit := newDrawFilter(windows, m.Cycles, size)
 	at := 0.0
 	for i := 0; i < m.Cycles; i++ {
-		at += g.exp(m.MeanInMS)
-		node := int(g.next() % uint64(size))
-		dur := g.exp(m.MeanOutMS)
+		at += g.Exp(m.MeanInMS)
+		node := int(g.Next() % uint64(size))
+		dur := g.Exp(m.MeanOutMS)
 		w := NodeEvent{Node: node, DownMS: at, UpMS: at + dur}
 		if !admit(w) {
 			continue

@@ -110,29 +110,3 @@ func MMConfig(p int) (*Cluster, error) {
 
 // PaperSizes is the system-size ladder used in every experiment chain.
 var PaperSizes = []int{2, 4, 8, 16, 32}
-
-// GEChain returns the GE experiment clusters for the full paper ladder.
-func GEChain() ([]*Cluster, error) {
-	out := make([]*Cluster, 0, len(PaperSizes))
-	for _, p := range PaperSizes {
-		c, err := GEConfig(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}
-
-// MMChain returns the MM experiment clusters for the full paper ladder.
-func MMChain() ([]*Cluster, error) {
-	out := make([]*Cluster, 0, len(PaperSizes))
-	for _, p := range PaperSizes {
-		c, err := MMConfig(p)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, c)
-	}
-	return out, nil
-}

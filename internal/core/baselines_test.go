@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestParallelEfficiency(t *testing.T) {
 	// Perfect speedup: Tseq = p·Tpar -> E = 1.
@@ -95,49 +92,5 @@ func TestPastorBosqueEfficiency(t *testing.T) {
 	}
 	if _, err := PastorBosqueEfficiency(0, 1, 1, 1); err == nil {
 		t.Error("zero Tseq accepted")
-	}
-}
-
-func TestMarkedPerformanceEffective(t *testing.T) {
-	mp := MarkedPerformance{ComputeMflops: 100, MemoryMBps: 400, NetworkMBps: 10}
-	// Compute-bound mix.
-	e, err := mp.EffectiveMflops(DemandMix{BytesPerFlopMem: 1, BytesPerFlopNet: 0})
-	if err != nil || e != 100 {
-		t.Errorf("compute-bound = %g, %v; want 100", e, err)
-	}
-	// Memory-bound mix: 400 MB/s over 8 bytes/flop = 50 Mflops.
-	e, err = mp.EffectiveMflops(DemandMix{BytesPerFlopMem: 8})
-	if err != nil || e != 50 {
-		t.Errorf("memory-bound = %g, %v; want 50", e, err)
-	}
-	// Network-bound mix: 10 MB/s over 1 byte/flop = 10 Mflops.
-	e, err = mp.EffectiveMflops(DemandMix{BytesPerFlopNet: 1})
-	if err != nil || e != 10 {
-		t.Errorf("network-bound = %g, %v; want 10", e, err)
-	}
-	if _, err := mp.EffectiveMflops(DemandMix{BytesPerFlopMem: -1}); err == nil {
-		t.Error("negative demand accepted")
-	}
-	bad := MarkedPerformance{}
-	if _, err := bad.EffectiveMflops(DemandMix{}); err == nil {
-		t.Error("invalid node accepted")
-	}
-}
-
-func TestSystemEffectiveMflops(t *testing.T) {
-	nodes := []MarkedPerformance{
-		{ComputeMflops: 100, MemoryMBps: 1000, NetworkMBps: 100},
-		{ComputeMflops: 50, MemoryMBps: 100, NetworkMBps: 100},
-	}
-	// Mix with 4 bytes/flop memory: node0 min(100, 250)=100; node1 min(50, 25)=25.
-	s, err := SystemEffectiveMflops(nodes, DemandMix{BytesPerFlopMem: 4})
-	if err != nil || math.Abs(s-125) > 1e-12 {
-		t.Errorf("system = %g, %v; want 125", s, err)
-	}
-	if _, err := SystemEffectiveMflops(nil, DemandMix{}); err == nil {
-		t.Error("empty system accepted")
-	}
-	if _, err := SystemEffectiveMflops([]MarkedPerformance{{}}, DemandMix{}); err == nil {
-		t.Error("invalid node accepted")
 	}
 }

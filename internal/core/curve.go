@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/numeric"
@@ -125,41 +124,6 @@ func (c EfficiencyCurve) RequiredSize(target float64) (float64, error) {
 	return n, nil
 }
 
-// RequiredSizeMonotone reads the required size off a shape-preserving
-// monotone cubic interpolant through the measured samples instead of the
-// least-squares polynomial. The polynomial (the paper's choice) smooths
-// noise but can wiggle between samples; the monotone cubic cannot, at the
-// cost of chasing noise. Agreement between the two read-offs is a useful
-// sanity check on a sweep.
-func (c EfficiencyCurve) RequiredSizeMonotone(target float64) (float64, error) {
-	if len(c.Points) < 2 {
-		return 0, fmt.Errorf("core: RequiredSizeMonotone needs >= 2 measured points, got %d", len(c.Points))
-	}
-	if target <= 0 || target >= 1 {
-		return 0, fmt.Errorf("core: RequiredSizeMonotone target %g out of (0,1)", target)
-	}
-	xs := make([]float64, len(c.Points))
-	ys := make([]float64, len(c.Points))
-	for i, p := range c.Points {
-		xs[i] = float64(p.N)
-		ys[i] = p.Eff
-	}
-	mc, err := numeric.NewMonotoneCubic(xs, ys)
-	if err != nil {
-		return 0, fmt.Errorf("core: RequiredSizeMonotone: %w", err)
-	}
-	lo, hi := mc.Domain()
-	n, err := numeric.SolveIncreasing(mc.Eval, target, lo, hi, 1e-6)
-	if err != nil {
-		if errors.Is(err, numeric.ErrBelowRange) || errors.Is(err, numeric.ErrAboveRange) {
-			return 0, fmt.Errorf("%w: target %g, sample range [%g, %g]",
-				ErrTargetUnreachable, target, ys[0], ys[len(ys)-1])
-		}
-		return 0, err
-	}
-	return n, nil
-}
-
 // VerifyAt re-runs the runner at the (rounded) required size and reports
 // the achieved efficiency — the paper's grey-dot verification in Fig. 1
 // ("We measured the speed-efficiency when matrix size is 310 and the
@@ -185,28 +149,4 @@ func (c EfficiencyCurve) MonotoneOnSamples() bool {
 		}
 	}
 	return true
-}
-
-// InterpolateWork estimates W at a fractional problem size by evaluating
-// the work polynomial implied by neighbouring samples. For exactness the
-// caller should supply the true workload function; this helper does
-// piecewise power-law interpolation between bracketing samples and is used
-// only for reporting.
-func (c EfficiencyCurve) InterpolateWork(n float64) (float64, error) {
-	if len(c.Points) == 0 {
-		return 0, errors.New("core: empty curve")
-	}
-	pts := c.Points
-	if n <= float64(pts[0].N) {
-		return pts[0].Work, nil
-	}
-	for i := 1; i < len(pts); i++ {
-		lo, hi := pts[i-1], pts[i]
-		if n <= float64(hi.N) {
-			// Power-law interpolation: W ~ a·N^k locally.
-			k := math.Log(hi.Work/lo.Work) / math.Log(float64(hi.N)/float64(lo.N))
-			return lo.Work * math.Pow(n/float64(lo.N), k), nil
-		}
-	}
-	return pts[len(pts)-1].Work, nil
 }

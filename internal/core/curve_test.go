@@ -128,33 +128,6 @@ func TestVerifyAtErrors(t *testing.T) {
 	}
 }
 
-func TestInterpolateWork(t *testing.T) {
-	run := syntheticRunner(100, 0.5, 5, 0.2)
-	curve, err := MeasureCurve("C", 100, []int{100, 200, 400}, 2, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// W = n³ exactly; power-law interpolation is exact for pure powers.
-	w, err := curve.InterpolateWork(300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(w, 27e6, 1e-9) {
-		t.Errorf("InterpolateWork(300) = %g, want 2.7e7", w)
-	}
-	// Clamping at ends.
-	if w, _ := curve.InterpolateWork(50); w != 1e6 {
-		t.Errorf("below-range work = %g", w)
-	}
-	if w, _ := curve.InterpolateWork(900); w != 64e6 {
-		t.Errorf("above-range work = %g", w)
-	}
-	empty := EfficiencyCurve{}
-	if _, err := empty.InterpolateWork(10); err == nil {
-		t.Error("empty curve accepted")
-	}
-}
-
 func TestCurveDegreeClamping(t *testing.T) {
 	run := syntheticRunner(100, 0.5, 5, 0.2)
 	// Two points force degree 1; default degree (0 -> 3) must clamp.
@@ -164,56 +137,5 @@ func TestCurveDegreeClamping(t *testing.T) {
 	}
 	if curve.Trend.Degree() > 1 {
 		t.Errorf("trend degree %d, want <= 1", curve.Trend.Degree())
-	}
-}
-
-func TestRequiredSizeMonotoneAgreesWithPolynomial(t *testing.T) {
-	c, delta, a, b := 120.0, 0.5, 4.0, 0.15
-	run := syntheticRunner(c, delta, a, b)
-	var sizes []int
-	for n := 100; n <= 1200; n += 100 {
-		sizes = append(sizes, n)
-	}
-	curve, err := MeasureCurve("C", c, sizes, 3, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const target = 0.3
-	poly, err := curve.RequiredSize(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mono, err := curve.RequiredSizeMonotone(target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(poly-mono)/poly > 0.03 {
-		t.Errorf("read-offs disagree: poly %g vs monotone %g", poly, mono)
-	}
-	// The monotone read-off hits the target exactly on the interpolant.
-	eff, err := curve.VerifyAt(int(math.Round(mono)), run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(eff-target) > 0.02 {
-		t.Errorf("monotone read-off verification: %g vs %g", eff, target)
-	}
-}
-
-func TestRequiredSizeMonotoneErrors(t *testing.T) {
-	run := syntheticRunner(100, 0.5, 5, 0.2)
-	curve, err := MeasureCurve("C", 100, []int{100, 200, 300}, 2, run)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := curve.RequiredSizeMonotone(0.49); !errors.Is(err, ErrTargetUnreachable) {
-		t.Errorf("unreachable target: %v", err)
-	}
-	if _, err := curve.RequiredSizeMonotone(2); err == nil {
-		t.Error("target >= 1 accepted")
-	}
-	short := EfficiencyCurve{Points: curve.Points[:1]}
-	if _, err := short.RequiredSizeMonotone(0.2); err == nil {
-		t.Error("single-point curve accepted")
 	}
 }

@@ -258,29 +258,6 @@ func TestDeadlockDetection(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	k := NewKernel()
-	var count int
-	for i := 1; i <= 10; i++ {
-		k.Schedule(float64(i), func() { count++ })
-	}
-	if err := k.RunUntil(5.5); err != nil {
-		t.Fatalf("RunUntil: %v", err)
-	}
-	if count != 5 {
-		t.Errorf("count = %d, want 5", count)
-	}
-	if k.Pending() != 5 {
-		t.Errorf("Pending = %d, want 5", k.Pending())
-	}
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if count != 10 {
-		t.Errorf("count = %d, want 10", count)
-	}
-}
-
 // Property: N processes each delaying a random positive duration finish at
 // exactly their duration, and the kernel clock ends at the max.
 func TestDelayPropertyQuick(t *testing.T) {

@@ -116,28 +116,3 @@ func (k *Kernel) Run() error {
 	}
 	return nil
 }
-
-// RunUntil drives the simulation, stopping (without error) once the next
-// event would fire after deadline. Pending events stay queued.
-func (k *Kernel) RunUntil(deadline float64) error {
-	if k.running {
-		return errors.New("des: RunUntil called re-entrantly")
-	}
-	k.running = true
-	defer func() { k.running = false }()
-	for len(k.events) > 0 {
-		if k.events[0].time > deadline {
-			return nil
-		}
-		e := heap.Pop(&k.events).(*event)
-		k.now = e.time
-		e.fire()
-	}
-	if k.procs > 0 {
-		return fmt.Errorf("%w (%d stuck)", ErrDeadlock, k.procs)
-	}
-	return nil
-}
-
-// Pending returns the number of queued events.
-func (k *Kernel) Pending() int { return len(k.events) }

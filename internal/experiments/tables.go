@@ -181,7 +181,7 @@ func (s *Suite) CompareGEMM(ctx context.Context) (*Table, error) {
 }
 
 // Table6 reproduces "Predicted required rank": the analytic machine model
-// (calibrated communication constants + workload polynomial) solves the
+// (the suite's communication cost model + workload polynomial) solves the
 // isospeed-efficiency condition for each GE configuration without running
 // it.
 func (s *Suite) Table6(ctx context.Context) (*Table, []core.Prediction, error) {

@@ -1,6 +1,10 @@
 package faults
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/numeric"
+)
 
 // Injector is the runtime face of a Plan: the mpi engines query it for
 // crash instants and per-transmission drop decisions. All methods are
@@ -57,21 +61,12 @@ func Backoff(baseMS float64, attempt int) float64 {
 // attempt plus retries).
 func (in *Injector) MaxSendAttempts() int { return in.maxRetries + 1 }
 
-// splitmix64 is the SplitMix64 finalizer: a fast, well-mixed 64-bit
-// permutation used to turn structured coordinates into uniform bits.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
-}
-
 // hash01 maps (seed, from, to, seq) to a uniform float64 in [0,1).
 func hash01(seed int64, from, to, seq int) float64 {
-	x := splitmix64(uint64(seed))
-	x = splitmix64(x ^ uint64(from)*0xD6E8FEB86659FD93)
-	x = splitmix64(x ^ uint64(to)*0xA5A5A5A5A5A5A5A5)
-	x = splitmix64(x ^ uint64(seq)*0xC2B2AE3D27D4EB4F)
+	x := numeric.SplitMix64(uint64(seed))
+	x = numeric.SplitMix64(x ^ uint64(from)*0xD6E8FEB86659FD93)
+	x = numeric.SplitMix64(x ^ uint64(to)*0xA5A5A5A5A5A5A5A5)
+	x = numeric.SplitMix64(x ^ uint64(seq)*0xC2B2AE3D27D4EB4F)
 	return float64(x>>11) / (1 << 53)
 }
 

@@ -189,7 +189,7 @@ type sim struct {
 //
 // With a node-fault schedule (opts.Health), a node crashing mid-lease
 // shrinks the lease to the survivors and the run rolls back to its last
-// coordinated checkpoint and replays on them (mpi.RunReconfigurable with
+// coordinated checkpoint and replays on them (mpi.RunRecoverable with
 // dist.Pinned redistribution), all charged in virtual time. A job whose
 // lease loses every node re-enters the queue under the bounded
 // exponential-backoff budget in opts.Retry; admission control

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"repro/internal/numeric"
 	"repro/internal/workload"
 )
 
@@ -91,7 +92,7 @@ func (s StreamSpec) Jobs() ([]Job, error) {
 		g := newRNG(s.Seed, t.Name)
 		at := 0.0
 		for i := 0; i < t.Jobs; i++ {
-			at += g.gamma(t.MeanGapMS, t.Shape)
+			at += gamma(&g, t.MeanGapMS, t.Shape)
 			jobs = append(jobs, Job{
 				Tenant: t.Name, Workload: t.Workload,
 				N: t.N, Width: t.Width, Priority: t.Priority,
@@ -140,14 +141,9 @@ func DefaultStream() StreamSpec {
 
 // --- Seeded random gaps --------------------------------------------------
 
-// rng is a splitmix64 generator: tiny, fast and fully deterministic
-// across platforms (no dependence on math/rand internals, which are
-// allowed to change between Go releases).
-type rng struct{ state uint64 }
-
-// newRNG derives an independent stream from the shared seed and the
-// tenant name via FNV-1a mixing.
-func newRNG(seed int64, tenant string) *rng {
+// newRNG derives an independent splitmix64 stream from the shared seed
+// and the tenant name via FNV-1a mixing.
+func newRNG(seed int64, tenant string) numeric.SplitMix {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -157,36 +153,18 @@ func newRNG(seed int64, tenant string) *rng {
 		h ^= uint64(b)
 		h *= prime64
 	}
-	return &rng{state: uint64(seed) ^ h}
-}
-
-func (r *rng) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// uniform returns a double in (0, 1]: never 0, so ln is finite.
-func (r *rng) uniform() float64 {
-	return (float64(r.next()>>11) + 1) / float64(1<<53)
-}
-
-// exp draws an exponential gap with the given mean (inverse transform).
-func (r *rng) exp(mean float64) float64 {
-	return -mean * math.Log(r.uniform())
+	return numeric.SplitMix(uint64(seed) ^ h)
 }
 
 // gamma draws an Erlang-k gap with the given mean: the sum of k
 // exponentials of mean mean/k. Shape 0 or 1 is plain exponential.
-func (r *rng) gamma(mean float64, shape int) float64 {
+func gamma(g *numeric.SplitMix, mean float64, shape int) float64 {
 	if shape <= 1 {
-		return r.exp(mean)
+		return g.Exp(mean)
 	}
-	var g float64
+	var sum float64
 	for i := 0; i < shape; i++ {
-		g += r.exp(mean / float64(shape))
+		sum += g.Exp(mean / float64(shape))
 	}
-	return g
+	return sum
 }

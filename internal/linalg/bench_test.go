@@ -17,26 +17,6 @@ func BenchmarkMatMulNaive128(b *testing.B) {
 	}
 }
 
-func BenchmarkMatMulBlocked128(b *testing.B) {
-	x, y := benchMatrices(b, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MatMulBlocked(x, y, 32); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMatMulParallel128(b *testing.B) {
-	x, y := benchMatrices(b, 128)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MatMulParallel(x, y, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkSolveGauss128(b *testing.B) {
 	a := RandomDiagDominant(128, 3)
 	rhs := RandomVector(128, 4)

@@ -39,54 +39,8 @@ func TestMatMulDimMismatch(t *testing.T) {
 	if _, err := MatMul(a, b); err == nil {
 		t.Error("want error")
 	}
-	if _, err := MatMulBlocked(a, b, 16); err == nil {
-		t.Error("want error (blocked)")
-	}
-	if _, err := MatMulParallel(a, b, 2); err == nil {
-		t.Error("want error (parallel)")
-	}
 	if _, err := MulRowsInto(a, b); err == nil {
 		t.Error("want error (rows-into)")
-	}
-}
-
-func TestBlockedAndParallelMatchNaive(t *testing.T) {
-	for _, n := range []int{1, 7, 33, 100} {
-		a := RandomMatrix(n, int64(n))
-		b := RandomMatrix(n, int64(n)+1)
-		ref, err := MatMul(a, b)
-		if err != nil {
-			t.Fatalf("n=%d naive: %v", n, err)
-		}
-		bl, err := MatMulBlocked(a, b, 8)
-		if err != nil {
-			t.Fatalf("n=%d blocked: %v", n, err)
-		}
-		if !bl.Equalish(ref, 1e-9) {
-			t.Errorf("n=%d: blocked differs from naive", n)
-		}
-		for _, w := range []int{1, 2, 4, 100} {
-			par, err := MatMulParallel(a, b, w)
-			if err != nil {
-				t.Fatalf("n=%d parallel w=%d: %v", n, w, err)
-			}
-			if !par.Equalish(ref, 1e-9) {
-				t.Errorf("n=%d w=%d: parallel differs from naive", n, w)
-			}
-		}
-	}
-}
-
-func TestMatMulBlockedDefaultBlockSize(t *testing.T) {
-	a := RandomMatrix(70, 2)
-	b := RandomMatrix(70, 3)
-	ref, _ := MatMul(a, b)
-	bl, err := MatMulBlocked(a, b, 0)
-	if err != nil {
-		t.Fatalf("MatMulBlocked: %v", err)
-	}
-	if !bl.Equalish(ref, 1e-9) {
-		t.Error("blocked (default bs) differs from naive")
 	}
 }
 

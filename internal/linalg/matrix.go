@@ -162,30 +162,6 @@ func VecSub(a, b []float64) ([]float64, error) {
 	return out, nil
 }
 
-// NormInf returns the infinity norm (max absolute row sum) of m.
-func NormInf(m *Matrix) float64 {
-	var best float64
-	for i := 0; i < m.Rows; i++ {
-		var s float64
-		for _, v := range m.Row(i) {
-			s += math.Abs(v)
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func FrobeniusNorm(m *Matrix) float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // ResidualInf returns ||A*x - b||_inf, the standard solve-quality check.
 func ResidualInf(a *Matrix, x, b []float64) (float64, error) {
 	ax, err := MatVec(a, x)

@@ -121,13 +121,6 @@ func TestRandomDiagDominantIsDominant(t *testing.T) {
 }
 
 func TestNorms(t *testing.T) {
-	m, _ := FromRows([][]float64{{1, -2}, {3, 4}})
-	if got := NormInf(m); got != 7 {
-		t.Errorf("NormInf = %g, want 7", got)
-	}
-	if got := FrobeniusNorm(m); math.Abs(got-math.Sqrt(30)) > 1e-12 {
-		t.Errorf("FrobeniusNorm = %g, want sqrt(30)", got)
-	}
 	if got := VecNormInf([]float64{-5, 2}); got != 5 {
 		t.Errorf("VecNormInf = %g, want 5", got)
 	}

@@ -235,34 +235,3 @@ func TestBlankPassesByReference(t *testing.T) {
 	}
 	requireZero(t, "shared array", Blank(large))
 }
-
-func TestBlankCollectivesReturnPrivateSlices(t *testing.T) {
-	const n = 64
-	plusOne := func(a, b float64) float64 { return a + b + 1 }
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			prog := func(c Comm) error {
-				sum := AllreduceRing(c, 10, Blank(n), plusOne)
-				if len(sum) != n || &sum[0] == &Blank(n)[0] {
-					return fmt.Errorf("AllreduceRing returned the shared array")
-				}
-				if sum[0] == 0 {
-					return fmt.Errorf("AllreduceRing did not fold")
-				}
-				sum[n-1] = 42
-				all := GatherTree(c, 0, 20, Blank(n))
-				if c.Rank() == 0 {
-					if len(all) != c.Size()*n || &all[0] == &Blank(n)[0] {
-						return fmt.Errorf("GatherTree returned the shared array")
-					}
-					all[0] = 42
-				}
-				return nil
-			}
-			if _, err := Run(context.Background(), testCluster(t, 10, 20, 30, 40), testModel(t), eng.opts, prog); err != nil {
-				t.Fatal(err)
-			}
-			requireZero(t, "shared array", Blank(n))
-		})
-	}
-}

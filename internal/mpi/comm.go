@@ -94,12 +94,6 @@ var (
 		}
 		return b
 	}
-	OpMin ReduceOp = func(a, b float64) float64 {
-		if a < b {
-			return a
-		}
-		return b
-	}
 )
 
 // Comm is the per-rank handle a parallel program uses, analogous to an MPI

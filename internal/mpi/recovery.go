@@ -1,34 +1,21 @@
-// Checkpoint/rollback reconfiguration layered over the rank runtime.
+// Checkpoint/rollback crash recovery layered over the rank runtime.
 //
 // Programs opt in by taking a *Checkpointer and calling Save at phase
 // boundaries — a coordinated checkpoint: every rank writes its state blob
 // to stable storage (charged in virtual time), and the checkpoint commits
 // iff every rank of the instance contributed before the closing barrier
-// released. The supervisor (RunReconfigurable) replays the program across
-// a sequence of instances, each on an arbitrary subset of the original
-// cluster: a membership change — planned or not — rolls the run back to
-// the last committed checkpoint and re-instantiates the per-rank body on
-// the new member set, redistributing shares (callers use dist.Pinned
-// subset by member marked speeds).
+// released. The supervisor (RunRecoverable) replays the program across
+// a sequence of instances: when a rank dies mid-run (fault plan crash or
+// drop storm) the run rolls back to the last committed checkpoint and
+// re-instantiates the per-rank body on the survivors, redistributing
+// shares (callers use dist.Pinned subset by member marked speeds). The
+// next instance starts at base = failure time + detection latency +
+// restart cost.
 //
-// Membership changes come from two sources sharing that one mechanism:
-//
-//   - Unplanned: a rank dies mid-run (fault plan crash or drop storm).
-//     The next instance runs on the survivors and starts at
-//     base = failure time + detection latency + restart cost.
-//     A nil reconfig plan makes every membership change unplanned: plain
-//     crash recovery.
-//   - Planned: a ReconfigEvent stops the running instance at a scheduled
-//     virtual instant and the next instance runs on the event's target
-//     ranks — shrink, grow, or reshape. No detection latency is charged
-//     (the change is scheduled, not discovered):
-//     base = stop time + reconfiguration cost.
-//
-// Recomputed work, checkpoint writes, detection and reconfiguration all
-// appear in the virtual clock — checkpoint cost is a new To term in
-// Theorem 1. Every decision is a pure function of virtual time, so
-// reconfigured runs stay bit-identical across transports just like plain
-// runs.
+// Recomputed work, checkpoint writes, detection and restart all appear
+// in the virtual clock — checkpoint cost is a new To term in Theorem 1.
+// Every decision is a pure function of virtual time, so recovered runs
+// stay bit-identical across transports just like plain runs.
 package mpi
 
 import (
@@ -57,58 +44,7 @@ const (
 	// restartMS is the re-instantiation cost: rebuilding global state
 	// from stable storage and respawning the survivor processes.
 	restartMS = 5.0
-	// reconfigMS is the planned-reconfiguration cost charged between a
-	// scheduled membership stop and the next instance's start:
-	// quiescing, membership agreement and re-instantiation, with no
-	// detection latency — the change is scheduled, not discovered.
-	reconfigMS = restartMS
 )
-
-// ReconfigEvent is one planned membership change: at virtual instant
-// AtMS the running instance is stopped at its last committed checkpoint
-// and the run continues on Ranks. The stop is cooperative in virtual
-// time only — work since the last checkpoint is replayed, exactly like
-// a rollback, but the node that leaves is healthy and may rejoin later.
-type ReconfigEvent struct {
-	// AtMS is the virtual instant the running instance is stopped.
-	AtMS float64
-	// Ranks lists the original-cluster node ids the run continues on,
-	// strictly ascending. The set may shrink, grow or reshape membership
-	// arbitrarily; target ranks that already crashed are excluded when
-	// the event fires.
-	Ranks []int
-}
-
-// validateReconfigPlan checks a planned-membership schedule against the
-// original cluster size: instants finite, non-negative and strictly
-// ascending, target sets non-empty with strictly ascending in-range
-// ranks.
-func validateReconfigPlan(plan []ReconfigEvent, size int) error {
-	prev := math.Inf(-1)
-	for i, ev := range plan {
-		if math.IsNaN(ev.AtMS) || math.IsInf(ev.AtMS, 0) || ev.AtMS < 0 {
-			return fmt.Errorf("mpi: reconfig event %d at invalid instant %g", i, ev.AtMS)
-		}
-		if ev.AtMS <= prev {
-			return fmt.Errorf("mpi: reconfig event %d at %g ms not after %g ms", i, ev.AtMS, prev)
-		}
-		prev = ev.AtMS
-		if len(ev.Ranks) == 0 {
-			return fmt.Errorf("mpi: reconfig event %d has no target ranks", i)
-		}
-		last := -1
-		for _, r := range ev.Ranks {
-			if r < 0 || r >= size {
-				return fmt.Errorf("mpi: reconfig event %d rank %d out of range [0,%d)", i, r, size)
-			}
-			if r <= last {
-				return fmt.Errorf("mpi: reconfig event %d ranks not strictly ascending: %v", i, ev.Ranks)
-			}
-			last = r
-		}
-	}
-	return nil
-}
 
 // Snapshot is one committed coordinated checkpoint.
 type Snapshot struct {
@@ -148,23 +84,15 @@ type Instance struct {
 // RecoverableProgram is the per-rank body of a checkpointing computation.
 type RecoverableProgram func(c Comm, ck *Checkpointer) error
 
-// RecoveryEvent records one rollback or planned reconfiguration.
+// RecoveryEvent records one rollback.
 type RecoveryEvent struct {
-	// Attempt is the index of the attempt that stopped (for a planned
-	// event applied between attempts: the attempt about to start).
+	// Attempt is the index of the attempt that stopped.
 	Attempt int
-	// Planned reports a scheduled membership change (ReconfigEvent)
-	// rather than a crash rollback: no detection latency is charged, and
-	// any rank that stopped at the scheduled instant is healthy. A
-	// reconfiguration whose stop window also saw a real crash is
-	// recorded as unplanned — the crash charge dominates.
-	Planned bool
 	// Outcome classifies the failed attempt's fault deaths by original
 	// rank id.
 	Outcome FaultOutcome
 	// FailedAtMS is the failed attempt's makespan; ResumeMS is where the
-	// next attempt starts: FailedAtMS + 1 ms detection + 5 ms restart,
-	// or + 5 ms reconfiguration for a planned change.
+	// next attempt starts: FailedAtMS + 1 ms detection + 5 ms restart.
 	FailedAtMS float64
 	ResumeMS   float64
 	// ResumeSeq is the global Seq of the snapshot the next attempt
@@ -181,12 +109,10 @@ type RecoveryEvent struct {
 // BytesMoved total every attempt's traffic.
 type RecoveredResult struct {
 	Result
-	// Attempts is the number of instances run (1 = no membership change).
+	// Attempts is the number of instances run (1 = no failure).
 	Attempts int
-	// Recovered reports whether any UNPLANNED rollback happened;
-	// Reconfigs counts the planned membership changes applied.
+	// Recovered reports whether any rollback happened.
 	Recovered bool
-	Reconfigs int
 	// Checkpoints counts committed snapshots; CheckpointMS is the total
 	// virtual time ranks spent writing them (committed or not), summed
 	// per rank and then in rank order, so every engine and rerun reads
@@ -198,8 +124,7 @@ type RecoveredResult struct {
 }
 
 // ErrRecoveryFailed marks a run the recovery supervisor abandoned for a
-// priceable reason — no rank survived a failure, or a planned
-// reconfiguration found none of its target ranks alive.
+// priceable reason: no rank survived a failure.
 // Schedulers match it with errors.Is to distinguish "this job died on
 // this placement" (requeue it) from a program bug (abort the
 // simulation). Non-fault errors are never wrapped in it.
@@ -207,7 +132,7 @@ var ErrRecoveryFailed = errors.New("mpi: recovery failed")
 
 // FailedAtMS returns the virtual instant an abandoned run stopped
 // consuming the machine: the latest of the per-rank death/finish clocks
-// and any rollback's resume instant. Meaningful when RunReconfigurable
+// and any rollback's resume instant. Meaningful when RunRecoverable
 // returned ErrRecoveryFailed (TimeMS is only set on success).
 func (r RecoveredResult) FailedAtMS() float64 {
 	at := 0.0
@@ -379,64 +304,27 @@ func (ck *Checkpointer) commit(p *pendingCkpt) {
 }
 
 // subsetInjector exposes the original fault plan to an instance running
-// on a member subset, overlaying the next planned reconfiguration stop:
-// instance rank i sees the faults planned for original rank ranks[i],
-// with its crash time capped at stopMS (the armed ReconfigEvent instant,
-// +Inf when none is armed — a planned stop IS a crash to the transport,
-// only the supervisor knows the node is healthy). inner may be nil when
-// only a planned stop is armed. Send sequence numbers restart per
-// instance, which is deterministic on both transports.
+// on a member subset: instance rank i sees the faults planned for
+// original rank ranks[i]. Send sequence numbers restart per instance,
+// which is deterministic on every transport.
 type subsetInjector struct {
-	inner  FaultInjector
-	ranks  []int
-	stopMS float64
+	inner FaultInjector
+	ranks []int
 }
 
 func (s *subsetInjector) CrashTimeMS(rank int) (float64, bool) {
-	if s.inner != nil {
-		if t, ok := s.inner.CrashTimeMS(s.ranks[rank]); ok && t <= s.stopMS {
-			return t, true
-		}
-	}
-	if math.IsInf(s.stopMS, 1) {
-		return 0, false
-	}
-	return s.stopMS, true
-}
-
-// plannedOnly reports whether an instance rank's death at its effective
-// crash time is the armed planned stop (the node is healthy) rather
-// than a plan crash. A real crash at exactly the stop instant wins: the
-// node is gone either way.
-func (s *subsetInjector) plannedOnly(rank int) bool {
-	if math.IsInf(s.stopMS, 1) {
-		return false
-	}
-	if s.inner == nil {
-		return true
-	}
-	t, ok := s.inner.CrashTimeMS(s.ranks[rank])
-	return !ok || t > s.stopMS
+	return s.inner.CrashTimeMS(s.ranks[rank])
 }
 
 func (s *subsetInjector) DropSend(from, to, seq int) bool {
-	if s.inner == nil {
-		return false
-	}
 	return s.inner.DropSend(s.ranks[from], s.ranks[to], seq)
 }
 
 func (s *subsetInjector) RetryDelayMS(failed int) float64 {
-	if s.inner == nil {
-		return 0
-	}
 	return s.inner.RetryDelayMS(failed)
 }
 
 func (s *subsetInjector) MaxSendAttempts() int {
-	if s.inner == nil {
-		return 1
-	}
 	return s.inner.MaxSendAttempts()
 }
 
@@ -470,34 +358,20 @@ func attemptFaults(err error) (crashed, stormed, aborted map[int]float64, ok boo
 	return crashed, stormed, aborted, ok
 }
 
-// RunReconfigurable is the reconfiguration supervisor: it runs a
-// checkpointing program across planned membership changes and unplanned
-// failures, and a nil plan means plain crash recovery. The factory is
-// called once per instance with the Instance (member cluster,
+// RunRecoverable is the crash-recovery supervisor: it runs a
+// checkpointing program until it finishes or no rank survives. The
+// factory is called once per instance with the Instance (member cluster,
 // original-rank map, checkpoint to resume from) and returns the per-rank
-// body; the supervisor runs it until the run finishes or membership
-// changes:
-//
-//   - An unplanned fault failure selects survivors (plan crashes and
-//     drop-storm deaths leave for good; peer-aborted ranks rejoin),
-//     advances virtual time by the detection + restart cost and replays.
-//     Every unplanned failure removes at least one rank for good, so
-//     there are at most cluster-size of them: the run finishes, or a
-//     failure leaves no survivor and the run is abandoned with
-//     ErrRecoveryFailed.
-//   - A planned ReconfigEvent stops the instance at its scheduled
-//     instant, advances virtual time by the reconfiguration cost alone,
-//     and replays on the event's target ranks — minus any rank that
-//     already truly crashed, which never rejoins. An event the clock has
-//     already passed (an earlier rollback overshot it) reshapes the next
-//     instance directly, riding the restart charge already being paid.
-//
-// The plan consumed, the run finishes on whatever membership is left; a
-// run that completes before an event's instant never sees it. Non-fault
+// body. A fault failure selects survivors (plan crashes and drop-storm
+// deaths leave for good; peer-aborted ranks rejoin), advances virtual
+// time by the detection + restart cost and replays on them. Every
+// failure removes at least one rank for good, so there are at most
+// cluster-size of them: the run finishes, or a failure leaves no
+// survivor and the run is abandoned with ErrRecoveryFailed. Non-fault
 // errors abort immediately. Traces see each attempt's spans with ranks
 // remapped to original ids plus one KindRecover span per continuing rank
 // covering its rollback window.
-func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, plan []ReconfigEvent, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
+func RunRecoverable(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
 	if factory == nil {
 		return RecoveredResult{}, errors.New("mpi: nil recoverable program factory")
 	}
@@ -505,9 +379,6 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 		return RecoveredResult{}, errors.New("mpi: nil or empty cluster")
 	}
 	p := cl.Size()
-	if err := validateReconfigPlan(plan, p); err != nil {
-		return RecoveredResult{}, err
-	}
 
 	log := &recoveryLog{writeMS: make([]float64, p)}
 	ranks := make([]int, p)
@@ -516,50 +387,14 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 	}
 	curCl := cl
 	baseMS := 0.0
-	dead := make([]bool, p) // by original rank id, across all attempts
-	eventIdx := 0
-	recovered := false // any unplanned rollback so far
 
 	res := RecoveredResult{Result: Result{
 		RankClocks: make([]float64, p),
 		ComputeMS:  make([]float64, p),
 		CommMS:     make([]float64, p),
 	}}
-	resumeSeq := func() int { return len(log.snapshots()) - 1 }
-	liveTarget := func(target []int) []int {
-		next := make([]int, 0, len(target))
-		for _, r := range target {
-			if !dead[r] {
-				next = append(next, r)
-			}
-		}
-		return next
-	}
 
 	for attempt := 0; ; attempt++ {
-		// Planned events the clock already passed reshape the coming
-		// instance in place, without another stop/replay cycle.
-		for eventIdx < len(plan) && plan[eventIdx].AtMS <= baseMS {
-			ev := plan[eventIdx]
-			eventIdx++
-			next := liveTarget(ev.Ranks)
-			if len(next) == 0 {
-				return res, fmt.Errorf("%w: reconfiguration at %g ms has no live target rank", ErrRecoveryFailed, ev.AtMS)
-			}
-			res.Reconfigs++
-			res.Events = append(res.Events, RecoveryEvent{
-				Attempt: attempt, Planned: true,
-				FailedAtMS: baseMS, ResumeMS: baseMS,
-				ResumeSeq: resumeSeq(), Survivors: append([]int(nil), next...),
-			})
-			sub, err := cl.Subset(fmt.Sprintf("%s/reconfig%d", cl.Name, res.Reconfigs), next...)
-			if err != nil {
-				return res, fmt.Errorf("mpi: reconfiguration member cluster: %w", err)
-			}
-			curCl = sub
-			ranks = next
-		}
-
 		history := log.snapshots()
 		inst := Instance{
 			Attempt: attempt,
@@ -580,15 +415,9 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 		}
 		ck := newCheckpointer(inst.Ranks, log)
 
-		stopMS := math.Inf(1)
-		if eventIdx < len(plan) {
-			stopMS = plan[eventIdx].AtMS
-		}
 		aopts := opts
-		var inj *subsetInjector
-		if opts.Faults != nil || !math.IsInf(stopMS, 1) {
-			inj = &subsetInjector{inner: opts.Faults, ranks: ranks, stopMS: stopMS}
-			aopts.Faults = inj
+		if opts.Faults != nil {
+			aopts.Faults = &subsetInjector{inner: opts.Faults, ranks: ranks}
 		}
 		var sub *trace.Trace
 		if opts.Trace != nil {
@@ -637,7 +466,7 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 
 		if runErr == nil {
 			res.TimeMS = r.TimeMS
-			res.Recovered = recovered
+			res.Recovered = attempt > 0
 			return res, nil
 		}
 
@@ -646,39 +475,21 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 			return res, runErr
 		}
 
-		// Split real plan deaths from the armed planned stop: a rank
-		// whose only reason to die at the stop instant was the scheduled
-		// reconfiguration is healthy.
-		plannedStop := false
-		for i := range crashed {
-			if inj != nil && inj.plannedOnly(i) {
-				plannedStop = true
-				delete(crashed, i)
-			}
-		}
-		unplanned := len(crashed)+len(stormed) > 0
-
 		// Survivor selection: ranks whose node crashed or whose link
-		// exhausted its retry budget are gone for good; peer-aborted and
-		// planned-stopped ranks are healthy.
-		for i := range crashed {
-			dead[ranks[i]] = true
-		}
-		for i := range stormed {
-			dead[ranks[i]] = true
-		}
-		var next []int
-		if plannedStop {
-			next = liveTarget(plan[eventIdx].Ranks)
-			eventIdx++
-			res.Reconfigs++
-		} else {
-			next = liveTarget(ranks)
+		// exhausted its retry budget are gone for good; peer-aborted
+		// ranks are healthy.
+		next := make([]int, 0, len(ranks))
+		for i, orig := range ranks {
+			_, c := crashed[i]
+			_, s := stormed[i]
+			if !c && !s {
+				next = append(next, orig)
+			}
 		}
 		if len(next) == 0 {
 			return res, fmt.Errorf("%w: no survivors: %v", ErrRecoveryFailed, runErr)
 		}
-		if !plannedStop && len(next) == len(ranks) {
+		if len(next) == len(ranks) {
 			// Only possible if the fault classification missed the root
 			// cause; bail rather than replay the identical instance.
 			return res, fmt.Errorf("mpi: recovery stalled, no rank excluded: %w", runErr)
@@ -696,20 +507,13 @@ func RunReconfigurable(ctx context.Context, cl *cluster.Cluster, model simnet.Co
 		}
 		outcome.Survivors = len(ranks) - len(crashed) - len(stormed) - len(aborted)
 
-		charge := detectMS + restartMS
-		if !unplanned {
-			charge = reconfigMS
-		} else {
-			recovered = true
-		}
-		newBase := r.TimeMS + charge
+		newBase := r.TimeMS + detectMS + restartMS
 		res.Events = append(res.Events, RecoveryEvent{
 			Attempt:    attempt,
-			Planned:    !unplanned,
 			Outcome:    outcome,
 			FailedAtMS: r.TimeMS,
 			ResumeMS:   newBase,
-			ResumeSeq:  resumeSeq(),
+			ResumeSeq:  res.Checkpoints - 1,
 			Survivors:  append([]int(nil), next...),
 		})
 		if opts.Trace != nil {

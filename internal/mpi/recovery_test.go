@@ -53,7 +53,7 @@ func runRecoveredBoth(t *testing.T, speeds []float64, inj FaultInjector, factory
 	for _, e := range bothEngines {
 		opts := e.opts
 		opts.Faults = inj
-		res, err := RunReconfigurable(context.Background(), cl, m, opts, nil, factory)
+		res, err := RunRecoverable(context.Background(), cl, m, opts, factory)
 		results = append(results, res)
 		errs = append(errs, err)
 	}
@@ -200,8 +200,8 @@ func TestCheckpointMidWriteCrashDoesNotCommit(t *testing.T) {
 func TestRecoverableNoSurvivors(t *testing.T) {
 	speeds := []float64{100, 100}
 	inj := &testInjector{crashAt: map[int]float64{0: 2.0, 1: 2.5}, maxAttempts: 1}
-	_, err := RunReconfigurable(context.Background(), testCluster(t, speeds...), testModel(t),
-		Options{Faults: inj}, nil, phasedFactory(20, 5, nil))
+	_, err := RunRecoverable(context.Background(), testCluster(t, speeds...), testModel(t),
+		Options{Faults: inj}, phasedFactory(20, 5, nil))
 	if err == nil || !strings.Contains(err.Error(), "no survivors") {
 		t.Fatalf("want no-survivors failure, got %v", err)
 	}
@@ -217,8 +217,8 @@ func TestRecoverableNonFaultErrorPassesThrough(t *testing.T) {
 			return nil
 		}, nil
 	}
-	rec, err := RunReconfigurable(context.Background(), testCluster(t, 100, 100), testModel(t),
-		Options{}, nil, factory)
+	rec, err := RunRecoverable(context.Background(), testCluster(t, 100, 100), testModel(t),
+		Options{}, factory)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("want program error surfaced, got %v", err)
 	}
@@ -246,7 +246,7 @@ func TestRecoveredSpansIdenticalAcrossEngines(t *testing.T) {
 		opts := e.opts
 		opts.Faults = &testInjector{crashAt: map[int]float64{2: 5.0}, maxAttempts: 1}
 		opts.Trace = trace.New()
-		rec, err := RunReconfigurable(context.Background(), cl, m, opts, nil, factory)
+		rec, err := RunRecoverable(context.Background(), cl, m, opts, factory)
 		if err != nil {
 			t.Fatalf("%s: %v", e.name, err)
 		}

@@ -17,10 +17,7 @@
 // on a simulated node).
 package nasbench
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Kernel is one benchmark in the suite.
 type Kernel interface {
@@ -266,14 +263,4 @@ func (BT) Run(size int) float64 {
 		}
 	}
 	return sum
-}
-
-// KernelByName returns the suite kernel with the given name.
-func KernelByName(name string) (Kernel, error) {
-	for _, k := range Suite() {
-		if k.Name() == name {
-			return k, nil
-		}
-	}
-	return nil, fmt.Errorf("nasbench: unknown kernel %q", name)
 }

@@ -64,16 +64,6 @@ func TestFTPow2Rounding(t *testing.T) {
 	}
 }
 
-func TestKernelByName(t *testing.T) {
-	k, err := KernelByName("LU")
-	if err != nil || k.Name() != "LU" {
-		t.Errorf("KernelByName(LU) = %v, %v", k, err)
-	}
-	if _, err := KernelByName("ZZ"); err == nil {
-		t.Error("unknown kernel accepted")
-	}
-}
-
 func TestAffinityAveragesToOne(t *testing.T) {
 	var s float64
 	for _, k := range Suite() {

@@ -48,41 +48,6 @@ func FuzzPolyFitNeverPanicsAndInterpolates(f *testing.F) {
 	})
 }
 
-func FuzzMonotoneCubicStaysMonotone(f *testing.F) {
-	f.Add(int64(3), uint8(5))
-	f.Add(int64(99), uint8(12))
-	f.Fuzz(func(t *testing.T, seed int64, countRaw uint8) {
-		count := int(countRaw%15) + 2
-		xs := make([]float64, count)
-		ys := make([]float64, count)
-		state := uint64(seed)
-		next := func() float64 {
-			state = state*2862933555777941757 + 3037000493
-			return float64(state>>11) / float64(1<<53)
-		}
-		x, y := 0.0, 0.0
-		for i := range xs {
-			x += 0.1 + 5*next()
-			y += 3 * next() // non-decreasing data
-			xs[i] = x
-			ys[i] = y
-		}
-		mc, err := NewMonotoneCubic(xs, ys)
-		if err != nil {
-			t.Fatal(err) // this input family must always be accepted
-		}
-		lo, hi := mc.Domain()
-		prev := math.Inf(-1)
-		for i := 0; i <= 300; i++ {
-			v := mc.Eval(lo + (hi-lo)*float64(i)/300)
-			if math.IsNaN(v) || v < prev-1e-9 {
-				t.Fatalf("monotonicity violated at step %d: %g after %g", i, v, prev)
-			}
-			prev = v
-		}
-	})
-}
-
 func FuzzBrentFindsBracketedRoots(f *testing.F) {
 	f.Add(0.5, 2.0, -3.0)
 	f.Add(-1.0, 0.1, 1.0)

@@ -59,18 +59,6 @@ func (p Polynomial) Eval(x float64) float64 {
 	return y
 }
 
-// Derivative returns the first derivative polynomial.
-func (p Polynomial) Derivative() Polynomial {
-	if len(p.Coeffs) <= 1 {
-		return Polynomial{Coeffs: []float64{0}}
-	}
-	d := make([]float64, len(p.Coeffs)-1)
-	for i := 1; i < len(p.Coeffs); i++ {
-		d[i-1] = float64(i) * p.Coeffs[i]
-	}
-	return Polynomial{Coeffs: trimTrailingZeros(d)}
-}
-
 // Add returns p + q.
 func (p Polynomial) Add(q Polynomial) Polynomial {
 	n := len(p.Coeffs)

@@ -51,25 +51,6 @@ func TestPolynomialTrimTrailingZeros(t *testing.T) {
 	}
 }
 
-func TestPolynomialDerivative(t *testing.T) {
-	p := NewPolynomial(5, 3, -4, 2) // 5 + 3x - 4x^2 + 2x^3
-	d := p.Derivative()             // 3 - 8x + 6x^2
-	want := NewPolynomial(3, -8, 6)
-	if len(d.Coeffs) != len(want.Coeffs) {
-		t.Fatalf("Derivative coeffs = %v, want %v", d.Coeffs, want.Coeffs)
-	}
-	for i := range d.Coeffs {
-		if d.Coeffs[i] != want.Coeffs[i] {
-			t.Errorf("Derivative coeff[%d] = %g, want %g", i, d.Coeffs[i], want.Coeffs[i])
-		}
-	}
-	// Derivative of a constant is zero.
-	c := NewPolynomial(7).Derivative()
-	if c.Eval(123) != 0 {
-		t.Errorf("derivative of constant not zero: %v", c)
-	}
-}
-
 func TestPolynomialAddScale(t *testing.T) {
 	p := NewPolynomial(1, 2)
 	q := NewPolynomial(0, -2, 5)

@@ -306,6 +306,9 @@ func (rs *RunSpec) Validate() error {
 		if rs.SweepPoints < 4 {
 			return fmt.Errorf("spec: sweepPoints %d < 4", rs.SweepPoints)
 		}
+		if eng, _ := ParseEngine(rs.Engine); rs.Contended && eng != mpi.EngineDES {
+			return fmt.Errorf("spec: contended needs the des engine, which alone queues messages on the wire (engine %q)", rs.Engine)
+		}
 	case KindScalescan:
 		if err := rs.rejectForeign(KindScalescan); err != nil {
 			return err

@@ -169,6 +169,8 @@ func TestValidateRejections(t *testing.T) {
 		{"no selector", RunSpec{Kind: KindExperiments}, "selector"},
 		{"target out of range", RunSpec{Kind: KindExperiments, Experiments: "quick", GETarget: 1.5}, "out of (0,1)"},
 		{"sweep too small", RunSpec{Kind: KindExperiments, Experiments: "quick", SweepPoints: 2}, "sweepPoints"},
+		{"contended on live", RunSpec{Kind: KindExperiments, Experiments: "table1", Contended: true}, "contended needs the des engine"},
+		{"contended on symbolic", RunSpec{Kind: KindExperiments, Engine: "sym", Experiments: "table1", Contended: true}, "contended needs the des engine"},
 		{"experiments with workload", RunSpec{Kind: KindExperiments, Experiments: "quick", Workload: "ge"}, `"workload" does not apply`},
 		{"experiments with faults", RunSpec{Kind: KindExperiments, Experiments: "quick", Faults: plan}, `"faults" does not apply`},
 		{"scalescan no ladder", RunSpec{Kind: KindScalescan}, "ladder or asymSizes"},

@@ -151,13 +151,6 @@ func (t *Trace) Spans() []Span {
 	return out
 }
 
-// Reset clears the trace for reuse across runs.
-func (t *Trace) Reset() {
-	t.mu.Lock()
-	t.spans = t.spans[:0]
-	t.mu.Unlock()
-}
-
 // Breakdown is the per-rank time decomposition.
 type Breakdown struct {
 	Rank      int

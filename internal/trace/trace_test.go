@@ -102,15 +102,6 @@ func TestGanttRendering(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	tr := New()
-	tr.Add(Span{Rank: 0, Kind: KindCompute, StartMS: 0, EndMS: 1})
-	tr.Reset()
-	if len(tr.Spans()) != 0 {
-		t.Error("Reset did not clear")
-	}
-}
-
 // Property: breakdown components are non-negative and never exceed the
 // makespan for arbitrary well-formed spans.
 func TestBreakdownInvariantsQuick(t *testing.T) {

@@ -17,9 +17,8 @@ var update = flag.Bool("update", false, "rewrite testdata/outcomes.golden from c
 // TestOutcomesGolden pins every workload's outcomes bit for bit, so a
 // refactor that moved all three engines alike still shows: each
 // registered workload plus Jacobi's overlap variant, on the p = 4 and
-// p = 7 rungs of its ladder at N = 23 and 64, run plainly, recovered
-// from rank p−1 crashing at half the plain makespan, and shrunk to ranks
-// 0..p−2 by a planned event at half the makespan. Every engine must
+// p = 7 rungs of its ladder at N = 23 and 64, run plainly and recovered
+// from rank p−1 crashing at half the plain makespan. Every engine must
 // print the golden's lines exactly. CheckpointMS is left out: it has its
 // own cross-engine test.
 func TestOutcomesGolden(t *testing.T) {
@@ -59,13 +58,6 @@ func TestOutcomesGolden(t *testing.T) {
 						t.Fatalf("%s crash: %v", head, err)
 					}
 					fmt.Fprintf(&b, "%s crash %s %s\n", head, outcomeLine(out), recoveredLine(rec))
-
-					shrink := RecoveryConfig{IntervalSteps: 3, Plan: []mpi.ReconfigEvent{{AtMS: half, Ranks: firstRanks(p - 1)}}}
-					out, rec, err = v.w.RunRecovered(ctx, cl, m, mpi.Options{Engine: engine}, spec, shrink)
-					if err != nil {
-						t.Fatalf("%s shrink: %v", head, err)
-					}
-					fmt.Fprintf(&b, "%s shrink %s %s\n", head, outcomeLine(out), recoveredLine(rec))
 				}
 			}
 		}
@@ -106,15 +98,6 @@ func outcomeLine(o Outcome) string {
 // recoveredLine prints a RecoveredResult's recovery bookkeeping, all but
 // CheckpointMS.
 func recoveredLine(r mpi.RecoveredResult) string {
-	return fmt.Sprintf("attempts=%d recovered=%v reconfigs=%d checkpoints=%d events=%+v",
-		r.Attempts, r.Recovered, r.Reconfigs, r.Checkpoints, r.Events)
-}
-
-// firstRanks returns the original rank ids 0..k-1.
-func firstRanks(k int) []int {
-	rs := make([]int, k)
-	for i := range rs {
-		rs[i] = i
-	}
-	return rs
+	return fmt.Sprintf("attempts=%d recovered=%v checkpoints=%d events=%+v",
+		r.Attempts, r.Recovered, r.Checkpoints, r.Events)
 }

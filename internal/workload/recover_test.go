@@ -212,102 +212,6 @@ func TestSurvivorStrategyPinnedSubset(t *testing.T) {
 	}
 }
 
-// TestJacobiReconfiguredShrinkGrowBitwiseEqual drives a planned shrink
-// (rank 2 drained mid-run) followed by a planned grow (it rejoins): the
-// relaxed grid must stay bitwise identical to the undisturbed run — the
-// reconfiguration seam only moves ownership, never values — and the two
-// engines must agree on every recovered number.
-func TestJacobiReconfiguredShrinkGrowBitwiseEqual(t *testing.T) {
-	cl := mmCluster(t)
-	m := testModel(t)
-	spec := Spec{N: 32, Seed: 9}
-	plain, plainGrid := runJacobi(t, Jacobi{}, cl, m, mpi.Options{}, spec)
-	rcfg := &RecoveryConfig{
-		IntervalSteps: 2,
-		Plan: []mpi.ReconfigEvent{
-			{AtMS: 0.35 * plain.Stats.TimeMS, Ranks: []int{0, 1, 3}},
-			{AtMS: 0.80 * plain.Stats.TimeMS, Ranks: []int{0, 1, 2, 3}},
-		},
-	}
-
-	var recs []mpi.RecoveredResult
-	var grids [][]float64
-	for _, e := range recoverEngines {
-		_, rec, grid, err := Jacobi{}.run(context.Background(), cl, m, e.opts, spec, rcfg)
-		if err != nil {
-			t.Fatalf("%s: reconfigured Jacobi failed: %v", e.name, err)
-		}
-		if rec.Reconfigs != 2 || rec.Recovered {
-			t.Fatalf("%s: want 2 planned reconfigs and no recovery, got %+v", e.name, rec)
-		}
-		grids = append(grids, grid)
-		recs = append(recs, rec)
-	}
-	if !reflect.DeepEqual(recs[0], recs[1]) {
-		t.Errorf("reconfigured results differ across engines:\nlive: %+v\ndes:  %+v", recs[0], recs[1])
-	}
-	if !reflect.DeepEqual(grids[0], plainGrid) {
-		t.Error("reconfigured grid differs from the undisturbed run")
-	}
-	// Elasticity costs time (rollbacks + reconfig charges), never answers.
-	if recs[0].TimeMS <= plain.Stats.TimeMS {
-		t.Errorf("reconfigured makespan %.3f not beyond undisturbed %.3f", recs[0].TimeMS, plain.Stats.TimeMS)
-	}
-}
-
-// TestGEReconfiguredGrowBitwiseEqual grows a GE run mid-elimination from
-// a planned 2-rank start to the full cluster: the solved system must be
-// bitwise identical to the undisturbed full-cluster run.
-func TestGEReconfiguredGrowBitwiseEqual(t *testing.T) {
-	cl := geCluster(t)
-	m := testModel(t)
-	const n = 60
-	g := GE{Strategy: dist.HetBlock{}}
-	spec := Spec{N: n, Seed: 3, PinnedSpeeds: cl.Speeds()}
-	_, plainX := runGE(t, g, cl, m, mpi.Options{}, spec)
-	// First pass: the run planned onto {1,2} from the start, to learn how
-	// long the narrow phase lasts (GE at this n is comm-bound, so the
-	// narrow run is FASTER than the full cluster — the grow instant must
-	// come from its own clock, not the full run's).
-	narrow := &RecoveryConfig{
-		IntervalSteps: 10,
-		Plan:          []mpi.ReconfigEvent{{AtMS: 0, Ranks: []int{1, 2}}},
-	}
-	_, nrec, _, err := g.run(context.Background(), cl, m, recoverEngines[1].opts, spec, narrow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rcfg := &RecoveryConfig{
-		IntervalSteps: 10,
-		Plan: []mpi.ReconfigEvent{
-			{AtMS: 0, Ranks: []int{1, 2}},
-			{AtMS: 0.5 * nrec.TimeMS, Ranks: []int{0, 1, 2, 3}},
-		},
-	}
-	var recs []mpi.RecoveredResult
-	var xs [][]float64
-	for _, e := range recoverEngines {
-		_, rec, x, err := g.run(context.Background(), cl, m, e.opts, spec, rcfg)
-		if err != nil {
-			t.Fatalf("%s: reconfigured GE failed: %v", e.name, err)
-		}
-		if rec.Reconfigs != 2 || rec.Recovered {
-			t.Fatalf("%s: want 2 planned reconfigs and no recovery, got %+v", e.name, rec)
-		}
-		xs = append(xs, x)
-		recs = append(recs, rec)
-	}
-	if !reflect.DeepEqual(recs[0], recs[1]) {
-		t.Errorf("reconfigured results differ across engines:\nlive: %+v\ndes:  %+v", recs[0], recs[1])
-	}
-	if !reflect.DeepEqual(xs[0], plainX) {
-		t.Error("reconfigured solution differs from the undisturbed run")
-	}
-	if got, want := geResidual(t, n, 3, xs[0]), geResidual(t, n, 3, plainX); got != want {
-		t.Errorf("reconfigured residual %g, undisturbed %g", got, want)
-	}
-}
-
 // TestRecoveredSecondCrashResumesSameSnapshot strikes the replay of a
 // crashed run again before it commits its next checkpoint, so two
 // attempts resume from one committed snapshot. The answer must still be
@@ -375,8 +279,7 @@ func TestRecoveredSecondCrashResumesSameSnapshot(t *testing.T) {
 // last bit across engines and live reruns: every rank's checkpoint
 // writes are summed per rank and then in rank order, never in the order
 // the engine happens to run the ranks. The setup is the p = 7 rung at
-// N = 23, shrunk to ranks 0..5 by a planned event at half the makespan,
-// and again with rank 6 crashing there instead.
+// N = 23 with rank 6 crashing at half the makespan.
 func TestCheckpointMSDeterministic(t *testing.T) {
 	m := testModel(t)
 	ctx := context.Background()
@@ -392,33 +295,24 @@ func TestCheckpointMSDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			half := 0.5 * plain.Stats.TimeMS
-			for _, tc := range []struct {
-				name   string
-				faults mpi.FaultInjector
-				rcfg   RecoveryConfig
-			}{
-				{"shrink", nil, RecoveryConfig{IntervalSteps: 3, Plan: []mpi.ReconfigEvent{{AtMS: half, Ranks: firstRanks(p - 1)}}}},
-				{"crash", crashInjector{at: map[int]float64{p - 1: half}}, RecoveryConfig{IntervalSteps: 3}},
-			} {
-				engines := []mpi.Engine{mpi.EngineDES, mpi.EngineSymbolic}
-				for range 10 {
-					engines = append(engines, mpi.EngineLive)
+			crash := crashInjector{at: map[int]float64{p - 1: 0.5 * plain.Stats.TimeMS}}
+			engines := []mpi.Engine{mpi.EngineDES, mpi.EngineSymbolic}
+			for range 10 {
+				engines = append(engines, mpi.EngineLive)
+			}
+			var want float64
+			for i, e := range engines {
+				_, rec, err := w.RunRecovered(ctx, cl, m, mpi.Options{Engine: e, Faults: crash}, spec, RecoveryConfig{IntervalSteps: 3})
+				if err != nil {
+					t.Fatalf("%v: %v", e, err)
 				}
-				var want float64
-				for i, e := range engines {
-					_, rec, err := w.RunRecovered(ctx, cl, m, mpi.Options{Engine: e, Faults: tc.faults}, spec, tc.rcfg)
-					if err != nil {
-						t.Fatalf("%s %v: %v", tc.name, e, err)
-					}
-					if rec.Checkpoints == 0 {
-						t.Fatalf("%s %v: no checkpoint committed", tc.name, e)
-					}
-					if i == 0 {
-						want = rec.CheckpointMS
-					} else if rec.CheckpointMS != want {
-						t.Fatalf("%s: %v run %d CheckpointMS = %v, des %v", tc.name, e, i, rec.CheckpointMS, want)
-					}
+				if rec.Checkpoints == 0 {
+					t.Fatalf("%v: no checkpoint committed", e)
+				}
+				if i == 0 {
+					want = rec.CheckpointMS
+				} else if rec.CheckpointMS != want {
+					t.Fatalf("%v run %d CheckpointMS = %v, des %v", e, i, rec.CheckpointMS, want)
 				}
 			}
 		})

@@ -17,10 +17,10 @@ import (
 // run path — and it allocates no payload.
 
 // TestSymbolicPayloadConformance runs every registered workload on every
-// engine plainly, recovered from one injected crash, and through a
-// planned shrink, once with real data and once symbolically. Everything
-// but the numeric output must agree, the recovery accounting included,
-// and no run may write into the shared zero array.
+// engine plainly and recovered from one injected crash, once with real
+// data and once symbolically. Everything but the numeric output must
+// agree, the recovery accounting included, and no run may write into the
+// shared zero array.
 func TestSymbolicPayloadConformance(t *testing.T) {
 	model := confModel(t)
 	// Grow the shared array past every payload below first, so every
@@ -43,52 +43,30 @@ func TestSymbolicPayloadConformance(t *testing.T) {
 				requireSameCost(t, eng.name+" plain", plain[0], plain[1])
 
 				midRun := 0.5 * plain[0].Stats.TimeMS
-				survivors := make([]int, confP-1)
-				for r := range survivors {
-					survivors[r] = r
+				label := eng.name + " crash"
+				var outs [2]workload.Outcome
+				var recs [2]mpi.RecoveredResult
+				for i, symbolic := range []bool{false, true} {
+					opts := eng.opts
+					plan := faults.Plan{Seed: 11, Crashes: []faults.Crash{{Rank: confP - 1, AtMS: midRun}}}
+					_, _, inj, err := plan.Apply(cl, model)
+					if err != nil {
+						t.Fatal(err)
+					}
+					opts.Faults = inj
+					spec := workload.Spec{N: confN, Seed: confSeed, Symbolic: symbolic}
+					out, rec, err := w.RunRecovered(ctx, cl, model, opts, spec, workload.RecoveryConfig{IntervalSteps: 5})
+					if err != nil {
+						t.Fatalf("%s symbolic=%v: %v", label, symbolic, err)
+					}
+					outs[i], recs[i] = out, rec
 				}
-				paths := []struct {
-					name  string
-					crash bool
-					rcfg  workload.RecoveryConfig
-				}{
-					{"crash", true, workload.RecoveryConfig{IntervalSteps: 5}},
-					{"shrink", false, workload.RecoveryConfig{
-						IntervalSteps: 5,
-						Plan:          []mpi.ReconfigEvent{{AtMS: midRun, Ranks: survivors}},
-					}},
+				if !recs[0].Recovered {
+					t.Errorf("%s: no rollback (crash at %.3f ms)", label, midRun)
 				}
-				for _, path := range paths {
-					label := eng.name + " " + path.name
-					var outs [2]workload.Outcome
-					var recs [2]mpi.RecoveredResult
-					for i, symbolic := range []bool{false, true} {
-						opts := eng.opts
-						if path.crash {
-							plan := faults.Plan{Seed: 11, Crashes: []faults.Crash{{Rank: confP - 1, AtMS: midRun}}}
-							_, _, inj, err := plan.Apply(cl, model)
-							if err != nil {
-								t.Fatal(err)
-							}
-							opts.Faults = inj
-						}
-						spec := workload.Spec{N: confN, Seed: confSeed, Symbolic: symbolic}
-						out, rec, err := w.RunRecovered(ctx, cl, model, opts, spec, path.rcfg)
-						if err != nil {
-							t.Fatalf("%s symbolic=%v: %v", label, symbolic, err)
-						}
-						outs[i], recs[i] = out, rec
-					}
-					if path.crash && !recs[0].Recovered {
-						t.Errorf("%s: no rollback (crash at %.3f ms)", label, midRun)
-					}
-					if !path.crash && recs[0].Reconfigs != 1 {
-						t.Errorf("%s: %d reconfigurations, want 1", label, recs[0].Reconfigs)
-					}
-					requireSameCost(t, label, outs[0], outs[1])
-					if !reflect.DeepEqual(recs[0], recs[1]) {
-						t.Errorf("%s: recovery accounting differs:\nreal:     %+v\nsymbolic: %+v", label, recs[0], recs[1])
-					}
+				requireSameCost(t, label, outs[0], outs[1])
+				if !reflect.DeepEqual(recs[0], recs[1]) {
+					t.Errorf("%s: recovery accounting differs:\nreal:     %+v\nsymbolic: %+v", label, recs[0], recs[1])
 				}
 			}
 		})

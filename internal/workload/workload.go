@@ -9,10 +9,10 @@
 // analytic machine (work polynomial, sustained fraction, overhead model
 // To(n)) and the registration. Its Run and RunRecovered only forward to
 // a single unexported run function that builds the rank program once and
-// runs it either plainly through mpi.Run or under the reconfiguration
-// supervisor (mpi.RunReconfigurable). Registering a new
-// workload is that one file; study, fault sweep, recovered sweep, and
-// both CLIs pick it up with zero consumer edits.
+// runs it either plainly through mpi.Run or under the crash-recovery
+// supervisor (mpi.RunRecoverable). Registering a new workload is that
+// one file; study, fault sweep, recovered sweep, and both CLIs pick it
+// up with zero consumer edits.
 //
 // The row-band programs (cg, jacobi, mg, spmv) share one protocol in
 // band.go: block ranges topped up to the ghost depth, rank 0's block
@@ -122,13 +122,6 @@ type RecoveryConfig struct {
 	// workloads. 0 disables checkpointing — recovery then restarts the
 	// computation from scratch on the survivors.
 	IntervalSteps int
-	// Plan schedules planned membership changes: at each event's virtual
-	// instant the run stops at its last committed checkpoint and
-	// continues on the event's target ranks (shrink or grow), with the
-	// shares redistributed exactly like a crash rollback but no
-	// detection latency charged. Nil keeps every membership change
-	// unplanned.
-	Plan []mpi.ReconfigEvent
 }
 
 // interval is a run's checkpoint cadence: 0 (never) on a plain run.
@@ -144,11 +137,10 @@ func (c *RecoveryConfig) interval() int {
 // out the distribution, restores any checkpoint, and returns the rank
 // program. With a nil rcfg it builds once for the whole cluster and runs
 // that program plainly through mpi.Run (no checkpointer, no supervisor);
-// otherwise the reconfiguration supervisor calls it for the initial
-// instance and again after every membership change, on a crash rollback
-// (the numerics are replay-exact: updates depend on data, never on
-// ownership, so a recovered run is bitwise equal to an undisturbed one)
-// and on each planned event of rcfg.Plan.
+// otherwise the recovery supervisor calls it for the initial instance
+// and again after every crash rollback (the numerics are replay-exact:
+// updates depend on data, never on ownership, so a recovered run is
+// bitwise equal to an undisturbed one).
 func execute(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, rcfg *RecoveryConfig, build func(mpi.Instance) (mpi.RecoverableProgram, error)) (mpi.RecoveredResult, error) {
 	if rcfg == nil {
 		ranks := make([]int, cl.Size())
@@ -165,7 +157,7 @@ func execute(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o
 	if rcfg.IntervalSteps < 0 {
 		return mpi.RecoveredResult{}, fmt.Errorf("workload: negative checkpoint interval %d", rcfg.IntervalSteps)
 	}
-	return mpi.RunReconfigurable(ctx, cl, model, o, rcfg.Plan, build)
+	return mpi.RunRecoverable(ctx, cl, model, o, build)
 }
 
 // distribution resolves one run's distribution strategy: st, pinned to

@@ -158,7 +158,6 @@ for pkgfn in \
 	./internal/faults:FuzzParseSpec \
 	./internal/faults:FuzzInjectorDropSend \
 	./internal/numeric:FuzzPolyFitNeverPanicsAndInterpolates \
-	./internal/numeric:FuzzMonotoneCubicStaysMonotone \
 	./internal/numeric:FuzzBrentFindsBracketedRoots \
 	./internal/mpi:FuzzSymbolicVsDESPrograms \
 	./internal/workload:FuzzSymbolicVsDESWorkloads \
