@@ -14,8 +14,10 @@ func BenchmarkEventThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkProcessSwitch measures the cooperative handoff cost: one
-// process delaying b.N times.
+// BenchmarkProcessSwitch measures one process delaying b.N times. Its wake
+// is always the next event, so this is the no-switch path: Delay runs the
+// event loop on the process's own goroutine and returns without handing
+// control anywhere. BenchmarkProcessHandoff measures the switch.
 func BenchmarkProcessSwitch(b *testing.B) {
 	k := NewKernel()
 	k.Spawn("p", func(p *Proc) {
@@ -23,6 +25,27 @@ func BenchmarkProcessSwitch(b *testing.B) {
 			p.Delay(1)
 		}
 	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkProcessHandoff measures the hand-off between process
+// goroutines: two processes offset by half a step, so every Delay passes
+// control straight to the other process's goroutine.
+func BenchmarkProcessHandoff(b *testing.B) {
+	k := NewKernel()
+	for i, offset := range []float64{0, 0.5} {
+		n := (b.N + 1 - i) / 2 // b.N Delays between the two
+		offset := offset
+		k.Spawn("p", func(p *Proc) {
+			p.Delay(offset)
+			for j := 0; j < n; j++ {
+				p.Delay(1)
+			}
+		})
+	}
 	b.ResetTimer()
 	if err := k.Run(); err != nil {
 		b.Fatal(err)

@@ -2,10 +2,16 @@ package des
 
 import (
 	"errors"
+	"flag"
 	"math"
+	"os"
+	"os/exec"
+	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -247,14 +253,138 @@ func TestQueueMultipleGetters(t *testing.T) {
 }
 
 func TestDeadlockDetection(t *testing.T) {
+	before := runtime.NumGoroutine()
 	k := NewKernel()
 	q := k.NewQueue("never")
+	unwound := false
 	k.Spawn("stuck", func(p *Proc) {
+		defer func() { unwound = true }()
 		q.Get(p) // no one ever Puts
+		t.Error("Get returned from an empty queue")
 	})
 	err := k.Run()
-	if !errors.Is(err, ErrDeadlock) {
-		t.Errorf("want ErrDeadlock, got %v", err)
+	if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "(1 stuck)") {
+		t.Errorf("want ErrDeadlock with 1 stuck, got %v", err)
+	}
+	// Run unwinds the stranded process with ErrKilled, which ends it
+	// quietly: its goroutine is gone once Run returns.
+	if !unwound {
+		t.Error("stranded process was not unwound")
+	}
+	waitGoroutines(t, before)
+}
+
+// A stranded process that recovers ErrKilled cannot block again: every
+// further blocking call panics with ErrKilled at once, so Run's unwinding
+// always ends.
+func TestKilledProcessCannotBlockAgain(t *testing.T) {
+	k := NewKernel()
+	var second interface{}
+	k.Spawn("stubborn", func(p *Proc) {
+		func() {
+			defer func() { _ = recover() }() // swallow ErrKilled once
+			p.Suspend()
+		}()
+		defer func() { second = recover() }()
+		p.Delay(1)
+	})
+	if err := k.Run(); !errors.Is(err, ErrDeadlock) {
+		t.Fatalf("want ErrDeadlock, got %v", err)
+	}
+	if second != ErrKilled { //nolint:errorlint // sentinel identity
+		t.Errorf("second blocking call panicked with %v, want ErrKilled", second)
+	}
+}
+
+func TestTimeWentBackwardsReported(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := NewKernel()
+	k.Schedule(5, func() { k.push(1, func() {}, nil) }) // bypasses the clamp
+	k.Spawn("waiting", func(p *Proc) { p.Delay(10) })
+	err := k.Run()
+	if err == nil || !strings.Contains(err.Error(), "time went backwards: 5 -> 1") {
+		t.Errorf("want time-went-backwards error, got %v", err)
+	}
+	waitGoroutines(t, before)
+}
+
+func TestRunReentrantRejected(t *testing.T) {
+	k := NewKernel()
+	var fromEvent, fromProc error
+	k.Schedule(1, func() { fromEvent = k.Run() })
+	k.Spawn("p", func(p *Proc) { fromProc = k.Run() })
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for _, err := range []error{fromEvent, fromProc} {
+		if err == nil || !strings.Contains(err.Error(), "re-entrantly") {
+			t.Errorf("nested Run = %v, want re-entrant error", err)
+		}
+	}
+}
+
+// A raw process that panics crashes the program with its name and the
+// panic value, instead of stranding the kernel. The crash runs in a child
+// copy of the test binary, told apart by its one positional argument.
+func TestProcessPanicCrashes(t *testing.T) {
+	if flag.Arg(0) == "crash-child" {
+		k := NewKernel()
+		k.Spawn("doomed", func(p *Proc) {
+			p.Delay(1)
+			panic("boom")
+		})
+		_ = k.Run()
+		return
+	}
+	out, err := exec.Command(os.Args[0], "-test.run=^TestProcessPanicCrashes$", "crash-child").CombinedOutput()
+	if err == nil || !strings.Contains(string(out), `des: process "doomed" panicked: boom`) {
+		t.Errorf("child exited with %v, output:\n%s", err, out)
+	}
+}
+
+// TestDelayAllocatesNothing pins the allocation-free hand-off: once the
+// heap has grown, a Delay costs no allocation, whether its wake is the next
+// event (one process) or control passes to another process and back (two
+// processes whose wakes alternate).
+func TestDelayAllocatesNothing(t *testing.T) {
+	for _, procs := range []int{1, 2} {
+		k := NewKernel()
+		allocs := -1.0
+		done := false
+		k.Spawn("measured", func(p *Proc) {
+			p.Delay(1) // grow the heap
+			allocs = testing.AllocsPerRun(100, func() { p.Delay(1) })
+			done = true
+		})
+		if procs == 2 {
+			k.Spawn("other", func(p *Proc) {
+				p.Delay(0.5)
+				for !done {
+					p.Delay(1)
+				}
+			})
+		}
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if allocs != 0 {
+			t.Errorf("%d processes: %v allocations per Delay, want 0", procs, allocs)
+		}
+	}
+}
+
+// waitGoroutines fails the test unless the goroutine count falls back to
+// before within a few seconds: a goroutine that has handed control on may
+// still be on its way out when Run returns.
+func waitGoroutines(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Errorf("%d goroutines left behind", runtime.NumGoroutine()-before)
+			return
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,11 +2,15 @@
 // style of SimPy/CSIM, built on goroutines and channels.
 //
 // The kernel owns a virtual clock and a time-ordered event heap. Processes
-// are goroutines that run cooperatively: exactly one of the kernel or a
-// single process executes at any instant, with control handed over
-// explicitly. That makes simulations fully deterministic — events at equal
-// times fire in scheduling order, and process interleaving is a pure
-// function of the event timeline, never of the Go scheduler.
+// are goroutines that run cooperatively: exactly one of Run's goroutine or
+// a single process executes at any instant, and no scheduler goroutine
+// sits in between. Whoever holds control runs the event loop itself: it
+// pops the next event, fires callbacks inline, and at a process's wake
+// hands control straight to that process's goroutine (see Coroutine) — or,
+// when the wake is its own, simply keeps running. When the heap drains,
+// control returns to Run. That makes simulations fully deterministic —
+// events at equal times fire in scheduling order, and process interleaving
+// is a pure function of the event timeline, never of the Go scheduler.
 //
 // This package is the substrate for the contended-Ethernet network model
 // (internal/simnet) and for the event-driven engine of the message-passing
@@ -15,51 +19,41 @@
 package des
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 )
 
-// Event is a scheduled callback.
+// event is a scheduled callback or process wake. The heap holds events by
+// value and a wake names its process, so scheduling allocates nothing once
+// the heap has grown.
 type event struct {
 	time float64
 	seq  uint64 // FIFO tie-breaker for equal times
-	fire func()
+	fire func() // a callback; nil for a wake
+	proc *Proc  // a wake: the process to resume
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].time != h[j].time {
-		return h[i].time < h[j].time
+func (e *event) before(o *event) bool {
+	if e.time != o.time {
+		return e.time < o.time
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+	return e.seq < o.seq
 }
 
 // Kernel is a discrete-event simulation executive.
 type Kernel struct {
 	now     float64
 	seq     uint64
-	events  eventHeap
-	yield   chan struct{} // processes signal the kernel here when they block/finish
-	procs   int           // live (not finished) processes
+	events  []event    // binary min-heap on (time, seq), sifted by hand
+	home    *Coroutine // Run's goroutine
+	live    []*Proc    // spawned and not finished, in no particular order
+	err     error      // a broken event order, raised by whoever holds control
 	running bool
 }
 
 // NewKernel returns a kernel at virtual time 0.
 func NewKernel() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
+	return &Kernel{home: NewCoroutine(nil)}
 }
 
 // Now returns the current virtual time.
@@ -72,8 +66,7 @@ func (k *Kernel) Schedule(delay float64, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	k.seq++
-	heap.Push(&k.events, &event{time: k.now + delay, seq: k.seq, fire: fn})
+	k.push(k.now+delay, fn, nil)
 }
 
 // ScheduleAt registers fn to fire at absolute virtual time t (clamped to
@@ -85,8 +78,79 @@ func (k *Kernel) ScheduleAt(t float64, fn func()) {
 	if t < k.now {
 		t = k.now
 	}
+	k.push(t, fn, nil)
+}
+
+// push adds the event (t, fire, p) to the heap and sifts it up.
+func (k *Kernel) push(t float64, fire func(), p *Proc) {
 	k.seq++
-	heap.Push(&k.events, &event{time: t, seq: k.seq, fire: fn})
+	e := event{time: t, seq: k.seq, fire: fire, proc: p}
+	k.events = append(k.events, e)
+	h := k.events
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+// pop removes and returns the earliest event; the heap must not be empty.
+func (k *Kernel) pop() event {
+	h := k.events
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // drop the callback and process references
+	h = h[:n]
+	k.events = h
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && h[c+1].before(&h[c]) {
+				c++
+			}
+			if !h[c].before(&last) {
+				break
+			}
+			h[i] = h[c]
+			i = c
+		}
+		h[i] = last
+	}
+	return top
+}
+
+// dispatch runs the event loop on the goroutine that holds control, whose
+// coroutine is self (nil for a process that has finished). Callbacks fire
+// inline; at a wake, control passes straight to the woken process, and
+// when the heap drains (or the event order breaks), back to Run's
+// goroutine. dispatch returns once control is back with self, which needs
+// no switch at all when the next wake is self's own.
+func (k *Kernel) dispatch(self *Coroutine) {
+	for len(k.events) > 0 {
+		e := k.pop()
+		if e.time < k.now {
+			k.err = fmt.Errorf("des: time went backwards: %g -> %g", k.now, e.time)
+			break
+		}
+		k.now = e.time
+		if e.proc == nil {
+			e.fire()
+			continue
+		}
+		Transfer(self, e.proc.co)
+		return
+	}
+	Transfer(self, k.home)
 }
 
 // ErrDeadlock is returned by Run when live processes remain but no events
@@ -94,25 +158,34 @@ func (k *Kernel) ScheduleAt(t float64, fn func()) {
 // never arrive.
 var ErrDeadlock = errors.New("des: deadlock: suspended processes remain but event queue is empty")
 
+// ErrKilled is the panic value with which a stranded process's blocking
+// call unwinds when Run ends with the process still suspended. A process
+// that does not recover it ends quietly; one that recovers panics must let
+// it end the process, as any further blocking call panics with it again.
+var ErrKilled = errors.New("des: process killed: Run ended with it suspended")
+
 // Run drives the simulation until the event queue drains. It returns
-// ErrDeadlock if suspended processes remain afterwards. Run may be called
-// only once at a time.
+// ErrDeadlock if suspended processes remain afterwards, and unwinds each
+// of them with ErrKilled, so a failed run leaves no goroutine behind. Run
+// may be called only once at a time.
 func (k *Kernel) Run() error {
 	if k.running {
 		return errors.New("des: Run called re-entrantly")
 	}
 	k.running = true
 	defer func() { k.running = false }()
-	for len(k.events) > 0 {
-		e := heap.Pop(&k.events).(*event)
-		if e.time < k.now {
-			return fmt.Errorf("des: time went backwards: %g -> %g", k.now, e.time)
-		}
-		k.now = e.time
-		e.fire()
+	k.dispatch(k.home)
+	err := k.err
+	k.err = nil
+	if err != nil {
+		k.events = k.events[:0]
+	} else if len(k.live) > 0 {
+		err = fmt.Errorf("%w (%d stuck)", ErrDeadlock, len(k.live))
 	}
-	if k.procs > 0 {
-		return fmt.Errorf("%w (%d stuck)", ErrDeadlock, k.procs)
+	for len(k.live) > 0 {
+		p := k.live[0]
+		p.killed = true
+		Transfer(k.home, p.co) // p unwinds, finishes and runs the loop dry
 	}
-	return nil
+	return err
 }

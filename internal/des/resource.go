@@ -9,7 +9,7 @@ type Resource struct {
 	k        *Kernel
 	capacity int
 	inUse    int
-	waiters  []*waiterEntry
+	waiters  []waiterEntry
 
 	// Statistics.
 	acquires   int
@@ -46,9 +46,8 @@ func (r *Resource) Acquire(p *Proc) {
 		r.inUse++
 		return
 	}
-	entry := &waiterEntry{p: p, arrived: r.k.Now()}
-	r.waiters = append(r.waiters, entry)
-	p.suspend()
+	r.waiters = append(r.waiters, waiterEntry{p: p, arrived: r.k.Now()})
+	p.Suspend()
 	// By the time we resume, Release has already transferred the unit to us
 	// and recorded our wait time.
 }
@@ -62,10 +61,11 @@ func (r *Resource) Release() {
 	if len(r.waiters) > 0 {
 		head := r.waiters[0]
 		copy(r.waiters, r.waiters[1:])
+		r.waiters[len(r.waiters)-1] = waiterEntry{}
 		r.waiters = r.waiters[:len(r.waiters)-1]
 		r.totalWait += r.k.Now() - head.arrived
 		// inUse unchanged: unit transfers to head.
-		head.p.wake()
+		head.p.Wake()
 		return
 	}
 	r.accumulate()
@@ -126,7 +126,7 @@ func (q *Queue) Put(item interface{}, delay float64) {
 			g := q.getters[0]
 			copy(q.getters, q.getters[1:])
 			q.getters = q.getters[:len(q.getters)-1]
-			g.wake()
+			g.Wake()
 		}
 	})
 }
@@ -136,7 +136,7 @@ func (q *Queue) Put(item interface{}, delay float64) {
 func (q *Queue) Get(p *Proc) interface{} {
 	for len(q.items) == 0 {
 		q.getters = append(q.getters, p)
-		p.suspend()
+		p.Suspend()
 	}
 	item := q.items[0]
 	copy(q.items, q.items[1:])

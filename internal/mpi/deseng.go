@@ -99,7 +99,8 @@ func (t *desTransport) BroadcastDeath(rank int, atMS float64) {
 
 // Abort is a no-op: a failed rank strands its peers on empty queues, and
 // the kernel reports the stall as deadlock, which runWorld surfaces
-// alongside the rank's own error.
+// alongside the rank's own error, then unwinds each stranded rank with
+// des.ErrKilled, which runWorld reports as errAborted.
 func (t *desTransport) Abort() {}
 
 // runDES executes program on the DES transport, optionally with a

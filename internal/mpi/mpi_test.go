@@ -5,10 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/simnet"
 )
 
@@ -478,6 +481,56 @@ func TestProgramErrorPropagates(t *testing.T) {
 		})
 		if err == nil || !strings.Contains(err.Error(), "boom") {
 			t.Errorf("%s: error = %v, want boom", e.name, err)
+		}
+	}
+}
+
+// TestFailedRunLeaksNoGoroutines runs programs whose ranks are left
+// waiting on a failed peer, or on each other, on every engine, and
+// requires every rank goroutine to be gone afterwards: a stranded rank
+// unwinds as aborted, on DES once the kernel has reported the deadlock,
+// instead of staying parked for good.
+func TestFailedRunLeaksNoGoroutines(t *testing.T) {
+	cl := testCluster(t, 50, 50, 50)
+	m := testModel(t)
+	boom := errors.New("boom")
+	failed := func(c Comm) error {
+		if c.Rank() == 1 {
+			return boom
+		}
+		c.Recv(1, 9) // ranks 0 and 2 wait on the failed rank
+		return nil
+	}
+	deadlocked := func(c Comm) error {
+		c.Recv((c.Rank()+1)%c.Size(), 1) // every rank waits on the next
+		return nil
+	}
+	for _, e := range engines {
+		before := runtime.NumGoroutine()
+		for i := 0; i < 10; i++ {
+			_, err := Run(context.Background(), cl, m, e.opts, failed)
+			if !errors.Is(err, boom) {
+				t.Fatalf("%s: error = %v, want boom", e.name, err)
+			}
+			if got := strings.Count(err.Error(), errAborted.Error()); got != 2 {
+				t.Errorf("%s: %d ranks aborted, want 2: %v", e.name, got, err)
+			}
+			if e.opts.Engine == EngineDES && !errors.Is(err, des.ErrDeadlock) {
+				t.Errorf("%s: error = %v, want the kernel's deadlock report too", e.name, err)
+			}
+			if e.opts.Engine == EngineLive {
+				continue // a deadlocked program hangs the live engine
+			}
+			if _, err := Run(context.Background(), cl, m, e.opts, deadlocked); err == nil || !strings.Contains(err.Error(), "deadlock") {
+				t.Errorf("%s: deadlocked program: error = %v, want a deadlock report", e.name, err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine() - before; n > 0 {
+			t.Errorf("%s: %d goroutines left behind", e.name, n)
 		}
 	}
 }

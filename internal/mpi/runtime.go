@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/simnet"
 )
 
@@ -164,7 +165,10 @@ func runWorld(cl *cluster.Cluster, model simnet.CostModel, opts Options, program
 					w.die(r, d.deathTime())
 					return
 				}
-				if rec == errAborted { //nolint:errorlint // sentinel identity
+				// The DES kernel unwinds the ranks a failure strands with
+				// des.ErrKilled once it has reported the deadlock: the same
+				// abort the other engines raise themselves.
+				if rec == errAborted || rec == des.ErrKilled { //nolint:errorlint // sentinel identity
 					errs[r] = fmt.Errorf("mpi: rank %d: %w", r, errAborted)
 				} else {
 					errs[r] = fmt.Errorf("mpi: rank %d panicked: %v", r, rec)
@@ -179,8 +183,8 @@ func runWorld(cl *cluster.Cluster, model simnet.CostModel, opts Options, program
 	})
 	if runErr != nil {
 		// A failed rank typically strands its peers on empty streams; a
-		// substrate like the DES kernel reports that as deadlock. Surface
-		// both causes.
+		// substrate like the DES kernel reports that as deadlock before
+		// unwinding them. Surface both causes.
 		errs[p] = runErr
 	}
 

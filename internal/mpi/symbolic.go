@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/des"
 	"repro/internal/simnet"
 )
 
@@ -18,9 +19,11 @@ import (
 //
 // Determinism does not come from a global event clock (there is none: rank
 // clocks are decoupled and a rank may run arbitrarily far ahead of its
-// peers). It comes from strict alternation — exactly one of the scheduler or
-// a single rank executes at any instant, handed over through unbuffered
-// channels — plus a FIFO runnable queue, so the interleaving is a pure
+// peers). It comes from strict alternation — exactly one rank executes at
+// any instant, and a rank that blocks pops the next runnable rank itself
+// and hands control straight to it with one channel send (des.Coroutine),
+// so Run's goroutine only starts the first rank and takes control back
+// from the last — plus a FIFO runnable queue, so the interleaving is a pure
 // function of the programs, never of the Go scheduler. That decoupling is
 // sound because all charging policy lives in the shared runtime (ops.go) and
 // every cross-rank time dependency is expressed through message Avail
@@ -44,10 +47,11 @@ type symTransport struct {
 	runq     []int
 	runqHead int
 	queued   []bool
-	resume   []chan struct{} // resume[r]: scheduler -> rank r handoff
-	yield    chan struct{}   // rank -> scheduler handoff
+	ranks    []*des.Coroutine // ranks[r]: rank r's goroutine
+	home     *des.Coroutine   // Run's goroutine
 	live     int
 	aborted  bool
+	deadlock error // set when the runnable queue first runs dry
 }
 
 // symState is where a rank is in the scheduler's eyes.
@@ -72,11 +76,10 @@ func NewSymbolicTransport(size int) Transport {
 		unparked: make([]bool, size),
 		dead:     make([]bool, size),
 		queued:   make([]bool, size),
-		resume:   make([]chan struct{}, size),
-		yield:    make(chan struct{}),
+		ranks:    make([]*des.Coroutine, size),
+		home:     des.NewCoroutine(nil),
 	}
-	for r := range t.resume {
-		t.resume[r] = make(chan struct{})
+	for r := range t.waitSrc {
 		t.waitSrc[r] = -1
 	}
 	return t
@@ -106,12 +109,33 @@ func (t *symTransport) popRunnable() int {
 	return r
 }
 
-// block suspends the calling rank until the scheduler resumes it. Called
+// next returns the coroutine to hand control to: the FIFO head of the
+// runnable queue, or Run's goroutine once every rank has finished. If live
+// ranks remain but none is runnable, the run is deadlocked: next aborts the
+// blocked ranks so they unwind cleanly and records the deadlock for Run to
+// report (mirroring the DES kernel's ErrDeadlock). Aborted ranks always
+// unwind without re-blocking, so the queue never runs dry a second time;
+// if it ever did, control goes back to Run rather than spinning.
+func (t *symTransport) next() *des.Coroutine {
+	if t.live == 0 {
+		return t.home
+	}
+	if t.runqHead == len(t.runq) {
+		if t.deadlock != nil {
+			return t.home
+		}
+		t.deadlock = fmt.Errorf("mpi: symbolic engine deadlock: %d ranks blocked with no pending wake-up", t.live)
+		t.abortBlocked()
+	}
+	return t.ranks[t.popRunnable()]
+}
+
+// block suspends the calling rank, handing control to the next runnable
+// rank, until some rank makes it runnable and control comes back. Called
 // only from the rank's own execution context.
 func (t *symTransport) block(rank int, why symState) {
 	t.state[rank] = why
-	t.yield <- struct{}{}
-	<-t.resume[rank]
+	des.Transfer(t.ranks[rank], t.next())
 	t.state[rank] = symRunning
 	if t.aborted {
 		panic(errAborted)
@@ -119,8 +143,8 @@ func (t *symTransport) block(rank int, why symState) {
 }
 
 // abortBlocked wakes every blocked rank into the aborted state so it
-// unwinds via the errAborted panic (recovered by the runtime). May be
-// called from rank context (Abort) or scheduler context (deadlock).
+// unwinds via the errAborted panic (recovered by the runtime). Called from
+// rank context, by Abort or on deadlock.
 func (t *symTransport) abortBlocked() {
 	t.aborted = true
 	for r := 0; r < t.size; r++ {
@@ -130,41 +154,23 @@ func (t *symTransport) abortBlocked() {
 	}
 }
 
-// Run implements Transport: spawn every rank as a cooperative goroutine and
-// drive the round-robin scheduler until all ranks finish. If every live
-// rank is blocked with nothing left to wake it, the run is deadlocked: the
-// scheduler aborts the blocked ranks so they unwind cleanly, then reports
-// the deadlock (mirroring the DES kernel's ErrDeadlock).
+// Run implements Transport: run every rank as a cooperative goroutine, in
+// FIFO order from the runnable queue, until all ranks finish, and report a
+// deadlock if one was found on the way.
 func (t *symTransport) Run(body func(rank int)) error {
 	t.live = t.size
 	for r := 0; r < t.size; r++ {
 		r := r
-		go func() {
-			<-t.resume[r]
+		t.ranks[r] = des.NewCoroutine(func() {
 			body(r)
 			t.state[r] = symDone
 			t.live--
-			t.yield <- struct{}{}
-		}()
+			des.Transfer(nil, t.next())
+		})
 		t.makeRunnable(r)
 	}
-	var deadlock error
-	for t.live > 0 {
-		if t.runqHead == len(t.runq) {
-			if deadlock != nil {
-				// Aborted ranks always unwind without re-blocking, so this
-				// is unreachable; bail rather than spin if it ever isn't.
-				return deadlock
-			}
-			deadlock = fmt.Errorf("mpi: symbolic engine deadlock: %d ranks blocked with no pending wake-up", t.live)
-			t.abortBlocked()
-			continue
-		}
-		r := t.popRunnable()
-		t.resume[r] <- struct{}{}
-		<-t.yield
-	}
-	return deadlock
+	des.Transfer(t.home, t.next())
+	return t.deadlock
 }
 
 func (t *symTransport) Now(rank int) float64              { return t.clocks[rank] }

@@ -29,12 +29,16 @@ go test -race ./...
 echo "==> (cd perfbench && go vet ./... && go test ./...)"
 (cd perfbench && go vet ./... && go test ./...)
 
-# Race stress for the live transport's mailboxes: repeat the tests that
-# drive its wake-ups — Post/Take hand-offs, draining a dead peer's stream
-# before its death shows, barrier Park/Unpark with early Unparks, and
-# Abort unwinding blocked ranks — so a rare interleaving gets many tries.
-echo "==> go test -race -count=20 (live transport stress) ./internal/mpi"
-go test -race -count=20 -run 'Live|Crash|Barrier|Abort|Differential|Panic|ProgramError' ./internal/mpi
+# Race stress for the engines' hand-offs: repeat the tests that drive the
+# live transport's mailbox wake-ups (Post/Take hand-offs, draining a dead
+# peer's stream before its death shows, barrier Park/Unpark with early
+# Unparks, Abort unwinding blocked ranks) and the rank-to-rank hand-offs of
+# the symbolic scheduler and the DES kernel (deadlock unwinding, no rank
+# goroutine left behind), plus the whole kernel suite, so a rare
+# interleaving gets many tries.
+echo "==> go test -race -count=20 (engine stress) ./internal/mpi ./internal/des"
+go test -race -count=20 -run 'Live|Crash|Barrier|Abort|Differential|Panic|ProgramError|Symbolic|Deadlock|Leak' ./internal/mpi
+go test -race -count=20 ./internal/des
 
 # Order-independence smoke: the suite must pass with tests shuffled —
 # scheduler and cache state must not leak between tests. Go prints the
@@ -157,6 +161,7 @@ for pkgfn in \
 	./internal/cluster:FuzzParseLadder \
 	./internal/faults:FuzzParseSpec \
 	./internal/faults:FuzzInjectorDropSend \
+	./internal/des:FuzzKernelOrder \
 	./internal/numeric:FuzzPolyFitNeverPanicsAndInterpolates \
 	./internal/numeric:FuzzBrentFindsBracketedRoots \
 	./internal/mpi:FuzzSymbolicVsDESPrograms \
