@@ -4,12 +4,16 @@ import (
 	"encoding/json"
 	"flag"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/serve"
+	"repro/internal/spec"
 )
 
 // runOut drives run with stderr discarded.
@@ -434,6 +438,65 @@ func TestSpecFileRejectsRunFlags(t *testing.T) {
 	}
 	if got != want {
 		t.Error("-jobs, -v or -cache-dir changed -spec output")
+	}
+}
+
+// TestSpecFileAgreesWithServer: `hetsim -spec FILE` and a POST of the
+// same file to the server apply one rule. A spec the CLI runs gets a 200
+// with the CLI's bytes, and one it refuses gets a 400, on /run and,
+// with -trace, on /trace. The refused specs decode as JSON but could
+// never run; left to fail in the executor, the server would answer 500.
+func TestSpecFileAgreesWithServer(t *testing.T) {
+	ex, err := spec.NewExecutor(spec.ExecutorOptions{Jobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(serve.New(ex).Handler())
+	defer ts.Close()
+	stream := `"stream":{"seed":9,"tenants":[{"name":"solo","workload":"jacobi","n":24,"width":2,"jobs":1,"meanGapMS":10}]}`
+	for _, tc := range []struct {
+		doc        string
+		run, trace bool // whether -spec runs it, and with -trace
+	}{
+		{`{"kind":"experiments","experiments":"table1","quick":true}`, true, true},
+		{`{"kind":"experiments","experiments":"table1","sizes":[4]}`, false, false},
+		{`{"kind":"experiments","experiments":"fig1","sizes":[2]}`, false, false},
+		{`{"kind":"experiments","experiments":"fig1","sizes":[0,4]}`, false, false},
+		{`{"kind":"experiments","experiments":"table9"}`, false, false},
+		{`{"kind":"faultscan","workload":"mm","p":1,"n":10,"faults":{"seed":1}}`, false, false},
+		{`{"kind":"jobstream","sharedP":4,` + stream + `}`, true, false},
+	} {
+		path := filepath.Join(t.TempDir(), "spec.json")
+		if err := os.WriteFile(path, []byte(tc.doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, traced := range []bool{false, true} {
+			args, endpoint, want := []string{"-spec", path}, "/run", tc.run
+			if traced {
+				args = append(args, "-trace", filepath.Join(t.TempDir(), "trace.json"))
+				endpoint, want = "/trace", tc.trace
+			}
+			got, cliErr := runOut(t, args...)
+			if (cliErr == nil) != want {
+				t.Errorf("%v on %s: error %v, want run %v", args, tc.doc, cliErr, want)
+			}
+			resp, err := http.Post(ts.URL+endpoint, "application/json", strings.NewReader(tc.doc))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			wantStatus := http.StatusBadRequest
+			if cliErr == nil {
+				wantStatus = http.StatusOK
+			}
+			if resp.StatusCode != wantStatus {
+				t.Errorf("POST %s %s: status %d, want %d (CLI error %v): %s", endpoint, tc.doc, resp.StatusCode, wantStatus, cliErr, body)
+			}
+			if !traced && cliErr == nil && string(body) != got {
+				t.Errorf("POST /run %s differs from -spec:\n%s\nvs\n%s", tc.doc, body, got)
+			}
+		}
 	}
 }
 

@@ -35,23 +35,52 @@ var keptExports = map[string]string{
 	"internal/simnet.CalibrateModel":       "§4.5 calibration documented by Example_prediction",
 }
 
+// keptMethods names the exported methods under internal/ whose name no
+// program selects but that stay on purpose, keyed as
+// "<package dir>.<type>.<name>", each with its reason.
+var keptMethods = map[string]string{
+	"internal/cluster.Allocator.Down":                 "observer the allocator's health tests assert on",
+	"internal/cluster.Cluster.ToSpec":                 "inverse of FromSpec, checked by the spec round-trip tests",
+	"internal/core.EfficiencyCurve.MonotoneOnSamples": "Theorem 1 property the curve tests assert on",
+	"internal/mpi.Result.MaxCommMS":                   "T_o on the critical path, the trace tests' cross-check",
+	"internal/simnet.Wire.Transmit":                   "whole-transfer pricing the wire contention tests drive",
+	"internal/trace.Trace.Gantt":                      "text rendering the trace tests check",
+}
+
+// stdlibMethods are the method names the standard library calls through
+// its interfaces (fmt, errors, encoding, net/http), so a method with one
+// of them is used even where no selector names it.
+var stdlibMethods = map[string]bool{
+	"String": true, "GoString": true, "Format": true,
+	"Error": true, "Is": true, "As": true, "Unwrap": true,
+	"MarshalJSON": true, "UnmarshalJSON": true, "MarshalText": true, "UnmarshalText": true,
+	"ServeHTTP": true,
+}
+
 // TestNoUnreferencedExports keeps exported identifiers that only tests
 // reach from accumulating under internal/. It parses every non-test Go
 // file of the repository, the perfbench module included (dot-directories
-// and testdata are skipped), and fails on any exported top-level
-// function, type, variable or constant declared under internal/ that no
-// non-test file references outside its own declaration, unless
-// keptExports names it. It also fails on a keptExports entry that a
-// program references or that no longer exists, so the list cannot go
-// stale.
+// and testdata are skipped), and fails on
+//   - any exported top-level function, type, variable or constant
+//     declared under internal/ that no non-test file references outside
+//     its own declaration, unless keptExports names it;
+//   - any exported method, of a type or an interface, declared under
+//     internal/ whose name no selector in a non-test file uses, unless
+//     keptMethods names it or the standard library calls it.
 //
-// The scan is syntactic. It does not check methods or struct fields,
-// and any reference from non-test code counts, so code that is dead only
-// transitively still passes: a helper whose only caller is an
-// unreferenced method, or a file reached only through one.
+// It also fails on a keptExports or keptMethods entry that a program
+// references or that no longer exists, so the lists cannot go stale.
+//
+// The scan is syntactic. Methods count as used by name, whatever the
+// selector's receiver, and it does not check struct fields. Any reference
+// from non-test code counts, so code that is dead only transitively
+// still passes: a helper whose only caller is an unreferenced method, or
+// a file reached only through one.
 func TestNoUnreferencedExports(t *testing.T) {
 	declared := map[string]bool{}
 	referenced := map[string]bool{}
+	methods := map[string]string{} // "<dir>.<type>.<name>" -> name
+	selected := map[string]bool{}  // method and field names selectors use
 	fset := token.NewFileSet()
 	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -70,7 +99,9 @@ func TestNoUnreferencedExports(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		scanFile(f, filepath.ToSlash(filepath.Dir(p)), declared, referenced)
+		dir := filepath.ToSlash(filepath.Dir(p))
+		scanFile(f, dir, declared, referenced)
+		scanMethods(f, dir, methods, selected)
 		return nil
 	})
 	if err != nil {
@@ -95,6 +126,67 @@ func TestNoUnreferencedExports(t *testing.T) {
 			t.Errorf("keptExports names %s, which a program references: drop the entry", id)
 		}
 	}
+
+	var unselected []string
+	for id, name := range methods {
+		if !selected[name] && !stdlibMethods[name] && keptMethods[id] == "" {
+			unselected = append(unselected, id)
+		}
+	}
+	slices.Sort(unselected)
+	for _, id := range unselected {
+		t.Errorf("method %s is exported but no program selects its name: delete it, or add it to keptMethods with a reason", id)
+	}
+	for id := range keptMethods {
+		switch name, ok := methods[id]; {
+		case !ok:
+			t.Errorf("keptMethods names %s, which is not declared", id)
+		case selected[name]:
+			t.Errorf("keptMethods names %s, whose name a program selects: drop the entry", id)
+		}
+	}
+}
+
+// scanMethods records the exported methods a file under internal/
+// declares, on types and in interfaces, and every name the file's
+// selectors pick from a value or type (not from an imported package).
+func scanMethods(f *ast.File, dir string, methods map[string]string, selected map[string]bool) {
+	pkgs := map[string]bool{}
+	for _, spec := range f.Imports {
+		ip, err := strconv.Unquote(spec.Path.Value)
+		if err != nil {
+			continue
+		}
+		name := path.Base(ip)
+		if spec.Name != nil {
+			name = spec.Name.Name
+		}
+		pkgs[name] = true
+	}
+	internal := strings.HasPrefix(dir, "internal/")
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if x, ok := n.X.(*ast.Ident); !ok || x.Obj != nil || !pkgs[x.Name] {
+				selected[n.Sel.Name] = true
+			}
+		case *ast.FuncDecl:
+			if internal && n.Recv != nil && n.Name.IsExported() {
+				methods[dir+"."+receiverType(n.Recv.List[0].Type)+"."+n.Name.Name] = n.Name.Name
+			}
+		case *ast.TypeSpec:
+			if it, ok := n.Type.(*ast.InterfaceType); ok && internal {
+				for _, m := range it.Methods.List {
+					for _, name := range m.Names {
+						if name.IsExported() {
+							methods[dir+"."+n.Name.Name+"."+name.Name] = name.Name
+						}
+					}
+				}
+			}
+		}
+		return true
+	})
 }
 
 // scanFile records the exported top-level identifiers a file under

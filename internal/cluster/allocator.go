@@ -76,9 +76,6 @@ func NewAllocator(cl *Cluster, opts AllocatorOptions) (*Allocator, error) {
 // Cluster returns the shared cluster the allocator manages.
 func (a *Allocator) Cluster() *Cluster { return a.cl }
 
-// Options returns the configured lease charges.
-func (a *Allocator) Options() AllocatorOptions { return a.opts }
-
 // Free returns the number of currently placeable nodes: unleased, not
 // down, and not draining.
 func (a *Allocator) Free() int {
@@ -113,9 +110,6 @@ func (a *Allocator) Down() int {
 	}
 	return n
 }
-
-// InUse returns the number of active leases.
-func (a *Allocator) InUse() int { return len(a.leases) }
 
 // Acquire grants an exclusive lease on the given shared-cluster ranks at
 // virtual time atMS. The ranks keep the caller's order (rank i of the
@@ -313,17 +307,6 @@ func (a *Allocator) NodeJoin(node int, atMS float64) error {
 	return nil
 }
 
-// Draining returns the number of currently draining nodes.
-func (a *Allocator) Draining() int {
-	n := 0
-	for _, d := range a.drain {
-		if d {
-			n++
-		}
-	}
-	return n
-}
-
 // IsDraining reports whether a node is between NodeDrain and NodeJoin.
 func (a *Allocator) IsDraining(node int) bool {
 	return node >= 0 && node < len(a.drain) && a.drain[node]
@@ -352,10 +335,6 @@ func (a *Allocator) DownWithin(node int, fromMS, untilMS float64) bool {
 	}
 	return false
 }
-
-// BusyNodeMS returns the accumulated node-milliseconds of RELEASED
-// leases: the numerator of shared-cluster utilization.
-func (a *Allocator) BusyNodeMS() float64 { return a.busyMS }
 
 // Utilization returns busy node-ms over total node-ms for a horizon
 // that started at virtual time 0 and ends at horizonMS. Active

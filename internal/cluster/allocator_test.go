@@ -34,8 +34,8 @@ func TestAllocatorExclusiveLeases(t *testing.T) {
 	if l1.Sub.Size() != 3 || l1.Sub.Nodes[0].Name != cl.Nodes[0].Name {
 		t.Errorf("leased subset wrong: %v", l1.Sub)
 	}
-	if a.Free() != 5 || a.InUse() != 1 {
-		t.Errorf("Free/InUse = %d/%d, want 5/1", a.Free(), a.InUse())
+	if a.Free() != 5 || len(a.leases) != 1 {
+		t.Errorf("Free/leases = %d/%d, want 5/1", a.Free(), len(a.leases))
 	}
 
 	// Overlapping ranks must be refused.
@@ -59,8 +59,8 @@ func TestAllocatorExclusiveLeases(t *testing.T) {
 	if a.Free() != 6 {
 		t.Errorf("Free after release = %d, want 6", a.Free())
 	}
-	if got := a.BusyNodeMS(); got != 3*40 {
-		t.Errorf("BusyNodeMS = %g, want 120", got)
+	if got := a.busyMS; got != 3*40 {
+		t.Errorf("busy node-ms = %g, want 120", got)
 	}
 	if err := a.Release(l1, 60); err == nil {
 		t.Fatal("double release accepted")

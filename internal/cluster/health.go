@@ -37,6 +37,14 @@ type HealthSpec struct {
 	MeanDownMS float64     `json:"meanDownMS,omitempty"`
 }
 
+// MaxDraws caps the random draws a seeded schedule may ask for
+// (HealthSpec.Failures, MembershipPlan.Cycles). Instantiate runs while a
+// spec is still being decoded, before any execution deadline applies,
+// and allocates in proportion to the count, so without a cap a few bytes
+// of input could ask for gigabytes. The largest count any program or
+// test uses is 100,000; the cap leaves twice that.
+const MaxDraws = 200_000
+
 // IsZero reports whether the spec schedules nothing.
 func (h HealthSpec) IsZero() bool {
 	return len(h.Events) == 0 && h.Failures == 0
@@ -63,6 +71,9 @@ func (h HealthSpec) Instantiate(size int) ([]NodeEvent, error) {
 	}
 	if h.Failures < 0 {
 		return nil, fmt.Errorf("cluster: negative failure count %d", h.Failures)
+	}
+	if h.Failures > MaxDraws {
+		return nil, fmt.Errorf("cluster: failures %d above the cap of %d", h.Failures, MaxDraws)
 	}
 	if h.Failures > 0 {
 		if !(h.MeanUpMS > 0) || !validEventTime(h.MeanUpMS) {

@@ -134,8 +134,8 @@ func TestAllocatorNodeDownShrinksLease(t *testing.T) {
 		t.Fatal("healed lease no longer held")
 	}
 	// The dead node's busy window [10, 40] is banked immediately.
-	if got := a.BusyNodeMS(); got != 30 {
-		t.Fatalf("BusyNodeMS after shrink = %g, want 30", got)
+	if got := a.busyMS; got != 30 {
+		t.Fatalf("busy node-ms after shrink = %g, want 30", got)
 	}
 	// Down node is not placeable and not acquirable.
 	if a.Free() != 5 || a.Down() != 1 {
@@ -154,8 +154,8 @@ func TestAllocatorNodeDownShrinksLease(t *testing.T) {
 	if err := a.Release(l, 100); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.BusyNodeMS(); got != 30+2*90 {
-		t.Fatalf("BusyNodeMS after release = %g, want 210", got)
+	if got := a.busyMS; got != 30+2*90 {
+		t.Fatalf("busy node-ms after release = %g, want 210", got)
 	}
 
 	// The node returns at its up event and is placeable again.
@@ -193,16 +193,16 @@ func TestAllocatorNodeDownLastNodeRetiresLease(t *testing.T) {
 	if a.Holds(l) {
 		t.Fatal("fully-failed lease still held")
 	}
-	if a.InUse() != 0 {
-		t.Fatalf("InUse = %d, want 0", a.InUse())
+	if len(a.leases) != 0 {
+		t.Fatalf("%d leases active, want 0", len(a.leases))
 	}
 	// Double release must be refused, as always.
 	if err := a.Release(l, 30); err == nil {
 		t.Fatal("Release of retired lease succeeded")
 	}
 	// Full busy accounting: node 2 over [0,10], node 5 over [0,20].
-	if got := a.BusyNodeMS(); got != 30 {
-		t.Fatalf("BusyNodeMS = %g, want 30", got)
+	if got := a.busyMS; got != 30 {
+		t.Fatalf("busy node-ms = %g, want 30", got)
 	}
 }
 

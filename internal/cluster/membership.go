@@ -75,6 +75,9 @@ func (m MembershipPlan) Instantiate(size int) ([]MemberEvent, error) {
 	if m.Cycles < 0 {
 		return nil, fmt.Errorf("cluster: negative membership cycle count %d", m.Cycles)
 	}
+	if m.Cycles > MaxDraws {
+		return nil, fmt.Errorf("cluster: cycles %d above the cap of %d", m.Cycles, MaxDraws)
+	}
 	if m.Cycles > 0 {
 		if !(m.MeanInMS > 0) || !validEventTime(m.MeanInMS) {
 			return nil, fmt.Errorf("cluster: random membership cycles need a positive mean in-service time, got %g", m.MeanInMS)

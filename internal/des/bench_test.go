@@ -70,28 +70,3 @@ func BenchmarkResourceContention(b *testing.B) {
 		b.Fatal(err)
 	}
 }
-
-// BenchmarkQueuePingPong measures store-and-forward messaging between two
-// processes.
-func BenchmarkQueuePingPong(b *testing.B) {
-	k := NewKernel()
-	q1 := k.NewQueue("a2b")
-	q2 := k.NewQueue("b2a")
-	n := b.N
-	k.Spawn("a", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			q1.Put(i, 0.1)
-			q2.Get(p)
-		}
-	})
-	k.Spawn("b", func(p *Proc) {
-		for i := 0; i < n; i++ {
-			q1.Get(p)
-			q2.Put(i, 0.1)
-		}
-	})
-	b.ResetTimer()
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
-	}
-}

@@ -3,7 +3,6 @@ package des
 import (
 	"errors"
 	"flag"
-	"math"
 	"os"
 	"os/exec"
 	"runtime"
@@ -138,16 +137,11 @@ func TestResourceMutualExclusion(t *testing.T) {
 	if k.Now() != 40 {
 		t.Errorf("completion time %g, want 40 (serialized)", k.Now())
 	}
-	st := r.Stats()
-	if st.Acquires != 4 {
-		t.Errorf("Acquires = %d, want 4", st.Acquires)
-	}
-	// Waits are 0,10,20,30 -> mean 15.
-	if math.Abs(st.AvgWait-15) > 1e-9 {
-		t.Errorf("AvgWait = %g, want 15", st.AvgWait)
-	}
-	if math.Abs(st.Utilization-1) > 1e-9 {
-		t.Errorf("Utilization = %g, want 1", st.Utilization)
+	// FIFO hand-over: the holds start at 0, 10, 20 and 30.
+	for i, sp := range spans {
+		if sp[0] != float64(10*i) {
+			t.Errorf("hold %d starts at %g, want %d", i, sp[0], 10*i)
+		}
 	}
 }
 
@@ -196,71 +190,14 @@ func TestNewResourceBadCapacityPanics(t *testing.T) {
 	k.NewResource("x", 0)
 }
 
-func TestQueueStoreAndForward(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	var got []int
-	var when []float64
-	k.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			v := q.Get(p).(int)
-			got = append(got, v)
-			when = append(when, p.Now())
-		}
-	})
-	k.Spawn("send", func(p *Proc) {
-		q.Put(1, 5) // arrives t=5
-		p.Delay(1)
-		q.Put(2, 1) // sent t=1, arrives t=2
-		q.Put(3, 10)
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	// Arrival order: 2 (t=2), 1 (t=5), 3 (t=11).
-	wantVals := []int{2, 1, 3}
-	wantWhen := []float64{2, 5, 11}
-	for i := range wantVals {
-		if got[i] != wantVals[i] || when[i] != wantWhen[i] {
-			t.Errorf("recv %d: got %d@%g, want %d@%g", i, got[i], when[i], wantVals[i], wantWhen[i])
-		}
-	}
-	if q.Len() != 0 {
-		t.Errorf("queue should be drained, len=%d", q.Len())
-	}
-}
-
-func TestQueueMultipleGetters(t *testing.T) {
-	k := NewKernel()
-	q := k.NewQueue("q")
-	var sum int
-	for i := 0; i < 3; i++ {
-		k.Spawn("g", func(p *Proc) {
-			sum += q.Get(p).(int)
-		})
-	}
-	k.Spawn("s", func(p *Proc) {
-		for i := 1; i <= 3; i++ {
-			q.Put(i, float64(i))
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if sum != 6 {
-		t.Errorf("sum = %d, want 6", sum)
-	}
-}
-
 func TestDeadlockDetection(t *testing.T) {
 	before := runtime.NumGoroutine()
 	k := NewKernel()
-	q := k.NewQueue("never")
 	unwound := false
 	k.Spawn("stuck", func(p *Proc) {
 		defer func() { unwound = true }()
-		q.Get(p) // no one ever Puts
-		t.Error("Get returned from an empty queue")
+		p.Suspend() // no one ever Wakes it
+		t.Error("Suspend returned without a Wake")
 	})
 	err := k.Run()
 	if !errors.Is(err, ErrDeadlock) || !strings.Contains(err.Error(), "(1 stuck)") {

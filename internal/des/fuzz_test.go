@@ -10,8 +10,9 @@ import (
 )
 
 // FuzzKernelOrder runs random programs of callbacks, Spawn, Delay,
-// DelayUntil, Suspend/Wake pairs and queue traffic, and checks the
-// kernel's contract on each:
+// DelayUntil, Suspend/Wake pairs and deliveries (a callback that wakes
+// its process only if it waits by then), and checks the kernel's
+// contract on each:
 //   - events fire in scheduling order, meaning (time, seq);
 //   - each resumed process sees exactly the time it asked for;
 //   - Run returns ErrDeadlock exactly when a Suspend has no matching Wake,
@@ -53,7 +54,7 @@ func FuzzKernelOrder(f *testing.F) {
 		}
 		for i := 1; i < len(r.log); i++ {
 			a, b := r.log[i-1], r.log[i]
-			if b.time < a.time || (b.seq != 0 && a.seq != 0 && b.time == a.time && b.seq <= a.seq) {
+			if b.time < a.time || (b.time == a.time && b.seq <= a.seq) {
 				t.Fatalf("event %d (%s at %g, seq %d) fired after %s at %g, seq %d",
 					i, b.what, b.time, b.seq, a.what, a.time, a.seq)
 			}
@@ -63,8 +64,7 @@ func FuzzKernelOrder(f *testing.F) {
 }
 
 // fired is one event the program saw fire: a callback, or the wake that
-// resumed a process. seq is the kernel's sequence number of that event, or
-// 0 where the kernel scheduled it internally (a queue delivery's wake).
+// resumed a process. seq is the kernel's sequence number of that event.
 type fired struct {
 	time float64
 	seq  uint64
@@ -174,7 +174,6 @@ func (r *orderRun) body(p *Proc) {
 	}()
 	r.enter()
 	r.resumed(r.wakeAt[p])
-	q := r.k.NewQueue(p.Name)
 	for steps := 0; steps < 8; steps++ {
 		op, ok := r.next()
 		if !ok {
@@ -201,18 +200,34 @@ func (r *orderRun) body(p *Proc) {
 		case 3:
 			r.spawn()
 		case 4:
-			// Store-and-forward to itself: the Get resumes exactly when
-			// the item lands.
+			// A delivery, as mpi's mailboxes make one: a callback lands
+			// a value after d and wakes the process only if it waits by
+			// then. With bit 2 of arg set, the process first delays past
+			// the landing and finds the value without suspending.
 			d := float64(arg%4) / 2
-			q.Put(int(arg), d)
-			want := fired{time: now + d, what: p.Name + " get"}
-			r.leave()
-			v := q.Get(p)
-			r.enter()
-			r.resumed(want)
-			if v != int(arg) {
-				r.errorf("%s got %v, put %d", p.Name, v, arg)
+			delivered, waiting := false, false
+			r.k.Schedule(d, func() {
+				delivered = true
+				if waiting {
+					waiting = false
+					r.wakeAt[p] = fired{time: r.k.now, seq: r.k.seq + 1, what: p.Name + " delivered"}
+					p.Wake()
+				}
+			})
+			late := arg&4 != 0
+			if late {
+				r.wakeAt[p] = fired{time: now + 2, seq: r.k.seq + 1, what: p.Name + " delay past delivery"}
 			}
+			r.leave()
+			if late {
+				p.Delay(2)
+			}
+			for !delivered {
+				waiting = true
+				p.Suspend()
+			}
+			r.enter()
+			r.resumed(r.wakeAt[p])
 		case 5:
 			// A matched pair: a callback wakes the process later.
 			d := float64(arg%4) / 2

@@ -14,8 +14,8 @@
 //
 // This package is the substrate for the contended-Ethernet network model
 // (internal/simnet) and for the event-driven engine of the message-passing
-// runtime (internal/mpi). It is general: Kernel/Proc/Resource/Queue have no
-// knowledge of clusters or MPI.
+// runtime (internal/mpi), whose message deliveries are plain callbacks.
+// It is general: Kernel/Proc/Resource have no knowledge of clusters or MPI.
 package des
 
 import (

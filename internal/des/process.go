@@ -3,7 +3,8 @@ package des
 import "fmt"
 
 // Proc is a simulation process: a goroutine that advances virtual time via
-// Delay and coordinates with other processes through Resources and Queues.
+// Delay and coordinates with other processes through Resources, or through
+// Suspend and Wake.
 // Delay, DelayUntil and Suspend must be called from the process's own
 // goroutine.
 //
@@ -101,7 +102,8 @@ func (p *Proc) DelayUntil(t float64) {
 
 // Suspend parks the process indefinitely; some other process or event must
 // Wake it, or the kernel will report deadlock. It is the building block for
-// synchronization (Resource, Queue, and barriers outside this package).
+// synchronization (Resource here; mailboxes and barriers outside this
+// package).
 func (p *Proc) Suspend() {
 	p.check("Suspend")
 	p.wait()
@@ -115,6 +117,3 @@ func (p *Proc) Wake() { p.k.push(p.k.now, nil, p) }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() float64 { return p.k.Now() }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }

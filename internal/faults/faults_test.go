@@ -267,8 +267,8 @@ func TestIntensityKnob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !z.IsZero() {
-		t.Errorf("Intensity(...,0) not fault-free: %+v", z)
+	if pl, err := z.Instantiate(8); err != nil || !pl.IsZero() {
+		t.Errorf("Intensity(...,0) not fault-free: %+v (%v)", z, err)
 	}
 	prev := 0.0
 	for _, x := range []float64{0.25, 0.5, 1} {

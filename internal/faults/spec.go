@@ -39,14 +39,6 @@ type CrashSpec struct {
 	AtMS float64 `json:"atMS"`
 }
 
-// IsZero reports whether the spec perturbs nothing.
-func (s Spec) IsZero() bool {
-	return (s.StragglerFrac == 0 || s.StragglerFactor == 0 || s.StragglerFactor == 1) &&
-		len(s.Crashes) == 0 && s.DropProb == 0 &&
-		(s.LatencyFactor == 0 || s.LatencyFactor == 1) &&
-		(s.BandwidthFactor == 0 || s.BandwidthFactor == 1)
-}
-
 // Validate reports structural problems independent of system size.
 func (s Spec) Validate() error {
 	if s.StragglerFrac < 0 || s.StragglerFrac > 1 || isBad(s.StragglerFrac) {

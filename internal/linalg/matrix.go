@@ -61,20 +61,6 @@ func (m *Matrix) Clone() *Matrix {
 	return c
 }
 
-// Equalish reports whether m and n have the same shape and all elements
-// within tol of each other.
-func (m *Matrix) Equalish(n *Matrix, tol float64) bool {
-	if m.Rows != n.Rows || m.Cols != n.Cols {
-		return false
-	}
-	for i := range m.Data {
-		if math.Abs(m.Data[i]-n.Data[i]) > tol {
-			return false
-		}
-	}
-	return true
-}
-
 // Identity returns the n x n identity matrix.
 func Identity(n int) *Matrix {
 	m := NewMatrix(n, n)

@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -68,32 +69,14 @@ func TestIdentityAndMatVec(t *testing.T) {
 	}
 }
 
-func TestEqualish(t *testing.T) {
-	a := RandomMatrix(5, 1)
-	b := a.Clone()
-	if !a.Equalish(b, 0) {
-		t.Error("clone should be equal")
-	}
-	b.Set(2, 2, b.At(2, 2)+1e-3)
-	if a.Equalish(b, 1e-6) {
-		t.Error("perturbed matrix should differ at tol 1e-6")
-	}
-	if !a.Equalish(b, 1e-2) {
-		t.Error("perturbed matrix should match at tol 1e-2")
-	}
-	if a.Equalish(NewMatrix(4, 5), 1) {
-		t.Error("shape mismatch should not be equal")
-	}
-}
-
 func TestRandomDeterminism(t *testing.T) {
 	a := RandomMatrix(8, 42)
 	b := RandomMatrix(8, 42)
-	if !a.Equalish(b, 0) {
+	if !slices.Equal(a.Data, b.Data) {
 		t.Error("same seed must give same matrix")
 	}
 	c := RandomMatrix(8, 43)
-	if a.Equalish(c, 0) {
+	if slices.Equal(a.Data, c.Data) {
 		t.Error("different seeds should differ")
 	}
 	v1 := RandomVector(10, 7)

@@ -21,21 +21,25 @@
 // Architecturally the package is a single rank runtime over pluggable
 // transports. The runtime (runtime.go + ops.go) owns everything that
 // defines the model's semantics: clock charging policy, message matching,
-// the max-reduction barrier, the crash/tombstone fault protocol, traffic
-// accounting and trace emission. A Transport (transport.go) supplies only
-// the execution substrate — how ranks run and block, how payloads move,
-// how a dying rank interrupts blocked peers. Three transports ship with the
-// package, selected by Options.Engine:
+// the max-reduction barrier, the crash fault protocol, traffic accounting
+// and trace emission. One mailbox per receiving rank (transport.go), the
+// same under every transport, owns the receiving side: an unbounded FIFO
+// per source, so a send never blocks, and the rule for when a blocked
+// rank resumes, with a dead peer's messages drained before it reads as
+// dead. A Transport supplies only the execution substrate — how ranks
+// run, block and wake, and when a post or a death reaches a mailbox.
+// Three transports ship with the package, selected by Options.Engine:
 //
 //   - EngineLive -> the live transport (NewLiveTransport): one goroutine
-//     per rank and one mailbox per receiving rank, holding an unbounded
-//     FIFO per source, so a send never blocks the real goroutine. Virtual
+//     per rank, each mailbox under a mutex with a wake channel. Virtual
 //     time is computed from message timestamps, so results are
 //     bit-deterministic regardless of Go scheduling.
 //   - EngineDES -> the DES transport (NewDESTransport): ranks are
-//     processes of a discrete-event kernel (internal/des), optionally
-//     sharing a contended Ethernet wire (internal/simnet.Wire) so
-//     point-to-point transfers queue for the medium like frames on a hub.
+//     processes of a discrete-event kernel (internal/des), each post and
+//     each death one kernel event into the receiver's mailbox,
+//     optionally sharing a contended Ethernet wire (internal/simnet.Wire)
+//     so point-to-point transfers queue for the medium like frames on a
+//     hub.
 //   - EngineSymbolic -> the symbolic fast-forward transport
 //     (NewSymbolicTransport): ranks are cooperative goroutines under a
 //     sequential scheduler; clocks, wire occupancy and barrier waits are
@@ -76,10 +80,6 @@ const (
 	tagGather  = -2
 	tagScatter = -3
 	tagReduce  = -4
-	// tagCrashed is a runtime-internal tombstone: the DES transport posts
-	// it on every outgoing queue of a dying rank so blocked receivers
-	// learn the peer is gone. It never reaches user programs.
-	tagCrashed = -5
 )
 
 // ReduceOp is a binary reduction operator.
@@ -108,17 +108,9 @@ type Comm interface {
 	Node() cluster.Node
 	// Clock returns this rank's virtual time in milliseconds.
 	Clock() float64
-	// ComputeMS returns the virtual time this rank has spent computing.
-	ComputeMS() float64
-	// CommMS returns the virtual time this rank has spent communicating
-	// (including waiting for messages and barriers).
-	CommMS() float64
 
 	// Compute advances the clock by flops at this node's marked speed.
 	Compute(flops float64)
-	// Sleep advances the clock by ms without charging compute or comm
-	// time (used to model non-overlapped local overheads).
-	Sleep(ms float64)
 
 	// Send transmits data to rank `to` with the given tag. The payload is
 	// copied; the caller may reuse data. A Blank is passed by reference
@@ -225,7 +217,7 @@ type Result struct {
 	// RankClocks holds each rank's final virtual clock.
 	RankClocks []float64
 	// ComputeMS and CommMS break each rank's time into computation and
-	// communication (waiting included); residual is Sleep/idle.
+	// communication (waiting included); the residual is idle time.
 	ComputeMS []float64
 	CommMS    []float64
 	// Messages and BytesMoved count point-to-point payloads (collectives

@@ -9,41 +9,33 @@ import (
 )
 
 // desTransport is the discrete-event substrate: ranks are processes of a
-// des.Kernel observing one monotonic virtual clock, message streams are
-// kernel queues, and transfers optionally queue for a contended
-// simnet.Wire like frames on a hub.
+// des.Kernel observing one monotonic virtual clock, and transfers
+// optionally queue for a contended simnet.Wire like frames on a hub.
+// Every Post and every peer's death reaches the receiver's mailbox as one
+// kernel event at the instant it happens, so a dead peer's messages,
+// posted before its death, are in its streams before the death shows.
 type desTransport struct {
-	k      *des.Kernel
-	wire   *simnet.Wire
-	size   int
-	procs  []*des.Proc
-	queues [][]*des.Queue // queues[from][to]
+	k     *des.Kernel
+	wire  *simnet.Wire
+	procs []*des.Proc
+	boxes []mailbox // boxes[to]: every stream addressed to rank to
 }
 
 // NewDESTransport returns the DES-engine Transport for size ranks as
 // processes of kernel k, with medium occupancy charged against wire.
 func NewDESTransport(k *des.Kernel, wire *simnet.Wire, size int) Transport {
-	t := &desTransport{
-		k:      k,
-		wire:   wire,
-		size:   size,
-		procs:  make([]*des.Proc, size),
-		queues: make([][]*des.Queue, size),
+	return &desTransport{
+		k:     k,
+		wire:  wire,
+		procs: make([]*des.Proc, size),
+		boxes: newMailboxes(size),
 	}
-	for i := range t.queues {
-		t.queues[i] = make([]*des.Queue, size)
-		for j := range t.queues[i] {
-			t.queues[i][j] = k.NewQueue(fmt.Sprintf("q%d-%d", i, j))
-		}
-	}
-	return t
 }
 
 // Run implements Transport: spawn every rank as a kernel process, then
 // drive the event loop to completion.
 func (t *desTransport) Run(body func(rank int)) error {
-	for r := 0; r < t.size; r++ {
-		r := r
+	for r := range t.procs {
 		t.procs[r] = t.k.Spawn(fmt.Sprintf("rank%d", r), func(*des.Proc) { body(r) })
 	}
 	return t.k.Run()
@@ -67,37 +59,49 @@ func (t *desTransport) Occupy(rank int, durMS float64, to int) {
 	t.wire.OccupyFor(t.procs[rank], durMS, rank, to)
 }
 
-func (t *desTransport) Post(from, to int, m Message) { t.queues[from][to].Put(m, 0) }
-
-func (t *desTransport) Take(from, to int) (Message, bool) {
-	// Death is detected solely via the tombstone, never via a shared dead
-	// flag: a peer's final payload may still be an in-flight delivery
-	// event when it dies, and the FIFO event heap guarantees the tombstone
-	// (posted last, at the latest time) arrives after every real message.
-	m := t.queues[from][to].Get(t.procs[to]).(Message)
-	if m.Tag == tagCrashed {
-		return Message{}, false
+// resume wakes rank's process at the current instant if its mailbox
+// reported a wake.
+func (t *desTransport) resume(rank int, wake bool) {
+	if wake {
+		t.procs[rank].Wake()
 	}
-	return m, true
 }
 
-func (t *desTransport) Park(rank int)   { t.procs[rank].Suspend() }
-func (t *desTransport) Unpark(rank int) { t.procs[rank].Wake() }
+func (t *desTransport) Post(from, to int, m Message) {
+	t.k.Schedule(0, func() { t.resume(to, t.boxes[to].post(from, m)) })
+}
 
-// BroadcastDeath posts a tombstone message on every outgoing queue of the
-// dying rank so blocked receivers wake and learn the peer is gone. Each
-// queue has exactly one consumer, and consuming a tombstone is terminal,
-// so one tombstone per queue suffices. Runs in the dying rank's process
-// context.
-func (t *desTransport) BroadcastDeath(rank int, atMS float64) {
-	for to := range t.queues[rank] {
+func (t *desTransport) Take(from, to int) (Message, bool) {
+	for {
+		m, ok, wait := t.boxes[to].take(from)
+		if !wait {
+			return m, ok
+		}
+		t.procs[to].Suspend()
+	}
+}
+
+func (t *desTransport) Park(rank int) {
+	for t.boxes[rank].park() {
+		t.procs[rank].Suspend()
+	}
+}
+
+func (t *desTransport) Unpark(rank int) { t.resume(rank, t.boxes[rank].unpark()) }
+
+// BroadcastDeath marks rank dead in its own mailbox at once, so posts to
+// it drop, and in every peer's mailbox by one event each, scheduled after
+// every delivery rank posted. Runs in the dying rank's process context.
+func (t *desTransport) BroadcastDeath(rank int) {
+	t.boxes[rank].markDead(rank)
+	for to := range t.boxes {
 		if to != rank {
-			t.queues[rank][to].Put(Message{Tag: tagCrashed, Avail: atMS}, 0)
+			t.k.Schedule(0, func() { t.resume(to, t.boxes[to].markDead(rank)) })
 		}
 	}
 }
 
-// Abort is a no-op: a failed rank strands its peers on empty queues, and
+// Abort is a no-op: a failed rank strands its peers on empty streams, and
 // the kernel reports the stall as deadlock, which runWorld surfaces
 // alongside the rank's own error, then unwinds each stranded rank with
 // des.ErrKilled, which runWorld reports as errAborted.

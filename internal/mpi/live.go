@@ -17,7 +17,7 @@ import (
 // blocks only in Take on an empty stream or in Park, and is woken through
 // its mailbox.
 type liveTransport struct {
-	boxes []mailbox // boxes[to]: every stream addressed to rank to
+	boxes []liveBox // boxes[to]: every stream addressed to rank to
 
 	// clocks[r] is touched only from rank r's goroutine; cross-rank
 	// reads happen only after Run's WaitGroup edge.
@@ -26,47 +26,26 @@ type liveTransport struct {
 	aborted atomic.Bool
 }
 
-// What a mailbox's owner is blocked on: a source rank (>= 0, in Take),
-// its barrier token (Park), or nothing.
-const (
-	waitNone = -1
-	waitPark = -2
-)
-
-// mailbox holds one receiving rank's incoming streams and the state its
-// wakers need; mu guards every field but wake.
-//
-// Wake-up protocol: the owner records what it waits for in waiting, drops
-// mu and receives from wake. A waker that finds waiting matching its event
-// clears it in the same critical section and, after releasing mu, sends
-// one token. Only the waker that cleared waiting sends, and the owner sets
-// it again only after receiving, so at most one token is ever outstanding
-// and the send never blocks.
-type mailbox struct {
-	mu      sync.Mutex
-	streams []fifo // streams[from]
-	// srcDead[from]: from died a fault death. The owner's own entry
-	// marks the owner dead, and posts to a dead owner are dropped.
-	srcDead  []bool
-	waiting  int  // waitNone, waitPark, or the source rank Take waits on
-	unparked bool // pending Unpark token (capacity-1 Park semantics)
-	wake     chan struct{}
+// liveBox is a mailbox shared between goroutines: mu guards the mailbox,
+// and a waker that the mailbox reports sends the owner one token on wake
+// after releasing mu. The owner blocks only with its wait recorded and
+// sets it again only after receiving, so at most one token is ever
+// outstanding and the send never blocks.
+type liveBox struct {
+	mu sync.Mutex
+	mailbox
+	wake chan struct{}
 }
 
 // NewLiveTransport returns the live-engine Transport for size ranks.
 func NewLiveTransport(size int) Transport {
 	t := &liveTransport{
-		boxes:  make([]mailbox, size),
+		boxes:  make([]liveBox, size),
 		clocks: make([]float64, size),
 	}
-	streams := make([]fifo, size*size)
-	srcDead := make([]bool, size*size)
-	for to := range t.boxes {
-		b := &t.boxes[to]
-		b.streams = streams[to*size : (to+1)*size : (to+1)*size]
-		b.srcDead = srcDead[to*size : (to+1)*size : (to+1)*size]
-		b.waiting = waitNone
-		b.wake = make(chan struct{}, 1)
+	for to, b := range newMailboxes(size) {
+		t.boxes[to].mailbox = b
+		t.boxes[to].wake = make(chan struct{}, 1)
 	}
 	return t
 }
@@ -95,29 +74,25 @@ func (t *liveTransport) WaitUntil(rank int, ts float64) {
 	}
 }
 
-// unlockWaking releases b.mu (held on entry) and, if the owner is blocked
-// on event, clears its wait and sends it the token. The send follows the
-// unlock so the woken rank does not contend for mu.
-func (b *mailbox) unlockWaking(event int) {
-	wake := event != waitNone && b.waiting == event
-	if wake {
-		b.waiting = waitNone
-	}
+// unlock releases b.mu (held on entry) and then, if the mailbox reported
+// a wake, sends the owner its token, so the woken rank does not contend
+// for mu.
+func (b *liveBox) unlock(wake bool) {
 	b.mu.Unlock()
 	if wake {
 		b.wake <- struct{}{}
 	}
 }
 
-// block records what b's owner waits for, releases b.mu (held on entry)
-// and sleeps until a waker sends the token. Once the run is aborted it
+// block releases b.mu (held on entry, with the owner's wait recorded) and
+// sleeps until a waker sends the token. Once the run is aborted it
 // unwinds with errAborted instead.
-func (t *liveTransport) block(b *mailbox, event int) {
+func (t *liveTransport) block(b *liveBox) {
 	if t.aborted.Load() {
+		b.interrupt()
 		b.mu.Unlock()
 		panic(errAborted)
 	}
-	b.waiting = event
 	b.mu.Unlock()
 	<-b.wake
 }
@@ -125,32 +100,19 @@ func (t *liveTransport) block(b *mailbox, event int) {
 func (t *liveTransport) Post(from, to int, m Message) {
 	b := &t.boxes[to]
 	b.mu.Lock()
-	if b.srcDead[to] {
-		// Receiver is dead: dropping the payload is the contract.
-		b.mu.Unlock()
-		return
-	}
-	b.streams[from].push(m)
-	b.unlockWaking(from)
+	b.unlock(b.post(from, m))
 }
 
-// Take pops the oldest message on the from->to stream, blocking while it
-// is empty. The stream is checked before the death flag, so messages a
-// peer posted before dying are drained before ok == false.
 func (t *liveTransport) Take(from, to int) (Message, bool) {
 	b := &t.boxes[to]
 	for {
 		b.mu.Lock()
-		if s := &b.streams[from]; !s.empty() {
-			m := s.pop()
+		m, ok, wait := b.take(from)
+		if !wait {
 			b.mu.Unlock()
-			return m, true
+			return m, ok
 		}
-		if b.srcDead[from] {
-			b.mu.Unlock()
-			return Message{}, false
-		}
-		t.block(b, from)
+		t.block(b)
 	}
 }
 
@@ -158,34 +120,28 @@ func (t *liveTransport) Park(rank int) {
 	b := &t.boxes[rank]
 	for {
 		b.mu.Lock()
-		if b.unparked {
-			b.unparked = false
+		if !b.park() {
 			b.mu.Unlock()
 			return
 		}
-		t.block(b, waitPark)
+		t.block(b)
 	}
 }
 
-// Unpark hands rank its barrier token. A token that arrives before the
-// matching Park is kept until that Park consumes it.
 func (t *liveTransport) Unpark(rank int) {
 	b := &t.boxes[rank]
 	b.mu.Lock()
-	b.unparked = true
-	b.unlockWaking(waitPark)
+	b.unlock(b.unpark())
 }
 
 // BroadcastDeath marks rank dead in every mailbox, its own included, and
-// wakes each peer blocked on its stream; the peer drains what rank posted
-// before dying and then observes the flag. Runs in the dying rank's
+// wakes each peer blocked on its stream. Runs in the dying rank's
 // goroutine.
-func (t *liveTransport) BroadcastDeath(rank int, _ float64) {
+func (t *liveTransport) BroadcastDeath(rank int) {
 	for to := range t.boxes {
 		b := &t.boxes[to]
 		b.mu.Lock()
-		b.srcDead[rank] = true
-		b.unlockWaking(rank)
+		b.unlock(b.markDead(rank))
 	}
 }
 
@@ -200,7 +156,7 @@ func (t *liveTransport) Abort() {
 	for to := range t.boxes {
 		b := &t.boxes[to]
 		b.mu.Lock()
-		b.unlockWaking(b.waiting) // whatever it is blocked on
+		b.unlock(b.interrupt())
 	}
 }
 

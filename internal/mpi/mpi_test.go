@@ -248,8 +248,8 @@ func TestBarrierSyncsToMax(t *testing.T) {
 	m := testModel(t)
 	for _, e := range engines {
 		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
-			// Rank r computes r*5 ms of work, then barrier.
-			c.Sleep(float64(c.Rank()) * 5)
+			// Rank r computes r*5 ms of work (50 Mflops), then barrier.
+			c.Compute(float64(c.Rank()) * 5 * 50e3)
 			c.Barrier()
 			return nil
 		})

@@ -153,12 +153,6 @@ func (c *comm) Node() cluster.Node { return c.w.cl.Nodes[c.rank] }
 // Clock implements Comm.
 func (c *comm) Clock() float64 { return c.now() }
 
-// ComputeMS implements Comm.
-func (c *comm) ComputeMS() float64 { return c.compMS }
-
-// CommMS implements Comm.
-func (c *comm) CommMS() float64 { return c.commMS }
-
 // Compute implements Comm. Marked speed is in Mflops = 1e3 flops per ms.
 func (c *comm) Compute(flops float64) {
 	if flops < 0 {
@@ -170,17 +164,6 @@ func (c *comm) Compute(flops float64) {
 	c.adv(dt)
 	c.compMS += dt
 	c.span(trace.KindCompute, start, c.now(), 0, -1)
-}
-
-// Sleep implements Comm.
-func (c *comm) Sleep(ms float64) {
-	if ms < 0 {
-		panic(fmt.Sprintf("mpi: rank %d: negative sleep %g", c.rank, ms))
-	}
-	c.checkCrash()
-	start := c.now()
-	c.adv(ms)
-	c.span(trace.KindSleep, start, c.now(), 0, -1)
 }
 
 func (c *comm) checkPeer(r int, what string) {

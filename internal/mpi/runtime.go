@@ -52,7 +52,7 @@ func newWorld(cl *cluster.Cluster, model simnet.CostModel, t Transport) *world {
 // execution context as it unwinds.
 func (w *world) die(rank int, atMS float64) {
 	w.deadAt[rank].Store(math.Float64bits(atMS))
-	w.t.BroadcastDeath(rank, atMS)
+	w.t.BroadcastDeath(rank)
 	w.bar.leave(atMS)
 }
 

@@ -9,13 +9,13 @@ import (
 )
 
 // symTransport is the symbolic fast-forward substrate: ranks are cooperative
-// goroutines under a sequential scheduler, message streams are plain slices,
-// and every clock operation is pure arithmetic on a rank-local float. Where
-// the DES transport turns each Advance/WaitUntil/Occupy into a heap event
-// and each message into a queue wake-up, the symbolic transport fast-forwards
-// through them — a rank context-switches only when it genuinely cannot
-// proceed (Take on an empty stream, Park at a barrier), so a full ladder
-// rung costs O(program length), not O(events).
+// goroutines under a sequential scheduler, message streams are the shared
+// mailboxes, and every clock operation is pure arithmetic on a rank-local
+// float. Where the DES transport turns each Advance/WaitUntil/Occupy into a
+// heap event and each message into a delivery event, the symbolic
+// transport fast-forwards through them — a rank context-switches only when
+// it genuinely cannot proceed (Take on an empty stream, Park at a barrier),
+// so a full ladder rung costs O(program length), not O(events).
 //
 // Determinism does not come from a global event clock (there is none: rank
 // clocks are decoupled and a rank may run arbitrarily far ahead of its
@@ -33,14 +33,8 @@ import (
 // feature the substrate cannot price, because wire queueing needs a global
 // event order.
 type symTransport struct {
-	size    int
-	clocks  []float64 // clocks[r]: rank r's virtual time (ms)
-	streams []fifo    // streams[from*size+to]
-
-	state    []symState
-	waitSrc  []int  // rank r blocked in Take waits on messages from waitSrc[r]
-	unparked []bool // pending Unpark token (capacity-1 Park semantics)
-	dead     []bool // dead[r]: rank r died a fault death
+	clocks []float64 // clocks[r]: rank r's virtual time (ms)
+	boxes  []mailbox // boxes[to]: every stream addressed to rank to
 
 	// Scheduler state. runq is a FIFO of runnable ranks (head-indexed so
 	// pops are O(1)); queued guards against double-enqueue.
@@ -54,44 +48,22 @@ type symTransport struct {
 	deadlock error // set when the runnable queue first runs dry
 }
 
-// symState is where a rank is in the scheduler's eyes.
-type symState int8
-
-const (
-	symRunning  symState = iota // executing, or queued to execute
-	symOnStream                 // blocked in Take on an empty stream
-	symParked                   // blocked in Park
-	symDone                     // body returned
-)
-
 // NewSymbolicTransport returns the symbolic fast-forward Transport for size
 // ranks.
 func NewSymbolicTransport(size int) Transport {
-	t := &symTransport{
-		size:     size,
-		clocks:   make([]float64, size),
-		streams:  make([]fifo, size*size),
-		state:    make([]symState, size),
-		waitSrc:  make([]int, size),
-		unparked: make([]bool, size),
-		dead:     make([]bool, size),
-		queued:   make([]bool, size),
-		ranks:    make([]*des.Coroutine, size),
-		home:     des.NewCoroutine(nil),
+	return &symTransport{
+		clocks: make([]float64, size),
+		boxes:  newMailboxes(size),
+		queued: make([]bool, size),
+		ranks:  make([]*des.Coroutine, size),
+		home:   des.NewCoroutine(nil),
 	}
-	for r := range t.waitSrc {
-		t.waitSrc[r] = -1
-	}
-	return t
 }
 
-func (t *symTransport) stream(from, to int) *fifo { return &t.streams[from*t.size+to] }
-
-// makeRunnable queues rank for the scheduler; the rank's state is corrected
-// when it actually resumes (wakes are allowed to be spurious — Take rechecks
-// its stream in a loop).
-func (t *symTransport) makeRunnable(rank int) {
-	if !t.queued[rank] {
+// makeRunnable queues rank for the scheduler if its mailbox reported a
+// wake.
+func (t *symTransport) makeRunnable(rank int, wake bool) {
+	if wake && !t.queued[rank] {
 		t.queued[rank] = true
 		t.runq = append(t.runq, rank)
 	}
@@ -130,13 +102,12 @@ func (t *symTransport) next() *des.Coroutine {
 	return t.ranks[t.popRunnable()]
 }
 
-// block suspends the calling rank, handing control to the next runnable
-// rank, until some rank makes it runnable and control comes back. Called
-// only from the rank's own execution context.
-func (t *symTransport) block(rank int, why symState) {
-	t.state[rank] = why
+// block suspends the calling rank, whose wait its mailbox has recorded,
+// handing control to the next runnable rank, until some rank makes it
+// runnable and control comes back. Called only from the rank's own
+// execution context.
+func (t *symTransport) block(rank int) {
 	des.Transfer(t.ranks[rank], t.next())
-	t.state[rank] = symRunning
 	if t.aborted {
 		panic(errAborted)
 	}
@@ -147,10 +118,8 @@ func (t *symTransport) block(rank int, why symState) {
 // rank context, by Abort or on deadlock.
 func (t *symTransport) abortBlocked() {
 	t.aborted = true
-	for r := 0; r < t.size; r++ {
-		if t.state[r] == symOnStream || t.state[r] == symParked {
-			t.makeRunnable(r)
-		}
+	for r := range t.boxes {
+		t.makeRunnable(r, t.boxes[r].interrupt())
 	}
 }
 
@@ -158,16 +127,14 @@ func (t *symTransport) abortBlocked() {
 // FIFO order from the runnable queue, until all ranks finish, and report a
 // deadlock if one was found on the way.
 func (t *symTransport) Run(body func(rank int)) error {
-	t.live = t.size
-	for r := 0; r < t.size; r++ {
-		r := r
+	t.live = len(t.ranks)
+	for r := range t.ranks {
 		t.ranks[r] = des.NewCoroutine(func() {
 			body(r)
-			t.state[r] = symDone
 			t.live--
 			des.Transfer(nil, t.next())
 		})
-		t.makeRunnable(r)
+		t.makeRunnable(r, true)
 	}
 	des.Transfer(t.home, t.next())
 	return t.deadlock
@@ -184,58 +151,33 @@ func (t *symTransport) WaitUntil(rank int, ts float64) {
 }
 
 func (t *symTransport) Post(from, to int, m Message) {
-	if t.dead[to] {
-		return // receiver died: dropping the payload is the contract
-	}
-	t.stream(from, to).push(m)
-	if t.state[to] == symOnStream && t.waitSrc[to] == from {
-		t.makeRunnable(to)
-	}
+	t.makeRunnable(to, t.boxes[to].post(from, m))
 }
 
 func (t *symTransport) Take(from, to int) (Message, bool) {
 	for {
-		if q := t.stream(from, to); !q.empty() {
-			return q.pop(), true
+		m, ok, wait := t.boxes[to].take(from)
+		if !wait {
+			return m, ok
 		}
-		if t.dead[from] {
-			// Peer died and its stream is drained: nothing more will come.
-			return Message{}, false
-		}
-		t.waitSrc[to] = from
-		t.block(to, symOnStream)
-		t.waitSrc[to] = -1
+		t.block(to)
 	}
 }
 
 func (t *symTransport) Park(rank int) {
-	if t.unparked[rank] {
-		t.unparked[rank] = false
-		return
-	}
-	t.block(rank, symParked)
-}
-
-func (t *symTransport) Unpark(rank int) {
-	if t.state[rank] == symParked {
-		t.makeRunnable(rank)
-	} else {
-		t.unparked[rank] = true
+	for t.boxes[rank].park() {
+		t.block(rank)
 	}
 }
 
-// BroadcastDeath marks the rank dead and wakes every peer blocked on one of
-// its streams; the waker re-checks the stream, drains any messages posted
-// before the death, and then observes the dead flag. No tombstones are
-// needed: the dead flag is read only after the stream is empty, so the
-// "drain first, then die" ordering the DES tombstone provides via the event
-// heap holds here by construction. Runs in the dying rank's context.
-func (t *symTransport) BroadcastDeath(rank int, _ float64) {
-	t.dead[rank] = true
-	for to := 0; to < t.size; to++ {
-		if t.state[to] == symOnStream && t.waitSrc[to] == rank {
-			t.makeRunnable(to)
-		}
+func (t *symTransport) Unpark(rank int) { t.makeRunnable(rank, t.boxes[rank].unpark()) }
+
+// BroadcastDeath marks rank dead in every mailbox, its own included, and
+// queues every peer blocked on one of its streams. Runs in the dying
+// rank's context.
+func (t *symTransport) BroadcastDeath(rank int) {
+	for to := range t.boxes {
+		t.makeRunnable(to, t.boxes[to].markDead(rank))
 	}
 }
 

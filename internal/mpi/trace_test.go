@@ -122,7 +122,6 @@ func TestTraceIdenticalAcrossEngines(t *testing.T) {
 		c.Barrier()
 		c.Gatherv(0, []float64{float64(c.Rank()), 1})
 		c.Allreduce(float64(c.Rank()), OpSum)
-		c.Sleep(2)
 		return nil
 	}
 	run := func(opts Options) (*trace.Trace, []byte) {

@@ -13,14 +13,17 @@ type Message struct {
 // runtime: how ranks execute and block, how payloads move between them,
 // and how a dying rank interrupts blocked peers. Everything else — clock
 // charging policy, message matching, the max-reduction barrier, the
-// crash/tombstone fault protocol, traffic accounting, trace emission —
-// lives in the shared runtime (runtime.go), so a new execution backend is
-// exactly one Transport implementation. Three ship with the package: the
-// live transport (NewLiveTransport, one goroutine per rank and one mailbox
-// per receiving rank), the DES transport (NewDESTransport, ranks as
-// discrete-event processes, optionally contending for a simnet.Wire), and
-// the symbolic fast-forward transport (NewSymbolicTransport, cooperative
-// ranks under a sequential scheduler with closed-form clock arithmetic).
+// crash fault protocol, traffic accounting, trace emission — lives in the
+// shared runtime (runtime.go), and the receiving side of every stream —
+// when a blocked rank may resume — lives in one mailbox per rank (below),
+// so a new execution backend is exactly one Transport implementation that
+// decides only how an owner blocks and how it is woken. Three ship with
+// the package: the live transport (NewLiveTransport, one goroutine per
+// rank, a mailbox under a mutex), the DES transport (NewDESTransport,
+// ranks as discrete-event processes whose deliveries are kernel events,
+// optionally contending for a simnet.Wire), and the symbolic fast-forward
+// transport (NewSymbolicTransport, cooperative ranks under a sequential
+// scheduler with closed-form clock arithmetic).
 //
 // A Transport is single-use: it is constructed for one run of a fixed
 // number of ranks and driven by exactly one Run call.
@@ -67,8 +70,8 @@ type Transport interface {
 	// dead rank: their Take(rank, ·) calls drain any messages it posted
 	// before dying and then return ok == false, and their Post(·, rank)
 	// calls become no-ops. The runtime publishes the death time before
-	// calling it; atMS is provided for transports that deliver it in-band.
-	BroadcastDeath(rank int, atMS float64)
+	// calling it.
+	BroadcastDeath(rank int)
 
 	// Abort hard-aborts the run after a non-fault rank failure, so blocked
 	// peers unwind instead of hanging. A transport whose substrate already
@@ -77,10 +80,125 @@ type Transport interface {
 	Abort()
 }
 
-// fifo is a head-indexed FIFO of messages on one (from, to) stream, shared
-// by the live and symbolic transports. Push is an append; pop is an index
-// bump that rewinds to the start of the backing array once the queue
-// drains, so a stream in steady use allocates nothing.
+// What a mailbox's owner is blocked on: a source rank (>= 0, in Take),
+// its barrier token (in Park), or nothing.
+const (
+	waitNone = -1
+	waitPark = -2
+)
+
+// mailbox is the receiving side of one rank, written once for all three
+// transports: its incoming streams, which sources have died, what the
+// owner is blocked on, and its pending barrier token. Its methods only
+// update that state and report whether the owner must block (take, park)
+// or be woken (post, unpark, markDead, interrupt); each transport supplies
+// the blocking itself — live under a mutex with a wake channel, symbolic
+// through its run queue, DES through Proc.Suspend and Wake.
+//
+// The protocol: an owner that must block has its wait recorded here and
+// tries again once woken. A waker that finds the owner waiting on its
+// event clears the wait and reports the wake, so each wait is woken once.
+// A source's death is only marked after every message it posted is in its
+// stream, and take reads the stream before the death, so a dead peer's
+// messages are drained before the peer reads as dead.
+type mailbox struct {
+	self    int
+	streams []fifo // streams[from]
+	// dead[from]: from died a fault death. dead[self] marks the owner
+	// dead, and posts to a dead owner are dropped.
+	dead    []bool
+	waiting int  // waitNone, waitPark, or the source rank take waits on
+	token   bool // pending barrier token (capacity-1 Park semantics)
+}
+
+// newMailboxes returns one mailbox per rank of a size-rank run, backed by
+// two shared size² arrays.
+func newMailboxes(size int) []mailbox {
+	boxes := make([]mailbox, size)
+	streams := make([]fifo, size*size)
+	dead := make([]bool, size*size)
+	for to := range boxes {
+		boxes[to] = mailbox{
+			self:    to,
+			streams: streams[to*size : (to+1)*size : (to+1)*size],
+			dead:    dead[to*size : (to+1)*size : (to+1)*size],
+			waiting: waitNone,
+		}
+	}
+	return boxes
+}
+
+// wakeIf clears the owner's wait and reports true if it is blocked on
+// event.
+func (b *mailbox) wakeIf(event int) bool {
+	if b.waiting != event {
+		return false
+	}
+	b.waiting = waitNone
+	return true
+}
+
+// post appends m to from's stream, or drops it if the owner is dead, and
+// reports whether the owner must be woken.
+func (b *mailbox) post(from int, m Message) (wake bool) {
+	if b.dead[b.self] {
+		return false
+	}
+	b.streams[from].push(m)
+	return b.wakeIf(from)
+}
+
+// take pops the oldest message from from's stream. With the stream empty,
+// ok is false if from has died, and otherwise wait is true: the owner is
+// recorded as waiting on from and must block, then take again.
+func (b *mailbox) take(from int) (m Message, ok, wait bool) {
+	if s := &b.streams[from]; !s.empty() {
+		return s.pop(), true, false
+	}
+	if b.dead[from] {
+		return Message{}, false, false
+	}
+	b.waiting = from
+	return Message{}, false, true
+}
+
+// park consumes the barrier token, or records that the owner waits for it
+// and reports that it must block, then park again.
+func (b *mailbox) park() (wait bool) {
+	if b.token {
+		b.token = false
+		return false
+	}
+	b.waiting = waitPark
+	return true
+}
+
+// unpark hands the owner its barrier token, kept until a park consumes it,
+// and reports whether the owner must be woken.
+func (b *mailbox) unpark() (wake bool) {
+	b.token = true
+	return b.wakeIf(waitPark)
+}
+
+// markDead records that from died and reports whether the owner, blocked
+// on from's stream, must be woken to drain it and see the death.
+func (b *mailbox) markDead(from int) (wake bool) {
+	b.dead[from] = true
+	return b.wakeIf(from)
+}
+
+// interrupt clears whatever the owner is blocked on and reports whether
+// it was blocked, for a transport that aborts the run.
+func (b *mailbox) interrupt() (wake bool) {
+	wake = b.waiting != waitNone
+	b.waiting = waitNone
+	return wake
+}
+
+// fifo is a head-indexed FIFO of messages on one (from, to) stream. Push
+// is an append; pop is an index bump that rewinds to the start of the
+// backing array once the queue drains, so a stream in steady use
+// allocates nothing.
 type fifo struct {
 	items []Message
 	head  int

@@ -38,15 +38,6 @@ func trimTrailingZeros(c []float64) []float64 {
 	return c[:n]
 }
 
-// Degree returns the degree of the polynomial. The zero polynomial has
-// degree 0 by this accounting.
-func (p Polynomial) Degree() int {
-	if len(p.Coeffs) == 0 {
-		return 0
-	}
-	return len(p.Coeffs) - 1
-}
-
 // Eval evaluates the polynomial at x using Horner's rule.
 func (p Polynomial) Eval(x float64) float64 {
 	if len(p.Coeffs) == 0 {

@@ -33,9 +33,6 @@ func TestPolynomialZeroValue(t *testing.T) {
 	if got := p.Eval(3); got != 0 {
 		t.Errorf("zero polynomial Eval = %g, want 0", got)
 	}
-	if p.Degree() != 0 {
-		t.Errorf("zero polynomial Degree = %d, want 0", p.Degree())
-	}
 	if s := p.String(); s != "0" {
 		t.Errorf("zero polynomial String = %q, want \"0\"", s)
 	}
@@ -43,9 +40,6 @@ func TestPolynomialZeroValue(t *testing.T) {
 
 func TestPolynomialTrimTrailingZeros(t *testing.T) {
 	p := NewPolynomial(1, 2, 0, 0)
-	if p.Degree() != 1 {
-		t.Errorf("Degree = %d, want 1", p.Degree())
-	}
 	if len(p.Coeffs) != 2 {
 		t.Errorf("len(Coeffs) = %d, want 2", len(p.Coeffs))
 	}
@@ -68,7 +62,7 @@ func TestPolynomialAddScale(t *testing.T) {
 	}
 	// Cancellation trims degree.
 	z := p.Add(p.Scale(-1))
-	if z.Degree() != 0 || z.Eval(4) != 0 {
+	if len(z.Coeffs) > 1 || z.Eval(4) != 0 {
 		t.Errorf("p + (-p) = %v, want zero polynomial", z)
 	}
 }

@@ -61,9 +61,6 @@ func OpenDiskCache(dir string) (*DiskCache, error) {
 	return &DiskCache{dir: dir}, nil
 }
 
-// Dir returns the cache directory.
-func (d *DiskCache) Dir() string { return d.dir }
-
 // SetMaxBytes caps the directory's total entry size (header + payload)
 // in bytes; 0 (the default) means unbounded. The cap is enforced by an
 // LRU sweep after every Put — and once immediately, so reopening a

@@ -121,7 +121,8 @@ type timeoutError struct {
 // finish writes the buffered result, or classifies the failure: a
 // canceled request context means the client is gone (no response can
 // land), a deadline hit on a live client is the server's execution
-// timeout (503 with a structured body), anything else is an execution
+// timeout (503 with a structured body), a trace of a kind that cannot be
+// traced is the client's error (400), anything else is an execution
 // error. Output is buffered so a failed run never leaks a partial 200
 // body.
 func (s *Server) finish(w http.ResponseWriter, r *http.Request, buf *bytes.Buffer, ctype string, err error) {
@@ -138,7 +139,11 @@ func (s *Server) finish(w http.ResponseWriter, r *http.Request, buf *bytes.Buffe
 			})
 			return
 		}
-		http.Error(w, err.Error(), http.StatusInternalServerError)
+		status := http.StatusInternalServerError
+		if errors.Is(err, spec.ErrNotTraceable) {
+			status = http.StatusBadRequest
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	w.Header().Set("Content-Type", ctype)

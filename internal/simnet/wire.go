@@ -65,9 +65,6 @@ func NewWireMode(k *des.Kernel, model CostModel, mode WireMode, endpoints int) *
 	return w
 }
 
-// Contended reports whether the wire queues transfers at all.
-func (w *Wire) Contended() bool { return w.Mode != WireIdeal }
-
 // Transmit charges process p the full cost of moving bytes across the wire:
 // sender overhead, then (possibly queued) occupancy of the medium for the
 // transfer time. The returned value is the virtual time at which the
@@ -113,30 +110,5 @@ func (w *Wire) OccupyFor(p *des.Proc, t float64, from, to int) {
 		a.Release()
 	default:
 		p.Delay(t)
-	}
-}
-
-// Stats exposes queueing statistics of the contended medium: the bus for
-// WireShared, the aggregate over ports for WireSwitched, zeros otherwise.
-func (w *Wire) Stats() des.ResourceStats {
-	switch w.Mode {
-	case WireShared:
-		return w.bus.Stats()
-	case WireSwitched:
-		var agg des.ResourceStats
-		var wait float64
-		for _, pt := range w.ports {
-			s := pt.Stats()
-			agg.Acquires += s.Acquires
-			wait += s.AvgWait * float64(s.Acquires)
-			agg.Utilization += s.Utilization
-		}
-		if agg.Acquires > 0 {
-			agg.AvgWait = wait / float64(agg.Acquires)
-		}
-		agg.Utilization /= float64(len(w.ports))
-		return agg
-	default:
-		return des.ResourceStats{}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -136,6 +137,10 @@ func (e *Executor) Run(ctx context.Context, rs RunSpec, out io.Writer) error {
 	}
 }
 
+// ErrNotTraceable is RunTrace's refusal of a spec of any kind but
+// experiments, before anything runs.
+var ErrNotTraceable = errors.New("spec: tracing applies only to kind experiments")
+
 // RunTrace executes an experiments-kind spec with timeline collection:
 // the rendered result goes to out and the Chrome trace-event JSON of
 // every algorithm run to traceOut. Tracing requires fresh executions,
@@ -150,7 +155,7 @@ func (e *Executor) RunTrace(ctx context.Context, rs RunSpec, out, traceOut io.Wr
 		return err
 	}
 	if rs.Kind != KindExperiments {
-		return fmt.Errorf("spec: tracing applies only to kind experiments, not %s", rs.Kind)
+		return fmt.Errorf("%w, not %s", ErrNotTraceable, rs.Kind)
 	}
 	tr := trace.New()
 	if err := e.runExperiments(ctx, rs, out, tr); err != nil {

@@ -294,8 +294,11 @@ func (rs *RunSpec) Validate() error {
 		if rs.Experiments == "" {
 			return fmt.Errorf("spec: kind experiments needs an experiment selector")
 		}
-		if len(rs.Sizes) == 0 {
-			return fmt.Errorf("spec: kind experiments needs a size ladder")
+		if _, err := experiments.Resolve(rs.Experiments); err != nil {
+			return fmt.Errorf("spec: %w", err)
+		}
+		if err := validateIncreasing("sizes", rs.Sizes, 2); err != nil {
+			return err
 		}
 		if err := validateIncreasing("asymSizes", rs.AsymSizes, 2); err != nil {
 			return err
@@ -340,8 +343,9 @@ func (rs *RunSpec) Validate() error {
 		if _, err := workload.Get(rs.Workload); err != nil {
 			return fmt.Errorf("spec: %w", err)
 		}
-		if rs.P < 1 {
-			return fmt.Errorf("spec: system size p = %d < 1", rs.P)
+		if rs.P < 2 {
+			// Every workload's cluster ladder starts at two ranks.
+			return fmt.Errorf("spec: system size p = %d < 2", rs.P)
 		}
 		if rs.N < 1 {
 			return fmt.Errorf("spec: problem size n = %d < 1", rs.N)

@@ -3,6 +3,7 @@ package spec
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -136,6 +137,24 @@ func TestDecodeRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// Seeded schedules are instantiated while a spec is decoded, so their
+// draw counts are capped: a count at the cap decodes, one above it is
+// rejected by name before anything is drawn.
+func TestDecodeCapsSeededDrawCounts(t *testing.T) {
+	for _, c := range []struct{ field, doc string }{
+		{"failures", `{"kind":"jobstream","nodeFaults":{"seed":1,"failures":%d,"meanUpMS":1,"meanDownMS":5}}`},
+		{"cycles", `{"kind":"jobstream","membership":{"seed":1,"cycles":%d,"meanInMS":1,"meanOutMS":5}}`},
+	} {
+		if _, err := Decode(strings.NewReader(fmt.Sprintf(c.doc, cluster.MaxDraws))); err != nil {
+			t.Errorf("%s at the cap (%d) rejected: %v", c.field, cluster.MaxDraws, err)
+		}
+		_, err := Decode(strings.NewReader(fmt.Sprintf(c.doc, cluster.MaxDraws+1)))
+		if err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s above the cap: error %v, want one naming %q", c.field, err, c.field)
+		}
+	}
+}
+
 func exampleLadder(t *testing.T) *cluster.LadderSpec {
 	t.Helper()
 	var ladder cluster.LadderSpec
@@ -167,6 +186,10 @@ func TestValidateRejections(t *testing.T) {
 		{"bad format", RunSpec{Kind: KindExperiments, Format: "yaml", Experiments: "quick"}, "format"},
 		{"bad engine", RunSpec{Kind: KindExperiments, Engine: "warp", Experiments: "quick"}, "engine"},
 		{"no selector", RunSpec{Kind: KindExperiments}, "selector"},
+		{"unknown experiment", RunSpec{Kind: KindExperiments, Experiments: "table9"}, `unknown experiment "table9"`},
+		{"unknown group", RunSpec{Kind: KindExperiments, Experiments: "group:nope"}, `unknown group "nope"`},
+		{"one-rung sizes", RunSpec{Kind: KindExperiments, Experiments: "table1", Sizes: []int{4}}, "sizes needs at least two rungs"},
+		{"sizes rung below two", RunSpec{Kind: KindExperiments, Experiments: "fig1", Sizes: []int{0, 4}}, "sizes rung 0 < 2"},
 		{"target out of range", RunSpec{Kind: KindExperiments, Experiments: "quick", GETarget: 1.5}, "out of (0,1)"},
 		{"sweep too small", RunSpec{Kind: KindExperiments, Experiments: "quick", SweepPoints: 2}, "sweepPoints"},
 		{"contended on live", RunSpec{Kind: KindExperiments, Experiments: "table1", Contended: true}, "contended needs the des engine"},

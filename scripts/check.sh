@@ -30,14 +30,15 @@ echo "==> (cd perfbench && go vet ./... && go test ./...)"
 (cd perfbench && go vet ./... && go test ./...)
 
 # Race stress for the engines' hand-offs: repeat the tests that drive the
-# live transport's mailbox wake-ups (Post/Take hand-offs, draining a dead
-# peer's stream before its death shows, barrier Park/Unpark with early
-# Unparks, Abort unwinding blocked ranks) and the rank-to-rank hand-offs of
-# the symbolic scheduler and the DES kernel (deadlock unwinding, no rank
+# mailbox protocol the three transports share (Post/Take hand-offs,
+# draining a dead peer's stream before its death shows, barrier
+# Park/Unpark with early Unparks, Abort unwinding blocked ranks, one
+# allocation per DES message) and the rank-to-rank hand-offs of the
+# symbolic scheduler and the DES kernel (deadlock unwinding, no rank
 # goroutine left behind), plus the whole kernel suite, so a rare
 # interleaving gets many tries.
 echo "==> go test -race -count=20 (engine stress) ./internal/mpi ./internal/des"
-go test -race -count=20 -run 'Live|Crash|Barrier|Abort|Differential|Panic|ProgramError|Symbolic|Deadlock|Leak' ./internal/mpi
+go test -race -count=20 -run 'Live|Crash|Barrier|Abort|Differential|Panic|ProgramError|Symbolic|Deadlock|Leak|Mailbox|DESMessage' ./internal/mpi
 go test -race -count=20 ./internal/des
 
 # Order-independence smoke: the suite must pass with tests shuffled —
@@ -170,6 +171,7 @@ for pkgfn in \
 	./internal/job:FuzzJobStreamFaults \
 	./internal/job:FuzzMembershipPlan \
 	./internal/spec:FuzzRunSpec \
+	./internal/serve:FuzzServe \
 ; do
 	pkg="${pkgfn%%:*}"
 	fn="${pkgfn##*:}"
