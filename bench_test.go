@@ -35,7 +35,7 @@ var (
 func paperSuite(b *testing.B) *experiments.Suite {
 	b.Helper()
 	suiteOnce.Do(func() {
-		suite, suiteErr = experiments.NewSuite(experiments.Default())
+		suite, suiteErr = experiments.NewSuite(experiments.Default(), nil)
 		if suiteErr != nil {
 			return
 		}

@@ -206,13 +206,7 @@ func run(args []string, out, errw io.Writer) error {
 	ctx := context.Background()
 	switch {
 	case *md:
-		cfg, err := rs.SuiteConfig()
-		if err != nil {
-			return err
-		}
-		cfg.CacheDir = *cacheDir
-		cfg.CacheMaxBytes = *cacheMax
-		suite, err := experiments.NewSuite(cfg)
+		suite, err := ex.Suite(rs)
 		if err != nil {
 			return err
 		}
@@ -224,10 +218,6 @@ func run(args []string, out, errw io.Writer) error {
 		if err := experiments.WriteMarkdownReport(ctx, suite, out, ids, time.Now(), opts); err != nil {
 			return err
 		}
-		if *verbose {
-			fmt.Fprintf(errw, "cache: %s\n", suite.CacheStats())
-		}
-		return nil
 	case *traceOut != "":
 		// Created before the (possibly long) run so an unwritable path
 		// fails immediately.

@@ -49,7 +49,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	suite, err := experiments.NewSuite(experiments.Quick())
+	suite, err := experiments.NewSuite(experiments.Quick(), nil)
 	if err != nil {
 		return err
 	}

@@ -80,7 +80,7 @@ func RunExperiment(id string, quick bool) ([]string, error) {
 	if quick {
 		cfg = experiments.Quick()
 	}
-	suite, err := experiments.NewSuite(cfg)
+	suite, err := experiments.NewSuite(cfg, nil)
 	if err != nil {
 		return nil, err
 	}

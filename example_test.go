@@ -305,7 +305,7 @@ func Example_tracing() {
 	// rank  1 |..||B.||.#||.||..||.||.B||.||..||.||.||..|B.||.||.||.||.B|..||.||B||.||.||>>|
 	// rank  2 |.B||..||.#||B||..||B||..||.||.B||B||.||B.|..||.||.||B||..|.B||.||.||.||.||>>|
 	// rank  3 |..||..||B#||.||B.||.||B.||B||B.||.||.||.B|..||B||B||.||B.|..||B||.||B||B||>>|
-	// legend: # compute  > send  < recv  . wait  B bcast  | barrier  ~ sleep  C checkpoint  R recover
+	// legend: # compute  > send  < recv  . wait  B bcast  | barrier  C checkpoint  R recover
 	// rank  compute    comm    wait    idle
 	//    0      4.8   171.4    89.9     0.0
 	//    1      4.0   166.0    93.6     2.5
@@ -318,7 +318,7 @@ func Example_tracing() {
 	// rank  1 |....<|#>>#<.>>##>>.>#<>>#.#>>##.>>##>>.>#<>>#.#>>##.<>##>>.>#<>>#.#>>##.|>> |
 	// rank  2 |...<.|#>>#>.>>##>>.>#>>##.#>>#>.>>##>>.>#>>##.#>>#<.<>##>>.>#<>##.#>>#<.|>>>|
 	// rank  3 |.<...|#.>#...>##.>.>#.>##.#.>#...>##.>.>#.>##.#.>#<.<.##.>.>#<.##.#.>#<.|>>>|
-	// legend: # compute  > send  < recv  . wait  B bcast  | barrier  ~ sleep  C checkpoint  R recover
+	// legend: # compute  > send  < recv  . wait  B bcast  | barrier  C checkpoint  R recover
 	// rank  compute    comm    wait    idle
 	//    0     34.0    46.6    30.1     0.0
 	//    1     34.6    54.9    19.1     2.0

@@ -106,7 +106,7 @@ func (m MembershipPlan) Instantiate(size int) ([]MemberEvent, error) {
 	if err := checkOutageOverlap(windows); err != nil {
 		return nil, err
 	}
-	events := append([]MemberEvent(nil), m.Events...)
+	events := append(make([]MemberEvent, 0, len(m.Events)+2*m.Cycles), m.Events...)
 
 	// Random cycles ride on a single splitmix64 stream: in-service gap,
 	// node, drained duration per cycle, in that fixed draw order.

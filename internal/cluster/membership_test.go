@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -107,6 +108,30 @@ func TestMembershipPlanSeededDeterministic(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("seed change did not perturb the schedule")
+	}
+}
+
+// TestMembershipPlanInstantiateAllocations bounds what a seeded plan at
+// the draw cap costs to instantiate, which every decode of a jobstream
+// spec pays before the request reaches the runner pool: the event slice
+// is sized once (2·Cycles events of 32 bytes, 12.8 MB here) instead of
+// grown by append, which allocated 56 MB.
+func TestMembershipPlanInstantiateAllocations(t *testing.T) {
+	m := MembershipPlan{Seed: 7, Cycles: MaxDraws, MeanInMS: 300, MeanOutMS: 80}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	events, err := m.Instantiate(16)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(events) == 0 {
+		t.Fatal("no events drawn")
+	}
+	const limitMB = 20
+	if mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20); mb >= limitMB {
+		t.Errorf("instantiating %d cycles allocated %.1f MB, want < %d MB", m.Cycles, mb, limitMB)
 	}
 }
 

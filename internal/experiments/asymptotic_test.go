@@ -56,7 +56,7 @@ func TestAsymptoticScaleReachesMillionRanksQuickly(t *testing.T) {
 		t.Skip("builds 10^6-node clusters")
 	}
 	cfg := Default()
-	s, err := NewSuite(cfg)
+	s, err := NewSuite(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func quickSuite(t *testing.T) *Suite {
 	t.Helper()
 	cfg := Quick()
-	s, err := NewSuite(cfg)
+	s, err := NewSuite(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,22 +23,22 @@ func quickSuite(t *testing.T) *Suite {
 
 func TestConfigValidation(t *testing.T) {
 	cfg := Default()
-	if _, err := NewSuite(cfg); err != nil {
+	if _, err := NewSuite(cfg, nil); err != nil {
 		t.Errorf("default config rejected: %v", err)
 	}
 	bad := cfg
 	bad.Sizes = nil
-	if _, err := NewSuite(bad); err == nil {
+	if _, err := NewSuite(bad, nil); err == nil {
 		t.Error("empty ladder accepted")
 	}
 	bad = cfg
 	bad.GETarget = 1.5
-	if _, err := NewSuite(bad); err == nil {
+	if _, err := NewSuite(bad, nil); err == nil {
 		t.Error("bad target accepted")
 	}
 	bad = cfg
 	bad.SweepPoints = 2
-	if _, err := NewSuite(bad); err == nil {
+	if _, err := NewSuite(bad, nil); err == nil {
 		t.Error("too few sweep points accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/mpi"
 	"repro/internal/runner"
+	"repro/internal/trace"
 )
 
 // renderAll renders outcomes to one string through the text renderer —
@@ -39,7 +40,7 @@ func TestRunSelectedParallelMatchesSerial(t *testing.T) {
 		render := func(jobs int) string {
 			cfg := Quick()
 			cfg.Engine = engine
-			s, err := NewSuite(cfg)
+			s, err := NewSuite(cfg, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -70,14 +71,14 @@ func TestRunSelectedParallelMatchesSerial(t *testing.T) {
 // them in one batch computes the chain once and records at least one
 // cache hit — however the scheduler interleaves them.
 func TestCacheSharesChainAcrossExperiments(t *testing.T) {
-	s := quickSuite(t)
-	if st := s.CacheStats(); st.Hits != 0 || st.Misses != 0 {
+	s, cache := cachedQuickSuite(t)
+	if st := cache.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("fresh suite has stats %+v", st)
 	}
 	if _, err := RunSelected(context.Background(), s, []string{"fig1", "table3"}, runner.Options{Jobs: 2}); err != nil {
 		t.Fatal(err)
 	}
-	st := s.CacheStats()
+	st := cache.Stats()
 	if st.Hits < 1 {
 		t.Errorf("fig1+table3 share the GE chain, want >= 1 cache hit, got %+v", st)
 	}
@@ -91,20 +92,59 @@ func TestCacheSharesChainAcrossExperiments(t *testing.T) {
 
 // Repeating an experiment on the same suite is all hits, no new misses.
 func TestCacheRepeatIsAllHits(t *testing.T) {
-	s := quickSuite(t)
+	s, cache := cachedQuickSuite(t)
 	if _, err := RunSelected(context.Background(), s, []string{"table4"}, runner.Options{Jobs: 1}); err != nil {
 		t.Fatal(err)
 	}
-	first := s.CacheStats()
+	first := cache.Stats()
 	if _, err := RunSelected(context.Background(), s, []string{"table4"}, runner.Options{Jobs: 1}); err != nil {
 		t.Fatal(err)
 	}
-	second := s.CacheStats()
+	second := cache.Stats()
 	if second.Misses != first.Misses {
 		t.Errorf("rerun recomputed: misses %d -> %d", first.Misses, second.Misses)
 	}
 	if second.Hits <= first.Hits {
 		t.Errorf("rerun did not hit the cache: hits %d -> %d", first.Hits, second.Hits)
+	}
+}
+
+// cachedQuickSuite returns a quick suite together with its memo cache,
+// whose counters the cache tests read.
+func cachedQuickSuite(t *testing.T) (*Suite, *runner.Cache) {
+	t.Helper()
+	cache := runner.NewCache(nil)
+	s, err := NewSuite(Quick(), cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, cache
+}
+
+// TestTracedSuiteTakesPrivateCache checks NewSuite's tracing rule: a
+// traced suite never reads the cache it is handed, since a hit would run
+// nothing and record no spans.
+func TestTracedSuiteTakesPrivateCache(t *testing.T) {
+	s, cache := cachedQuickSuite(t)
+	ids := []string{"table2"}
+	if _, err := RunSelected(context.Background(), s, ids, runner.Options{Jobs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	before := cache.Stats()
+	cfg := Quick()
+	cfg.Trace = trace.New()
+	traced, err := NewSuite(cfg, cache)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunSelected(context.Background(), traced, ids, runner.Options{Jobs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if after := cache.Stats(); after != before {
+		t.Errorf("traced suite touched the shared cache: %+v -> %+v", before, after)
+	}
+	if len(cfg.Trace.Spans()) == 0 {
+		t.Error("traced suite recorded no spans")
 	}
 }
 

@@ -41,16 +41,6 @@ type Config struct {
 	// cache executes each shared run point exactly once, so the collected
 	// spans are deterministic regardless of the worker-pool size.
 	Trace *trace.Trace
-	// CacheDir, when non-empty, persists the memo cache on disk:
-	// experiment outcomes, measured chains, and individual run points are
-	// stored content-addressed under this directory and restored by later
-	// processes instead of recomputed. Tracing bypasses the persistent
-	// layer (a restored result executes no runs, so it would collect no
-	// spans). See DESIGN.md for the entry format.
-	CacheDir string
-	// CacheMaxBytes caps the persistent layer's total size; least
-	// recently used entries are evicted past it (0: unbounded).
-	CacheMaxBytes int64
 }
 
 // Default returns the full-paper configuration.
@@ -132,9 +122,14 @@ type chainResult struct {
 	Psis     []float64
 }
 
-// NewSuite validates the config and wraps it. With Config.CacheDir set
-// (and no Trace attached) the memo cache gains a persistent disk layer.
-func NewSuite(cfg Config) (*Suite, error) {
+// NewSuite validates the config and wraps it over cache, which holds
+// every memoized result: experiment outcomes, measured chains and run
+// points, each under a content-addressed signature of the inputs that
+// can change it, so suites of different configurations may share one
+// cache (nil: a private, memory-only cache). A traced suite always
+// takes a private cache: a hit from a shared one would run nothing and
+// record no spans.
+func NewSuite(cfg Config, cache *runner.Cache) (*Suite, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -142,23 +137,11 @@ func NewSuite(cfg Config) (*Suite, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Suite{Cfg: cfg, model: model, cache: runner.NewCache()}
-	if cfg.CacheDir != "" && cfg.Trace == nil {
-		disk, err := runner.OpenDiskCache(cfg.CacheDir)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		if err := disk.SetMaxBytes(cfg.CacheMaxBytes); err != nil {
-			return nil, fmt.Errorf("experiments: %w", err)
-		}
-		s.cache.AttachDisk(disk)
+	if cache == nil || cfg.Trace != nil {
+		cache = runner.NewCache(nil)
 	}
-	return s, nil
+	return &Suite{Cfg: cfg, model: model, cache: cache}, nil
 }
-
-// CacheStats exposes the memo cache's hit/miss counters: how much work
-// the current batch shared instead of recomputing.
-func (s *Suite) CacheStats() runner.Stats { return s.cache.Stats() }
 
 // cacheGeneration versions the *meaning* of persisted cache values: bump
 // it whenever an experiment's output or a measured quantity changes for

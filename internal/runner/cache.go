@@ -15,17 +15,17 @@ import (
 
 // Stats is a cache hit/miss snapshot.
 type Stats struct {
-	// Hits counts Do calls served from a completed or in-flight
+	// Hits counts lookups served from a completed or in-flight
 	// computation (waiting on another caller's computation counts: the
 	// work was shared).
 	Hits int64
-	// Misses counts Do calls that missed the in-memory table. With a
-	// disk layer attached a memory miss may still be served from disk;
+	// Misses counts lookups that missed the in-memory table. With a
+	// disk layer a memory miss may still be served from disk;
 	// DiskMisses counts the calls that genuinely recomputed.
 	Misses int64
 	// DiskHits counts memory misses served from the persistent layer —
-	// values computed by an earlier process (or an earlier suite in this
-	// one) and restored without recomputation.
+	// values computed by an earlier process (or evicted from this one's
+	// memory) and restored without recomputation.
 	DiskHits int64
 	// DiskMisses counts persistent lookups that found nothing usable and
 	// ran the computation.
@@ -51,18 +51,28 @@ func (s Stats) String() string {
 		s.Hits, s.Misses, s.DiskHits, s.DiskMisses)
 }
 
+// memEntries bounds the completed entries a disk-backed cache keeps in
+// memory. An evicted entry is restored from disk, or recomputed
+// identically when the disk layer dropped it, so the bound changes
+// memory, never values: a long-running server stays flat while one-off
+// specs stream through, and hot entries, used most recently, stay
+// memory hits.
+const memEntries = 64
+
 // Cache is a content-addressed memo table with single-flight semantics:
-// concurrent Do calls for the same key run the computation once and share
-// the outcome. Errors are cached too — the experiment substrate is
-// deterministic, so a failed computation would fail identically on
-// retry. By default the table keeps every entry; SetMaxEntries bounds
-// the completed ones.
+// concurrent callers of the same key run the computation once and share
+// the outcome, and DoPersist is its one entry point. Errors are cached
+// too — the experiment substrate is deterministic, so a failed
+// computation would fail identically on retry — except a failure after
+// the computing caller's context ended: that is no result, so the next
+// caller computes again. A disk-backed cache keeps the memEntries most
+// recently used completed entries in memory; a memory-only one has
+// nowhere to restore from and keeps every entry.
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
-	// maxDone bounds the completed entries kept (0: unbounded); lru
-	// orders them most recently used first while it is set.
-	maxDone int
+	// lru orders the completed entries of a disk-backed cache, most
+	// recently used first.
 	lru     list.List
 	disk    *DiskCache
 	hits    atomic.Int64
@@ -76,68 +86,71 @@ type cacheEntry struct {
 	done chan struct{}
 	val  any
 	err  error
-	// elem is the entry's place in Cache.lru once it completed under a
-	// bound; nil while in flight or when the cache is unbounded.
+	// canceled marks a computation cut short by its caller's context;
+	// it left the table before done closed.
+	canceled bool
+	// elem is the entry's place in Cache.lru once it completed in a
+	// disk-backed cache; nil otherwise.
 	elem *list.Element
 }
 
-// NewCache returns an empty cache.
-func NewCache() *Cache {
-	return &Cache{entries: make(map[string]*cacheEntry)}
+// NewCache returns an empty cache over disk, the persistent layer
+// DoPersist consults on a memory miss and fills after a computation
+// (nil: memory only).
+func NewCache(disk *DiskCache) *Cache {
+	return &Cache{entries: make(map[string]*cacheEntry), disk: disk}
 }
 
-// AttachDisk adds a persistent layer: DoPersist calls that miss the
-// in-memory table consult (and populate) d before computing. Attach
-// before concurrent use; a nil d detaches.
-func (c *Cache) AttachDisk(d *DiskCache) { c.disk = d }
-
-// SetMaxEntries keeps at most n completed entries in memory, evicting
-// the least recently used (a hit refreshes an entry); n <= 0 keeps every
-// entry. In-flight computations are never evicted, so single-flight
-// holds. An evicted key is served again from the disk layer or
-// recomputed, so bound only caches whose values are persisted or cheap
-// to recompute identically. Set before concurrent use.
-func (c *Cache) SetMaxEntries(n int) { c.maxDone = max(n, 0) }
-
-// Do returns the cached value for key, computing it with compute on the
+// do returns the cached value for key, computing it with compute on the
 // first request. Concurrent callers with the same key block until the
 // first caller's computation finishes. A caller whose ctx is canceled
-// while waiting returns ctx.Err() without disturbing the computation.
-func (c *Cache) Do(ctx context.Context, key string, compute func() (any, error)) (any, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		if e.elem != nil {
-			c.lru.MoveToFront(e.elem)
+// while waiting returns ctx.Err() without disturbing the computation; a
+// computation that fails after its own caller's ctx ended is dropped,
+// and a waiter whose ctx is still live computes again.
+func (c *Cache) do(ctx context.Context, key string, compute func() (any, error)) (any, error) {
+	for {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
-		c.mu.Unlock()
-		select {
-		case <-e.done:
+		c.mu.Lock()
+		if e, ok := c.entries[key]; ok {
+			if e.elem != nil {
+				c.lru.MoveToFront(e.elem)
+			}
+			c.mu.Unlock()
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if e.canceled {
+				continue
+			}
 			c.hits.Add(1)
 			return e.val, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
 		}
-	}
-	e := &cacheEntry{key: key, done: make(chan struct{})}
-	c.entries[key] = e
-	c.mu.Unlock()
+		e := &cacheEntry{key: key, done: make(chan struct{})}
+		c.entries[key] = e
+		c.mu.Unlock()
 
-	c.misses.Add(1)
-	e.val, e.err = compute()
-	close(e.done)
-	if c.maxDone > 0 {
+		c.misses.Add(1)
+		e.val, e.err = compute()
 		c.mu.Lock()
-		e.elem = c.lru.PushFront(e)
-		for c.lru.Len() > c.maxDone {
-			old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
-			delete(c.entries, old.key)
+		switch {
+		case e.err != nil && ctx.Err() != nil:
+			e.canceled = true
+			delete(c.entries, key)
+		case c.disk != nil:
+			e.elem = c.lru.PushFront(e)
+			for c.lru.Len() > memEntries {
+				old := c.lru.Remove(c.lru.Back()).(*cacheEntry)
+				delete(c.entries, old.key)
+			}
 		}
 		c.mu.Unlock()
+		close(e.done)
+		return e.val, e.err
 	}
-	return e.val, e.err
 }
 
 // Stats returns the current hit/miss counters.
@@ -172,14 +185,14 @@ func JSONCodec[T any]() Codec[T] {
 	}
 }
 
-// DoPersist is Do with a persistent layer: a memory miss first consults
-// the cache's attached DiskCache under the same key, and a computed value
-// is written back for future processes. Single-flight semantics are
-// unchanged — concurrent callers share one disk read or one computation.
-// Errors are memory-cached (the substrate is deterministic) but never
-// persisted. Without an attached disk this is Do with typed results.
+// DoPersist returns the value memoized under key, computing it with
+// compute on the first request. A memory miss first consults the
+// cache's DiskCache under the same key, and a computed value is written
+// back for future processes; concurrent callers share one disk read or
+// one computation. Errors are memory-cached (the substrate is
+// deterministic) but never persisted.
 func DoPersist[T any](ctx context.Context, c *Cache, key string, codec Codec[T], compute func() (T, error)) (T, error) {
-	v, err := c.Do(ctx, key, func() (any, error) {
+	v, err := c.do(ctx, key, func() (any, error) {
 		if c.disk != nil {
 			if data, ok := c.disk.Get(key); ok {
 				if restored, derr := codec.Unmarshal(data); derr == nil {
@@ -187,8 +200,6 @@ func DoPersist[T any](ctx context.Context, c *Cache, key string, codec Codec[T],
 					return restored, nil
 				}
 			}
-		}
-		if c.disk != nil {
 			c.dmisses.Add(1)
 		}
 		computed, err := compute()
@@ -211,8 +222,8 @@ func DoPersist[T any](ctx context.Context, c *Cache, key string, codec Codec[T],
 }
 
 // Len returns the number of keys held in memory, completed or in
-// flight: every key ever requested unless SetMaxEntries bounds the
-// table.
+// flight: every key ever requested in a memory-only cache, at most
+// memEntries completed ones in a disk-backed cache.
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -3,13 +3,14 @@ package runner
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 func TestCacheSingleFlight(t *testing.T) {
-	c := NewCache()
+	c := NewCache(nil)
 	var computed atomic.Int64
 	const callers = 16
 	var wg sync.WaitGroup
@@ -18,7 +19,7 @@ func TestCacheSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.Do(context.Background(), "k", func() (any, error) {
+			v, err := c.do(context.Background(), "k", func() (any, error) {
 				computed.Add(1)
 				return 42, nil
 			})
@@ -47,10 +48,10 @@ func TestCacheSingleFlight(t *testing.T) {
 }
 
 func TestCacheDistinctKeys(t *testing.T) {
-	c := NewCache()
+	c := NewCache(nil)
 	for _, k := range []string{"a", "b", "a", "b", "a"} {
 		k := k
-		if _, err := c.Do(context.Background(), k, func() (any, error) { return k, nil }); err != nil {
+		if _, err := c.do(context.Background(), k, func() (any, error) { return k, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -61,11 +62,11 @@ func TestCacheDistinctKeys(t *testing.T) {
 }
 
 func TestCacheCachesErrors(t *testing.T) {
-	c := NewCache()
+	c := NewCache(nil)
 	boom := errors.New("boom")
 	var computed atomic.Int64
 	for i := 0; i < 3; i++ {
-		_, err := c.Do(context.Background(), "k", func() (any, error) {
+		_, err := c.do(context.Background(), "k", func() (any, error) {
 			computed.Add(1)
 			return nil, boom
 		})
@@ -79,10 +80,10 @@ func TestCacheCachesErrors(t *testing.T) {
 }
 
 func TestCacheCanceledContext(t *testing.T) {
-	c := NewCache()
+	c := NewCache(nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := c.Do(ctx, "k", func() (any, error) { return 1, nil }); !errors.Is(err, context.Canceled) {
+	if _, err := c.do(ctx, "k", func() (any, error) { return 1, nil }); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want canceled", err)
 	}
 	// A canceled waiter must not disturb the in-flight computation.
@@ -90,7 +91,7 @@ func TestCacheCanceledContext(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := c.Do(context.Background(), "slow", func() (any, error) {
+		if _, err := c.do(context.Background(), "slow", func() (any, error) {
 			<-release
 			return "v", nil
 		}); err != nil {
@@ -104,7 +105,7 @@ func TestCacheCanceledContext(t *testing.T) {
 		// context we cancel.
 		for c.Len() == 0 {
 		}
-		_, err := c.Do(wctx, "slow", func() (any, error) { return nil, errors.New("must not run") })
+		_, err := c.do(wctx, "slow", func() (any, error) { return nil, errors.New("must not run") })
 		waiting <- err
 	}()
 	wcancel()
@@ -113,7 +114,7 @@ func TestCacheCanceledContext(t *testing.T) {
 	}
 	close(release)
 	<-done
-	v, err := c.Do(context.Background(), "slow", func() (any, error) { return nil, errors.New("must not run") })
+	v, err := c.do(context.Background(), "slow", func() (any, error) { return nil, errors.New("must not run") })
 	if err != nil || v.(string) != "v" {
 		t.Errorf("post-completion Do = %v, %v", v, err)
 	}
@@ -149,55 +150,79 @@ func TestSignatureCanonicalAndStable(t *testing.T) {
 	}
 }
 
+// TestCacheMaxEntriesEvictsLeastRecentlyUsed checks the memory bound of a
+// disk-backed cache: it keeps the memEntries most recently used completed
+// entries (a hit refreshes one), and an evicted key comes back from disk
+// without recomputation. A memory-only cache keeps every entry.
 func TestCacheMaxEntriesEvictsLeastRecentlyUsed(t *testing.T) {
-	c := NewCache()
-	c.SetMaxEntries(2)
+	disk, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
 	computed := map[string]int{}
-	do := func(k string) {
+	do := func(c *Cache, k string) {
 		t.Helper()
-		if _, err := c.Do(context.Background(), k, func() (any, error) {
+		if _, err := DoPersist(context.Background(), c, k, JSONCodec[string](), func() (string, error) {
 			computed[k]++
 			return k, nil
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	do("a")
-	do("b")
-	do("a") // hit: a becomes the most recently used
-	do("c") // evicts b
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want 2", c.Len())
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+	c := NewCache(disk)
+	for i := 0; i < memEntries; i++ {
+		do(c, key(i))
 	}
-	do("a")
-	do("b")
-	if computed["a"] != 1 || computed["b"] != 2 || computed["c"] != 1 {
-		t.Errorf("computations = %v, want a once, b twice (evicted), c once", computed)
+	do(c, key(0))          // hit: k0 becomes the most recently used
+	do(c, key(memEntries)) // evicts k1
+	if c.Len() != memEntries {
+		t.Fatalf("len = %d, want %d", c.Len(), memEntries)
 	}
-	if st := c.Stats(); st.Hits != 2 || st.Misses != 4 {
-		t.Errorf("stats = %+v, want 2 hits, 4 misses", st)
+	before := c.Stats()
+	do(c, key(0))
+	do(c, key(1))
+	after := c.Stats()
+	if after.Hits != before.Hits+1 || after.DiskHits != before.DiskHits+1 || after.DiskMisses != before.DiskMisses {
+		t.Errorf("want k0 a memory hit and evicted k1 a disk hit: stats %+v -> %+v", before, after)
+	}
+	for k, n := range computed {
+		if n != 1 {
+			t.Errorf("%s computed %d times, want once", k, n)
+		}
+	}
+
+	mem := NewCache(nil)
+	for i := 0; i < memEntries+10; i++ {
+		do(mem, key(i))
+	}
+	if mem.Len() != memEntries+10 {
+		t.Errorf("memory-only len = %d, want every entry (%d)", mem.Len(), memEntries+10)
 	}
 }
 
 func TestCacheMaxEntriesKeepsInFlightSingleFlight(t *testing.T) {
 	// A bounded cache must never evict a computation in flight: callers
 	// arriving while other keys churn through the bound still share it.
-	c := NewCache()
-	c.SetMaxEntries(1)
+	disk, err := OpenDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCache(disk)
 	release := make(chan struct{})
 	var computed atomic.Int64
-	slow := func() (any, error) {
+	slow := func() (int, error) {
 		computed.Add(1)
 		<-release
 		return 42, nil
 	}
 	const callers = 16
 	var wg sync.WaitGroup
-	vals := make([]any, callers)
+	vals := make([]int, callers)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		v, err := c.Do(context.Background(), "k", slow)
+		v, err := DoPersist(context.Background(), c, "k", JSONCodec[int](), slow)
 		if err != nil {
 			t.Error(err)
 		}
@@ -205,20 +230,19 @@ func TestCacheMaxEntriesKeepsInFlightSingleFlight(t *testing.T) {
 	}()
 	for c.Len() == 0 {
 	}
-	for i := 0; i < 10; i++ {
-		k := string(rune('a' + i))
-		if _, err := c.Do(context.Background(), k, func() (any, error) { return k, nil }); err != nil {
+	for i := 0; i < memEntries+10; i++ {
+		if _, err := DoPersist(context.Background(), c, fmt.Sprint(i), JSONCodec[int](), func() (int, error) { return i, nil }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() != 2 {
-		t.Fatalf("len = %d, want the in-flight key plus one completed entry", c.Len())
+	if c.Len() != memEntries+1 {
+		t.Fatalf("len = %d, want the in-flight key plus %d completed entries", c.Len(), memEntries)
 	}
 	for i := 1; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.Do(context.Background(), "k", slow)
+			v, err := DoPersist(context.Background(), c, "k", JSONCodec[int](), slow)
 			if err != nil {
 				t.Error(err)
 			}
@@ -231,8 +255,80 @@ func TestCacheMaxEntriesKeepsInFlightSingleFlight(t *testing.T) {
 		t.Errorf("computed %d times, want 1", n)
 	}
 	for i, v := range vals {
-		if v.(int) != 42 {
+		if v != 42 {
 			t.Errorf("caller %d got %v", i, v)
 		}
 	}
+}
+
+// TestCacheCanceledComputationIsNoResult checks that a computation which
+// fails after its caller's context ended is dropped, not memoized: a
+// later caller with a live context computes again, and so does a caller
+// that was waiting on the canceled one.
+func TestCacheCanceledComputationIsNoResult(t *testing.T) {
+	c := NewCache(nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	if _, err := c.do(ctx, "k", func() (any, error) {
+		cancel()
+		return nil, ctx.Err()
+	}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("leader err = %v, want canceled", err)
+	}
+	if c.Len() != 0 {
+		t.Errorf("canceled computation left %d entries in the table", c.Len())
+	}
+	v, err := c.do(context.Background(), "k", func() (any, error) { return 7, nil })
+	if err != nil || v != 7 {
+		t.Errorf("later live call = %v, %v; want a recomputed 7", v, err)
+	}
+
+	lctx, lcancel := context.WithCancel(context.Background())
+	started, release := make(chan struct{}), make(chan struct{})
+	leader := make(chan error, 1)
+	go func() {
+		_, err := c.do(lctx, "w", func() (any, error) {
+			close(started)
+			<-release
+			return nil, lctx.Err()
+		})
+		leader <- err
+	}()
+	<-started
+	wctx := &doneSignal{Context: context.Background(), called: make(chan struct{})}
+	waiter := make(chan any, 1)
+	go func() {
+		v, err := c.do(wctx, "w", func() (any, error) { return "recomputed", nil })
+		if err != nil {
+			v = err
+		}
+		waiter <- v
+	}()
+	<-wctx.called // the waiter is blocked on the leader's computation
+	lcancel()
+	close(release)
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Errorf("leader err = %v, want canceled", err)
+	}
+	if v := <-waiter; v != "recomputed" {
+		t.Errorf("live waiter got %v, want the recomputed value", v)
+	}
+	// The recomputed value is memoized like any other.
+	v, err = c.do(context.Background(), "w", func() (any, error) { return nil, errors.New("must not run") })
+	if err != nil || v != "recomputed" {
+		t.Errorf("after recomputation do = %v, %v", v, err)
+	}
+}
+
+// doneSignal is a context that closes called the first time its Done
+// channel is asked for, which Cache.do does only to wait on another
+// caller's computation.
+type doneSignal struct {
+	context.Context
+	once   sync.Once
+	called chan struct{}
+}
+
+func (d *doneSignal) Done() <-chan struct{} {
+	d.once.Do(func() { close(d.called) })
+	return d.Context.Done()
 }

@@ -200,8 +200,7 @@ func TestDoPersistSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := NewCache()
-	c1.AttachDisk(disk1)
+	c1 := NewCache(disk1)
 	v, err := DoPersist(ctx, c1, key, codec, func() (int, error) { return 42, nil })
 	if err != nil || v != 42 {
 		t.Fatalf("first compute: v=%d err=%v", v, err)
@@ -216,8 +215,7 @@ func TestDoPersistSurvivesRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCache()
-	c2.AttachDisk(disk2)
+	c2 := NewCache(disk2)
 	v, err = DoPersist(ctx, c2, key, codec, func() (int, error) {
 		t.Fatal("recomputed a persisted value")
 		return 0, nil
@@ -251,8 +249,7 @@ func TestDoPersistCorruptEntryRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := NewCache()
-	c1.AttachDisk(disk)
+	c1 := NewCache(disk)
 	if _, err := DoPersist(ctx, c1, key, codec, func() (string, error) { return "computed", nil }); err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +264,7 @@ func TestDoPersistCorruptEntryRecomputes(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c2 := NewCache()
-	c2.AttachDisk(disk)
+	c2 := NewCache(disk)
 	recomputed := false
 	v, err := DoPersist(ctx, c2, key, codec, func() (string, error) {
 		recomputed = true
@@ -283,8 +279,7 @@ func TestDoPersistCorruptEntryRecomputes(t *testing.T) {
 	if st := c2.Stats(); st.DiskHits != 0 || st.DiskMisses != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
-	c3 := NewCache()
-	c3.AttachDisk(disk)
+	c3 := NewCache(disk)
 	if _, err := DoPersist(ctx, c3, key, codec, func() (string, error) {
 		t.Fatal("repaired entry not served from disk")
 		return "", nil
@@ -302,8 +297,7 @@ func TestDoPersistErrorsNeverPersisted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c1 := NewCache()
-	c1.AttachDisk(disk)
+	c1 := NewCache(disk)
 	wantErr := os.ErrDeadlineExceeded
 	if _, err := DoPersist(ctx, c1, key, codec, func() (int, error) { return 0, wantErr }); err != wantErr {
 		t.Fatalf("err=%v, want %v", err, wantErr)
@@ -319,8 +313,7 @@ func TestDoPersistErrorsNeverPersisted(t *testing.T) {
 	if entries, _, _ := disk.Info(); entries != 0 {
 		t.Fatalf("error persisted: %d entries on disk", entries)
 	}
-	c2 := NewCache()
-	c2.AttachDisk(disk)
+	c2 := NewCache(disk)
 	v, err := DoPersist(ctx, c2, key, codec, func() (int, error) { return 7, nil })
 	if err != nil || v != 7 {
 		t.Fatalf("retry after restart: v=%d err=%v", v, err)
@@ -328,7 +321,7 @@ func TestDoPersistErrorsNeverPersisted(t *testing.T) {
 }
 
 func TestDoPersistWithoutDiskIsDo(t *testing.T) {
-	c := NewCache()
+	c := NewCache(nil)
 	v, err := DoPersist(context.Background(), c, "k", JSONCodec[int](), func() (int, error) { return 5, nil })
 	if err != nil || v != 5 {
 		t.Fatalf("v=%d err=%v", v, err)

@@ -1,7 +1,10 @@
 // Package runner is the concurrent experiment-execution engine behind
 // the experiments API: a bounded worker pool with deterministic result
 // ordering, plus a content-addressed memo cache (cache.go) so sweeps
-// that share run points compute them once.
+// that share run points compute them once. The cache's persistence is
+// fixed when it is built — NewCache(disk) layers it over a DiskCache
+// (disk.go) and bounds its memory, NewCache(nil) keeps everything in
+// memory — and DoPersist is its one entry point.
 //
 // The pool preserves *serial semantics* while exploiting parallel
 // hardware: tasks are claimed in submission order, results are returned

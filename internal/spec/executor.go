@@ -3,14 +3,12 @@ package spec
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -25,17 +23,10 @@ import (
 )
 
 // scanGeneration versions the meaning of persisted scan results (rungs
-// and faultscan outputs); bump it when their computation changes for
-// the same spec so stale disk entries read as misses.
+// and whole faultscan and jobstream outputs); bump it when their
+// computation changes for the same spec so stale disk entries read as
+// misses.
 const scanGeneration = 1
-
-// scanMemEntries bounds the completed scan results a disk-backed
-// executor keeps in memory. A result it evicts is served again from
-// disk, or recomputed byte-identically when the disk layer dropped it,
-// so the bound changes memory, never bytes: a long-running server stays
-// flat while one-off specs stream through, and hot specs, used most
-// recently, stay memory hits.
-const scanMemEntries = 64
 
 // ExecutorOptions configures an Executor.
 type ExecutorOptions struct {
@@ -45,8 +36,9 @@ type ExecutorOptions struct {
 	// run this executor serves concurrently — the server-mode cap.
 	Pool *runner.Pool
 	// CacheDir, when non-empty, persists results on disk: experiment
-	// suites, scan rungs and faultscan outputs are stored
-	// content-addressed under this directory and survive restarts.
+	// outcomes, chains and run points, scan rungs and whole faultscan
+	// and jobstream outputs are stored content-addressed under this
+	// directory and survive restarts.
 	CacheDir string
 	// CacheMaxBytes caps the persistent layer's total size; least
 	// recently used entries are evicted past it (0: unbounded).
@@ -56,42 +48,34 @@ type ExecutorOptions struct {
 	Hooks runner.Hooks
 }
 
-// Executor runs RunSpecs. It is safe for concurrent use: runs of the
-// same configuration share one warm experiment suite (and through it
-// the single-flight memo cache), scan results flow through a second
-// memo cache, and an optional shared pool bounds total concurrency no
-// matter how many runs are in flight. Both CLIs and the HTTP server
-// execute through this type, which is what makes their outputs
-// byte-identical for the same spec.
+// Executor runs RunSpecs. It is safe for concurrent use: every run
+// memoizes through one single-flight cache, which holds the executor's
+// only handle on the persistent layer, so runs of any spec share each
+// result whose content-addressed key they share; an optional shared
+// pool bounds total concurrency no matter how many runs are in flight.
+// Both CLIs and the HTTP server execute through this type, which is
+// what makes their outputs byte-identical for the same spec.
 type Executor struct {
-	opts ExecutorOptions
-
-	mu     sync.Mutex
-	suites map[string]*experiments.Suite
-	scan   *runner.Cache
+	opts  ExecutorOptions
+	cache *runner.Cache
 }
 
 // NewExecutor builds an executor; with a CacheDir the persistent layer
 // is opened (and created) immediately so an unusable directory fails
 // fast.
 func NewExecutor(opts ExecutorOptions) (*Executor, error) {
-	e := &Executor{
-		opts:   opts,
-		suites: make(map[string]*experiments.Suite),
-		scan:   runner.NewCache(),
-	}
+	var disk *runner.DiskCache
 	if opts.CacheDir != "" {
-		disk, err := runner.OpenDiskCache(opts.CacheDir)
+		d, err := runner.OpenDiskCache(opts.CacheDir)
 		if err != nil {
 			return nil, fmt.Errorf("spec: %w", err)
 		}
-		if err := disk.SetMaxBytes(opts.CacheMaxBytes); err != nil {
+		if err := d.SetMaxBytes(opts.CacheMaxBytes); err != nil {
 			return nil, fmt.Errorf("spec: %w", err)
 		}
-		e.scan.AttachDisk(disk)
-		e.scan.SetMaxEntries(scanMemEntries)
+		disk = d
 	}
-	return e, nil
+	return &Executor{opts: opts, cache: runner.NewCache(disk)}, nil
 }
 
 // CacheDir returns the persistent cache directory ("" when memory-only).
@@ -101,17 +85,8 @@ func (e *Executor) CacheDir() string { return e.opts.CacheDir }
 // itself).
 func (e *Executor) Pool() *runner.Pool { return e.opts.Pool }
 
-// CacheStats sums the hit/miss counters of every cache the executor
-// holds: the scan cache plus each warm suite.
-func (e *Executor) CacheStats() runner.Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := e.scan.Stats()
-	for _, s := range e.suites {
-		st = st.Add(s.CacheStats())
-	}
-	return st
-}
+// CacheStats returns the hit/miss counters of the executor's cache.
+func (e *Executor) CacheStats() runner.Stats { return e.cache.Stats() }
 
 // Run normalizes, validates and executes rs, writing the rendered
 // result to out. The bytes written are identical for every Jobs/Pool
@@ -125,13 +100,17 @@ func (e *Executor) Run(ctx context.Context, rs RunSpec, out io.Writer) error {
 	}
 	switch rs.Kind {
 	case KindExperiments:
-		return e.runExperiments(ctx, rs, out, nil)
+		suite, err := e.Suite(rs)
+		if err != nil {
+			return err
+		}
+		return e.runExperiments(ctx, rs, suite, out)
 	case KindScalescan:
 		return e.runScalescan(ctx, rs, out)
 	case KindFaultscan:
-		return e.runFaultscan(ctx, rs, out)
+		return e.runWhole(ctx, rs, out, faultscanBody)
 	case KindJobstream:
-		return e.runJobstream(ctx, rs, out)
+		return e.runWhole(ctx, rs, out, jobstreamBody)
 	default:
 		return fmt.Errorf("spec: unknown kind %q", rs.Kind)
 	}
@@ -144,8 +123,8 @@ var ErrNotTraceable = errors.New("spec: tracing applies only to kind experiments
 // RunTrace executes an experiments-kind spec with timeline collection:
 // the rendered result goes to out and the Chrome trace-event JSON of
 // every algorithm run to traceOut. Tracing requires fresh executions,
-// so this path uses a dedicated suite and bypasses the persistent
-// cache (a restored result executes no runs and would collect no
+// so this path runs on a private, memory-only cache and bypasses the
+// executor's (a restored result executes no runs and would collect no
 // spans).
 func (e *Executor) RunTrace(ctx context.Context, rs RunSpec, out, traceOut io.Writer) error {
 	if err := rs.Normalize(); err != nil {
@@ -157,17 +136,37 @@ func (e *Executor) RunTrace(ctx context.Context, rs RunSpec, out, traceOut io.Wr
 	if rs.Kind != KindExperiments {
 		return fmt.Errorf("%w, not %s", ErrNotTraceable, rs.Kind)
 	}
-	tr := trace.New()
-	if err := e.runExperiments(ctx, rs, out, tr); err != nil {
+	cfg, err := rs.SuiteConfig()
+	if err != nil {
 		return err
 	}
-	return tr.WriteChromeTrace(traceOut)
+	cfg.Trace = trace.New()
+	suite, err := experiments.NewSuite(cfg, nil)
+	if err != nil {
+		return err
+	}
+	if err := e.runExperiments(ctx, rs, suite, out); err != nil {
+		return err
+	}
+	return cfg.Trace.WriteChromeTrace(traceOut)
 }
 
-// runExperiments resolves the selector and schedules the experiments.
-// With tr == nil the run shares a warm (possibly disk-backed) suite;
-// with a trace it gets a private, memory-only one.
-func (e *Executor) runExperiments(ctx context.Context, rs RunSpec, out io.Writer, tr *trace.Trace) error {
+// Suite returns an experiment suite for rs's configuration over the
+// executor's cache. A suite is a light view: each run builds its own,
+// and the cache's content-addressed keys let runs of every
+// configuration share what they have in common — `-exp table2 -csv`
+// and `-exp all` runs of one configuration compute their overlap once.
+func (e *Executor) Suite(rs RunSpec) (*experiments.Suite, error) {
+	cfg, err := rs.SuiteConfig()
+	if err != nil {
+		return nil, err
+	}
+	return experiments.NewSuite(cfg, e.cache)
+}
+
+// runExperiments resolves the selector and schedules the experiments on
+// suite.
+func (e *Executor) runExperiments(ctx context.Context, rs RunSpec, suite *experiments.Suite, out io.Writer) error {
 	renderer, err := experiments.NewRenderer(rs.Format)
 	if err != nil {
 		return err
@@ -176,58 +175,12 @@ func (e *Executor) runExperiments(ctx context.Context, rs RunSpec, out io.Writer
 	if err != nil {
 		return err
 	}
-	var suite *experiments.Suite
-	if tr != nil {
-		cfg, err := rs.SuiteConfig()
-		if err != nil {
-			return err
-		}
-		cfg.Trace = tr
-		if suite, err = experiments.NewSuite(cfg); err != nil {
-			return err
-		}
-	} else if suite, err = e.suiteFor(rs); err != nil {
-		return err
-	}
 	opts := runner.Options{Jobs: e.opts.Jobs, Hooks: e.opts.Hooks, Pool: e.opts.Pool}
 	outcomes, err := experiments.RunSelected(ctx, suite, ids, opts)
 	if err != nil {
 		return err
 	}
 	return renderer.Render(out, experiments.Flatten(outcomes))
-}
-
-// suiteFor returns the warm suite for rs's configuration, creating it
-// on first use. The suite identity deliberately excludes Format and
-// the experiment selector: `-exp table2 -csv` and `-exp all` runs of
-// the same configuration share one suite, so their overlapping work is
-// computed once.
-func (e *Executor) suiteFor(rs RunSpec) (*experiments.Suite, error) {
-	id := rs
-	id.Format = ""
-	id.Experiments = ""
-	keyBytes, err := json.Marshal(id)
-	if err != nil {
-		return nil, err
-	}
-	key := string(keyBytes)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if s, ok := e.suites[key]; ok {
-		return s, nil
-	}
-	cfg, err := rs.SuiteConfig()
-	if err != nil {
-		return nil, err
-	}
-	cfg.CacheDir = e.opts.CacheDir
-	cfg.CacheMaxBytes = e.opts.CacheMaxBytes
-	s, err := experiments.NewSuite(cfg)
-	if err != nil {
-		return nil, err
-	}
-	e.suites[key] = s
-	return s, nil
 }
 
 // scanRung is one memoized scalescan measurement: the required problem
@@ -281,7 +234,7 @@ func (e *Executor) runScalescan(ctx context.Context, rs RunSpec, out io.Writer) 
 					Add("engine", engine).
 					Add("model", model.Name()).
 					Add("cluster", cl.Signature())
-				return runner.DoPersist(ctx, e.scan, sig.Key(), runner.JSONCodec[scanRung](), func() (scanRung, error) {
+				return runner.DoPersist(ctx, e.cache, sig.Key(), runner.JSONCodec[scanRung](), func() (scanRung, error) {
 					n, work, err := requiredSize(ctx, w, cl, model, rs.Target, engine)
 					if err != nil {
 						return scanRung{}, err
@@ -420,44 +373,21 @@ func requiredSize(ctx context.Context, w workload.Workload, cl *cluster.Cluster,
 	return n, w.WorkAt(n), nil
 }
 
-// runFaultscan executes a faultscan-kind spec. The whole rendered
-// output is memoized under the spec's own canonical key: faultscan is
-// deterministic by construction (every draw derives from the plan
-// seed), so equal specs produce equal bytes.
-func (e *Executor) runFaultscan(ctx context.Context, rs RunSpec, out io.Writer) error {
-	key, err := rs.Key()
-	if err != nil {
-		return err
-	}
-	sig := runner.Sig("faultscan").Add("gen", scanGeneration).Add("spec", key)
-	data, err := runner.DoPersist(ctx, e.scan, sig.Key(), runner.JSONCodec[[]byte](), func() ([]byte, error) {
-		var buf bytes.Buffer
-		if err := faultscanBody(ctx, rs, &buf); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
-	if err != nil {
-		return err
-	}
-	_, err = out.Write(data)
-	return err
-}
-
-// runJobstream executes a jobstream-kind spec. Like faultscan, the
-// whole rendered output is memoized under the spec's own canonical key:
-// the simulation is deterministic by construction (seeded arrivals on
-// the DES clock, engines bit-identical in virtual time), so equal specs
+// runWhole executes a faultscan- or jobstream-kind spec through body,
+// memoizing the whole rendered output under the spec's own canonical
+// key. Both are deterministic by construction — every fault draw
+// derives from the plan seed, and job arrivals are seeded on the DES
+// clock with the engines bit-identical in virtual time — so equal specs
 // produce equal bytes.
-func (e *Executor) runJobstream(ctx context.Context, rs RunSpec, out io.Writer) error {
+func (e *Executor) runWhole(ctx context.Context, rs RunSpec, out io.Writer, body func(context.Context, RunSpec, io.Writer) error) error {
 	key, err := rs.Key()
 	if err != nil {
 		return err
 	}
-	sig := runner.Sig("jobstream").Add("gen", scanGeneration).Add("spec", key)
-	data, err := runner.DoPersist(ctx, e.scan, sig.Key(), runner.JSONCodec[[]byte](), func() ([]byte, error) {
+	sig := runner.Sig(rs.Kind).Add("gen", scanGeneration).Add("spec", key)
+	data, err := runner.DoPersist(ctx, e.cache, sig.Key(), runner.JSONCodec[[]byte](), func() ([]byte, error) {
 		var buf bytes.Buffer
-		if err := jobstreamBody(ctx, rs, &buf); err != nil {
+		if err := body(ctx, rs, &buf); err != nil {
 			return nil, err
 		}
 		return buf.Bytes(), nil
@@ -486,7 +416,7 @@ func jobstreamBody(ctx context.Context, rs RunSpec, out io.Writer) error {
 	cfg := experiments.Default()
 	cfg.Engine = eng
 	cfg.Seed = rs.Seed
-	suite, err := experiments.NewSuite(cfg)
+	suite, err := experiments.NewSuite(cfg, nil)
 	if err != nil {
 		return err
 	}

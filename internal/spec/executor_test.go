@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -65,7 +67,7 @@ func TestExperimentsWarmSuiteSharedAcrossRuns(t *testing.T) {
 	first := runSpec(t, ex, quickSpec())
 	misses := ex.CacheStats().Misses
 	// The same spec again — and a different format of it — must reuse the
-	// warm suite: no new computations, only hits.
+	// executor's warm cache: no new computations, only hits.
 	second := runSpec(t, ex, quickSpec())
 	if !bytes.Equal(first, second) {
 		t.Error("repeat run output differs")
@@ -77,7 +79,7 @@ func TestExperimentsWarmSuiteSharedAcrossRuns(t *testing.T) {
 	}
 	st := ex.CacheStats()
 	if st.Misses != misses {
-		t.Errorf("warm suite recomputed: misses %d -> %d", misses, st.Misses)
+		t.Errorf("warm cache recomputed: misses %d -> %d", misses, st.Misses)
 	}
 	if st.Hits == 0 {
 		t.Errorf("no cache hits on repeat runs: %+v", st)
@@ -295,10 +297,45 @@ func TestRunValidatesBeforeExecuting(t *testing.T) {
 	}
 }
 
+// TestCanceledRunIsNotMemoized cancels a run once its computation is in
+// flight, then runs the same spec with a live context on the same
+// executor: the canceled computation must not be served as the spec's
+// result, so the second run produces the bytes a fresh executor does.
+func TestCanceledRunIsNotMemoized(t *testing.T) {
+	for _, rs := range []RunSpec{
+		{Kind: KindExperiments, Experiments: "table2", Quick: true, Sizes: []int{2, 4}, Engine: "symbolic"},
+		{Kind: KindJobstream},
+	} {
+		t.Run(rs.Kind, func(t *testing.T) {
+			want := runSpec(t, newExecutor(t, ExecutorOptions{Jobs: 2}), rs)
+			ex := newExecutor(t, ExecutorOptions{Jobs: 2})
+			ctx, cancel := context.WithCancel(context.Background())
+			first := make(chan error, 1)
+			go func() { first <- ex.Run(ctx, rs, io.Discard) }()
+			// The cache registers the run's computation before starting it.
+			for ex.cache.Len() == 0 {
+				runtime.Gosched()
+			}
+			cancel()
+			if err := <-first; err == nil {
+				t.Log("the run finished before it saw the cancellation")
+			}
+			if got := runSpec(t, ex, rs); !bytes.Equal(got, want) {
+				t.Errorf("rerun after a canceled run differs from a fresh executor's bytes:\n%s", got)
+			}
+		})
+	}
+}
+
+// diskMemEntries is the memory bound runner.NewCache gives a disk-backed
+// cache.
+const diskMemEntries = 64
+
 // TestDiskExecutorBoundsMemoryLayer streams 200 distinct faultscan specs
-// through a disk-backed executor: its in-memory result layer keeps at
-// most scanMemEntries completed results, a spec touched every few
-// requests stays a memory hit, and an evicted spec comes back from disk
+// and 200 distinct-seed experiments specs through a disk-backed
+// executor: its one in-memory table keeps at most diskMemEntries
+// completed results, a spec touched every few requests stays a memory
+// hit, and an evicted spec of either kind comes back from disk
 // byte-identical. A memory-only executor has nowhere to restore from,
 // so it keeps every result.
 func TestDiskExecutorBoundsMemoryLayer(t *testing.T) {
@@ -308,15 +345,20 @@ func TestDiskExecutorBoundsMemoryLayer(t *testing.T) {
 			Faults: &faults.Spec{Seed: seed, StragglerFrac: 0.5, StragglerFactor: 2},
 		}
 	}
+	table6 := func(seed int64) RunSpec {
+		return RunSpec{Kind: KindExperiments, Experiments: "table6", Quick: true, Seed: seed}
+	}
 	const distinct = 200
 	ex := newExecutor(t, ExecutorOptions{Jobs: 1, CacheDir: t.TempDir()})
 	hot := scan(distinct + 1)
 	hotOut := runSpec(t, ex, hot)
-	firstOut := runSpec(t, ex, scan(1))
+	firstScan := runSpec(t, ex, scan(1))
+	firstTable := runSpec(t, ex, table6(1))
 	for i := 2; i <= distinct; i++ {
 		runSpec(t, ex, scan(int64(i)))
-		if n := ex.scan.Len(); n > scanMemEntries {
-			t.Fatalf("after %d specs the memory layer holds %d results, bound %d", i, n, scanMemEntries)
+		runSpec(t, ex, table6(int64(i)))
+		if n := ex.cache.Len(); n > diskMemEntries {
+			t.Fatalf("after %d specs of each kind the memory layer holds %d results, bound %d", i, n, diskMemEntries)
 		}
 		if i%5 != 0 {
 			continue
@@ -330,23 +372,47 @@ func TestDiskExecutorBoundsMemoryLayer(t *testing.T) {
 			t.Fatalf("hot spec after %d specs: want a memory hit, stats %+v -> %+v", i, before, after)
 		}
 	}
-	if n := ex.scan.Len(); n != scanMemEntries {
-		t.Errorf("memory layer holds %d results, want the bound %d", n, scanMemEntries)
+	if n := ex.cache.Len(); n != diskMemEntries {
+		t.Errorf("memory layer holds %d results, want the bound %d", n, diskMemEntries)
 	}
-	before := ex.CacheStats()
-	if out := runSpec(t, ex, scan(1)); !bytes.Equal(out, firstOut) {
-		t.Error("evicted spec restored from disk with different bytes")
-	}
-	after := ex.CacheStats()
-	if after.DiskHits != before.DiskHits+1 || after.DiskMisses != before.DiskMisses {
-		t.Errorf("evicted spec: want one disk hit and no recomputation, stats %+v -> %+v", before, after)
+	for _, c := range []struct {
+		rs   RunSpec
+		want []byte
+	}{{scan(1), firstScan}, {table6(1), firstTable}} {
+		before := ex.CacheStats()
+		if out := runSpec(t, ex, c.rs); !bytes.Equal(out, c.want) {
+			t.Errorf("evicted %s spec restored from disk with different bytes", c.rs.Kind)
+		}
+		after := ex.CacheStats()
+		if after.DiskHits != before.DiskHits+1 || after.DiskMisses != before.DiskMisses {
+			t.Errorf("evicted %s spec: want one disk hit and no recomputation, stats %+v -> %+v", c.rs.Kind, before, after)
+		}
 	}
 
 	mem := newExecutor(t, ExecutorOptions{Jobs: 1})
 	for i := 1; i <= distinct; i++ {
 		runSpec(t, mem, scan(int64(i)))
+		runSpec(t, mem, table6(int64(i)))
 	}
-	if n := mem.scan.Len(); n != distinct {
-		t.Errorf("memory-only executor holds %d results, want all %d", n, distinct)
+	if n := mem.cache.Len(); n != 2*distinct {
+		t.Errorf("memory-only executor holds %d results, want all %d", n, 2*distinct)
+	}
+}
+
+// BenchmarkNewExecutorDecode is the set-up a cold run pays before any
+// work: a memory-only executor plus decoding the quick-suite spec.
+func BenchmarkNewExecutorDecode(b *testing.B) {
+	body, err := json.Marshal(RunSpec{Kind: KindExperiments, Experiments: "all", Quick: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := NewExecutor(ExecutorOptions{Jobs: 2}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := Decode(bytes.NewReader(body)); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -13,6 +13,13 @@
 // canonical byte string IS the cache signature: Key (its SHA-256) is
 // the content address under which the persistent result cache stores
 // the run's outcome.
+//
+// An Executor memoizes through one runner.Cache that holds every result
+// of every kind — experiment outcomes with the chains and run points
+// behind them, scalescan rungs, whole faultscan and jobstream outputs —
+// and owns the only handle on the persistent layer. Over a cache
+// directory it keeps the 64 most recently used results in memory; a run
+// canceled mid-computation leaves nothing behind.
 package spec
 
 import (

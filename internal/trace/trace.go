@@ -32,7 +32,6 @@ const (
 	KindWait // blocked waiting for a message or collective payload
 	KindBcast
 	KindBarrier
-	KindSleep
 	KindCheckpoint // coordinated checkpoint write to stable storage
 	KindRecover    // rollback window: detection + restart after a crash
 )
@@ -52,8 +51,6 @@ func (k Kind) String() string {
 		return "bcast"
 	case KindBarrier:
 		return "barrier"
-	case KindSleep:
-		return "sleep"
 	case KindCheckpoint:
 		return "checkpoint"
 	case KindRecover:
@@ -78,8 +75,6 @@ func (k Kind) glyph() byte {
 		return 'B'
 	case KindBarrier:
 		return '|'
-	case KindSleep:
-		return '~'
 	case KindCheckpoint:
 		return 'C'
 	case KindRecover:
@@ -157,7 +152,6 @@ type Breakdown struct {
 	ComputeMS float64
 	CommMS    float64 // send+recv+bcast+barrier busy time
 	WaitMS    float64 // blocked on payloads / stragglers
-	SleepMS   float64
 	EndMS     float64 // the rank's last span end
 	IdleMS    float64 // makespan minus everything above
 }
@@ -181,8 +175,6 @@ func (t *Trace) Breakdowns() []Breakdown {
 			b.ComputeMS += d
 		case KindWait:
 			b.WaitMS += d
-		case KindSleep:
-			b.SleepMS += d
 		default:
 			b.CommMS += d
 		}
@@ -195,7 +187,7 @@ func (t *Trace) Breakdowns() []Breakdown {
 	}
 	out := make([]Breakdown, 0, len(byRank))
 	for _, b := range byRank {
-		b.IdleMS = makespan - b.ComputeMS - b.CommMS - b.WaitMS - b.SleepMS
+		b.IdleMS = makespan - b.ComputeMS - b.CommMS - b.WaitMS
 		if b.IdleMS < 0 {
 			b.IdleMS = 0
 		}
@@ -275,6 +267,6 @@ func (t *Trace) Gantt(width int) string {
 	for r, row := range rows {
 		fmt.Fprintf(&b, "rank %2d |%s|\n", r, string(row))
 	}
-	b.WriteString("legend: # compute  > send  < recv  . wait  B bcast  | barrier  ~ sleep  C checkpoint  R recover\n")
+	b.WriteString("legend: # compute  > send  < recv  . wait  B bcast  | barrier  C checkpoint  R recover\n")
 	return b.String()
 }

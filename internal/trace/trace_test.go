@@ -9,7 +9,7 @@ import (
 )
 
 func TestKindStringsAndGlyphs(t *testing.T) {
-	kinds := []Kind{KindCompute, KindSend, KindRecv, KindWait, KindBcast, KindBarrier, KindSleep}
+	kinds := []Kind{KindCompute, KindSend, KindRecv, KindWait, KindBcast, KindBarrier}
 	seenName := map[string]bool{}
 	seenGlyph := map[byte]bool{}
 	for _, k := range kinds {
@@ -116,7 +116,7 @@ func TestBreakdownInvariantsQuick(t *testing.T) {
 		}
 		mk := tr.Makespan()
 		for _, b := range tr.Breakdowns() {
-			if b.ComputeMS < 0 || b.CommMS < 0 || b.WaitMS < 0 || b.IdleMS < 0 || b.SleepMS < 0 {
+			if b.ComputeMS < 0 || b.CommMS < 0 || b.WaitMS < 0 || b.IdleMS < 0 {
 				return false
 			}
 			if b.EndMS > mk+1e-9 {

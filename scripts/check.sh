@@ -36,10 +36,13 @@ echo "==> (cd perfbench && go vet ./... && go test ./...)"
 # allocation per DES message) and the rank-to-rank hand-offs of the
 # symbolic scheduler and the DES kernel (deadlock unwinding, no rank
 # goroutine left behind), plus the whole kernel suite, so a rare
-# interleaving gets many tries.
-echo "==> go test -race -count=20 (engine stress) ./internal/mpi ./internal/des"
+# interleaving gets many tries. The memo cache's cancellation tests ride
+# along: a computation canceled mid-flight must leave the table before
+# its waiters wake, on the cache alone and through the executor.
+echo "==> go test -race -count=20 (engine stress) ./internal/mpi ./internal/des ./internal/runner ./internal/spec"
 go test -race -count=20 -run 'Live|Crash|Barrier|Abort|Differential|Panic|ProgramError|Symbolic|Deadlock|Leak|Mailbox|DESMessage' ./internal/mpi
 go test -race -count=20 ./internal/des
+go test -race -count=20 -run 'Canceled' ./internal/runner ./internal/spec
 
 # Order-independence smoke: the suite must pass with tests shuffled —
 # scheduler and cache state must not leak between tests. Go prints the
