@@ -136,7 +136,8 @@ func TestScanCrashReportsOutcome(t *testing.T) {
 var update = flag.Bool("update", false, "rewrite the golden files from current output")
 
 // TestScanJSONGolden pins the -json document byte for byte, for the
-// plain crash (DNF) and the checkpoint/rollback (-recover) variants.
+// plain crash (DNF) and the checkpoint/rollback (-recover) variants,
+// and the table of the seeded one-knob scan with recovery.
 func TestScanJSONGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden string
@@ -144,6 +145,7 @@ func TestScanJSONGolden(t *testing.T) {
 	}{
 		{"scan_crash.golden.json", []string{"-spec", "testdata/crashplan.json", "-alg", "ge", "-p", "4", "-n", "100", "-json"}},
 		{"scan_recovered.golden.json", []string{"-spec", "testdata/crashplan.json", "-alg", "ge", "-p", "4", "-n", "100", "-recover", "-json"}},
+		{"intensity_recover.golden", []string{"-intensity", "0.5", "-seed", "7", "-recover"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			var out strings.Builder

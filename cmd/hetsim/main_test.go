@@ -352,6 +352,33 @@ func TestJobstreamGolden(t *testing.T) {
 	}
 }
 
+// TestReproductionGolden pins the full-size reproduction and the two
+// engine-specific variants byte for byte: `-exp all` (the paper-size
+// sweep, the slowest run in this package), the quick sweep on des with
+// link contention, and the ablation group on des. Each runs exactly the
+// command it names, at full size.
+func TestReproductionGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size sweep is slow")
+	}
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"all.golden", []string{"-exp", "all"}},
+		{"quick-des-contended.golden", []string{"-exp", "all", "-quick", "-engine", "des", "-contended"}},
+		{"ablation-des.golden", []string{"-exp", "group:ablation", "-engine", "des"}},
+	} {
+		t.Run(tc.golden, func(t *testing.T) {
+			got, err := runOut(t, tc.args...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, tc.golden, got, true)
+		})
+	}
+}
+
 // checkGolden compares got with testdata/name, or, under -update with
 // write set, rewrites the golden from got.
 func checkGolden(t *testing.T, name, got string, write bool) {

@@ -100,34 +100,22 @@ func (s *Suite) AblateContention(ctx context.Context) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	type runT struct {
+	spec := workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true}
+	for _, r := range []struct {
 		alg string
-		run func(opts mpi.Options) (float64, float64, error)
+		w   workload.Workload
 		cl  *cluster.Cluster
-	}
-	runs := []runT{
-		{"GE", func(opts mpi.Options) (float64, float64, error) {
-			out, err := workload.GE{}.Run(ctx, geCl, s.model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
-			if err != nil {
-				return 0, 0, err
-			}
-			return out.Work, out.Stats.TimeMS, nil
-		}, geCl},
-		{"MM", func(opts mpi.Options) (float64, float64, error) {
-			out, err := workload.MM{}.Run(ctx, mmCl, s.model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
-			if err != nil {
-				return 0, 0, err
-			}
-			return out.Work, out.Stats.TimeMS, nil
-		}, mmCl},
-	}
-	for _, r := range runs {
+	}{
+		{"GE", workload.GE{}, geCl},
+		{"MM", workload.MM{}, mmCl},
+	} {
 		for _, wire := range []simnet.WireMode{simnet.WireIdeal, simnet.WireShared} {
-			w, timeMS, err := r.run(mpi.Options{Engine: mpi.EngineDES, Network: wire})
+			out, err := r.w.Run(ctx, r.cl, s.model, mpi.Options{Engine: mpi.EngineDES, Network: wire}, spec)
 			if err != nil {
 				return nil, err
 			}
-			eff, err := core.SpeedEfficiency(w, timeMS, r.cl.MarkedSpeed())
+			timeMS := out.Stats.TimeMS
+			eff, err := core.SpeedEfficiency(out.Work, timeMS, r.cl.MarkedSpeed())
 			if err != nil {
 				return nil, err
 			}

@@ -216,36 +216,25 @@ func (s *Suite) AblateNetworks(ctx context.Context) (*Table, error) {
 		Title:   fmt.Sprintf("Ablation: network architecture (DES engine, N = %d)", n),
 		Headers: []string{"Algorithm", "Network", "T (ms)", "E_s", "Slowdown vs ideal"},
 	}
-	type alg struct {
+	spec := workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true}
+	for _, a := range []struct {
 		name string
-		run  func(opts mpi.Options) (float64, float64, error)
-	}
-	for _, a := range []alg{
-		{"MM", func(opts mpi.Options) (float64, float64, error) {
-			out, err := workload.MM{}.Run(ctx, cl, s.model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
-			if err != nil {
-				return 0, 0, err
-			}
-			return out.Work, out.Stats.TimeMS, nil
-		}},
-		{"Jacobi", func(opts mpi.Options) (float64, float64, error) {
-			out, err := workload.Jacobi{}.Run(ctx, cl, s.model, opts, workload.Spec{N: n, Seed: s.Cfg.Seed, Symbolic: true})
-			if err != nil {
-				return 0, 0, err
-			}
-			return out.Work, out.Stats.TimeMS, nil
-		}},
+		w    workload.Workload
+	}{
+		{"MM", workload.MM{}},
+		{"Jacobi", workload.Jacobi{}},
 	} {
 		var base float64
 		for _, mode := range []simnet.WireMode{simnet.WireIdeal, simnet.WireSwitched, simnet.WireShared} {
-			w, timeMS, err := a.run(mpi.Options{Engine: mpi.EngineDES, Network: mode})
+			out, err := a.w.Run(ctx, cl, s.model, mpi.Options{Engine: mpi.EngineDES, Network: mode}, spec)
 			if err != nil {
 				return nil, err
 			}
+			timeMS := out.Stats.TimeMS
 			if mode == simnet.WireIdeal {
 				base = timeMS
 			}
-			eff, err := core.SpeedEfficiency(w, timeMS, cl.MarkedSpeed())
+			eff, err := core.SpeedEfficiency(out.Work, timeMS, cl.MarkedSpeed())
 			if err != nil {
 				return nil, err
 			}

@@ -114,19 +114,8 @@ func (s *Suite) CrashRestart(ctx context.Context) (*Table, error) {
 			faultSweepN, cl.Name, base.VirtualTime),
 		Headers: []string{"Scenario", "Failed at (ms)", "Survivors", "Restart T (ms)", "Total T (ms)", "Slowdown", "E_s @ nominal C"},
 	}
-	type scenario struct {
-		label   string
-		crashes []faults.Crash
-	}
-	// Rank 0 owns the input matrix, so it never crashes here: losing it
-	// would lose the job, not delay it.
-	scenarios := []scenario{
-		{"rank 3 early", []faults.Crash{{Rank: 3, AtMS: 0.25 * base.VirtualTime}}},
-		{"rank 3 late", []faults.Crash{{Rank: 3, AtMS: 0.75 * base.VirtualTime}}},
-		{"ranks 2+5 mid", []faults.Crash{{Rank: 2, AtMS: 0.5 * base.VirtualTime}, {Rank: 5, AtMS: 0.5 * base.VirtualTime}}},
-	}
-	for _, sc := range scenarios {
-		plan := faults.Plan{Seed: s.Cfg.Seed, Crashes: sc.crashes}
+	for _, sc := range crashScenarios {
+		plan := faults.Plan{Seed: s.Cfg.Seed, Crashes: sc.crashes(base.VirtualTime)}
 		_, _, inj, err := plan.Apply(cl, s.model)
 		if err != nil {
 			return nil, err

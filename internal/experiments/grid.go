@@ -40,11 +40,6 @@ func (s *Suite) Grid(ctx context.Context) (*Table, error) {
 		return nil, err
 	}
 
-	const (
-		nGE  = 600
-		nMM  = 400
-		nJac = 400
-	)
 	t := &Table{
 		Title: "Widely distributed: one 8-node LAN vs two 4-node sites over a WAN",
 		Headers: []string{
@@ -52,35 +47,16 @@ func (s *Suite) Grid(ctx context.Context) (*Table, error) {
 		},
 	}
 
-	type variant struct {
+	for _, v := range []struct {
 		name string
 		n    int
-		run  func(model simnet.CostModel) (float64, float64, error)
-	}
-	variants := []variant{
-		{"GE", nGE, func(model simnet.CostModel) (float64, float64, error) {
-			out, err := workload.GE{}.Run(ctx, cl, model, s.Cfg.mpiOpts(), workload.Spec{N: nGE, Seed: s.Cfg.Seed, Symbolic: true})
-			if err != nil {
-				return 0, 0, err
-			}
-			return out.Work, out.Stats.TimeMS, nil
-		}},
-		{"MM", nMM, func(model simnet.CostModel) (float64, float64, error) {
-			out, err := workload.MM{}.Run(ctx, cl, model, s.Cfg.mpiOpts(), workload.Spec{N: nMM, Seed: s.Cfg.Seed, Symbolic: true})
-			if err != nil {
-				return 0, 0, err
-			}
-			return out.Work, out.Stats.TimeMS, nil
-		}},
-		{"Jacobi", nJac, func(model simnet.CostModel) (float64, float64, error) {
-			out, err := workload.Jacobi{}.Run(ctx, cl, model, s.Cfg.mpiOpts(), workload.Spec{N: nJac, Seed: s.Cfg.Seed, Symbolic: true})
-			if err != nil {
-				return 0, 0, err
-			}
-			return out.Work, out.Stats.TimeMS, nil
-		}},
-	}
-	for _, v := range variants {
+		w    workload.Workload
+	}{
+		{"GE", 600, workload.GE{}},
+		{"MM", 400, workload.MM{}},
+		{"Jacobi", 400, workload.Jacobi{}},
+	} {
+		spec := workload.Spec{N: v.n, Seed: s.Cfg.Seed, Symbolic: true}
 		var lanT float64
 		for _, net := range []struct {
 			label string
@@ -89,14 +65,15 @@ func (s *Suite) Grid(ctx context.Context) (*Table, error) {
 			{"LAN (1 site)", local},
 			{"WAN (2 sites)", twoSite},
 		} {
-			w, timeMS, err := v.run(net.model)
+			out, err := v.w.Run(ctx, cl, net.model, s.Cfg.mpiOpts(), spec)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: grid %s/%s: %w", v.name, net.label, err)
 			}
+			timeMS := out.Stats.TimeMS
 			if net.label[0] == 'L' {
 				lanT = timeMS
 			}
-			eff, err := core.SpeedEfficiency(w, timeMS, cl.MarkedSpeed())
+			eff, err := core.SpeedEfficiency(out.Work, timeMS, cl.MarkedSpeed())
 			if err != nil {
 				return nil, err
 			}

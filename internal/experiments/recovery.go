@@ -33,15 +33,18 @@ func recoveredGESpec(s *Suite, cl *cluster.Cluster) workload.Spec {
 	}
 }
 
-// crashScenario is one named fault plan of the recovery studies. The
-// scenarios mirror CrashRestart's, so the two tables price the same
-// failures under the two strategies.
+// crashScenario is one named fault plan, its crash instants a fraction
+// of the fault-free makespan.
 type crashScenario struct {
 	label   string
 	crashes func(baseT float64) []faults.Crash
 }
 
-var recoveredScenarios = []crashScenario{
+// crashScenarios are the failures both CrashRestart and RecoveredSweep
+// price, under fail-stop restart and under rollback recovery. Rank 0
+// owns the input matrix, so it never crashes here: losing it would lose
+// the job, not delay it.
+var crashScenarios = []crashScenario{
 	{"rank 3 early", func(t float64) []faults.Crash {
 		return []faults.Crash{{Rank: 3, AtMS: 0.25 * t}}
 	}},
@@ -79,7 +82,8 @@ func (s *Suite) RecoveredSweep(ctx context.Context) (*Table, error) {
 			faultSweepN, cl.Name, recoveredInterval, base.VirtualTime),
 		Headers: []string{"Scenario", "Attempts", "Ckpts", "T (ms)", "Slowdown", "E_s @ nominal C", "ψ vs fault-free"},
 	}
-	rcfg := workload.RecoveryConfig{IntervalSteps: recoveredInterval}
+	rspec := spec
+	rspec.Recover, rspec.CkptSteps = true, recoveredInterval
 	addRow := func(label string, withFaults []faults.Crash) error {
 		fopts := opts
 		if withFaults != nil {
@@ -90,10 +94,11 @@ func (s *Suite) RecoveredSweep(ctx context.Context) (*Table, error) {
 			}
 			fopts.Faults = inj
 		}
-		out, rec, err := ge.RunRecovered(ctx, cl, s.model, fopts, spec, rcfg)
+		out, err := ge.Run(ctx, cl, s.model, fopts, rspec)
 		if err != nil {
 			return fmt.Errorf("experiments: recovered scenario %q: %w", label, err)
 		}
+		rec := out.Stats
 		eff, err := core.SpeedEfficiency(out.Work, rec.TimeMS, cl.MarkedSpeed())
 		if err != nil {
 			return err
@@ -112,7 +117,7 @@ func (s *Suite) RecoveredSweep(ctx context.Context) (*Table, error) {
 	if err := addRow("fault-free + ckpt", nil); err != nil {
 		return nil, err
 	}
-	for _, sc := range recoveredScenarios {
+	for _, sc := range crashScenarios {
 		if err := addRow(sc.label, sc.crashes(base.VirtualTime)); err != nil {
 			return nil, err
 		}
@@ -158,26 +163,28 @@ func (s *Suite) CheckpointInterval(ctx context.Context) (*Table, error) {
 		Headers: []string{"Interval (pivots)", "Ckpts", "T healthy (ms)", "Ckpt overhead", "T crashed (ms)", "Crashed slowdown", "E_s crashed"},
 	}
 	for _, interval := range checkpointIntervals {
-		rcfg := workload.RecoveryConfig{IntervalSteps: interval}
-		_, healthy, err := ge.RunRecovered(ctx, cl, s.model, opts, spec, rcfg)
+		rspec := spec
+		rspec.Recover, rspec.CkptSteps = true, interval
+		healthy, err := ge.Run(ctx, cl, s.model, opts, rspec)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: healthy interval %d: %w", interval, err)
 		}
 		fopts := opts
 		fopts.Faults = inj
-		out, crashed, err := ge.RunRecovered(ctx, cl, s.model, fopts, spec, rcfg)
+		out, err := ge.Run(ctx, cl, s.model, fopts, rspec)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: crashed interval %d: %w", interval, err)
 		}
+		crashed := out.Stats
 		eff, err := core.SpeedEfficiency(out.Work, crashed.TimeMS, cl.MarkedSpeed())
 		if err != nil {
 			return nil, err
 		}
 		t.AddRow(
 			fmt.Sprintf("%d", interval),
-			fmt.Sprintf("%d", healthy.Checkpoints),
-			fmtFloat(healthy.TimeMS, 2),
-			fmtFloat(healthy.TimeMS/base.VirtualTime, 3),
+			fmt.Sprintf("%d", healthy.Stats.Checkpoints),
+			fmtFloat(healthy.Stats.TimeMS, 2),
+			fmtFloat(healthy.Stats.TimeMS/base.VirtualTime, 3),
 			fmtFloat(crashed.TimeMS, 2),
 			fmtFloat(crashed.TimeMS/base.VirtualTime, 2),
 			fmtFloat(eff, 4),

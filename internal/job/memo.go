@@ -63,31 +63,26 @@ type innerRun struct {
 }
 
 // runInner executes w at size n on the leased subset sub: plainly
-// without crashes, else under RunRecovered with the crash plan and
+// without crashes, else under recovery with the crash plan and
 // opts.Retry's checkpoint cadence. A run that loses its survivor set or
 // its attempt budget is a result (finished false), not an error.
 func runInner(ctx context.Context, w workload.Workload, sub *cluster.Cluster, model simnet.CostModel, opts Options, n int, crashes []faults.Crash) (innerRun, error) {
 	spec := workload.Spec{N: n, Seed: opts.Seed, Symbolic: true}
-	if len(crashes) == 0 {
-		out, err := w.Run(ctx, sub, model, opts.MPI, spec)
-		if err != nil {
-			return innerRun{}, err
-		}
-		return innerRun{finished: true, timeMS: out.Stats.TimeMS, work: out.Work}, nil
-	}
-	// Survivor replay redistributes the dead ranks' shares by the leased
-	// subset's nominal speeds: dist.Pinned, subset to the survivors by
-	// the recovery supervisor.
-	spec.PinnedSpeeds = sub.Speeds()
 	mopts := opts.MPI
-	mopts.Faults = faults.Plan{Crashes: crashes}.Injector()
-	rcfg := workload.RecoveryConfig{IntervalSteps: opts.Retry.CkptSteps}
-	out, rec, err := w.RunRecovered(ctx, sub, model, mopts, spec, rcfg)
+	if len(crashes) > 0 {
+		// Survivor replay redistributes the dead ranks' shares by the
+		// leased subset's nominal speeds: dist.Pinned, subset to the
+		// survivors by the recovery supervisor.
+		spec.PinnedSpeeds = sub.Speeds()
+		spec.Recover, spec.CkptSteps = true, opts.Retry.CkptSteps
+		mopts.Faults = faults.Plan{Crashes: crashes}.Injector()
+	}
+	out, err := w.Run(ctx, sub, model, mopts, spec)
 	switch {
 	case err == nil:
-		return innerRun{finished: true, timeMS: rec.TimeMS, work: out.Work, rollbacks: rec.Attempts - 1}, nil
+		return innerRun{finished: true, timeMS: out.Stats.TimeMS, work: out.Work, rollbacks: out.Stats.Attempts - 1}, nil
 	case errors.Is(err, mpi.ErrRecoveryFailed):
-		return innerRun{finished: false, failMS: rec.FailedAtMS(), rollbacks: rec.Attempts - 1}, nil
+		return innerRun{finished: false, failMS: out.Stats.FailedAtMS(), rollbacks: out.Stats.Attempts - 1}, nil
 	default:
 		return innerRun{}, err
 	}

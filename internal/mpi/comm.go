@@ -61,6 +61,12 @@
 // additionally pays RecvTime. Broadcast and barrier use the paper's
 // measured aggregate forms (simnet BcastTime/BarrierTime) rather than being
 // decomposed into point-to-point messages, matching how §4.5 models T_o.
+//
+// Two entry points run a program, and both return one Result. Run
+// executes it once. RunRecoverable (recovery.go) builds a checkpointing
+// program per attempt from a factory and, after a crash, replays it on
+// the survivors from the last committed checkpoint; its Result adds the
+// attempts, checkpoints and rollback events to the same record.
 package mpi
 
 import (
@@ -210,7 +216,12 @@ type Options struct {
 	Faults FaultInjector
 }
 
-// Result summarizes one program execution.
+// Result summarizes one program execution: a plain Run, or a
+// RunRecoverable across all its attempts. A supervised result is indexed
+// by ORIGINAL rank id: RankClocks keeps a dead rank's final (death)
+// clock, ComputeMS/CommMS sum each rank's time across attempts, TimeMS
+// is the final attempt's makespan, and Messages/BytesMoved total every
+// attempt's traffic.
 type Result struct {
 	// TimeMS is the makespan: the maximum final clock across ranks.
 	TimeMS float64
@@ -224,6 +235,36 @@ type Result struct {
 	// count their internal distribution messages too).
 	Messages   int64
 	BytesMoved int64
+	// Attempts is the number of instances run: 1 for a plain run or a
+	// supervised one without failure, so Attempts − 1 counts rollbacks.
+	Attempts int
+	// Checkpoints counts committed snapshots; CheckpointMS is the total
+	// virtual time ranks spent writing them (committed or not), summed
+	// per rank and then in rank order, so every engine and rerun reads
+	// the same bits. Both are 0 on a plain run.
+	Checkpoints  int
+	CheckpointMS float64
+	// Events records each rollback in order.
+	Events []RecoveryEvent
+}
+
+// FailedAtMS returns the virtual instant an abandoned run stopped
+// consuming the machine: the latest of the per-rank death/finish clocks
+// and any rollback's resume instant. Meaningful when RunRecoverable
+// returned ErrRecoveryFailed (TimeMS is only set on success).
+func (r Result) FailedAtMS() float64 {
+	at := 0.0
+	for _, c := range r.RankClocks {
+		if c > at {
+			at = c
+		}
+	}
+	for _, ev := range r.Events {
+		if ev.ResumeMS > at {
+			at = ev.ResumeMS
+		}
+	}
+	return at
 }
 
 // MaxCommMS returns the largest per-rank communication time — the measured

@@ -61,8 +61,6 @@ type Snapshot struct {
 
 // Instance describes one program instantiation to the factory.
 type Instance struct {
-	// Attempt counts instantiations from 0 (the initial run).
-	Attempt int
 	// Cluster is the survivor cluster this instance runs on; instance
 	// rank i executes on Cluster.Nodes[i], which is the original
 	// cluster's node Ranks[i].
@@ -75,10 +73,6 @@ type Instance struct {
 	// History holds every committed checkpoint so far (Resume is the
 	// last entry), for programs whose state accretes across checkpoints.
 	History []Snapshot
-	// BaseMS is the virtual instant this instance starts at: 0 for the
-	// initial run, the previous attempt's end + the recovery charge
-	// (see RecoveryEvent.ResumeMS) afterwards.
-	BaseMS float64
 }
 
 // RecoverableProgram is the per-rank body of a checkpointing computation.
@@ -102,52 +96,12 @@ type RecoveryEvent struct {
 	Survivors []int
 }
 
-// RecoveredResult is a Result plus the recovery bookkeeping. The embedded
-// Result is indexed by ORIGINAL rank id: RankClocks keeps a dead rank's
-// final (death) clock, ComputeMS/CommMS sum each rank's time across
-// attempts, TimeMS is the final attempt's makespan, and Messages/
-// BytesMoved total every attempt's traffic.
-type RecoveredResult struct {
-	Result
-	// Attempts is the number of instances run (1 = no failure).
-	Attempts int
-	// Recovered reports whether any rollback happened.
-	Recovered bool
-	// Checkpoints counts committed snapshots; CheckpointMS is the total
-	// virtual time ranks spent writing them (committed or not), summed
-	// per rank and then in rank order, so every engine and rerun reads
-	// the same bits.
-	Checkpoints  int
-	CheckpointMS float64
-	// Events records each rollback in order.
-	Events []RecoveryEvent
-}
-
 // ErrRecoveryFailed marks a run the recovery supervisor abandoned for a
 // priceable reason: no rank survived a failure.
 // Schedulers match it with errors.Is to distinguish "this job died on
 // this placement" (requeue it) from a program bug (abort the
 // simulation). Non-fault errors are never wrapped in it.
 var ErrRecoveryFailed = errors.New("mpi: recovery failed")
-
-// FailedAtMS returns the virtual instant an abandoned run stopped
-// consuming the machine: the latest of the per-rank death/finish clocks
-// and any rollback's resume instant. Meaningful when RunRecoverable
-// returned ErrRecoveryFailed (TimeMS is only set on success).
-func (r RecoveredResult) FailedAtMS() float64 {
-	at := 0.0
-	for _, c := range r.RankClocks {
-		if c > at {
-			at = c
-		}
-	}
-	for _, ev := range r.Events {
-		if ev.ResumeMS > at {
-			at = ev.ResumeMS
-		}
-	}
-	return at
-}
 
 // recoveryLog is the run's stable storage: committed snapshots survive
 // the failure of the attempt that wrote them. It also keeps each
@@ -368,15 +322,17 @@ func attemptFaults(err error) (crashed, stormed, aborted map[int]float64, ok boo
 // failure removes at least one rank for good, so there are at most
 // cluster-size of them: the run finishes, or a failure leaves no
 // survivor and the run is abandoned with ErrRecoveryFailed. Non-fault
-// errors abort immediately. Traces see each attempt's spans with ranks
-// remapped to original ids plus one KindRecover span per continuing rank
-// covering its rollback window.
-func RunRecoverable(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
+// errors abort immediately. The Result is filled in on failure too:
+// a scheduler prices an abandoned run from its attempts and death clocks
+// (FailedAtMS). Traces see each attempt's spans with ranks remapped to
+// original ids plus one KindRecover span per continuing rank covering
+// its rollback window.
+func RunRecoverable(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, opts Options, factory func(Instance) (RecoverableProgram, error)) (Result, error) {
 	if factory == nil {
-		return RecoveredResult{}, errors.New("mpi: nil recoverable program factory")
+		return Result{}, errors.New("mpi: nil recoverable program factory")
 	}
 	if cl == nil || cl.Size() == 0 {
-		return RecoveredResult{}, errors.New("mpi: nil or empty cluster")
+		return Result{}, errors.New("mpi: nil or empty cluster")
 	}
 	p := cl.Size()
 
@@ -388,20 +344,18 @@ func RunRecoverable(ctx context.Context, cl *cluster.Cluster, model simnet.CostM
 	curCl := cl
 	baseMS := 0.0
 
-	res := RecoveredResult{Result: Result{
+	res := Result{
 		RankClocks: make([]float64, p),
 		ComputeMS:  make([]float64, p),
 		CommMS:     make([]float64, p),
-	}}
+	}
 
 	for attempt := 0; ; attempt++ {
 		history := log.snapshots()
 		inst := Instance{
-			Attempt: attempt,
 			Cluster: curCl,
 			Ranks:   append([]int(nil), ranks...),
 			History: history,
-			BaseMS:  baseMS,
 		}
 		if len(history) > 0 {
 			inst.Resume = &history[len(history)-1]
@@ -466,7 +420,6 @@ func RunRecoverable(ctx context.Context, cl *cluster.Cluster, model simnet.CostM
 
 		if runErr == nil {
 			res.TimeMS = r.TimeMS
-			res.Recovered = attempt > 0
 			return res, nil
 		}
 

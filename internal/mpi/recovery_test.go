@@ -44,11 +44,11 @@ func phasedFactory(phases, interval int, starts *[]int) func(Instance) (Recovera
 // runRecoveredBoth executes the factory under both engines with the same
 // injector, asserting the recovered results are bit-identical, and
 // returns the live result.
-func runRecoveredBoth(t *testing.T, speeds []float64, inj FaultInjector, factory func(Instance) (RecoverableProgram, error)) (RecoveredResult, error) {
+func runRecoveredBoth(t *testing.T, speeds []float64, inj FaultInjector, factory func(Instance) (RecoverableProgram, error)) (Result, error) {
 	t.Helper()
 	cl := testCluster(t, speeds...)
 	m := testModel(t)
-	var results []RecoveredResult
+	var results []Result
 	var errs []error
 	for _, e := range bothEngines {
 		opts := e.opts
@@ -74,11 +74,12 @@ func TestRecoverableNoFaultMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Recovered || rec.Attempts != 1 || rec.Checkpoints != 0 || len(rec.Events) != 0 {
+	if rec.Attempts != 1 || rec.Checkpoints != 0 || rec.CheckpointMS != 0 || rec.Events != nil {
 		t.Errorf("healthy run shows recovery bookkeeping: %+v", rec)
 	}
 
-	// The fault-free recovered run must equal the plain Run exactly.
+	// The fault-free recovered run must equal the plain Run exactly,
+	// recovery bookkeeping included: one attempt, nothing else.
 	prog, err := factory(Instance{Ranks: []int{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
@@ -89,8 +90,11 @@ func TestRecoverableNoFaultMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(rec.Result, plain) {
-		t.Errorf("recovered (no-fault) result differs from plain run:\nrec:   %+v\nplain: %+v", rec.Result, plain)
+	if plain.Attempts != 1 {
+		t.Errorf("plain run reports %d attempts, want 1", plain.Attempts)
+	}
+	if !reflect.DeepEqual(rec, plain) {
+		t.Errorf("recovered (no-fault) result differs from plain run:\nrec:   %+v\nplain: %+v", rec, plain)
 	}
 }
 
@@ -104,7 +108,7 @@ func TestRecoverableCrashRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Recovered || rec.Attempts != 2 {
+	if rec.Attempts != 2 {
 		t.Fatalf("want one recovery, got %+v", rec)
 	}
 	if len(rec.Events) != 1 {
@@ -146,7 +150,7 @@ func TestRecoverableRestartsFromScratchWithoutCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Recovered || rec.Checkpoints != 0 {
+	if rec.Attempts < 2 || rec.Checkpoints != 0 {
 		t.Fatalf("want checkpoint-free recovery, got %+v", rec)
 	}
 	for _, s := range starts {
@@ -178,7 +182,7 @@ func TestCheckpointMidWriteCrashDoesNotCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.Recovered || rec.Attempts != 2 {
+	if rec.Attempts != 2 {
 		t.Fatalf("want one recovery, got %+v", rec)
 	}
 	// Attempt 1 (after the failure) must NOT see the torn checkpoint.
@@ -222,7 +226,7 @@ func TestRecoverableNonFaultErrorPassesThrough(t *testing.T) {
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("want program error surfaced, got %v", err)
 	}
-	if rec.Recovered || rec.Attempts != 1 {
+	if rec.Attempts != 1 {
 		t.Errorf("non-fault error must not trigger recovery: %+v", rec)
 	}
 }
@@ -237,7 +241,7 @@ func TestRecoveredSpansIdenticalAcrossEngines(t *testing.T) {
 	factory := phasedFactory(20, 5, nil)
 
 	type attempt struct {
-		rec    RecoveredResult
+		rec    Result
 		spans  []trace.Span
 		crashd map[int]float64
 	}

@@ -194,6 +194,7 @@ func runWorld(cl *cluster.Cluster, model simnet.CostModel, opts Options, program
 		CommMS:     make([]float64, p),
 		Messages:   w.msgs.Load(),
 		BytesMoved: w.bytes.Load(),
+		Attempts:   1,
 	}
 	for r, c := range comms {
 		res.ComputeMS[r] = c.compMS

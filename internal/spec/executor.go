@@ -13,7 +13,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/faults"
 	"repro/internal/job"
 	"repro/internal/mpi"
 	"repro/internal/runner"
@@ -463,8 +462,8 @@ func orZero[T any](p *T) (v T) {
 }
 
 // faultscanBody is the fault study itself: one healthy run, one run
-// under the plan (optionally with checkpoint/rollback recovery), and
-// the ψ comparison table.
+// under the plan (with checkpoint/rollback recovery when rs.Recover),
+// and the ψ comparison table.
 func faultscanBody(ctx context.Context, rs RunSpec, out io.Writer) error {
 	eng, err := ParseEngine(rs.Engine)
 	if err != nil {
@@ -522,25 +521,13 @@ func faultscanBody(ctx context.Context, rs RunSpec, out io.Writer) error {
 	if !plan.IsZero() {
 		fopts.Faults = inj
 	}
-	if rs.Recover {
-		rcfg := workload.RecoveryConfig{IntervalSteps: rs.CkptInterval}
-		faulted, rec, err := w.RunRecovered(ctx, dcl, dmodel, fopts, rspec, rcfg)
-		if err != nil {
-			return fmt.Errorf("recovered run: %w", err)
-		}
-		eff, err := core.SpeedEfficiency(faulted.Work, rec.TimeMS, cl.MarkedSpeed())
-		if err != nil {
-			return err
-		}
-		tbl.AddRow("recovered", fmt.Sprintf("%.1f", dcl.MarkedSpeed()),
-			fmt.Sprintf("%.3f", rec.TimeMS), fmt.Sprintf("%d", rec.Messages),
-			fmt.Sprintf("%d", rec.BytesMoved), fmt.Sprintf("%.4f", eff),
-			fmt.Sprintf("%.4f", eff/baseEff))
-		tbl.Notes = append(tbl.Notes, describeRecovery(rec, rs.CkptInterval)...)
-		return finishFaultTable(renderer, out, tbl, plan)
-	}
-	faulted, runErr := w.Run(ctx, dcl, dmodel, fopts, rspec)
-	if runErr != nil {
+	fspec := rspec
+	fspec.Recover, fspec.CkptSteps = rs.Recover, rs.CkptInterval
+	faulted, runErr := w.Run(ctx, dcl, dmodel, fopts, fspec)
+	switch {
+	case runErr != nil && rs.Recover:
+		return fmt.Errorf("recovered run: %w", runErr)
+	case runErr != nil:
 		outcome, ok := mpi.ClassifyFaults(cl.Size(), runErr)
 		if !ok {
 			return runErr
@@ -548,21 +535,22 @@ func faultscanBody(ctx context.Context, rs RunSpec, out io.Writer) error {
 		tbl.AddRow("faulted", fmt.Sprintf("%.1f", dcl.MarkedSpeed()),
 			"DNF", "-", "-", "-", "-")
 		tbl.Notes = append(tbl.Notes, describeOutcome(outcome))
-	} else {
-		eff, err := core.SpeedEfficiency(faulted.Work, faulted.Stats.TimeMS, cl.MarkedSpeed())
+	default:
+		st := faulted.Stats
+		eff, err := core.SpeedEfficiency(faulted.Work, st.TimeMS, cl.MarkedSpeed())
 		if err != nil {
 			return err
 		}
-		tbl.AddRow("faulted", fmt.Sprintf("%.1f", dcl.MarkedSpeed()),
-			fmt.Sprintf("%.3f", faulted.Stats.TimeMS), fmt.Sprintf("%d", faulted.Stats.Messages),
-			fmt.Sprintf("%d", faulted.Stats.BytesMoved), fmt.Sprintf("%.4f", eff),
+		label := "faulted"
+		if rs.Recover {
+			label = "recovered"
+			tbl.Notes = append(tbl.Notes, describeRecovery(st, rs.CkptInterval)...)
+		}
+		tbl.AddRow(label, fmt.Sprintf("%.1f", dcl.MarkedSpeed()),
+			fmt.Sprintf("%.3f", st.TimeMS), fmt.Sprintf("%d", st.Messages),
+			fmt.Sprintf("%d", st.BytesMoved), fmt.Sprintf("%.4f", eff),
 			fmt.Sprintf("%.4f", eff/baseEff))
 	}
-	return finishFaultTable(renderer, out, tbl, plan)
-}
-
-// finishFaultTable appends the shared provenance notes and renders.
-func finishFaultTable(renderer experiments.Renderer, out io.Writer, tbl *experiments.Table, plan faults.Plan) error {
 	tbl.Notes = append(tbl.Notes,
 		"plan: "+plan.String(),
 		"distribution is pinned to nominal speeds (blind to runtime degradation)",
@@ -571,7 +559,7 @@ func finishFaultTable(renderer experiments.Renderer, out io.Writer, tbl *experim
 }
 
 // describeRecovery renders the rollback history as deterministic notes.
-func describeRecovery(rec mpi.RecoveredResult, interval int) []string {
+func describeRecovery(rec mpi.Result, interval int) []string {
 	notes := []string{fmt.Sprintf(
 		"recovery: %d attempt(s), %d checkpoint(s) committed (interval %d, %.3f ms spent writing)",
 		rec.Attempts, rec.Checkpoints, interval, rec.CheckpointMS)}

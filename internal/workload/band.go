@@ -99,18 +99,18 @@ type bandRank struct {
 // instance it splits b's rows over the members with bandRanges, and
 // restore turns the instance's resume snapshot (nil on a fresh start)
 // into the step to start from and the state rank 0 distributes; body
-// then runs on every rank, checkpointing every interval steps. body
-// returns rank 0's collected output and its loop window: a plain run
-// meters that window, a recovered run the recovered makespan. The output
-// comes back too (nil when symbolic).
-func runBand[S any](ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig,
+// then runs on every rank, checkpointing every spec.CkptSteps steps.
+// body returns rank 0's collected output and its loop window: a plain
+// run meters that window, a recovered run the recovered makespan. The
+// output comes back too (nil when symbolic).
+func runBand[S any](ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec,
 	b band, work float64, restore func(*mpi.Snapshot) (int, S, error),
 	body func(r *bandRank, state S, start, interval int, ck *mpi.Checkpointer) ([]float64, float64, error),
-) (Outcome, mpi.RecoveredResult, []float64, error) {
+) (Outcome, []float64, error) {
 	st := distribution(spec, dist.HetBlock{})
 	var output []float64
 	var loopMS float64
-	rec, err := execute(ctx, cl, model, o, rcfg, func(inst mpi.Instance) (mpi.RecoverableProgram, error) {
+	res, err := execute(ctx, cl, model, o, spec, func(inst mpi.Instance) (mpi.RecoverableProgram, error) {
 		ranges, err := bandRanges(b.count, b.depth, survivorStrategy(st, inst.Ranks), inst.Cluster.Speeds())
 		if err != nil {
 			return nil, fmt.Errorf("workload: %s %w", b.name, err)
@@ -122,7 +122,7 @@ func runBand[S any](ctx context.Context, cl *cluster.Cluster, model simnet.CostM
 		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
 			blk := ranges[c.Rank()]
 			r := &bandRank{band: b, c: c, ranges: ranges, symbolic: spec.Symbolic, lo: b.first + blk[0], rows: blk[1] - blk[0]}
-			out, ms, err := body(r, state, start, rcfg.interval(), ck)
+			out, ms, err := body(r, state, start, spec.CkptSteps, ck)
 			if c.Rank() == 0 {
 				output, loopMS = out, ms
 			}
@@ -130,13 +130,13 @@ func runBand[S any](ctx context.Context, cl *cluster.Cluster, model simnet.CostM
 		}, nil
 	})
 	if err != nil {
-		return Outcome{}, rec, nil, err
+		return Outcome{Stats: res}, nil, err
 	}
-	out := Outcome{Work: work, VirtualTime: rec.TimeMS, Stats: rec.Result, Check: Checksum(output)}
-	if rcfg == nil {
+	out := Outcome{Work: work, VirtualTime: res.TimeMS, Stats: res, Check: Checksum(output)}
+	if !spec.Recover {
 		out.VirtualTime = loopMS
 	}
-	return out, rec, output, nil
+	return out, output, nil
 }
 
 // buffer returns a working buffer for the rank's block and its ghosts.

@@ -19,20 +19,20 @@ import (
 func TestBandTopsUpShortGridBlocks(t *testing.T) {
 	m := testModel(t)
 	ctx := context.Background()
-	type runFn func(*cluster.Cluster, mpi.Options, Spec, *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error)
+	type runFn func(*cluster.Cluster, mpi.Options, Spec) (Outcome, []float64, error)
 	for _, tc := range []struct {
 		name string
 		run  runFn
 		seq  func(n int, seed int64) ([]float64, error)
 	}{
-		{"jacobi", func(cl *cluster.Cluster, o mpi.Options, s Spec, r *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
-			return Jacobi{}.run(ctx, cl, m, o, s, r)
+		{"jacobi", func(cl *cluster.Cluster, o mpi.Options, s Spec) (Outcome, []float64, error) {
+			return Jacobi{}.run(ctx, cl, m, o, s)
 		}, func(n int, seed int64) ([]float64, error) { return jacobiSequential(n, JacobiIters, seed) }},
-		{"mg", func(cl *cluster.Cluster, o mpi.Options, s Spec, r *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
-			return MG{}.run(ctx, cl, m, o, s, r)
+		{"mg", func(cl *cluster.Cluster, o mpi.Options, s Spec) (Outcome, []float64, error) {
+			return MG{}.run(ctx, cl, m, o, s)
 		}, func(n int, seed int64) ([]float64, error) { return mgSequential(n, MGIters, seed) }},
-		{"cg", func(cl *cluster.Cluster, o mpi.Options, s Spec, r *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
-			return CG{}.run(ctx, cl, m, o, s, r)
+		{"cg", func(cl *cluster.Cluster, o mpi.Options, s Spec) (Outcome, []float64, error) {
+			return CG{}.run(ctx, cl, m, o, s)
 		}, func(n int, seed int64) ([]float64, error) { return cgSequential(n, CGIters, seed) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -42,7 +42,7 @@ func TestBandTopsUpShortGridBlocks(t *testing.T) {
 					t.Fatal(err)
 				}
 				spec := Spec{N: 12, Seed: 3}
-				_, _, got, err := tc.run(cl, mpi.Options{Engine: e}, spec, nil)
+				_, got, err := tc.run(cl, mpi.Options{Engine: e}, spec)
 				if err != nil {
 					t.Fatalf("%v: N=12 on p=8: %v", e, err)
 				}
@@ -59,17 +59,17 @@ func TestBandTopsUpShortGridBlocks(t *testing.T) {
 					t.Fatal(err)
 				}
 				spec = Spec{N: 9, Seed: 5}
-				base, _, _, err := tc.run(cl, mpi.Options{Engine: e}, spec, nil)
+				base, _, err := tc.run(cl, mpi.Options{Engine: e}, spec)
 				if err != nil {
 					t.Fatalf("%v: N=9 on p=7: %v", e, err)
 				}
 				crash := mpi.Options{Engine: e, Faults: crashInjector{at: map[int]float64{p - 1: 0.5 * base.Stats.TimeMS}}}
-				out, rec, _, err := tc.run(cl, crash, spec, &RecoveryConfig{IntervalSteps: 5})
+				out, _, err := tc.run(cl, crash, recovering(spec, 5))
 				if err != nil {
 					t.Fatalf("%v: N=9 on p=7 losing rank %d: %v", e, p-1, err)
 				}
-				if !rec.Recovered {
-					t.Fatalf("%v: the crash did not trigger recovery: %+v", e, rec)
+				if out.Stats.Attempts < 2 {
+					t.Fatalf("%v: the crash did not trigger recovery: %+v", e, out.Stats)
 				}
 				if out.Check != base.Check {
 					t.Errorf("%v: recovered Check %#x, undisturbed %#x", e, out.Check, base.Check)

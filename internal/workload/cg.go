@@ -88,13 +88,8 @@ func (CG) Machine(cl *cluster.Cluster, model simnet.CostModel) (core.AnalyticMac
 }
 
 func (w CG) Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, error) {
-	out, _, _, err := w.run(ctx, cl, model, o, spec, nil)
+	out, _, err := w.run(ctx, cl, model, o, spec)
 	return out, err
-}
-
-func (w CG) RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg RecoveryConfig) (Outcome, mpi.RecoveredResult, error) {
-	out, rec, _, err := w.run(ctx, cl, model, o, spec, &rcfg)
-	return out, rec, err
 }
 
 // run executes the heterogeneous conjugate gradient on the (n-2)²
@@ -102,12 +97,12 @@ func (w CG) RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.
 // b, every iteration exchanges one halo row of the direction vector with
 // each neighbour for the SpMV and performs two gather-and-broadcast
 // inner products, and rank 0 gathers the final iterate. Under recovery
-// the solver state is checkpointed every IntervalSteps iterations. It
+// the solver state is checkpointed every spec.CkptSteps iterations. It
 // also returns rank 0's solution over the interior (nil when symbolic).
-func (CG) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
+func (CG) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, []float64, error) {
 	n, symbolic := spec.N, spec.Symbolic
 	if n < 3 {
-		return Outcome{}, mpi.RecoveredResult{}, nil, fmt.Errorf("workload: CG needs n >= 3, got %d", n)
+		return Outcome{}, nil, fmt.Errorf("workload: CG needs n >= 3, got %d", n)
 	}
 	var b []float64
 	if !symbolic {
@@ -123,7 +118,7 @@ func (CG) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, 
 		return cgRank(r, b, resume, start, interval, ck)
 	}
 	shape := band{name: "CG", count: n - 2, width: n - 2, depth: 1}
-	return runBand(ctx, cl, model, o, spec, rcfg, shape, cgWork(n), restore, body)
+	return runBand(ctx, cl, model, o, spec, shape, cgWork(n), restore, body)
 }
 
 // cgWork is W(n) for CGIters iterations.

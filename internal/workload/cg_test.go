@@ -13,7 +13,7 @@ func TestCGMatchesSequential(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
 	for _, n := range []int{8, 16, 40} {
-		_, _, x, err := CG{}.run(context.Background(), cl, m, mpi.Options{}, Spec{N: n, Seed: 3}, nil)
+		_, x, err := CG{}.run(context.Background(), cl, m, mpi.Options{}, Spec{N: n, Seed: 3})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -66,11 +66,11 @@ func TestCGSymbolicMatchesRealTiming(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
 	ctx := context.Background()
-	real, _, _, err := CG{}.run(ctx, cl, m, mpi.Options{}, Spec{N: 32, Seed: 2}, nil)
+	real, _, err := CG{}.run(ctx, cl, m, mpi.Options{}, Spec{N: 32, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym, _, symX, err := CG{}.run(ctx, cl, m, mpi.Options{}, Spec{N: 32, Seed: 2, Symbolic: true}, nil)
+	sym, symX, err := CG{}.run(ctx, cl, m, mpi.Options{}, Spec{N: 32, Seed: 2, Symbolic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestCGRecoveredBitwiseEqual(t *testing.T) {
 	m := testModel(t)
 	ctx := context.Background()
 	spec := Spec{N: 24, Seed: 7}
-	base, _, baseX, err := CG{}.run(ctx, cl, m, mpi.Options{}, spec, nil)
+	base, baseX, err := CG{}.run(ctx, cl, m, mpi.Options{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestCGRecoveredBitwiseEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rec, x, err := CG{}.run(ctx, cl, m, mpi.Options{Faults: inj}, spec, &RecoveryConfig{IntervalSteps: 4})
+	out, x, err := CG{}.run(ctx, cl, m, mpi.Options{Faults: inj}, recovering(spec, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Attempts < 2 {
-		t.Errorf("Attempts = %d, want a rollback", rec.Attempts)
+	if out.Stats.Attempts < 2 {
+		t.Errorf("Attempts = %d, want a rollback", out.Stats.Attempts)
 	}
 	for i := range baseX {
 		if baseX[i] != x[i] {

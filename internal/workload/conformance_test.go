@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/cluster"
@@ -41,10 +42,11 @@ func confCluster(t *testing.T, w workload.Workload, p int) *cluster.Cluster {
 }
 
 // Assertion (a): the two branches of a workload's one run path agree.
-// With a zero RecoveryConfig and no faults the supervisor runs a single
-// instance of the same rank program the plain branch runs through
-// mpi.Run, so the work, the transport stats and the numeric output must
-// be identical. VirtualTime is deliberately not compared: an iterative
+// With Spec.Recover, no checkpoint cadence and no faults the supervisor
+// runs a single instance of the same rank program the plain branch runs
+// through mpi.Run, so the work, the whole Stats (one attempt, no
+// checkpoints, no rollbacks) and the numeric output must be identical.
+// VirtualTime is deliberately not compared: an iterative
 // workload's plain run meters only its loop window, while a recovered
 // run meters the recovered makespan.
 func TestConformanceRecoveredPathMatchesPlain(t *testing.T) {
@@ -68,16 +70,16 @@ func TestConformanceRecoveredPathMatchesPlain(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %v", mode.name, err)
 				}
-				rec, _, err := w.RunRecovered(context.Background(), cl, model, mode.opts, spec, workload.RecoveryConfig{})
+				rspec := spec
+				rspec.Recover = true
+				rec, err := w.Run(context.Background(), cl, model, mode.opts, rspec)
 				if err != nil {
 					t.Fatalf("%s: recovered: %v", mode.name, err)
 				}
 				if rec.Work != plain.Work {
 					t.Errorf("%s: recovered Work = %g, plain %g", mode.name, rec.Work, plain.Work)
 				}
-				if rec.Stats.TimeMS != plain.Stats.TimeMS ||
-					rec.Stats.Messages != plain.Stats.Messages ||
-					rec.Stats.BytesMoved != plain.Stats.BytesMoved {
+				if plain.Stats.Attempts != 1 || !reflect.DeepEqual(rec.Stats, plain.Stats) {
 					t.Errorf("%s: recovered Stats = %+v, plain %+v", mode.name, rec.Stats, plain.Stats)
 				}
 				if (plain.Check == 0) != mode.symbolic {
@@ -165,13 +167,14 @@ func TestConformanceRecoveredOutputBitwiseEqual(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rcfg := workload.RecoveryConfig{IntervalSteps: 5}
-			out, rec, err := w.RunRecovered(context.Background(), cl, model, mpi.Options{Faults: inj}, spec, rcfg)
+			rspec := spec
+			rspec.Recover, rspec.CkptSteps = true, 5
+			out, err := w.Run(context.Background(), cl, model, mpi.Options{Faults: inj}, rspec)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rec.Attempts < 2 {
-				t.Errorf("Attempts = %d, want a rollback (crash at %.3f ms)", rec.Attempts, plan.Crashes[0].AtMS)
+			if out.Stats.Attempts < 2 {
+				t.Errorf("Attempts = %d, want a rollback (crash at %.3f ms)", out.Stats.Attempts, plan.Crashes[0].AtMS)
 			}
 			if out.Check == 0 || out.Check != base.Check {
 				t.Errorf("recovered Check = %#x, undisturbed %#x: outputs differ bitwise", out.Check, base.Check)

@@ -96,34 +96,29 @@ func (GE) Machine(cl *cluster.Cluster, model simnet.CostModel) (core.AnalyticMac
 }
 
 func (g GE) Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, error) {
-	out, _, _, err := g.run(ctx, cl, model, o, spec, nil)
+	out, _, err := g.run(ctx, cl, model, o, spec)
 	return out, err
-}
-
-func (g GE) RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg RecoveryConfig) (Outcome, mpi.RecoveredResult, error) {
-	out, rec, _, err := g.run(ctx, cl, model, o, spec, &rcfg)
-	return out, rec, err
 }
 
 // run executes the paper's parallel GE (§4.1.1) for an N x N
 // diagonally dominant system (so the paper's no-pivot row elimination is
-// numerically safe), plainly when rcfg is nil and under checkpoint/
-// rollback recovery otherwise:
+// numerically safe), plainly or, with spec.Recover, under checkpoint/
+// rollback recovery:
 //
 //  1. rank 0 distributes rows of A and entries of b to their owners
 //     according to the distribution strategy (heterogeneous cyclic by
 //     default, proportional to marked speeds);
 //  2. for each pivot k: the owner broadcasts the pivot row, every rank
 //     eliminates its own rows below k, and all ranks synchronize — with
-//     a coordinated checkpoint of the row state every IntervalSteps
+//     a coordinated checkpoint of the row state every spec.CkptSteps
 //     pivots, after the closing barrier;
 //  3. rank 0 collects the upper-triangular system and back-substitutes.
 //
 // It also returns rank 0's solution x (nil when symbolic).
-func (g GE) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
+func (g GE) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, []float64, error) {
 	n, symbolic := spec.N, spec.Symbolic
 	if n < 1 {
-		return Outcome{}, mpi.RecoveredResult{}, nil, fmt.Errorf("workload: GE needs n >= 1, got %d", n)
+		return Outcome{}, nil, fmt.Errorf("workload: GE needs n >= 1, got %d", n)
 	}
 	st := g.Strategy
 	if st == nil {
@@ -141,7 +136,7 @@ func (g GE) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 	}
 
 	var x []float64
-	rec, err := execute(ctx, cl, model, o, rcfg, func(inst mpi.Instance) (mpi.RecoverableProgram, error) {
+	res, err := execute(ctx, cl, model, o, spec, func(inst mpi.Instance) (mpi.RecoverableProgram, error) {
 		asn, err := survivorStrategy(st, inst.Ranks).Assign(n, inst.Cluster.Speeds())
 		if err != nil {
 			return nil, fmt.Errorf("workload: GE distribution: %w", err)
@@ -157,7 +152,7 @@ func (g GE) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 			}
 		}
 		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
-			rec := &geRecover{k0: k0, interval: rcfg.interval(), ck: ck}
+			rec := &geRecover{k0: k0, interval: spec.CkptSteps, ck: ck}
 			sol, err := geRank(c, n, asn, aCur, bCur, symbolic, g.Pivot, rec)
 			if c.Rank() == 0 {
 				x = sol
@@ -166,10 +161,10 @@ func (g GE) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 		}, nil
 	})
 	if err != nil {
-		return Outcome{}, rec, nil, err
+		return Outcome{Stats: res}, nil, err
 	}
-	out := Outcome{Work: linalg.GEFlops(n), VirtualTime: rec.TimeMS, Stats: rec.Result, Check: Checksum(x)}
-	return out, rec, x, nil
+	out := Outcome{Work: linalg.GEFlops(n), VirtualTime: res.TimeMS, Stats: res, Check: Checksum(x)}
+	return out, x, nil
 }
 
 // geRecover carries the recovery hooks into geRank: resume the

@@ -65,7 +65,7 @@ func geResidual(t *testing.T, n int, seed int64, x []float64) float64 {
 // runGE is a plain GE run that must succeed.
 func runGE(t *testing.T, g GE, cl *cluster.Cluster, m simnet.CostModel, o mpi.Options, spec Spec) (Outcome, []float64) {
 	t.Helper()
-	out, _, x, err := g.run(context.Background(), cl, m, o, spec, nil)
+	out, x, err := g.run(context.Background(), cl, m, o, spec)
 	if err != nil {
 		t.Fatalf("GE n=%d: %v", spec.N, err)
 	}

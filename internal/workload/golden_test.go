@@ -53,11 +53,11 @@ func TestOutcomesGolden(t *testing.T) {
 
 					half := 0.5 * plain.Stats.TimeMS
 					crash := mpi.Options{Engine: engine, Faults: crashInjector{at: map[int]float64{p - 1: half}}}
-					out, rec, err := v.w.RunRecovered(ctx, cl, m, crash, spec, RecoveryConfig{IntervalSteps: 5})
+					out, err := v.w.Run(ctx, cl, m, crash, recovering(spec, 5))
 					if err != nil {
 						t.Fatalf("%s crash: %v", head, err)
 					}
-					fmt.Fprintf(&b, "%s crash %s %s\n", head, outcomeLine(out), recoveredLine(rec))
+					fmt.Fprintf(&b, "%s crash %s %s\n", head, outcomeLine(out), recoveredLine(out.Stats))
 				}
 			}
 		}
@@ -90,14 +90,16 @@ func TestOutcomesGolden(t *testing.T) {
 }
 
 // outcomeLine prints an Outcome with every float in its exact shortest
-// form.
+// form, and of Stats the six transport fields, by name as %+v would.
 func outcomeLine(o Outcome) string {
-	return fmt.Sprintf("work=%v vt=%v stats=%+v check=%#x", o.Work, o.VirtualTime, o.Stats, o.Check)
+	s := o.Stats
+	return fmt.Sprintf("work=%v vt=%v stats={TimeMS:%v RankClocks:%v ComputeMS:%v CommMS:%v Messages:%v BytesMoved:%v} check=%#x",
+		o.Work, o.VirtualTime, s.TimeMS, s.RankClocks, s.ComputeMS, s.CommMS, s.Messages, s.BytesMoved, o.Check)
 }
 
-// recoveredLine prints a RecoveredResult's recovery bookkeeping, all but
-// CheckpointMS.
-func recoveredLine(r mpi.RecoveredResult) string {
+// recoveredLine prints a recovered run's bookkeeping, all but
+// CheckpointMS; recovered says whether any rollback happened.
+func recoveredLine(r mpi.Result) string {
 	return fmt.Sprintf("attempts=%d recovered=%v checkpoints=%d events=%+v",
-		r.Attempts, r.Recovered, r.Checkpoints, r.Events)
+		r.Attempts, r.Attempts > 1, r.Checkpoints, r.Events)
 }

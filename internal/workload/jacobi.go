@@ -87,24 +87,19 @@ func (Jacobi) Machine(cl *cluster.Cluster, model simnet.CostModel) (core.Analyti
 }
 
 func (j Jacobi) Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, error) {
-	out, _, _, err := j.run(ctx, cl, model, o, spec, nil)
+	out, _, err := j.run(ctx, cl, model, o, spec)
 	return out, err
-}
-
-func (j Jacobi) RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg RecoveryConfig) (Outcome, mpi.RecoveredResult, error) {
-	out, rec, _, err := j.run(ctx, cl, model, o, spec, &rcfg)
-	return out, rec, err
 }
 
 // run executes the heterogeneous Jacobi relaxation: the stencil with the
 // 5-point average, a residual all-reduce every JacobiCheckEvery sweeps,
 // and optionally overlapped halo transfers.
-func (j Jacobi) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
+func (j Jacobi) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, []float64, error) {
 	s := stencil{
 		name: "Jacobi", iters: JacobiIters, checkEvery: JacobiCheckEvery, frac: DefaultJacobiSustained,
 		overlap: j.Overlap, initial: jacobiInitialGrid, sweep: jacobiSweep,
 	}
-	return s.run(ctx, cl, model, o, spec, rcfg)
+	return s.run(ctx, cl, model, o, spec)
 }
 
 // stencil is a 5-point sweep program over the interior of an n x n grid
@@ -113,7 +108,7 @@ func (j Jacobi) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostM
 // exchanges one halo row with each neighbour and relaxes the band's
 // interior points, every checkEvery sweeps a residual all-reduce
 // synchronizes the ranks, and rank 0 gathers the final grid. Under
-// recovery the bands are checkpointed every IntervalSteps sweeps.
+// recovery the bands are checkpointed every spec.CkptSteps sweeps.
 type stencil struct {
 	name       string
 	iters      int     // sweeps per run
@@ -129,10 +124,10 @@ type stencil struct {
 
 // run executes the stencil on an n x n grid (n >= 3). It also returns
 // rank 0's final grid (nil when symbolic).
-func (s stencil) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
+func (s stencil) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, []float64, error) {
 	n := spec.N
 	if n < 3 {
-		return Outcome{}, mpi.RecoveredResult{}, nil, fmt.Errorf("workload: %s needs n >= 3, got %d", s.name, n)
+		return Outcome{}, nil, fmt.Errorf("workload: %s needs n >= 3, got %d", s.name, n)
 	}
 	var initial []float64
 	if !spec.Symbolic {
@@ -140,7 +135,7 @@ func (s stencil) run(ctx context.Context, cl *cluster.Cluster, model simnet.Cost
 	}
 	b := band{name: s.name, count: n - 2, width: n, first: 1, depth: 1, ship: 1}
 	restore := func(snap *mpi.Snapshot) (int, []float64, error) { return b.restore(snap, initial) }
-	return runBand(ctx, cl, model, o, spec, rcfg, b, stencilWork(n, s.iters), restore, s.rank)
+	return runBand(ctx, cl, model, o, spec, b, stencilWork(n, s.iters), restore, s.rank)
 }
 
 // rank is the per-rank program body from sweep start on. It returns

@@ -13,7 +13,7 @@ import (
 // runJacobi is a plain Jacobi run that must succeed.
 func runJacobi(t *testing.T, j Jacobi, cl *cluster.Cluster, m simnet.CostModel, o mpi.Options, spec Spec) (Outcome, []float64) {
 	t.Helper()
-	out, _, grid, err := j.run(context.Background(), cl, m, o, spec, nil)
+	out, grid, err := j.run(context.Background(), cl, m, o, spec)
 	if err != nil {
 		t.Fatalf("Jacobi n=%d: %v", spec.N, err)
 	}

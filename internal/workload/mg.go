@@ -79,21 +79,16 @@ func (MG) Machine(cl *cluster.Cluster, model simnet.CostModel) (core.AnalyticMac
 }
 
 func (m MG) Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, error) {
-	out, _, _, err := m.run(ctx, cl, model, o, spec, nil)
+	out, _, err := m.run(ctx, cl, model, o, spec)
 	return out, err
-}
-
-func (m MG) RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg RecoveryConfig) (Outcome, mpi.RecoveredResult, error) {
-	out, rec, _, err := m.run(ctx, cl, model, o, spec, &rcfg)
-	return out, rec, err
 }
 
 // run executes the heterogeneous MG smoothing on an n x n grid (n >= 3)
 // as a stencil with no residual all-reduce; it also returns rank 0's
 // final grid (nil when symbolic).
-func (MG) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
+func (MG) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, []float64, error) {
 	s := stencil{name: "MG", iters: MGIters, frac: DefaultMGSustained, initial: mgInitialGrid, sweep: mgSweep}
-	return s.run(ctx, cl, model, o, spec, rcfg)
+	return s.run(ctx, cl, model, o, spec)
 }
 
 // mgInitialGrid builds the deterministic smoothing problem: a seeded

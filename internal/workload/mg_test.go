@@ -14,7 +14,7 @@ func TestMGMatchesSequential(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
 	for _, n := range []int{8, 16, 40} {
-		_, _, grid, err := MG{}.run(context.Background(), cl, m, mpi.Options{}, Spec{N: n, Seed: 3}, nil)
+		_, grid, err := MG{}.run(context.Background(), cl, m, mpi.Options{}, Spec{N: n, Seed: 3})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -59,11 +59,11 @@ func TestMGSymbolicMatchesRealTiming(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
 	ctx := context.Background()
-	real, _, _, err := MG{}.run(ctx, cl, m, mpi.Options{}, Spec{N: 32, Seed: 2}, nil)
+	real, _, err := MG{}.run(ctx, cl, m, mpi.Options{}, Spec{N: 32, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sym, _, symGrid, err := MG{}.run(ctx, cl, m, mpi.Options{}, Spec{N: 32, Seed: 2, Symbolic: true}, nil)
+	sym, symGrid, err := MG{}.run(ctx, cl, m, mpi.Options{}, Spec{N: 32, Seed: 2, Symbolic: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestMGRecoveredBitwiseEqual(t *testing.T) {
 	m := testModel(t)
 	ctx := context.Background()
 	spec := Spec{N: 32, Seed: 9}
-	base, _, baseGrid, err := MG{}.run(ctx, cl, m, mpi.Options{}, spec, nil)
+	base, baseGrid, err := MG{}.run(ctx, cl, m, mpi.Options{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +112,12 @@ func TestMGRecoveredBitwiseEqual(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, rec, grid, err := MG{}.run(ctx, cl, m, mpi.Options{Faults: inj}, spec, &RecoveryConfig{IntervalSteps: 10})
+	out, grid, err := MG{}.run(ctx, cl, m, mpi.Options{Faults: inj}, recovering(spec, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Attempts < 2 {
-		t.Errorf("Attempts = %d, want a rollback", rec.Attempts)
+	if out.Stats.Attempts < 2 {
+		t.Errorf("Attempts = %d, want a rollback", out.Stats.Attempts)
 	}
 	if len(grid) != len(baseGrid) {
 		t.Fatalf("recovered grid len %d, undisturbed %d", len(grid), len(baseGrid))

@@ -64,27 +64,22 @@ func (MM) Machine(cl *cluster.Cluster, model simnet.CostModel) (core.AnalyticMac
 }
 
 func (m MM) Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, error) {
-	out, _, _, err := m.run(ctx, cl, model, o, spec, nil)
+	out, _, err := m.run(ctx, cl, model, o, spec)
 	return out, err
-}
-
-func (m MM) RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg RecoveryConfig) (Outcome, mpi.RecoveredResult, error) {
-	out, rec, _, err := m.run(ctx, cl, model, o, spec, &rcfg)
-	return out, rec, err
 }
 
 // run executes the paper's parallel MM (§4.1.2) for N x N matrices: rank
 // 0 scatters row bands of A proportionally to marked speed, broadcasts
 // B, every rank multiplies its band (no communication during compute),
-// and rank 0 gathers the result bands. Under recovery (rcfg non-nil) the
+// and rank 0 gathers the result bands. Under recovery (spec.Recover) the
 // checkpoints are incremental: finished result rows are checkpointed
-// every IntervalSteps rows, and after a membership change only the
+// every spec.CkptSteps rows, and after a membership change only the
 // missing rows are redistributed and recomputed. It also returns rank
 // 0's product (nil when symbolic).
-func (m MM) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, *linalg.Matrix, error) {
+func (m MM) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, *linalg.Matrix, error) {
 	n, symbolic := spec.N, spec.Symbolic
 	if n < 1 {
-		return Outcome{}, mpi.RecoveredResult{}, nil, fmt.Errorf("workload: MM needs n >= 1, got %d", n)
+		return Outcome{}, nil, fmt.Errorf("workload: MM needs n >= 1, got %d", n)
 	}
 	st := m.Strategy
 	if st == nil {
@@ -99,7 +94,7 @@ func (m MM) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 	}
 
 	var cOut *linalg.Matrix
-	rec, err := execute(ctx, cl, model, o, rcfg, func(inst mpi.Instance) (mpi.RecoverableProgram, error) {
+	res, err := execute(ctx, cl, model, o, spec, func(inst mpi.Instance) (mpi.RecoverableProgram, error) {
 		done, err := decodeMMHistory(n, inst.History, symbolic)
 		if err != nil {
 			return nil, err
@@ -120,7 +115,7 @@ func (m MM) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 		}
 		ranges := dist.BlockRanges(asn.Counts)
 		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
-			prod, err := mmRank(c, n, remaining, ranges, done, a, b, symbolic, rcfg.interval(), ck)
+			prod, err := mmRank(c, n, remaining, ranges, done, a, b, symbolic, spec.CkptSteps, ck)
 			if c.Rank() == 0 {
 				cOut = prod
 			}
@@ -128,14 +123,14 @@ func (m MM) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 		}, nil
 	})
 	if err != nil {
-		return Outcome{}, rec, nil, err
+		return Outcome{Stats: res}, nil, err
 	}
 	var data []float64
 	if cOut != nil {
 		data = cOut.Data
 	}
-	out := Outcome{Work: linalg.MMFlops(n), VirtualTime: rec.TimeMS, Stats: rec.Result, Check: Checksum(data)}
-	return out, rec, cOut, nil
+	out := Outcome{Work: linalg.MMFlops(n), VirtualTime: res.TimeMS, Stats: res, Check: Checksum(data)}
+	return out, cOut, nil
 }
 
 // mmRank is the per-rank body of MM: scatter the not-yet-done rows of A,

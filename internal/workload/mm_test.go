@@ -15,7 +15,7 @@ import (
 // runMM is a plain MM run that must succeed.
 func runMM(t *testing.T, mm MM, cl *cluster.Cluster, m simnet.CostModel, o mpi.Options, spec Spec) (Outcome, *linalg.Matrix) {
 	t.Helper()
-	out, _, c, err := mm.run(context.Background(), cl, m, o, spec, nil)
+	out, c, err := mm.run(context.Background(), cl, m, o, spec)
 	if err != nil {
 		t.Fatalf("MM n=%d: %v", spec.N, err)
 	}

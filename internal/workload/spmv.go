@@ -77,25 +77,20 @@ func (SpMV) Machine(cl *cluster.Cluster, model simnet.CostModel) (core.AnalyticM
 }
 
 func (s SpMV) Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, error) {
-	out, _, _, err := s.run(ctx, cl, model, o, spec, nil)
+	out, _, err := s.run(ctx, cl, model, o, spec)
 	return out, err
-}
-
-func (s SpMV) RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg RecoveryConfig) (Outcome, mpi.RecoveredResult, error) {
-	out, rec, _, err := s.run(ctx, cl, model, o, spec, &rcfg)
-	return out, rec, err
 }
 
 // run executes the heterogeneous banded SpMV iteration on a length-n
 // vector (n >= 5): rank 0 scatters proportional bands, every iteration
 // exchanges a two-scalar halo with each neighbour and applies the
 // normalised band product, and rank 0 gathers the final vector. Under
-// recovery the band state is checkpointed every IntervalSteps
+// recovery the band state is checkpointed every spec.CkptSteps
 // iterations. It also returns rank 0's final vector (nil when symbolic).
-func (SpMV) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, rcfg *RecoveryConfig) (Outcome, mpi.RecoveredResult, []float64, error) {
+func (SpMV) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec) (Outcome, []float64, error) {
 	n := spec.N
 	if n < 5 {
-		return Outcome{}, mpi.RecoveredResult{}, nil, fmt.Errorf("workload: SpMV needs n >= 5, got %d", n)
+		return Outcome{}, nil, fmt.Errorf("workload: SpMV needs n >= 5, got %d", n)
 	}
 	var initial []float64
 	if !spec.Symbolic {
@@ -106,7 +101,7 @@ func (SpMV) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 	body := func(r *bandRank, x []float64, start, interval int, ck *mpi.Checkpointer) ([]float64, float64, error) {
 		return spmvRank(r, x, spec.Seed, start, interval, ck)
 	}
-	return runBand(ctx, cl, model, o, spec, rcfg, b, spmvWork(n), restore, body)
+	return runBand(ctx, cl, model, o, spec, b, spmvWork(n), restore, body)
 }
 
 // spmvNNZ is the exact nonzero count of the n×n pentadiagonal matrix:

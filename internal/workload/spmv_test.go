@@ -15,7 +15,7 @@ func TestSpMVMatchesSequential(t *testing.T) {
 	cl := mmCluster(t)
 	m := testModel(t)
 	for _, n := range []int{12, 33, 64} {
-		_, _, x, err := SpMV{}.run(context.Background(), cl, m, mpi.Options{}, Spec{N: n, Seed: 3}, nil)
+		_, x, err := SpMV{}.run(context.Background(), cl, m, mpi.Options{}, Spec{N: n, Seed: 3})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}

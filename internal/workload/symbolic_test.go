@@ -45,7 +45,7 @@ func TestSymbolicPayloadConformance(t *testing.T) {
 				midRun := 0.5 * plain[0].Stats.TimeMS
 				label := eng.name + " crash"
 				var outs [2]workload.Outcome
-				var recs [2]mpi.RecoveredResult
+				var recs [2]mpi.Result
 				for i, symbolic := range []bool{false, true} {
 					opts := eng.opts
 					plan := faults.Plan{Seed: 11, Crashes: []faults.Crash{{Rank: confP - 1, AtMS: midRun}}}
@@ -54,14 +54,14 @@ func TestSymbolicPayloadConformance(t *testing.T) {
 						t.Fatal(err)
 					}
 					opts.Faults = inj
-					spec := workload.Spec{N: confN, Seed: confSeed, Symbolic: symbolic}
-					out, rec, err := w.RunRecovered(ctx, cl, model, opts, spec, workload.RecoveryConfig{IntervalSteps: 5})
+					spec := workload.Spec{N: confN, Seed: confSeed, Symbolic: symbolic, Recover: true, CkptSteps: 5}
+					out, err := w.Run(ctx, cl, model, opts, spec)
 					if err != nil {
 						t.Fatalf("%s symbolic=%v: %v", label, symbolic, err)
 					}
-					outs[i], recs[i] = out, rec
+					outs[i], recs[i] = out, out.Stats
 				}
-				if !recs[0].Recovered {
+				if recs[0].Attempts < 2 {
 					t.Errorf("%s: no rollback (crash at %.3f ms)", label, midRun)
 				}
 				requireSameCost(t, label, outs[0], outs[1])

@@ -7,12 +7,16 @@
 // Each combination is written once, in its own file: the rank program,
 // its checkpoint codec, a sequential reference for verification, the
 // analytic machine (work polynomial, sustained fraction, overhead model
-// To(n)) and the registration. Its Run and RunRecovered only forward to
-// a single unexported run function that builds the rank program once and
-// runs it either plainly through mpi.Run or under the crash-recovery
-// supervisor (mpi.RunRecoverable). Registering a new workload is that
-// one file; study, fault sweep, recovered sweep, and both CLIs pick it
-// up with zero consumer edits.
+// To(n)) and the registration. Its Run only forwards to a single
+// unexported run function that builds the rank program once and runs it
+// either plainly through mpi.Run or, when the Spec asks to Recover,
+// under the crash-recovery supervisor (mpi.RunRecoverable). A recovered
+// run is the same combination with a larger To, so it has no entry
+// point of its own: Spec.Recover and Spec.CkptSteps select it, and its
+// attempts, checkpoints and rollbacks come back in the one
+// Outcome.Stats. Registering a new workload is that one file; study,
+// fault sweep, recovered sweep, and both CLIs pick it up with zero
+// consumer edits.
 //
 // The row-band programs (cg, jacobi, mg, spmv) share one protocol in
 // band.go: block ranges topped up to the ghost depth, rank 0's block
@@ -51,7 +55,7 @@ import (
 
 // Spec selects one run of a workload. The zero value of every field is
 // meaningful: seed 0, numeric verification on, the workload's own default
-// distribution strategy.
+// distribution strategy, a plain run without recovery.
 type Spec struct {
 	// N is the problem size (matrix order / grid side).
 	N int
@@ -65,6 +69,16 @@ type Spec struct {
 	// marked speeds via dist.Pinned so a derated or faulted cluster still
 	// receives the blind nominal assignment (the fault studies' setup).
 	PinnedSpeeds []float64
+	// Recover runs under checkpoint/rollback recovery with the
+	// workload's own snapshot codec: a crash rolls the run back to its
+	// last committed checkpoint and replays it on the survivors.
+	Recover bool
+	// CkptSteps is a recovered run's checkpoint cadence in algorithm
+	// steps: GE pivots, MM rows per chunk, sweeps or iterations of the
+	// iterative workloads. 0 disables checkpointing — recovery then
+	// restarts the computation from scratch on the survivors. It must
+	// be 0 unless Recover is set.
+	CkptSteps int
 }
 
 // Outcome is the uniform result every workload returns.
@@ -77,7 +91,10 @@ type Outcome struct {
 	// a recovered run meters the recovered makespan. Stats.TimeMS always
 	// carries the full makespan.
 	VirtualTime float64
-	// Stats is the transport-level result: makespan, messages, bytes.
+	// Stats is the transport-level result: makespan, messages, bytes,
+	// and for a recovered run its attempts, checkpoints and rollbacks.
+	// It is filled in even when Run fails, so a scheduler can price an
+	// abandoned recovered run (Stats.FailedAtMS).
 	Stats mpi.Result
 	// Check is an FNV-1a hash over the IEEE-754 bits of the numeric
 	// output, 0 for symbolic runs. Two runs agree bitwise iff their
@@ -106,58 +123,38 @@ type Workload interface {
 	// sustained fraction, overhead model To(n) in ms) used to predict
 	// required problem sizes.
 	Machine(cl *cluster.Cluster, model simnet.CostModel) (core.AnalyticMachine, error)
-	// Run executes the workload once in virtual time.
+	// Run executes the workload once in virtual time, plainly or, with
+	// spec.Recover, under checkpoint/rollback recovery.
 	Run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, mpiOpts mpi.Options, spec Spec) (Outcome, error)
-	// RunRecovered executes under checkpoint/rollback recovery with the
-	// workload's own snapshot codec. The RecoveredResult is populated
-	// even on failure (attempt accounting, death clocks): schedulers
-	// price the abandoned run from it.
-	RunRecovered(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, mpiOpts mpi.Options, spec Spec, rcfg RecoveryConfig) (Outcome, mpi.RecoveredResult, error)
-}
-
-// RecoveryConfig configures a recovered run.
-type RecoveryConfig struct {
-	// IntervalSteps is the checkpoint cadence in algorithm steps: GE
-	// pivots, MM rows per chunk, sweeps or iterations of the iterative
-	// workloads. 0 disables checkpointing — recovery then restarts the
-	// computation from scratch on the survivors.
-	IntervalSteps int
-}
-
-// interval is a run's checkpoint cadence: 0 (never) on a plain run.
-func (c *RecoveryConfig) interval() int {
-	if c == nil {
-		return 0
-	}
-	return c.IntervalSteps
 }
 
 // execute is the one run path of every workload. The build function is
 // the workload's program factory: given a membership instance it lays
 // out the distribution, restores any checkpoint, and returns the rank
-// program. With a nil rcfg it builds once for the whole cluster and runs
-// that program plainly through mpi.Run (no checkpointer, no supervisor);
-// otherwise the recovery supervisor calls it for the initial instance
+// program. A plain spec builds once for the whole cluster and runs that
+// program through mpi.Run (no checkpointer, no supervisor); with
+// spec.Recover the recovery supervisor calls it for the initial instance
 // and again after every crash rollback (the numerics are replay-exact:
 // updates depend on data, never on ownership, so a recovered run is
 // bitwise equal to an undisturbed one).
-func execute(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, rcfg *RecoveryConfig, build func(mpi.Instance) (mpi.RecoverableProgram, error)) (mpi.RecoveredResult, error) {
-	if rcfg == nil {
-		ranks := make([]int, cl.Size())
-		for r := range ranks {
-			ranks[r] = r
-		}
-		prog, err := build(mpi.Instance{Cluster: cl, Ranks: ranks})
-		if err != nil {
-			return mpi.RecoveredResult{}, err
-		}
-		res, err := mpi.Run(ctx, cl, model, o, func(c mpi.Comm) error { return prog(c, nil) })
-		return mpi.RecoveredResult{Result: res}, err
+func execute(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o mpi.Options, spec Spec, build func(mpi.Instance) (mpi.RecoverableProgram, error)) (mpi.Result, error) {
+	switch {
+	case spec.CkptSteps < 0:
+		return mpi.Result{}, fmt.Errorf("workload: Spec.CkptSteps %d < 0", spec.CkptSteps)
+	case spec.CkptSteps != 0 && !spec.Recover:
+		return mpi.Result{}, fmt.Errorf("workload: Spec.CkptSteps %d needs Spec.Recover", spec.CkptSteps)
+	case spec.Recover:
+		return mpi.RunRecoverable(ctx, cl, model, o, build)
 	}
-	if rcfg.IntervalSteps < 0 {
-		return mpi.RecoveredResult{}, fmt.Errorf("workload: negative checkpoint interval %d", rcfg.IntervalSteps)
+	ranks := make([]int, cl.Size())
+	for r := range ranks {
+		ranks[r] = r
 	}
-	return mpi.RunRecoverable(ctx, cl, model, o, build)
+	prog, err := build(mpi.Instance{Cluster: cl, Ranks: ranks})
+	if err != nil {
+		return mpi.Result{}, err
+	}
+	return mpi.Run(ctx, cl, model, o, func(c mpi.Comm) error { return prog(c, nil) })
 }
 
 // distribution resolves one run's distribution strategy: st, pinned to

@@ -36,11 +36,15 @@ echo "==> (cd perfbench && go vet ./... && go test ./...)"
 # allocation per DES message) and the rank-to-rank hand-offs of the
 # symbolic scheduler and the DES kernel (deadlock unwinding, no rank
 # goroutine left behind), plus the whole kernel suite, so a rare
-# interleaving gets many tries. The memo cache's cancellation tests ride
-# along: a computation canceled mid-flight must leave the table before
-# its waiters wake, on the cache alone and through the executor.
-echo "==> go test -race -count=20 (engine stress) ./internal/mpi ./internal/des ./internal/runner ./internal/spec"
+# interleaving gets many tries. The recovery supervisor's tests ride
+# along, in mpi and through every workload: each attempt's result folds
+# into the one mpi.Result a recovered or abandoned run reports. So do
+# the memo cache's cancellation tests: a computation canceled mid-flight
+# must leave the table before its waiters wake, on the cache alone and
+# through the executor.
+echo "==> go test -race -count=20 (engine stress) ./internal/mpi ./internal/workload ./internal/des ./internal/runner ./internal/spec"
 go test -race -count=20 -run 'Live|Crash|Barrier|Abort|Differential|Panic|ProgramError|Symbolic|Deadlock|Leak|Mailbox|DESMessage' ./internal/mpi
+go test -race -count=20 -run 'Recover|Checkpoint' ./internal/mpi ./internal/workload
 go test -race -count=20 ./internal/des
 go test -race -count=20 -run 'Canceled' ./internal/runner ./internal/spec
 
