@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"io"
@@ -375,6 +377,42 @@ func TestReproductionGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGolden(t, tc.golden, got, true)
+		})
+	}
+}
+
+// TestTracePins pins Chrome traces by size and sha256, since the files
+// run to megabytes. Each traced recovered run records every checkpoint
+// write as a span with its byte count, so the first two guard how
+// checkpoints are priced as well as the timeline around them; the
+// contention ablation builds its own DES options, and its pin guards
+// that they carry the trace.
+func TestTracePins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("traces run to megabytes")
+	}
+	for _, tc := range []struct {
+		exp  string
+		size int
+		sha  string
+	}{
+		{"jobstream-faults", 2765570, "dbf44f3101e8725a90645814d82711d7c2f0f6a0e096ee29e901eb70d27d713f"},
+		{"recovered-sweep", 7716426, "82e03a3d7b2fb154b00e3fb3a62f48a4bbac02e2cbe83093f4f45a4f47e983b5"},
+		{"ablate-contention", 2304365, "7e7207be61e4c62c719e7c37601f5d1dd349fe09e6ed671d4c764f32c4b256f1"},
+	} {
+		t.Run(tc.exp, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "trace.json")
+			if _, err := runOut(t, "-exp", tc.exp, "-quick", "-engine", "des", "-jobs", "1", "-trace", path); err != nil {
+				t.Fatal(err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			if got := hex.EncodeToString(sum[:]); len(raw) != tc.size || got != tc.sha {
+				t.Errorf("trace drifted: %d bytes, sha256 %s; want %d bytes, sha256 %s", len(raw), got, tc.size, tc.sha)
+			}
 		})
 	}
 }

@@ -110,7 +110,7 @@ func (s *Suite) AblateContention(ctx context.Context) (*Table, error) {
 		{"MM", workload.MM{}, mmCl},
 	} {
 		for _, wire := range []simnet.WireMode{simnet.WireIdeal, simnet.WireShared} {
-			out, err := r.w.Run(ctx, r.cl, s.model, mpi.Options{Engine: mpi.EngineDES, Network: wire}, spec)
+			out, err := r.w.Run(ctx, r.cl, s.model, mpi.Options{Engine: mpi.EngineDES, Network: wire, Trace: s.Cfg.Trace}, spec)
 			if err != nil {
 				return nil, err
 			}

@@ -226,7 +226,7 @@ func (s *Suite) AblateNetworks(ctx context.Context) (*Table, error) {
 	} {
 		var base float64
 		for _, mode := range []simnet.WireMode{simnet.WireIdeal, simnet.WireSwitched, simnet.WireShared} {
-			out, err := a.w.Run(ctx, cl, s.model, mpi.Options{Engine: mpi.EngineDES, Network: mode}, spec)
+			out, err := a.w.Run(ctx, cl, s.model, mpi.Options{Engine: mpi.EngineDES, Network: mode, Trace: s.Cfg.Trace}, spec)
 			if err != nil {
 				return nil, err
 			}

@@ -148,6 +148,27 @@ func TestTracedSuiteTakesPrivateCache(t *testing.T) {
 	}
 }
 
+// TestTracedAblationsRecordSpans checks that the two ablations that
+// build their own DES options still record into the suite's trace.
+func TestTracedAblationsRecordSpans(t *testing.T) {
+	for _, id := range []string{"ablate-contention", "ablate-network"} {
+		t.Run(id, func(t *testing.T) {
+			cfg := Quick()
+			cfg.Trace = trace.New()
+			s, err := NewSuite(cfg, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := RunSelected(context.Background(), s, []string{id}, runner.Options{Jobs: 1}); err != nil {
+				t.Fatal(err)
+			}
+			if len(cfg.Trace.Spans()) == 0 {
+				t.Error("traced ablation recorded no spans")
+			}
+		})
+	}
+}
+
 func TestRunSelectedUnknownID(t *testing.T) {
 	s := quickSuite(t)
 	if _, err := RunSelected(context.Background(), s, []string{"table1", "nope"}, runner.Options{}); err == nil {

@@ -285,6 +285,29 @@ func TestRepeatedBarriers(t *testing.T) {
 	}
 }
 
+// TestBarrierAllocatesNothingInSteadyState checks that the barrier
+// reuses its two generation slots: on every engine a run of 1,000
+// barriers allocates no more than a run of 10. The 1-KiB slack, a byte
+// per barrier, absorbs the odd allocation the race detector makes of
+// its own.
+func TestBarrierAllocatesNothingInSteadyState(t *testing.T) {
+	barriers := func(n int) Program {
+		return func(c Comm) error {
+			for i := 0; i < n; i++ {
+				c.Barrier()
+			}
+			return nil
+		}
+	}
+	for _, e := range engines {
+		_, few := allocRun(t, e.opts, barriers(10))
+		_, many := allocRun(t, e.opts, barriers(1000))
+		if many > few+1024 {
+			t.Errorf("%s: 1,000 barriers allocate %d B, 10 allocate %d B", e.name, many, few)
+		}
+	}
+}
+
 func TestGathervScatterv(t *testing.T) {
 	cl := testCluster(t, 50, 60, 70)
 	m := testModel(t)

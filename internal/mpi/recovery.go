@@ -1,16 +1,16 @@
 // Checkpoint/rollback crash recovery layered over the rank runtime.
 //
 // Programs opt in by taking a *Checkpointer and calling Save at phase
-// boundaries — a coordinated checkpoint: every rank writes its state blob
-// to stable storage (charged in virtual time), and the checkpoint commits
-// iff every rank of the instance contributed before the closing barrier
-// released. The supervisor (RunRecoverable) replays the program across
-// a sequence of instances: when a rank dies mid-run (fault plan crash or
-// drop storm) the run rolls back to the last committed checkpoint and
-// re-instantiates the per-rank body on the survivors, redistributing
-// shares (callers use dist.Pinned subset by member marked speeds). The
-// next instance starts at base = failure time + detection latency +
-// restart cost.
+// boundaries — a coordinated checkpoint: every rank writes its state, a
+// header and a body, to stable storage (charged in virtual time), and
+// the checkpoint commits iff every rank of the instance contributed
+// before the closing barrier released. The supervisor (RunRecoverable)
+// replays the program across a sequence of instances: when a rank dies
+// mid-run (fault plan crash or drop storm) the run rolls back to the
+// last committed checkpoint and re-instantiates the per-rank body on the
+// survivors, redistributing shares (callers use dist.Pinned subset by
+// member marked speeds). The next instance starts at base = failure
+// time + detection latency + restart cost.
 //
 // Recomputed work, checkpoint writes, detection and restart all appear
 // in the virtual clock — checkpoint cost is a new To term in Theorem 1.
@@ -23,6 +23,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/cluster"
@@ -36,7 +37,7 @@ const (
 	// checkpoint writes.
 	ckptWriteMBps = 100.0
 	// ckptWriteLatencyMS is the fixed per-checkpoint write latency each
-	// rank pays regardless of blob size.
+	// rank pays regardless of state size.
 	ckptWriteLatencyMS = 0.5
 	// detectMS is the failure-detection latency charged between an
 	// attempt's failure and the start of recovery.
@@ -54,9 +55,17 @@ type Snapshot struct {
 	// AtMS is the commit instant: the latest contributor's write end.
 	AtMS float64
 	// Ranks lists the contributing instance's original rank ids,
-	// ascending; Parts[i] is the blob written by original rank Ranks[i].
+	// ascending; Parts[i] is the state written by original rank Ranks[i].
 	Ranks []int
-	Parts [][]float64
+	Parts []Part
+}
+
+// Part is one rank's contribution to a checkpoint: a header of scalars
+// and indices, which decoders read, and a body of state values. A
+// symbolic run's body is an mpi.Blank that nothing reads: the write is
+// priced by the two lengths alone.
+type Part struct {
+	Head, Body []float64
 }
 
 // Instance describes one program instantiation to the factory.
@@ -149,7 +158,8 @@ func (l *recoveryLog) snapshots() []Snapshot {
 
 // pendingCkpt tracks one in-flight coordinated checkpoint of an instance.
 type pendingCkpt struct {
-	parts  [][]float64
+	parts  []Part
+	saved  []bool // by instance rank: its part is in
 	count  int
 	doneMS float64
 	sealed bool
@@ -171,23 +181,24 @@ func newCheckpointer(ranks []int, log *recoveryLog) *Checkpointer {
 
 // Save is the coordinated-checkpoint collective: every rank of the
 // instance must call it the same number of times at the same points of
-// the program. The rank writes its state blob to stable storage — paying
-// 0.5 ms + bytes at 100 MB/s of virtual time, so a rank whose crash lands
-// mid-write dies there and contributes nothing — then synchronizes on a
-// barrier. The checkpoint commits iff every rank contributed by the
-// time the barrier released; otherwise the survivors abort with
-// PeerCrashError against the first missing rank, exactly like any other
-// dependence on a dead peer.
+// the program. The rank writes its state to stable storage — paying
+// 0.5 ms + its head and body bytes at 100 MB/s of virtual time, so a
+// rank whose crash lands mid-write dies there and contributes nothing —
+// then synchronizes on a barrier. The checkpoint commits iff every rank
+// contributed by the time the barrier released; otherwise the survivors
+// abort with PeerCrashError against the first missing rank, exactly like
+// any other dependence on a dead peer.
 //
 // Commitment is deterministic: a living rank always contributes before
 // arriving at the barrier, a dead rank never contributes after leaving
 // it, so the contributor set is fixed the instant the barrier releases,
 // on every transport.
 //
-// Save takes ownership of state: the committed snapshot holds the slice
-// itself, so the caller must not modify it afterwards. Pass a freshly
-// packed blob.
-func (ck *Checkpointer) Save(c Comm, state []float64) {
+// Save takes ownership of head and body: the committed snapshot holds
+// the slices themselves, so the caller must not modify them afterwards.
+// Pass a freshly packed header, and a fresh copy of the values or, in a
+// symbolic run, a Blank of their length.
+func (ck *Checkpointer) Save(c Comm, head, body []float64) {
 	cc, ok := c.(*comm)
 	if !ok {
 		panic(fmt.Sprintf("mpi: Checkpointer.Save needs a runtime Comm, got %T", c))
@@ -197,7 +208,8 @@ func (ck *Checkpointer) Save(c Comm, state []float64) {
 	ck.rankSeq[cc.rank]++
 	for len(ck.pending) <= seq {
 		ck.pending = append(ck.pending, &pendingCkpt{
-			parts:  make([][]float64, len(ck.ranks)),
+			parts:  make([]Part, len(ck.ranks)),
+			saved:  make([]bool, len(ck.ranks)),
 			doneMS: math.Inf(-1),
 		})
 	}
@@ -206,14 +218,15 @@ func (ck *Checkpointer) Save(c Comm, state []float64) {
 
 	cc.checkCrash()
 	start := cc.now()
-	b := payloadBytes(state)
+	b := payloadBytes(head) + payloadBytes(body)
 	cc.adv(cc.stretch(ckptWriteLatencyMS + float64(b)/(ckptWriteMBps*1e3)))
 	end := cc.now()
 	cc.span(trace.KindCheckpoint, start, end, b, -1)
 	ck.log.chargeWrite(ck.ranks[cc.rank], end-start)
 
 	ck.mu.Lock()
-	p.parts[cc.rank] = state
+	p.parts[cc.rank] = Part{Head: head, Body: body}
+	p.saved[cc.rank] = true
 	p.count++
 	if end > p.doneMS {
 		p.doneMS = end
@@ -232,13 +245,7 @@ func (ck *Checkpointer) Save(c Comm, state []float64) {
 		}
 		return
 	}
-	peer := 0
-	for i, part := range p.parts {
-		if part == nil {
-			peer = i
-			break
-		}
-	}
+	peer := slices.Index(p.saved, false)
 	ck.mu.Unlock()
 	at := cc.now()
 	panic(&PeerCrashError{Rank: cc.rank, Peer: peer, AtMS: at})

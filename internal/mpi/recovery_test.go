@@ -17,7 +17,7 @@ func phasedFactory(phases, interval int, starts *[]int) func(Instance) (Recovera
 	return func(inst Instance) (RecoverableProgram, error) {
 		start := 0
 		if inst.Resume != nil {
-			start = int(inst.Resume.Parts[0][0])
+			start = int(inst.Resume.Parts[0].Head[0])
 		}
 		if starts != nil {
 			*starts = append(*starts, start)
@@ -33,7 +33,7 @@ func phasedFactory(phases, interval int, starts *[]int) func(Instance) (Recovera
 				}
 				c.Barrier()
 				if interval > 0 && (ph+1)%interval == 0 && ph+1 < phases {
-					ck.Save(c, []float64{float64(ph + 1)})
+					ck.Save(c, []float64{float64(ph + 1)}, nil)
 				}
 			}
 			return nil
@@ -172,7 +172,7 @@ func TestCheckpointMidWriteCrashDoesNotCommit(t *testing.T) {
 		resumes = append(resumes, inst.Resume != nil)
 		return func(c Comm, ck *Checkpointer) error {
 			c.Compute(1e6) // 10 ms at 100 Mflops
-			ck.Save(c, []float64{1})
+			ck.Save(c, []float64{1}, nil)
 			c.Compute(1e6)
 			return nil
 		}, nil

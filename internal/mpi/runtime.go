@@ -74,12 +74,23 @@ func (w *world) countMsg(bytes int) {
 // transport supplies only the blocking primitive, so the release rule —
 // and therefore the released virtual time — is engine-independent by
 // construction.
+//
+// Two generation slots, used alternately, suffice: releasing g opens g+1
+// in the other slot, and g's slot is reset only when g+1 releases. By
+// then nothing reads g any more, so a barrier allocates nothing once its
+// waiter lists have grown:
+//   - each waiter of g reads g.max on waking, before it arrives at g+1;
+//   - world.die, the only caller of leave, runs in the dying rank's own
+//     context, so a waiter of g dies only after it has read g.max;
+//   - the releasing rank reads g.max and g.waiters under the lock, and
+//     g+1 cannot release before it has woken every waiter of g.
 type maxBarrier struct {
 	mu      sync.Mutex
 	t       Transport
 	n       int
 	arrived int
-	cur     *barrierGen
+	gens    [2]barrierGen
+	cur     int // the slot of the open generation
 }
 
 type barrierGen struct {
@@ -88,7 +99,9 @@ type barrierGen struct {
 }
 
 func newMaxBarrier(n int, t Transport) *maxBarrier {
-	return &maxBarrier{t: t, n: n, cur: &barrierGen{max: math.Inf(-1)}}
+	b := &maxBarrier{t: t, n: n}
+	b.gens[0].max = math.Inf(-1)
+	return b
 }
 
 // wait blocks until all surviving participants arrive and returns the
@@ -97,19 +110,15 @@ func newMaxBarrier(n int, t Transport) *maxBarrier {
 // transport's park/unpark edge publishes it to the released waiters.
 func (b *maxBarrier) wait(rank int, v float64) float64 {
 	b.mu.Lock()
-	g := b.cur
+	g := &b.gens[b.cur]
 	if v > g.max {
 		g.max = v
 	}
 	b.arrived++
 	if b.arrived == b.n {
-		b.arrived = 0
-		b.cur = &barrierGen{max: math.Inf(-1)}
-		b.mu.Unlock()
-		for _, r := range g.waiters {
-			b.t.Unpark(r)
-		}
-		return g.max
+		mx := g.max
+		b.release(g)
+		return mx
 	}
 	g.waiters = append(g.waiters, rank)
 	b.mu.Unlock()
@@ -126,21 +135,32 @@ func (b *maxBarrier) wait(rank int, v float64) float64 {
 // failed to reach.
 func (b *maxBarrier) leave(v float64) {
 	b.mu.Lock()
-	g := b.cur
+	g := &b.gens[b.cur]
 	if v > g.max {
 		g.max = v
 	}
 	b.n--
 	if b.n > 0 && b.arrived == b.n {
-		b.arrived = 0
-		b.cur = &barrierGen{max: math.Inf(-1)}
-		b.mu.Unlock()
-		for _, r := range g.waiters {
-			b.t.Unpark(r)
-		}
+		b.release(g)
 		return
 	}
 	b.mu.Unlock()
+}
+
+// release completes the open generation g, called with b.mu held: it
+// opens the next generation in the other slot, unlocks, and wakes g's
+// waiters.
+func (b *maxBarrier) release(g *barrierGen) {
+	waiters := g.waiters
+	b.arrived = 0
+	b.cur ^= 1
+	next := &b.gens[b.cur]
+	next.max = math.Inf(-1)
+	next.waiters = next.waiters[:0]
+	b.mu.Unlock()
+	for _, r := range waiters {
+		b.t.Unpark(r)
+	}
 }
 
 // runWorld executes program once per rank over the given transport and

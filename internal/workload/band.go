@@ -250,12 +250,15 @@ func checkpointDue(it, interval, iters int) bool {
 	return interval > 0 && (it+1)%interval == 0 && it+1 < iters
 }
 
-// pack encodes the rank's block of buf after k steps:
-// [k, first row, row count, then the block's values].
-func (r *bandRank) pack(k int, buf []float64) []float64 {
-	out := make([]float64, 3, 3+r.rows*r.width)
-	out[0], out[1], out[2] = float64(k), float64(r.lo), float64(r.rows)
-	return append(out, r.owned(buf)...)
+// pack encodes the rank's block of buf after k steps as a checkpoint
+// part: the header [k, first row, row count] and the block's values, a
+// copy, or a Blank when symbolic.
+func (r *bandRank) pack(k int, buf []float64) (head, body []float64) {
+	head = []float64{float64(k), float64(r.lo), float64(r.rows)}
+	if r.symbolic {
+		return head, r.owned(buf)
+	}
+	return head, slices.Clone(r.owned(buf))
 }
 
 // restore rebuilds the whole state from a committed pack snapshot: a
@@ -266,21 +269,22 @@ func (b band) restore(snap *mpi.Snapshot, initial []float64) (int, []float64, er
 	if snap == nil {
 		return 0, initial, nil
 	}
-	if len(snap.Parts) == 0 || len(snap.Parts[0]) < 3 {
+	if len(snap.Parts) == 0 || len(snap.Parts[0].Head) < 3 {
 		return 0, nil, fmt.Errorf("workload: %s snapshot %d malformed", b.name, snap.Seq)
 	}
-	k := int(snap.Parts[0][0])
+	k := int(snap.Parts[0].Head[0])
 	state := slices.Clone(initial)
 	for i, part := range snap.Parts {
-		if len(part) < 3 || int(part[0]) != k {
+		h := part.Head
+		if len(h) != 3 || int(h[0]) != k {
 			return 0, nil, fmt.Errorf("workload: %s snapshot %d part %d inconsistent", b.name, snap.Seq, i)
 		}
-		lo, rows := int(part[1]), int(part[2])
-		if len(part) != 3+rows*b.width || lo < b.first || lo+rows > b.first+b.count {
+		lo, rows := int(h[1]), int(h[2])
+		if len(part.Body) != rows*b.width || lo < b.first || lo+rows > b.first+b.count {
 			return 0, nil, fmt.Errorf("workload: %s snapshot %d part %d shape invalid", b.name, snap.Seq, i)
 		}
 		if state != nil {
-			copy(state[lo*b.width:], part[3:])
+			copy(state[lo*b.width:], part.Body)
 		}
 	}
 	return k, state, nil

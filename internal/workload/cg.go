@@ -324,7 +324,8 @@ func cgRank(r *bandRank, b []float64, resume *cgResume, start, interval int, ck 
 			}
 
 			if checkpointDue(it, interval, CGIters) {
-				ck.Save(c, packCGState(it+1, r.lo, rows, w, rho, xv, rv, pv))
+				head, body := packCGState(it+1, r.lo, rows, w, rho, xv, rv, pv, symbolic)
+				ck.Save(c, head, body)
 			}
 		}
 	})
@@ -430,31 +431,33 @@ func cgOverhead(cl *cluster.Cluster, m simnet.CostModel) (func(n float64) float6
 	}, nil
 }
 
-// packCGState encodes one rank's solver state after an iteration:
-// [iters done, first interior row, row count, rho, then count*w values
-// each of x, r, p]. The rho scalar is identical on every rank (it is the
+// packCGState encodes one rank's solver state after an iteration as a
+// checkpoint part: the header [iters done, first interior row, row
+// count, rho] and rows*w values each of x, r, p, copied, or a Blank when
+// symbolic. The rho scalar is identical on every rank (it is the
 // broadcast reduction result), which the decoder cross-checks.
-func packCGState(iters, lo, rows, w int, rho float64, x, r, pv []float64) []float64 {
-	out := make([]float64, 4, 4+3*rows*w)
-	out[0] = float64(iters)
-	out[1] = float64(lo)
-	out[2] = float64(rows)
-	out[3] = rho
-	out = append(out, x...)
-	out = append(out, r...)
-	out = append(out, pv[w:(rows+1)*w]...)
-	return out
+func packCGState(iters, lo, rows, w int, rho float64, x, r, pv []float64, symbolic bool) (head, body []float64) {
+	head = []float64{float64(iters), float64(lo), float64(rows), rho}
+	m := rows * w
+	body = buffer(3*m, symbolic)
+	if !symbolic {
+		copy(body, x)
+		copy(body[m:], r)
+		copy(body[2*m:], pv[w:(rows+1)*w])
+	}
+	return head, body
 }
 
 // decodeCGSnapshot rebuilds the global solver state from a committed
-// checkpoint, and returns the completed iteration count.
+// checkpoint, and returns the completed iteration count. A symbolic
+// decode reads the headers only.
 func decodeCGSnapshot(n int, snap *mpi.Snapshot, symbolic bool) (int, *cgResume, error) {
 	w := n - 2
-	if len(snap.Parts) == 0 || len(snap.Parts[0]) < 4 {
+	if len(snap.Parts) == 0 || len(snap.Parts[0].Head) < 4 {
 		return 0, nil, fmt.Errorf("workload: CG snapshot %d malformed", snap.Seq)
 	}
-	k0 := int(snap.Parts[0][0])
-	res := &cgResume{rho: snap.Parts[0][3]}
+	k0 := int(snap.Parts[0].Head[0])
+	res := &cgResume{rho: snap.Parts[0].Head[3]}
 	if !symbolic {
 		m := w * w
 		res.x = make([]float64, m)
@@ -462,20 +465,21 @@ func decodeCGSnapshot(n int, snap *mpi.Snapshot, symbolic bool) (int, *cgResume,
 		res.p = make([]float64, m)
 	}
 	for pi, part := range snap.Parts {
-		if len(part) < 4 || int(part[0]) != k0 || part[3] != res.rho {
+		h := part.Head
+		if len(h) != 4 || int(h[0]) != k0 || h[3] != res.rho {
 			return 0, nil, fmt.Errorf("workload: CG snapshot %d part %d inconsistent", snap.Seq, pi)
 		}
-		lo, rows := int(part[1]), int(part[2])
-		if len(part) != 4+3*rows*w || lo < 0 || lo+rows > w {
+		lo, rows := int(h[1]), int(h[2])
+		m := rows * w
+		if len(part.Body) != 3*m || lo < 0 || lo+rows > w {
 			return 0, nil, fmt.Errorf("workload: CG snapshot %d part %d shape invalid", snap.Seq, pi)
 		}
 		if symbolic {
 			continue
 		}
-		off := 4
-		copy(res.x[lo*w:(lo+rows)*w], part[off:off+rows*w])
-		copy(res.r[lo*w:(lo+rows)*w], part[off+rows*w:off+2*rows*w])
-		copy(res.p[lo*w:(lo+rows)*w], part[off+2*rows*w:off+3*rows*w])
+		copy(res.x[lo*w:], part.Body[:m])
+		copy(res.r[lo*w:], part.Body[m:2*m])
+		copy(res.p[lo*w:], part.Body[2*m:])
 	}
 	return k0, res, nil
 }

@@ -263,7 +263,8 @@ func geRank(c mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float6
 		}
 		c.Barrier() // paper step 2.2: synchronize due to data dependence
 		if rec != nil && rec.interval > 0 && (k+1)%rec.interval == 0 && k+1 < n-1 {
-			rec.ck.Save(c, packGEState(k+1, n, myRowIdx, myRows, myRhs))
+			head, body := packGEState(k+1, n, myRowIdx, myRows, myRhs, symbolic)
+			rec.ck.Save(c, head, body)
 		}
 	}
 
@@ -320,53 +321,60 @@ func unpackRows(rows map[int][]float64, rhs map[int]float64, idx []int, flat, fl
 	}
 }
 
-// packGEState encodes one rank's cumulative elimination state:
-// [pivots done, row count, then per owned row: index, n row values, rhs].
-// Symbolic runs carry zero values in the same shape.
-func packGEState(steps, n int, rowIdx []int, rows map[int][]float64, rhs map[int]float64) []float64 {
-	out := make([]float64, 2, 2+len(rowIdx)*(n+2))
-	out[0] = float64(steps)
-	out[1] = float64(len(rowIdx))
+// packGEState encodes one rank's cumulative elimination state as a
+// checkpoint part: the header [pivots done, row count, then the owned
+// row indices] and per owned row its n values and rhs, copied, or a
+// Blank when symbolic.
+func packGEState(steps, n int, rowIdx []int, rows map[int][]float64, rhs map[int]float64, symbolic bool) (head, body []float64) {
+	head = make([]float64, 2, 2+len(rowIdx))
+	head[0] = float64(steps)
+	head[1] = float64(len(rowIdx))
 	for _, i := range rowIdx {
-		out = append(out, float64(i))
-		out = append(out, rows[i]...)
-		out = append(out, rhs[i])
+		head = append(head, float64(i))
 	}
-	return out
+	body = buffer(len(rowIdx)*(n+1), symbolic)
+	if !symbolic {
+		for pos, i := range rowIdx {
+			copy(body[pos*(n+1):], rows[i])
+			body[pos*(n+1)+n] = rhs[i]
+		}
+	}
+	return head, body
 }
 
 // decodeGESnapshot rebuilds the partially-eliminated global system from a
-// committed checkpoint. In symbolic mode only the pivot count matters.
+// committed checkpoint. In symbolic mode only the pivot count matters,
+// and only the headers are read.
 func decodeGESnapshot(n int, snap *mpi.Snapshot, symbolic bool) (k0 int, a *linalg.Matrix, b []float64, err error) {
-	if len(snap.Parts) == 0 || len(snap.Parts[0]) < 2 {
+	if len(snap.Parts) == 0 || len(snap.Parts[0].Head) < 2 {
 		return 0, nil, nil, fmt.Errorf("workload: GE snapshot %d malformed", snap.Seq)
 	}
-	k0 = int(snap.Parts[0][0])
+	k0 = int(snap.Parts[0].Head[0])
 	if !symbolic {
 		a = linalg.NewMatrix(n, n)
 		b = make([]float64, n)
 	}
 	for pi, part := range snap.Parts {
-		if len(part) < 2 || int(part[0]) != k0 {
+		h := part.Head
+		if len(h) < 2 || int(h[0]) != k0 {
 			return 0, nil, nil, fmt.Errorf("workload: GE snapshot %d part %d inconsistent", snap.Seq, pi)
 		}
-		count := int(part[1])
-		if len(part) != 2+count*(n+2) {
-			return 0, nil, nil, fmt.Errorf("workload: GE snapshot %d part %d has %d values, want %d",
-				snap.Seq, pi, len(part), 2+count*(n+2))
+		count := int(h[1])
+		if len(h) != 2+count || len(part.Body) != count*(n+1) {
+			return 0, nil, nil, fmt.Errorf("workload: GE snapshot %d part %d has %d+%d values, want %d+%d",
+				snap.Seq, pi, len(h), len(part.Body), 2+count, count*(n+1))
 		}
 		if symbolic {
 			continue
 		}
-		off := 2
-		for j := 0; j < count; j++ {
-			idx := int(part[off])
+		for pos, v := range h[2:] {
+			idx := int(v)
 			if idx < 0 || idx >= n {
 				return 0, nil, nil, fmt.Errorf("workload: GE snapshot %d row index %d out of range", snap.Seq, idx)
 			}
-			copy(a.Row(idx), part[off+1:off+1+n])
-			b[idx] = part[off+1+n]
-			off += n + 2
+			row := part.Body[pos*(n+1) : (pos+1)*(n+1)]
+			copy(a.Row(idx), row[:n])
+			b[idx] = row[n]
 		}
 	}
 	return k0, a, b, nil

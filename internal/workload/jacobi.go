@@ -208,7 +208,8 @@ func (s stencil) rank(r *bandRank, grid []float64, start, interval int, ck *mpi.
 				c.Allreduce(0, mpi.OpMax)
 			}
 			if checkpointDue(it, interval, s.iters) {
-				ck.Save(c, r.pack(it+1, cur))
+				head, body := r.pack(it+1, cur)
+				ck.Save(c, head, body)
 			}
 		}
 	})

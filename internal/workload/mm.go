@@ -3,6 +3,7 @@ package workload
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -216,7 +217,8 @@ func mmRank(c mpi.Comm, n int, remaining []int, ranges [][2]int, done map[int][]
 			}
 		}
 		if interval > 0 {
-			ck.Save(c, packMMChunk(myList[lo:hi], myC[lo*n:hi*n], n))
+			head, body := packMMChunk(myList[lo:hi], section(myC, lo*n, hi*n, symbolic), symbolic)
+			ck.Save(c, head, body)
 		}
 	}
 
@@ -237,46 +239,53 @@ func mmRank(c mpi.Comm, n int, remaining []int, ranges [][2]int, done map[int][]
 	return out, nil
 }
 
-// packMMChunk encodes the result rows a rank finished in one chunk:
-// [row count, then per row: index, n values]. MM checkpoints are
-// incremental — committed rows never need recomputation, so recovery
-// gathers the done-set from the entire snapshot history.
-func packMMChunk(rowIdx []int, values []float64, n int) []float64 {
-	out := make([]float64, 1, 1+len(rowIdx)*(n+1))
-	out[0] = float64(len(rowIdx))
-	for j, idx := range rowIdx {
-		out = append(out, float64(idx))
-		out = append(out, values[j*n:(j+1)*n]...)
+// packMMChunk encodes the result rows a rank finished in one chunk as a
+// checkpoint part: the header [row count, then the row indices] and
+// their values, copied, or the Blank itself when symbolic. MM
+// checkpoints are incremental — committed rows never need
+// recomputation, so recovery gathers the done-set from the entire
+// snapshot history.
+func packMMChunk(rowIdx []int, values []float64, symbolic bool) (head, body []float64) {
+	head = make([]float64, 1, 1+len(rowIdx))
+	head[0] = float64(len(rowIdx))
+	for _, idx := range rowIdx {
+		head = append(head, float64(idx))
 	}
-	return out
+	if symbolic {
+		return head, values
+	}
+	return head, slices.Clone(values)
 }
 
 // decodeMMHistory walks every committed snapshot and returns the rows
-// already multiplied (and, in real mode, their values).
+// already multiplied (and, in real mode, their values). A symbolic
+// decode reads the headers only.
 func decodeMMHistory(n int, history []mpi.Snapshot, symbolic bool) (map[int][]float64, error) {
 	done := map[int][]float64{}
 	for _, snap := range history {
+		if len(snap.Parts) == 0 {
+			return nil, fmt.Errorf("workload: MM snapshot %d malformed", snap.Seq)
+		}
 		for pi, part := range snap.Parts {
-			if len(part) < 1 {
+			h := part.Head
+			if len(h) < 1 {
 				return nil, fmt.Errorf("workload: MM snapshot %d part %d malformed", snap.Seq, pi)
 			}
-			count := int(part[0])
-			if len(part) != 1+count*(n+1) {
-				return nil, fmt.Errorf("workload: MM snapshot %d part %d has %d values, want %d",
-					snap.Seq, pi, len(part), 1+count*(n+1))
+			count := int(h[0])
+			if len(h) != 1+count || len(part.Body) != count*n {
+				return nil, fmt.Errorf("workload: MM snapshot %d part %d has %d+%d values, want %d+%d",
+					snap.Seq, pi, len(h), len(part.Body), 1+count, count*n)
 			}
-			off := 1
-			for j := 0; j < count; j++ {
-				idx := int(part[off])
+			for pos, v := range h[1:] {
+				idx := int(v)
 				if idx < 0 || idx >= n {
 					return nil, fmt.Errorf("workload: MM snapshot %d row index %d out of range", snap.Seq, idx)
 				}
 				if symbolic {
 					done[idx] = nil
 				} else {
-					done[idx] = append([]float64(nil), part[off+1:off+1+n]...)
+					done[idx] = slices.Clone(part.Body[pos*n : (pos+1)*n])
 				}
-				off += n + 1
 			}
 		}
 	}

@@ -227,8 +227,9 @@ func TestSurvivorStrategyPinnedSubset(t *testing.T) {
 // crashed run again before it commits its next checkpoint, so two
 // attempts resume from one committed snapshot. The answer must still be
 // bitwise the undisturbed run's: the snapshot a resume reads is the
-// very blob a rank saved (Save takes ownership, commit does not copy),
-// so no attempt may write into what a later attempt resumes from. Jacobi
+// very header and body a rank saved (Save takes ownership, commit does
+// not copy), so no attempt may write into what a later attempt resumes
+// from. Jacobi
 // and CG are the checkpointing workloads of the job streams.
 func TestRecoveredSecondCrashResumesSameSnapshot(t *testing.T) {
 	cl := mmCluster(t)

@@ -216,7 +216,8 @@ func spmvRank(r *bandRank, x []float64, seed int64, start, interval int, ck *mpi
 				cur, nxt = nxt, cur
 			}
 			if checkpointDue(it, interval, SpMVIters) {
-				ck.Save(c, r.pack(it+1, cur))
+				head, body := r.pack(it+1, cur)
+				ck.Save(c, head, body)
 			}
 		}
 	})

@@ -86,35 +86,48 @@ func TestSymbolicPayloadConformance(t *testing.T) {
 // allocates on the symbolic engine at a rung whose payloads are large:
 // under an eighth of the bytes it moves (or 256 KiB), where a run that
 // built or copied its messages would allocate at least as much as it
-// moves.
+// moves. A recovered run that checkpoints every 10 steps keeps the same
+// bound: its checkpoint bodies are Blanks too.
 func TestSymbolicRunAllocatesNoPayload(t *testing.T) {
 	model := confModel(t)
 	opts := mpi.Options{Engine: mpi.EngineSymbolic}
-	spec := workload.Spec{N: 800, Seed: confSeed, Symbolic: true}
+	plain := workload.Spec{N: 800, Seed: confSeed, Symbolic: true}
+	recovered := plain
+	recovered.Recover, recovered.CkptSteps = true, 10
 	for _, w := range workload.All() {
 		t.Run(w.Name(), func(t *testing.T) {
 			cl := confCluster(t, w, 8)
-			run := func() workload.Outcome {
-				out, err := w.Run(context.Background(), cl, model, opts, spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
+			for _, tc := range []struct {
+				name string
+				spec workload.Spec
+			}{{"plain", plain}, {"recovered", recovered}} {
+				t.Run(tc.name, func(t *testing.T) {
+					run := func() workload.Outcome {
+						out, err := w.Run(context.Background(), cl, model, opts, tc.spec)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return out
+					}
+					out := run() // warm-up: grows the shared array
+					if tc.spec.Recover && out.Stats.Checkpoints == 0 {
+						t.Fatal("the recovered run took no checkpoint")
+					}
+					best := ^uint64(0)
+					for i := 0; i < 3; i++ {
+						var before, after runtime.MemStats
+						runtime.ReadMemStats(&before)
+						run()
+						runtime.ReadMemStats(&after)
+						best = min(best, after.TotalAlloc-before.TotalAlloc)
+					}
+					bound := max(uint64(out.Stats.BytesMoved/8), 256<<10)
+					if best >= bound {
+						t.Errorf("one symbolic run allocates %d B, bound %d B (%d B moved)", best, bound, out.Stats.BytesMoved)
+					}
+					t.Logf("%d B allocated per run, %d B moved, %d checkpoints", best, out.Stats.BytesMoved, out.Stats.Checkpoints)
+				})
 			}
-			out := run() // warm-up: grows the shared array
-			best := ^uint64(0)
-			for i := 0; i < 3; i++ {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				run()
-				runtime.ReadMemStats(&after)
-				best = min(best, after.TotalAlloc-before.TotalAlloc)
-			}
-			bound := max(uint64(out.Stats.BytesMoved/8), 256<<10)
-			if best >= bound {
-				t.Errorf("one symbolic run allocates %d B, bound %d B (%d B moved)", best, bound, out.Stats.BytesMoved)
-			}
-			t.Logf("%d B allocated per run, %d B moved", best, out.Stats.BytesMoved)
 		})
 	}
 }

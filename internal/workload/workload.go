@@ -21,16 +21,17 @@
 // The row-band programs (cg, jacobi, mg, spmv) share one protocol in
 // band.go: block ranges topped up to the ghost depth, rank 0's block
 // distribution, the halo exchange, the barrier-to-barrier loop window,
-// the [k, lo, rows, values] checkpoint codec, the Gatherv collection and
-// the run path. Their files declare a band shape and keep only what is
+// the checkpoint codec (header [k, lo, rows], body the block's values),
+// the Gatherv collection and the run path. Their files declare a band shape and keep only what is
 // their own — initial state, the step's arithmetic and charges, the
 // sequential reference and the analytic machine. Jacobi and MG are two
 // values of one stencil rank body.
 //
 // Every algorithm moves real data and produces verifiable numerics, or
 // runs in symbolic mode, which skips the host arithmetic and allocates no
-// payload (every message is an mpi.Blank) while performing exactly the
-// same message traffic and virtual-time accounting.
+// payload (every message and checkpoint body is an mpi.Blank) while
+// performing exactly the same message traffic and virtual-time
+// accounting.
 //
 // Achieved speed vs marked speed: marked speed is benchmarked with NPB-
 // style kernels, but real applications sustain only a fraction of it (the

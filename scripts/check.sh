@@ -32,19 +32,22 @@ echo "==> (cd perfbench && go vet ./... && go test ./...)"
 # Race stress for the engines' hand-offs: repeat the tests that drive the
 # mailbox protocol the three transports share (Post/Take hand-offs,
 # draining a dead peer's stream before its death shows, barrier
-# Park/Unpark with early Unparks, Abort unwinding blocked ranks, one
-# allocation per DES message) and the rank-to-rank hand-offs of the
-# symbolic scheduler and the DES kernel (deadlock unwinding, no rank
-# goroutine left behind), plus the whole kernel suite, so a rare
+# Park/Unpark with early Unparks, the barrier's two generation slots
+# reused back to back and across rank deaths, Abort unwinding blocked
+# ranks, one allocation per DES message) and the rank-to-rank hand-offs
+# of the symbolic scheduler and the DES kernel (deadlock unwinding, no
+# rank goroutine left behind), plus the whole kernel suite, so a rare
 # interleaving gets many tries. The recovery supervisor's tests ride
 # along, in mpi and through every workload: each attempt's result folds
 # into the one mpi.Result a recovered or abandoned run reports. So do
+# the symbolic-payload tests, whose checkpoint bodies are shared Blanks
+# on every engine: a run that wrote into one would race here. So do
 # the memo cache's cancellation tests: a computation canceled mid-flight
 # must leave the table before its waiters wake, on the cache alone and
 # through the executor.
 echo "==> go test -race -count=20 (engine stress) ./internal/mpi ./internal/workload ./internal/des ./internal/runner ./internal/spec"
 go test -race -count=20 -run 'Live|Crash|Barrier|Abort|Differential|Panic|ProgramError|Symbolic|Deadlock|Leak|Mailbox|DESMessage' ./internal/mpi
-go test -race -count=20 -run 'Recover|Checkpoint' ./internal/mpi ./internal/workload
+go test -race -count=20 -run 'Recover|Checkpoint|SymbolicPayload' ./internal/mpi ./internal/workload
 go test -race -count=20 ./internal/des
 go test -race -count=20 -run 'Canceled' ./internal/runner ./internal/spec
 
