@@ -44,7 +44,8 @@ type Lease struct {
 	// order the scheduler placed them: rank i of the leased job runs on
 	// shared node Ranks[i]. Nothing requires Ranks[0] to be node 0.
 	Ranks []int
-	// Sub is the leased subset as a self-contained cluster.
+	// Sub is the leased subset as a self-contained cluster, as acquired:
+	// a node failure shrinks Ranks but leaves Sub alone.
 	Sub *Cluster
 	// AcquiredMS is when the lease was granted; ReadyMS is when the
 	// nodes become usable (AcquiredMS plus the acquire charge).
@@ -206,27 +207,25 @@ func (a *Allocator) Holds(l *Lease) bool {
 
 // NodeDown marks a node failed at virtual time atMS: it leaves the
 // placeable set until NodeUp. If the node is currently leased the lease
-// HEALS — it shrinks in place to the survivor subset (Ranks loses the
-// node, Sub is rebuilt over the survivors, and the dead node's busy
-// window [AcquiredMS, atMS] is banked) — and the owning lease is
-// returned so the scheduler can reconcile the running job. A lease
-// whose last node dies is retired entirely (Holds turns false). A free
-// node just goes down; nil is returned.
-func (a *Allocator) NodeDown(node int, atMS float64) (*Lease, error) {
+// HEALS — it shrinks in place to the survivors (Ranks loses the node,
+// and the dead node's busy window [AcquiredMS, atMS] is banked), so a
+// later Release charges only the survivors. A lease whose last node dies
+// is retired entirely (Holds turns false). A free node just goes down.
+func (a *Allocator) NodeDown(node int, atMS float64) error {
 	if node < 0 || node >= len(a.owner) {
-		return nil, fmt.Errorf("cluster: node %d out of range [0,%d)", node, len(a.owner))
+		return fmt.Errorf("cluster: node %d out of range [0,%d)", node, len(a.owner))
 	}
 	if a.down[node] {
-		return nil, fmt.Errorf("cluster: node %d already down", node)
+		return fmt.Errorf("cluster: node %d already down", node)
 	}
 	if atMS < a.lastMS {
-		return nil, fmt.Errorf("cluster: lease time went backwards (%g after %g)", atMS, a.lastMS)
+		return fmt.Errorf("cluster: lease time went backwards (%g after %g)", atMS, a.lastMS)
 	}
 	a.lastMS = atMS
 	a.down[node] = true
 	id := a.owner[node]
 	if id < 0 {
-		return nil, nil
+		return nil
 	}
 	l := a.leases[id]
 	survivors := make([]int, 0, len(l.Ranks)-1)
@@ -237,19 +236,11 @@ func (a *Allocator) NodeDown(node int, atMS float64) (*Lease, error) {
 	}
 	a.owner[node] = -1
 	a.busyMS += atMS - l.AcquiredMS
+	l.Ranks = survivors
 	if len(survivors) == 0 {
 		delete(a.leases, l.ID)
-		l.Ranks = nil
-		l.Sub = nil
-		return l, nil
 	}
-	sub, err := a.cl.Subset(l.Sub.Name, survivors...)
-	if err != nil {
-		return nil, err
-	}
-	l.Ranks = survivors
-	l.Sub = sub
-	return l, nil
+	return nil
 }
 
 // NodeUp returns a down node to the placeable set at virtual time atMS.

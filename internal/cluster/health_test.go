@@ -117,18 +117,11 @@ func TestAllocatorNodeDownShrinksLease(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	hit, err := a.NodeDown(1, 40)
-	if err != nil {
+	if err := a.NodeDown(1, 40); err != nil {
 		t.Fatal(err)
-	}
-	if hit != l {
-		t.Fatalf("NodeDown returned %+v, want the owning lease", hit)
 	}
 	if !reflect.DeepEqual(l.Ranks, []int{4, 6}) {
 		t.Fatalf("healed ranks = %v, want [4 6]", l.Ranks)
-	}
-	if l.Sub.Size() != 2 || l.Sub.Nodes[0].Name != cl.Nodes[4].Name || l.Sub.Nodes[1].Name != cl.Nodes[6].Name {
-		t.Fatalf("healed subset wrong: %v", l.Sub.Nodes)
 	}
 	if !a.Holds(l) {
 		t.Fatal("healed lease no longer held")
@@ -180,15 +173,11 @@ func TestAllocatorNodeDownLastNodeRetiresLease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.NodeDown(2, 10); err != nil {
+	if err := a.NodeDown(2, 10); err != nil {
 		t.Fatal(err)
 	}
-	hit, err := a.NodeDown(5, 20)
-	if err != nil {
+	if err := a.NodeDown(5, 20); err != nil {
 		t.Fatal(err)
-	}
-	if hit != l {
-		t.Fatal("final NodeDown did not return the lease")
 	}
 	if a.Holds(l) {
 		t.Fatal("fully-failed lease still held")
@@ -212,16 +201,16 @@ func TestAllocatorNodeDownErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.NodeDown(99, 0); err == nil {
+	if err := a.NodeDown(99, 0); err == nil {
 		t.Fatal("out-of-range NodeDown succeeded")
 	}
 	if err := a.NodeUp(0, 0); err == nil {
 		t.Fatal("NodeUp of healthy node succeeded")
 	}
-	if _, err := a.NodeDown(0, 10); err != nil {
+	if err := a.NodeDown(0, 10); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.NodeDown(0, 11); err == nil {
+	if err := a.NodeDown(0, 11); err == nil {
 		t.Fatal("double NodeDown succeeded")
 	}
 	if err := a.NodeUp(0, 5); err == nil {

@@ -221,7 +221,7 @@ func TestAllocatorDrainErrors(t *testing.T) {
 		t.Fatal("NodeJoin with time going backwards succeeded")
 	}
 	// Drain and down are orthogonal: both must clear.
-	if _, err := a.NodeDown(0, 20); err != nil {
+	if err := a.NodeDown(0, 20); err != nil {
 		t.Fatal(err)
 	}
 	if err := a.NodeJoin(0, 30); err != nil {

@@ -73,15 +73,6 @@ func Psi(c, w, cPrime, wPrime float64) (float64, error) {
 	return (cPrime * w) / (c * wPrime), nil
 }
 
-// IdealWork returns the work that would keep E_s constant on an ideally
-// scalable combination: W' = W·C'/C.
-func IdealWork(w, c, cPrime float64) (float64, error) {
-	if w <= 0 || c <= 0 || cPrime <= 0 {
-		return 0, fmt.Errorf("%w: W=%g C=%g C'=%g", ErrNonPositive, w, c, cPrime)
-	}
-	return w * cPrime / c, nil
-}
-
 // IsospeedPsi is the homogeneous isospeed scalability of Sun & Rover:
 // ψ(p, p') = (p'·W)/(p·W'). It is the special case of Psi with all marked
 // speeds equal (C = p·C_node), kept as the baseline the paper generalizes.

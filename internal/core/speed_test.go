@@ -42,10 +42,7 @@ func TestPsiIdealAndTypical(t *testing.T) {
 	// Ideal: W' = W·C'/C -> ψ = 1.
 	w := 1e9
 	c, cp := 100.0, 400.0
-	wIdeal, err := IdealWork(w, c, cp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wIdeal := w * cp / c
 	psi, err := Psi(c, w, cp, wIdeal)
 	if err != nil || !almostEq(psi, 1, 1e-12) {
 		t.Errorf("ideal ψ = %g, %v", psi, err)
@@ -108,12 +105,6 @@ func TestPsiChain(t *testing.T) {
 	bad := []ScalePoint{{C: 1, W: 1}, {C: 0, W: 1}}
 	if _, err := PsiChain(bad); err == nil {
 		t.Error("invalid point accepted")
-	}
-}
-
-func TestIdealWorkErrors(t *testing.T) {
-	if _, err := IdealWork(0, 1, 1); err == nil {
-		t.Error("zero W accepted")
 	}
 }
 

@@ -368,8 +368,7 @@ func (s *sim) release(lease *cluster.Lease) error {
 // rollback settle already planned. Capacity only shrank, so no
 // admission pass follows.
 func (s *sim) down(node int) error {
-	_, err := s.alloc.NodeDown(node, s.k.Now())
-	return err
+	return s.alloc.NodeDown(node, s.k.Now())
 }
 
 // up returns a failed node to service and runs an admission pass.

@@ -26,11 +26,11 @@ func benchWorld(b *testing.B, p int) (*cluster.Cluster, simnet.CostModel) {
 	return cl, m
 }
 
-func benchCollective(b *testing.B, engine Engine, prog func(c Comm, iters int) error) {
+func benchCollective(b *testing.B, engine Engine, prog func(c *Comm, iters int) error) {
 	cl, m := benchWorld(b, 8)
 	iters := b.N
 	b.ResetTimer()
-	if _, err := Run(context.Background(), cl, m, Options{Engine: engine}, func(c Comm) error {
+	if _, err := Run(context.Background(), cl, m, Options{Engine: engine}, func(c *Comm) error {
 		return prog(c, iters)
 	}); err != nil {
 		b.Fatal(err)
@@ -38,7 +38,7 @@ func benchCollective(b *testing.B, engine Engine, prog func(c Comm, iters int) e
 }
 
 func BenchmarkBarrierLive(b *testing.B) {
-	benchCollective(b, EngineLive, func(c Comm, iters int) error {
+	benchCollective(b, EngineLive, func(c *Comm, iters int) error {
 		for i := 0; i < iters; i++ {
 			c.Barrier()
 		}
@@ -47,7 +47,7 @@ func BenchmarkBarrierLive(b *testing.B) {
 }
 
 func BenchmarkBarrierDES(b *testing.B) {
-	benchCollective(b, EngineDES, func(c Comm, iters int) error {
+	benchCollective(b, EngineDES, func(c *Comm, iters int) error {
 		for i := 0; i < iters; i++ {
 			c.Barrier()
 		}
@@ -57,7 +57,7 @@ func BenchmarkBarrierDES(b *testing.B) {
 
 func BenchmarkBcast1KiBLive(b *testing.B) {
 	payload := make([]float64, 128)
-	benchCollective(b, EngineLive, func(c Comm, iters int) error {
+	benchCollective(b, EngineLive, func(c *Comm, iters int) error {
 		for i := 0; i < iters; i++ {
 			var in []float64
 			if c.Rank() == 0 {
@@ -71,7 +71,7 @@ func BenchmarkBcast1KiBLive(b *testing.B) {
 
 func BenchmarkBcast1KiBDES(b *testing.B) {
 	payload := make([]float64, 128)
-	benchCollective(b, EngineDES, func(c Comm, iters int) error {
+	benchCollective(b, EngineDES, func(c *Comm, iters int) error {
 		for i := 0; i < iters; i++ {
 			var in []float64
 			if c.Rank() == 0 {
@@ -88,7 +88,7 @@ func BenchmarkPingPongLive(b *testing.B) {
 	payload := make([]float64, 128)
 	iters := b.N
 	b.ResetTimer()
-	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineLive}, func(c Comm) error {
+	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineLive}, func(c *Comm) error {
 		for i := 0; i < iters; i++ {
 			if c.Rank() == 0 {
 				c.Send(1, 0, payload)
@@ -123,7 +123,7 @@ func BenchmarkTransportPingPong(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			iters := b.N
 			b.ResetTimer()
-			if _, err := Run(context.Background(), cl, m, Options{Engine: eng}, func(c Comm) error {
+			if _, err := Run(context.Background(), cl, m, Options{Engine: eng}, func(c *Comm) error {
 				for i := 0; i < iters; i++ {
 					if c.Rank() == 0 {
 						c.Send(1, 0, payload)
@@ -149,7 +149,7 @@ func BenchmarkTransportBarrier(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			iters := b.N
 			b.ResetTimer()
-			if _, err := Run(context.Background(), cl, m, Options{Engine: eng}, func(c Comm) error {
+			if _, err := Run(context.Background(), cl, m, Options{Engine: eng}, func(c *Comm) error {
 				for i := 0; i < iters; i++ {
 					c.Barrier()
 				}
@@ -162,7 +162,7 @@ func BenchmarkTransportBarrier(b *testing.B) {
 }
 
 func BenchmarkAllreduceLive(b *testing.B) {
-	benchCollective(b, EngineLive, func(c Comm, iters int) error {
+	benchCollective(b, EngineLive, func(c *Comm, iters int) error {
 		for i := 0; i < iters; i++ {
 			c.Allreduce(float64(c.Rank()), OpSum)
 		}
@@ -174,7 +174,7 @@ func BenchmarkAllreduceLive(b *testing.B) {
 // transport construction, rank start-up and teardown, the per-run cost
 // the fixed-world Benchmark*Live benchmarks amortize away.
 func BenchmarkLiveRun(b *testing.B) {
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		c.Barrier()
 		return nil
 	}

@@ -111,7 +111,7 @@ var blankOps = []struct {
 	prog func(n int) Program
 }{
 	{"Send", func(int) int64 { return 1 }, func(n int) Program {
-		return func(c Comm) error {
+		return func(c *Comm) error {
 			switch c.Rank() {
 			case 0:
 				c.Send(1, 7, Blank(n))
@@ -122,7 +122,7 @@ var blankOps = []struct {
 		}
 	}},
 	{"ISend", func(int) int64 { return 1 }, func(n int) Program {
-		return func(c Comm) error {
+		return func(c *Comm) error {
 			switch c.Rank() {
 			case 0:
 				c.ISend(1, 7, Blank(n))
@@ -133,7 +133,7 @@ var blankOps = []struct {
 		}
 	}},
 	{"Bcast", func(p int) int64 { return int64(p - 1) }, func(n int) Program {
-		return func(c Comm) error {
+		return func(c *Comm) error {
 			var data []float64
 			if c.Rank() == 0 {
 				data = Blank(n)
@@ -142,7 +142,7 @@ var blankOps = []struct {
 		}
 	}},
 	{"Scatterv", func(p int) int64 { return int64(p - 1) }, func(n int) Program {
-		return func(c Comm) error {
+		return func(c *Comm) error {
 			var parts [][]float64
 			if c.Rank() == 0 {
 				parts = make([][]float64, c.Size())
@@ -154,7 +154,7 @@ var blankOps = []struct {
 		}
 	}},
 	{"Gatherv", func(p int) int64 { return int64(p - 1) }, func(n int) Program {
-		return func(c Comm) error {
+		return func(c *Comm) error {
 			for _, part := range c.Gatherv(0, Blank(n)) {
 				if err := checkBlank(part, n); err != nil {
 					return err
@@ -164,12 +164,12 @@ var blankOps = []struct {
 		}
 	}},
 	{"BcastLinear", func(p int) int64 { return int64(p - 1) }, func(n int) Program {
-		return func(c Comm) error {
+		return func(c *Comm) error {
 			return checkBlank(BcastLinear(c, 0, 7, Blank(n)), n)
 		}
 	}},
 	{"BcastTree", func(p int) int64 { return int64(p - 1) }, func(n int) Program {
-		return func(c Comm) error {
+		return func(c *Comm) error {
 			return checkBlank(BcastTree(c, 0, 7, Blank(n)), n)
 		}
 	}},

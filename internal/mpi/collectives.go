@@ -2,7 +2,7 @@ package mpi
 
 // Algorithmic collectives built from point-to-point messages.
 //
-// Comm.Bcast/Barrier charge the paper's *measured aggregate* costs
+// Comm.Bcast and Comm.Barrier charge the paper's *measured aggregate* costs
 // (T_bcast ≈ 0.23·p, the linear MPICH broadcast of the 2005 testbed).
 // The functions here implement collectives as explicit message-passing
 // algorithms instead, so their cost *emerges* from the point-to-point
@@ -19,7 +19,7 @@ package mpi
 // — the flat algorithm early MPICH used on Ethernet (and the shape behind
 // the paper's measured 0.23·p ms). Every rank returns its own copy, or,
 // for a Blank, the same read-only view.
-func BcastLinear(c Comm, root, tag int, data []float64) []float64 {
+func BcastLinear(c *Comm, root, tag int, data []float64) []float64 {
 	if c.Rank() == root {
 		for r := 0; r < c.Size(); r++ {
 			if r != root {
@@ -37,7 +37,7 @@ func BcastLinear(c Comm, root, tag int, data []float64) []float64 {
 // p-1 sequential sends. Every rank returns its own copy, or, for a
 // Blank, the same read-only view: a Blank is forwarded on every hop
 // without a copy.
-func BcastTree(c Comm, root, tag int, data []float64) []float64 {
+func BcastTree(c *Comm, root, tag int, data []float64) []float64 {
 	p := c.Size()
 	me := (c.Rank() - root + p) % p // position relative to root
 	var have []float64

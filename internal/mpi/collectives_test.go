@@ -28,7 +28,7 @@ func TestBcastAlgorithmsDeliver(t *testing.T) {
 			for _, e := range engines {
 				got := make([][]float64, p)
 				gotTree := make([][]float64, p)
-				_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+				_, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 					var in []float64
 					if c.Rank() == root {
 						in = payload
@@ -58,8 +58,8 @@ func TestBcastTreeBeatsLinearAtScale(t *testing.T) {
 	p := 16
 	cl := testCluster(t, uniformCluster(t, p)...)
 	payload := make([]float64, 2000)
-	runWith := func(f func(c Comm)) float64 {
-		res, err := Run(context.Background(), cl, m, Options{}, func(c Comm) error {
+	runWith := func(f func(c *Comm)) float64 {
+		res, err := Run(context.Background(), cl, m, Options{}, func(c *Comm) error {
 			f(c)
 			return nil
 		})
@@ -68,14 +68,14 @@ func TestBcastTreeBeatsLinearAtScale(t *testing.T) {
 		}
 		return res.TimeMS
 	}
-	linear := runWith(func(c Comm) {
+	linear := runWith(func(c *Comm) {
 		var in []float64
 		if c.Rank() == 0 {
 			in = payload
 		}
 		BcastLinear(c, 0, 1, in)
 	})
-	tree := runWith(func(c Comm) {
+	tree := runWith(func(c *Comm) {
 		var in []float64
 		if c.Rank() == 0 {
 			in = payload
@@ -91,7 +91,7 @@ func TestBcastTreeBeatsLinearAtScale(t *testing.T) {
 func TestCollectivesEnginesAgree(t *testing.T) {
 	m := testModel(t)
 	cl := testCluster(t, 37.2, 42.1, 89.5, 89.5, 42.1)
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		var in []float64
 		if c.Rank() == 1 {
 			in = []float64{1, 2, 3}
@@ -123,7 +123,7 @@ func ExampleBcastTree() {
 	}
 	cl, _ := cluster.New("example", nodes...)
 	model, _ := simnet.NewParamModel("example", simnet.Sunwulf100())
-	res, _ := Run(context.Background(), cl, model, Options{}, func(c Comm) error {
+	res, _ := Run(context.Background(), cl, model, Options{}, func(c *Comm) error {
 		var in []float64
 		if c.Rank() == 0 {
 			in = []float64{42}

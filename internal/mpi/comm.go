@@ -1,8 +1,10 @@
 // Package mpi is a small message-passing runtime over *virtual time*,
 // standing in for the MPICH installation of the paper's Sunwulf testbed.
 //
-// A parallel program is a Go function executed once per rank. Each rank is
-// pinned to a cluster node and owns a virtual clock in milliseconds:
+// A parallel program is a Go function executed once per rank, handed
+// that rank's *Comm, the runtime that prices its every operation. Each
+// rank is pinned to a cluster node and owns a virtual clock in
+// milliseconds:
 //
 //   - Compute(flops) advances the clock by flops / markedSpeed;
 //   - point-to-point and collective operations advance it according to a
@@ -22,13 +24,15 @@
 // transports. The runtime (runtime.go + ops.go) owns everything that
 // defines the model's semantics: clock charging policy, message matching,
 // the max-reduction barrier, the crash fault protocol, traffic accounting
-// and trace emission. One mailbox per receiving rank (transport.go), the
-// same under every transport, owns the receiving side: an unbounded FIFO
-// per source, so a send never blocks, and the rule for when a blocked
-// rank resumes, with a dead peer's messages drained before it reads as
-// dead. A Transport supplies only the execution substrate — how ranks
-// run, block and wake, and when a post or a death reaches a mailbox.
-// Three transports ship with the package, selected by Options.Engine:
+// and trace emission. It charges every interval exactly as the cost model
+// prices it, with no noise of its own. One mailbox per receiving rank
+// (transport.go), the same under every transport, owns the receiving
+// side: an unbounded FIFO per source, so a send never blocks, and the
+// rule for when a blocked rank resumes, with a dead peer's messages
+// drained before it reads as dead. A Transport supplies only the
+// execution substrate — how ranks run, block and wake, and when a post or
+// a death reaches a mailbox. Three transports ship with the package,
+// selected by Options.Engine:
 //
 //   - EngineLive -> the live transport (NewLiveTransport): one goroutine
 //     per rank, each mailbox under a mutex with a wake channel. Virtual
@@ -102,59 +106,6 @@ var (
 	}
 )
 
-// Comm is the per-rank handle a parallel program uses, analogous to an MPI
-// communicator bound to one rank. All methods must be called from the
-// program goroutine that received the Comm.
-type Comm interface {
-	// Rank returns this process's rank in [0, Size).
-	Rank() int
-	// Size returns the number of ranks.
-	Size() int
-	// Node returns the cluster node this rank runs on.
-	Node() cluster.Node
-	// Clock returns this rank's virtual time in milliseconds.
-	Clock() float64
-
-	// Compute advances the clock by flops at this node's marked speed.
-	Compute(flops float64)
-
-	// Send transmits data to rank `to` with the given tag. The payload is
-	// copied; the caller may reuse data. A Blank is passed by reference
-	// instead (see Blank): the receiver gets the same read-only view.
-	Send(to, tag int, data []float64)
-	// ISend is the non-blocking variant: the sender is busy only for the
-	// software send overhead while the transfer proceeds in the
-	// background (NIC offload). The matching Recv is the completion wait.
-	// Background transfers do not queue on a contended wire (offloaded
-	// DMA is outside the host-driven contention model).
-	ISend(to, tag int, data []float64)
-	// Recv receives the oldest message from rank `from`; its tag must
-	// equal tag (mismatch panics: it is a program bug, not a data error).
-	// A payload sent as a Blank arrives as that Blank: never write to it.
-	Recv(from, tag int) []float64
-
-	// Bcast broadcasts data from root to all ranks; every rank returns the
-	// same shared copy, which must be treated as READ-ONLY (copy it before
-	// mutating). A Blank is shared as itself. All ranks must call it.
-	Bcast(root int, data []float64) []float64
-	// Barrier synchronizes all ranks: afterwards every clock equals the
-	// maximum arrival time plus the model's barrier cost.
-	Barrier()
-	// Gatherv collects every rank's slice at root. Root receives a
-	// per-rank slice (a Blank part arrives as that Blank); other ranks
-	// receive nil.
-	Gatherv(root int, data []float64) [][]float64
-	// Scatterv distributes parts[i] to rank i from root; every rank
-	// returns its part (a Blank part arrives as that Blank). Only root's
-	// parts argument is consulted.
-	Scatterv(root int, parts [][]float64) []float64
-	// Reduce folds one value per rank with op at root (returned at root;
-	// zero elsewhere).
-	Reduce(root int, value float64, op ReduceOp) float64
-	// Allreduce folds one value per rank and distributes the result.
-	Allreduce(value float64, op ReduceOp) float64
-}
-
 // Engine selects the execution engine.
 type Engine int
 
@@ -198,14 +149,6 @@ type Options struct {
 	// (compute/send/recv/wait/collective spans) for Gantt rendering and
 	// overhead decomposition.
 	Trace *trace.Trace
-	// Jitter adds deterministic multiplicative noise to every charged
-	// time interval: each is scaled by a factor drawn uniformly from
-	// [1, 1+Jitter] (seeded by JitterSeed, per rank). It models the
-	// measurement noise of a real testbed; 0 disables it. Must be in
-	// [0, 1).
-	Jitter float64
-	// JitterSeed seeds the jitter stream (same seed -> same "noise").
-	JitterSeed int64
 	// Faults, when non-nil, injects the run's fault plan: probabilistic
 	// message loss with timeout/backoff retransmission, and rank crashes
 	// with graceful exclusion (peers that depend on a dead rank abort at
@@ -281,7 +224,7 @@ func (r Result) MaxCommMS() float64 {
 
 // Program is the per-rank body of a parallel computation. An error from any
 // rank aborts the Run (after all ranks finish, to keep engines simple).
-type Program func(c Comm) error
+type Program func(c *Comm) error
 
 // validateRun checks the arguments and the engine selection of a run.
 func validateRun(cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program) error {
@@ -293,9 +236,6 @@ func validateRun(cl *cluster.Cluster, model simnet.CostModel, opts Options, prog
 	}
 	if program == nil {
 		return errors.New("mpi: nil program")
-	}
-	if opts.Jitter < 0 || opts.Jitter >= 1 {
-		return fmt.Errorf("mpi: jitter %g out of [0, 1)", opts.Jitter)
 	}
 	if opts.Faults != nil && opts.Faults.MaxSendAttempts() < 1 {
 		return fmt.Errorf("mpi: fault injector allows %d send attempts, need >= 1",

@@ -12,7 +12,7 @@ func TestRunContextCanceledBeforeStart(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, e := range engines {
-		_, err := Run(ctx, cl, m, e.opts, func(c Comm) error {
+		_, err := Run(ctx, cl, m, e.opts, func(c *Comm) error {
 			t.Errorf("%s: program ran under canceled context", e.name)
 			return nil
 		})
@@ -28,7 +28,7 @@ func TestRunContextCancelMidRunDrains(t *testing.T) {
 	cl := testCluster(t, 10, 10)
 	m := testModel(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	_, err := Run(ctx, cl, m, Options{Engine: EngineLive}, func(c Comm) error {
+	_, err := Run(ctx, cl, m, Options{Engine: EngineLive}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			cancel() // arrives while the program is in flight
 		}

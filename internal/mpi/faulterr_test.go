@@ -62,7 +62,7 @@ func TestFaultErrorsUnwrapFromRun(t *testing.T) {
 	cl := testCluster(t, 100, 100, 100)
 	m := testModel(t)
 	inj := &testInjector{crashAt: map[int]float64{1: 1.0}, maxAttempts: 1}
-	_, err := Run(context.Background(), cl, m, Options{Faults: inj}, func(c Comm) error {
+	_, err := Run(context.Background(), cl, m, Options{Faults: inj}, func(c *Comm) error {
 		c.Compute(1e6) // 10 ms: rank 1 dies mid-compute at 1 ms
 		if c.Rank() == 0 {
 			c.Recv(1, 5) // depends on the dead rank
@@ -100,7 +100,7 @@ func TestDropStormUnwrapFromRun(t *testing.T) {
 		drop:        func(from, to, seq int) bool { return true },
 		maxAttempts: 3,
 	}
-	_, err := Run(context.Background(), cl, m, Options{Faults: inj}, func(c Comm) error {
+	_, err := Run(context.Background(), cl, m, Options{Faults: inj}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 5, []float64{1})
 		} else {

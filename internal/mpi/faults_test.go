@@ -96,7 +96,7 @@ func TestCrashExcludesRankGracefully(t *testing.T) {
 	// Rank 2 crashes mid-compute; ranks 0 and 1 keep exchanging messages
 	// and must complete untouched.
 	inj := planInjector(t, faults.Plan{Crashes: []faults.Crash{{Rank: 2, AtMS: 5}}}, 3)
-	res, err := runBoth(t, []float64{100, 100, 100}, inj, func(c Comm) error {
+	res, err := runBoth(t, []float64{100, 100, 100}, inj, func(c *Comm) error {
 		if c.Rank() == 2 {
 			c.Compute(2e6) // 20 ms: the crash interrupts this
 			return nil
@@ -130,7 +130,7 @@ func TestCrashCascadesToDependents(t *testing.T) {
 	// Rank 0 dies before sending; rank 1's Recv can never complete and
 	// cascades at rank 0's death time; rank 2 is independent and survives.
 	inj := planInjector(t, faults.Plan{Crashes: []faults.Crash{{Rank: 0, AtMS: 2}}}, 3)
-	_, err := runBoth(t, []float64{100, 100, 100}, inj, func(c Comm) error {
+	_, err := runBoth(t, []float64{100, 100, 100}, inj, func(c *Comm) error {
 		switch c.Rank() {
 		case 0:
 			c.Compute(1e6) // 10 ms; dies at 2
@@ -163,7 +163,7 @@ func TestCrashedRankMessagesStillDelivered(t *testing.T) {
 	// receiver gets the payload, and only a second Recv cascades.
 	inj := planInjector(t, faults.Plan{Crashes: []faults.Crash{{Rank: 0, AtMS: 50}}}, 2)
 	var got []float64
-	_, err := runBoth(t, []float64{100, 100}, inj, func(c Comm) error {
+	_, err := runBoth(t, []float64{100, 100}, inj, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []float64{42})
 			c.Compute(1e7) // dies long before a second send
@@ -190,7 +190,7 @@ func TestBarrierProceedsWithoutDeadRank(t *testing.T) {
 	inj := planInjector(t, faults.Plan{Crashes: []faults.Crash{{Rank: 2, AtMS: 5}}}, 3)
 	m := testModel(t)
 	barrierCost := m.BarrierTime(3)
-	res, err := runBoth(t, []float64{100, 100, 100}, inj, func(c Comm) error {
+	res, err := runBoth(t, []float64{100, 100, 100}, inj, func(c *Comm) error {
 		if c.Rank() == 2 {
 			c.Compute(1e6) // dies at 5
 			c.Barrier()
@@ -215,7 +215,7 @@ func TestBarrierProceedsWithoutDeadRank(t *testing.T) {
 func TestSecondBarrierAmongSurvivors(t *testing.T) {
 	// After a death the next barrier synchronizes survivors only.
 	inj := planInjector(t, faults.Plan{Crashes: []faults.Crash{{Rank: 0, AtMS: 1}}}, 3)
-	res, err := runBoth(t, []float64{100, 100, 100}, inj, func(c Comm) error {
+	res, err := runBoth(t, []float64{100, 100, 100}, inj, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Compute(1e6)
 			return nil
@@ -235,7 +235,7 @@ func TestSecondBarrierAmongSurvivors(t *testing.T) {
 
 func TestDropsRetriedAndCounted(t *testing.T) {
 	const payloads = 40
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		for i := 0; i < payloads; i++ {
 			if c.Rank() == 0 {
 				c.Send(1, i, make([]float64, 64))
@@ -285,7 +285,7 @@ func TestISendDropsExtendAvailability(t *testing.T) {
 	// sees the payload later, the sender's own clock is unaffected.
 	delivered := func(drop func(from, to, seq int) bool) (senderClock, recvClock float64) {
 		inj := &testInjector{drop: drop, delayMS: 2, maxAttempts: 3}
-		res, err := runBoth(t, []float64{100, 100}, inj, func(c Comm) error {
+		res, err := runBoth(t, []float64{100, 100}, inj, func(c *Comm) error {
 			if c.Rank() == 0 {
 				c.ISend(1, 1, make([]float64, 128))
 			} else {
@@ -310,7 +310,7 @@ func TestISendDropsExtendAvailability(t *testing.T) {
 
 func TestDropStormKillsSender(t *testing.T) {
 	inj := &testInjector{drop: func(int, int, int) bool { return true }, delayMS: 1, maxAttempts: 3}
-	_, err := runBoth(t, []float64{100, 100}, inj, func(c Comm) error {
+	_, err := runBoth(t, []float64{100, 100}, inj, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 1, []float64{1})
 		} else {
@@ -333,7 +333,7 @@ func TestDropStormKillsSender(t *testing.T) {
 func TestCollectivesCascadeOnDeadRoot(t *testing.T) {
 	// Bcast from a crashed root downs every receiver.
 	inj := planInjector(t, faults.Plan{Crashes: []faults.Crash{{Rank: 0, AtMS: 1}}}, 3)
-	_, err := runBoth(t, []float64{100, 100, 100}, inj, func(c Comm) error {
+	_, err := runBoth(t, []float64{100, 100, 100}, inj, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Compute(1e6)
 		}
@@ -350,7 +350,7 @@ func TestCollectivesCascadeOnDeadRoot(t *testing.T) {
 }
 
 func TestFaultInjectorZeroPlanIsInert(t *testing.T) {
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Send(1, 1, make([]float64, 32))
 			c.Barrier()
@@ -377,7 +377,7 @@ func TestFaultInjectorZeroPlanIsInert(t *testing.T) {
 func TestValidateRunRejectsZeroAttemptInjector(t *testing.T) {
 	cl := testCluster(t, 10, 10)
 	inj := &testInjector{maxAttempts: 0}
-	_, err := Run(context.Background(), cl, testModel(t), Options{Faults: inj}, func(c Comm) error { return nil })
+	_, err := Run(context.Background(), cl, testModel(t), Options{Faults: inj}, func(c *Comm) error { return nil })
 	if err == nil {
 		t.Fatal("injector with 0 send attempts accepted")
 	}

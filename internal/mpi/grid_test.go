@@ -32,7 +32,7 @@ func TestGridSendCostsDependOnSites(t *testing.T) {
 	b := simnet.WordBytes * len(payload)
 
 	run := func(to int) float64 {
-		res, err := Run(context.Background(), cl, tl, Options{}, func(c Comm) error {
+		res, err := Run(context.Background(), cl, tl, Options{}, func(c *Comm) error {
 			switch c.Rank() {
 			case 0:
 				c.Send(to, 1, payload)
@@ -64,7 +64,7 @@ func TestGridSendCostsDependOnSites(t *testing.T) {
 func TestGridEnginesAgree(t *testing.T) {
 	cl := testCluster(t, 40, 80, 60, 90)
 	tl := gridModel(t, []int{0, 0, 1, 1})
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		c.Compute(2e5)
 		c.Bcast(0, []float64{1, 2, 3})
 		next := (c.Rank() + 1) % c.Size()
@@ -93,7 +93,7 @@ func TestGridCollectivesUseHierarchy(t *testing.T) {
 	cl := testCluster(t, 50, 50, 50, 50)
 	allOneSite := gridModel(t, []int{0, 0, 0, 0})
 	twoSites := gridModel(t, []int{0, 0, 1, 1})
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		c.Barrier()
 		c.Bcast(0, []float64{1})
 		return nil

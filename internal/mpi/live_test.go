@@ -24,7 +24,7 @@ func TestLiveSendBurstMatchesOtherEngines(t *testing.T) {
 	const burst = 2000
 	cl := testCluster(t, 37.2, 89.5)
 	m := testModel(t)
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		peer := 1 - c.Rank()
 		for i := 0; i < burst; i++ {
 			c.Send(peer, 0, []float64{float64(i)})
@@ -82,7 +82,7 @@ func TestLiveRunAllocation(t *testing.T) {
 	}
 	cl := testCluster(t, speeds...)
 	m := testModel(t)
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		for i := 0; i < 4; i++ {
 			c.Barrier()
 		}
@@ -117,7 +117,7 @@ func TestLiveAbortUnwindsBlockedRanks(t *testing.T) {
 	m := testModel(t)
 	boom := errors.New("boom")
 	for i := 0; i < 50; i++ {
-		_, err := Run(context.Background(), cl, m, Options{Engine: EngineLive}, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, Options{Engine: EngineLive}, func(c *Comm) error {
 			switch c.Rank() {
 			case 0:
 				return boom

@@ -50,7 +50,7 @@ var engines = []struct {
 func TestValidateRun(t *testing.T) {
 	cl := testCluster(t, 10, 10)
 	m := testModel(t)
-	prog := func(c Comm) error { return nil }
+	prog := func(c *Comm) error { return nil }
 	if _, err := Run(context.Background(), nil, m, Options{}, prog); err == nil {
 		t.Error("nil cluster accepted")
 	}
@@ -87,7 +87,7 @@ func TestComputeCostExact(t *testing.T) {
 	cl := testCluster(t, 40, 80) // rank 1 twice as fast
 	m := testModel(t)
 	for _, e := range engines {
-		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			c.Compute(8000) // flops
 			return nil
 		})
@@ -117,7 +117,7 @@ func TestSendRecvCostAndData(t *testing.T) {
 	b := simnet.WordBytes * len(payload)
 	for _, e := range engines {
 		var got []float64
-		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			if c.Rank() == 0 {
 				c.Send(1, 7, payload)
 			} else {
@@ -151,7 +151,7 @@ func TestRecvWaitsForLateSender(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			if c.Rank() == 0 {
 				c.Compute(500000) // 10 ms of work before sending
 				c.Send(1, 1, []float64{42})
@@ -185,7 +185,7 @@ func TestBcastSemantics(t *testing.T) {
 	b := simnet.WordBytes * len(data)
 	for _, e := range engines {
 		vals := make([][]float64, 4)
-		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			var in []float64
 			if c.Rank() == 2 {
 				in = data
@@ -216,7 +216,7 @@ func TestBcastInsulatesFromRootBufferReuse(t *testing.T) {
 	cl := testCluster(t, 50, 50, 50)
 	m := testModel(t)
 	got := make([]float64, 3)
-	_, err := Run(context.Background(), cl, m, Options{}, func(c Comm) error {
+	_, err := Run(context.Background(), cl, m, Options{}, func(c *Comm) error {
 		buf := []float64{7}
 		for iter := 0; iter < 3; iter++ {
 			var in []float64
@@ -247,7 +247,7 @@ func TestBarrierSyncsToMax(t *testing.T) {
 	cl := testCluster(t, 50, 50, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			// Rank r computes r*5 ms of work (50 Mflops), then barrier.
 			c.Compute(float64(c.Rank()) * 5 * 50e3)
 			c.Barrier()
@@ -269,7 +269,7 @@ func TestRepeatedBarriers(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			for i := 0; i < 50; i++ {
 				c.Barrier()
 			}
@@ -292,7 +292,7 @@ func TestRepeatedBarriers(t *testing.T) {
 // its own.
 func TestBarrierAllocatesNothingInSteadyState(t *testing.T) {
 	barriers := func(n int) Program {
-		return func(c Comm) error {
+		return func(c *Comm) error {
 			for i := 0; i < n; i++ {
 				c.Barrier()
 			}
@@ -315,7 +315,7 @@ func TestGathervScatterv(t *testing.T) {
 		var gathered [][]float64
 		parts := [][]float64{{0, 0}, {1, 1}, {2}}
 		var scattered [3][]float64
-		_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			mine := []float64{float64(c.Rank()), 100}
 			g := c.Gatherv(1, mine)
 			if c.Rank() == 1 {
@@ -350,7 +350,7 @@ func TestReduceAllreduce(t *testing.T) {
 	for _, e := range engines {
 		sums := make([]float64, 4)
 		all := make([]float64, 4)
-		_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			v := float64(c.Rank() + 1) // 1..4, sum 10
 			sums[c.Rank()] = c.Reduce(0, v, OpSum)
 			all[c.Rank()] = c.Allreduce(v, OpMax)
@@ -384,7 +384,7 @@ func TestReduceOps(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	cl := testCluster(t, 37.2, 42.1, 89.5, 89.5)
 	m := testModel(t)
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		for i := 0; i < 5; i++ {
 			data := c.Bcast(0, []float64{float64(i), 1, 2, 3})
 			c.Compute(1000 * float64(c.Rank()+1) * data[0])
@@ -425,7 +425,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 func TestLiveAndDESAgreeWithoutContention(t *testing.T) {
 	cl := testCluster(t, 37.2, 42.1, 89.5, 89.5, 42.1)
 	m := testModel(t)
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		c.Compute(5e4 * float64(c.Rank()+1))
 		data := c.Bcast(2, []float64{1, 2, 3, 4, 5, 6, 7, 8})
 		c.Compute(1e4 * data[3])
@@ -465,7 +465,7 @@ func TestContentionSlowsConcurrentTransfers(t *testing.T) {
 	// All ranks send large payloads to rank 0 at the same instant.
 	cl := testCluster(t, 50, 50, 50, 50, 50)
 	m := testModel(t)
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		if c.Rank() == 0 {
 			for r := 1; r < c.Size(); r++ {
 				c.Recv(r, 0)
@@ -493,7 +493,7 @@ func TestProgramErrorPropagates(t *testing.T) {
 	m := testModel(t)
 	boom := errors.New("boom")
 	for _, e := range engines {
-		_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			if c.Rank() == 1 {
 				return boom
 			}
@@ -517,14 +517,14 @@ func TestFailedRunLeaksNoGoroutines(t *testing.T) {
 	cl := testCluster(t, 50, 50, 50)
 	m := testModel(t)
 	boom := errors.New("boom")
-	failed := func(c Comm) error {
+	failed := func(c *Comm) error {
 		if c.Rank() == 1 {
 			return boom
 		}
 		c.Recv(1, 9) // ranks 0 and 2 wait on the failed rank
 		return nil
 	}
-	deadlocked := func(c Comm) error {
+	deadlocked := func(c *Comm) error {
 		c.Recv((c.Rank()+1)%c.Size(), 1) // every rank waits on the next
 		return nil
 	}
@@ -562,7 +562,7 @@ func TestPanicBecomesError(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			if c.Rank() == 0 {
 				panic("kapow")
 			}
@@ -579,7 +579,7 @@ func TestTagMismatchReported(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		_, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		_, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			if c.Rank() == 0 {
 				c.Send(1, 5, []float64{1})
 			} else {
@@ -596,7 +596,7 @@ func TestTagMismatchReported(t *testing.T) {
 func TestHeterogeneousComputeFavorsFastNode(t *testing.T) {
 	cl := testCluster(t, 42.1, 89.5)
 	m := testModel(t)
-	res, err := Run(context.Background(), cl, m, Options{}, func(c Comm) error {
+	res, err := Run(context.Background(), cl, m, Options{}, func(c *Comm) error {
 		c.Compute(1e6)
 		return nil
 	})
@@ -624,7 +624,7 @@ func TestSingleRankWorld(t *testing.T) {
 	cl := testCluster(t, 50)
 	m := testModel(t)
 	for _, e := range engines {
-		res, err := Run(context.Background(), cl, m, e.opts, func(c Comm) error {
+		res, err := Run(context.Background(), cl, m, e.opts, func(c *Comm) error {
 			c.Compute(1000)
 			c.Barrier()
 			out := c.Bcast(0, []float64{7})

@@ -10,7 +10,7 @@ import (
 func TestNetworkOptionValidation(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
-	prog := func(c Comm) error { return nil }
+	prog := func(c *Comm) error { return nil }
 	if _, err := Run(context.Background(), cl, m, Options{Engine: EngineLive, Network: simnet.WireSwitched}, prog); err == nil {
 		t.Error("live engine with switched network accepted")
 	}
@@ -25,7 +25,7 @@ func TestNetworkModesOrdering(t *testing.T) {
 	// actually bites.
 	cl := testCluster(t, 50, 50, 50, 50, 50, 50)
 	m := testModel(t)
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		p := c.Size()
 		// Ring shift: rank r sends a large payload to (r+1)%p.
 		to := (c.Rank() + 1) % p

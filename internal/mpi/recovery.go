@@ -85,7 +85,7 @@ type Instance struct {
 }
 
 // RecoverableProgram is the per-rank body of a checkpointing computation.
-type RecoverableProgram func(c Comm, ck *Checkpointer) error
+type RecoverableProgram func(c *Comm, ck *Checkpointer) error
 
 // RecoveryEvent records one rollback.
 type RecoveryEvent struct {
@@ -198,14 +198,10 @@ func newCheckpointer(ranks []int, log *recoveryLog) *Checkpointer {
 // the slices themselves, so the caller must not modify them afterwards.
 // Pass a freshly packed header, and a fresh copy of the values or, in a
 // symbolic run, a Blank of their length.
-func (ck *Checkpointer) Save(c Comm, head, body []float64) {
-	cc, ok := c.(*comm)
-	if !ok {
-		panic(fmt.Sprintf("mpi: Checkpointer.Save needs a runtime Comm, got %T", c))
-	}
+func (ck *Checkpointer) Save(c *Comm, head, body []float64) {
 	ck.mu.Lock()
-	seq := ck.rankSeq[cc.rank]
-	ck.rankSeq[cc.rank]++
+	seq := ck.rankSeq[c.rank]
+	ck.rankSeq[c.rank]++
 	for len(ck.pending) <= seq {
 		ck.pending = append(ck.pending, &pendingCkpt{
 			parts:  make([]Part, len(ck.ranks)),
@@ -216,17 +212,17 @@ func (ck *Checkpointer) Save(c Comm, head, body []float64) {
 	p := ck.pending[seq]
 	ck.mu.Unlock()
 
-	cc.checkCrash()
-	start := cc.now()
+	c.checkCrash()
+	start := c.now()
 	b := payloadBytes(head) + payloadBytes(body)
-	cc.adv(cc.stretch(ckptWriteLatencyMS + float64(b)/(ckptWriteMBps*1e3)))
-	end := cc.now()
-	cc.span(trace.KindCheckpoint, start, end, b, -1)
-	ck.log.chargeWrite(ck.ranks[cc.rank], end-start)
+	c.adv(ckptWriteLatencyMS + float64(b)/(ckptWriteMBps*1e3))
+	end := c.now()
+	c.span(trace.KindCheckpoint, start, end, b, -1)
+	ck.log.chargeWrite(ck.ranks[c.rank], end-start)
 
 	ck.mu.Lock()
-	p.parts[cc.rank] = Part{Head: head, Body: body}
-	p.saved[cc.rank] = true
+	p.parts[c.rank] = Part{Head: head, Body: body}
+	p.saved[c.rank] = true
 	p.count++
 	if end > p.doneMS {
 		p.doneMS = end
@@ -247,8 +243,8 @@ func (ck *Checkpointer) Save(c Comm, head, body []float64) {
 	}
 	peer := slices.Index(p.saved, false)
 	ck.mu.Unlock()
-	at := cc.now()
-	panic(&PeerCrashError{Rank: cc.rank, Peer: peer, AtMS: at})
+	at := c.now()
+	panic(&PeerCrashError{Rank: c.rank, Peer: peer, AtMS: at})
 }
 
 // commit moves a fully-contributed checkpoint to stable storage, keyed by
@@ -386,9 +382,9 @@ func RunRecoverable(ctx context.Context, cl *cluster.Cluster, model simnet.CostM
 			aopts.Trace = sub
 		}
 		base := baseMS
-		body := func(c Comm) error {
+		body := func(c *Comm) error {
 			if base > 0 {
-				c.(*comm).waitUntil(base)
+				c.waitUntil(base)
 			}
 			return prog(c, ck)
 		}

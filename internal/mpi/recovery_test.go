@@ -22,7 +22,7 @@ func phasedFactory(phases, interval int, starts *[]int) func(Instance) (Recovera
 		if starts != nil {
 			*starts = append(*starts, start)
 		}
-		return func(c Comm, ck *Checkpointer) error {
+		return func(c *Comm, ck *Checkpointer) error {
 			for ph := start; ph < phases; ph++ {
 				c.Compute(float64(20000 * (c.Rank() + 1)))
 				if c.Size() > 1 {
@@ -84,7 +84,7 @@ func TestRecoverableNoFaultMatchesPlainRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Run(context.Background(), testCluster(t, speeds...), testModel(t), Options{}, func(c Comm) error {
+	plain, err := Run(context.Background(), testCluster(t, speeds...), testModel(t), Options{}, func(c *Comm) error {
 		return prog(c, nil)
 	})
 	if err != nil {
@@ -170,7 +170,7 @@ func TestCheckpointMidWriteCrashDoesNotCommit(t *testing.T) {
 	var resumes []bool
 	factory := func(inst Instance) (RecoverableProgram, error) {
 		resumes = append(resumes, inst.Resume != nil)
-		return func(c Comm, ck *Checkpointer) error {
+		return func(c *Comm, ck *Checkpointer) error {
 			c.Compute(1e6) // 10 ms at 100 Mflops
 			ck.Save(c, []float64{1}, nil)
 			c.Compute(1e6)
@@ -214,7 +214,7 @@ func TestRecoverableNoSurvivors(t *testing.T) {
 func TestRecoverableNonFaultErrorPassesThrough(t *testing.T) {
 	boom := errors.New("boom")
 	factory := func(inst Instance) (RecoverableProgram, error) {
-		return func(c Comm, ck *Checkpointer) error {
+		return func(c *Comm, ck *Checkpointer) error {
 			if c.Rank() == 1 {
 				return boom
 			}

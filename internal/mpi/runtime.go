@@ -168,7 +168,7 @@ func (b *maxBarrier) release(g *barrierGen) {
 func runWorld(cl *cluster.Cluster, model simnet.CostModel, opts Options, program Program, t Transport) (Result, error) {
 	p := cl.Size()
 	w := newWorld(cl, model, t)
-	comms := make([]*comm, p)
+	comms := make([]*Comm, p)
 	for r := range comms {
 		comms[r] = newComm(w, r, opts)
 	}

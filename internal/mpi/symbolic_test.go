@@ -18,7 +18,7 @@ import (
 func TestSymbolicDeadlockReported(t *testing.T) {
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
-	_, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic}, func(c Comm) error {
+	_, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic}, func(c *Comm) error {
 		if c.Rank() == 0 {
 			c.Recv(1, 3) // rank 1 never sends
 		}
@@ -35,7 +35,7 @@ func TestSymbolicCrossDeadlockUnwinds(t *testing.T) {
 	// not hang.
 	cl := testCluster(t, 50, 50)
 	m := testModel(t)
-	_, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic}, func(c Comm) error {
+	_, err := Run(context.Background(), cl, m, Options{Engine: EngineSymbolic}, func(c *Comm) error {
 		other := 1 - c.Rank()
 		c.Recv(other, 1)
 		c.Send(other, 1, []float64{1})
@@ -56,7 +56,7 @@ func TestSymbolicManyRanksMatchesDES(t *testing.T) {
 	}
 	cl := testCluster(t, speeds...)
 	m := testModel(t)
-	prog := func(c Comm) error {
+	prog := func(c *Comm) error {
 		p := c.Size()
 		for iter := 0; iter < 10; iter++ {
 			c.Compute(1e4 * float64((c.Rank()+iter)%5+1))

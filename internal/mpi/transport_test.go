@@ -99,7 +99,7 @@ func TestDESMessageAllocatesOneCallback(t *testing.T) {
 	payload := Blank(16)
 	allocs := func(rounds int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			if _, err := Run(context.Background(), cl, m, Options{Engine: EngineDES}, func(c Comm) error {
+			if _, err := Run(context.Background(), cl, m, Options{Engine: EngineDES}, func(c *Comm) error {
 				for i := 0; i < rounds; i++ {
 					if c.Rank() == 0 {
 						c.Send(1, 0, payload)

@@ -89,7 +89,7 @@ func bandTopUp(counts []int, floor int) []int {
 // depth ghost rows on each side.
 type bandRank struct {
 	band
-	c        mpi.Comm
+	c        *mpi.Comm
 	ranges   [][2]int // every rank's block, indexing distributed rows
 	symbolic bool
 	lo, rows int // the whole-state index of the block's first row, and its row count
@@ -119,7 +119,7 @@ func runBand[S any](ctx context.Context, cl *cluster.Cluster, model simnet.CostM
 		if err != nil {
 			return nil, err
 		}
-		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
+		return func(c *mpi.Comm, ck *mpi.Checkpointer) error {
 			blk := ranges[c.Rank()]
 			r := &bandRank{band: b, c: c, ranges: ranges, symbolic: spec.Symbolic, lo: b.first + blk[0], rows: blk[1] - blk[0]}
 			out, ms, err := body(r, state, start, spec.CkptSteps, ck)
@@ -235,7 +235,7 @@ func (r *bandRank) exchange(buf []float64) {
 // distribution and collection: the field lives distributed in a real
 // application, and the O(n²) one-shot scatter through rank 0 would
 // otherwise dominate W ∝ n² at large system sizes.
-func window(c mpi.Comm, loop func()) float64 {
+func window(c *mpi.Comm, loop func()) float64 {
 	c.Barrier()
 	start := c.Clock()
 	loop()

@@ -172,7 +172,7 @@ type cgResume struct {
 // interior vectors: per-row left-to-right partial sums, gathered at rank
 // 0 in global row order, summed sequentially, scalar broadcast back.
 // The 2 flops per point are charged before the gather.
-func cgDot(c mpi.Comm, a, b []float64, rows, w int, frac float64, symbolic bool) float64 {
+func cgDot(c *mpi.Comm, a, b []float64, rows, w int, frac float64, symbolic bool) float64 {
 	c.Compute(2 * float64(rows) * float64(w) / frac)
 	part := buffer(rows, symbolic)
 	if !symbolic {

@@ -151,7 +151,7 @@ func (g GE) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 				aCur, bCur = a, b
 			}
 		}
-		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
+		return func(c *mpi.Comm, ck *mpi.Checkpointer) error {
 			rec := &geRecover{k0: k0, interval: spec.CkptSteps, ck: ck}
 			sol, err := geRank(c, n, asn, aCur, bCur, symbolic, g.Pivot, rec)
 			if c.Rank() == 0 {
@@ -177,7 +177,7 @@ type geRecover struct {
 }
 
 // geRank is the per-rank program body.
-func geRank(c mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float64, symbolic bool, pivot PivotBcast, rec *geRecover) ([]float64, error) {
+func geRank(c *mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float64, symbolic bool, pivot PivotBcast, rec *geRecover) ([]float64, error) {
 	rank, p := c.Rank(), c.Size()
 	myRowIdx := asn.Rows(rank) // sorted ascending
 	const frac = DefaultGESustained

@@ -115,7 +115,7 @@ func (m MM) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 			return nil, fmt.Errorf("workload: MM requires a contiguous block distribution, %q is not", sst.Name())
 		}
 		ranges := dist.BlockRanges(asn.Counts)
-		return func(c mpi.Comm, ck *mpi.Checkpointer) error {
+		return func(c *mpi.Comm, ck *mpi.Checkpointer) error {
 			prod, err := mmRank(c, n, remaining, ranges, done, a, b, symbolic, spec.CkptSteps, ck)
 			if c.Rank() == 0 {
 				cOut = prod
@@ -140,7 +140,7 @@ func (m MM) run(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel
 // is 0), gather the fresh rows, and assemble the result at rank 0 from
 // history + gathered bands. A plain run has every row still to do and
 // an empty history.
-func mmRank(c mpi.Comm, n int, remaining []int, ranges [][2]int, done map[int][]float64, a, b *linalg.Matrix, symbolic bool, interval int, ck *mpi.Checkpointer) (*linalg.Matrix, error) {
+func mmRank(c *mpi.Comm, n int, remaining []int, ranges [][2]int, done map[int][]float64, a, b *linalg.Matrix, symbolic bool, interval int, ck *mpi.Checkpointer) (*linalg.Matrix, error) {
 	rank, p := c.Rank(), c.Size()
 	myList := remaining[ranges[rank][0]:ranges[rank][1]]
 	myCount := len(myList)

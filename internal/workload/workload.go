@@ -155,7 +155,7 @@ func execute(ctx context.Context, cl *cluster.Cluster, model simnet.CostModel, o
 	if err != nil {
 		return mpi.Result{}, err
 	}
-	return mpi.Run(ctx, cl, model, o, func(c mpi.Comm) error { return prog(c, nil) })
+	return mpi.Run(ctx, cl, model, o, func(c *mpi.Comm) error { return prog(c, nil) })
 }
 
 // distribution resolves one run's distribution strategy: st, pinned to

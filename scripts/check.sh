@@ -29,6 +29,13 @@ go test -race ./...
 echo "==> (cd perfbench && go vet ./... && go test ./...)"
 (cd perfbench && go vet ./... && go test ./...)
 
+# Linker-exact dead-code scan: build the four CLIs and perfbench with
+# inlining off and fail on any function declared in non-test code under
+# internal/ that no binary links, unless the reason-keyed allow lists in
+# linked_test.go and exports_test.go name it.
+echo "==> go test -run TestLinkedFunctions . -linked (linker dead-code scan)"
+go test -count=1 -run '^TestLinkedFunctions$' . -args -linked
+
 # Race stress for the engines' hand-offs: repeat the tests that drive the
 # mailbox protocol the three transports share (Post/Take hand-offs,
 # draining a dead peer's stream before its death shows, barrier
@@ -39,7 +46,9 @@ echo "==> (cd perfbench && go vet ./... && go test ./...)"
 # rank goroutine left behind), plus the whole kernel suite, so a rare
 # interleaving gets many tries. The recovery supervisor's tests ride
 # along, in mpi and through every workload: each attempt's result folds
-# into the one mpi.Result a recovered or abandoned run reports. So do
+# into the one mpi.Result a recovered or abandoned run reports. So does
+# the faults golden (TestDifferentialFaultsGolden), whose drops, storms
+# and plan crashes unwind ranks mid-send on every engine. So do
 # the symbolic-payload tests, whose checkpoint bodies are shared Blanks
 # on every engine: a run that wrote into one would race here. So do
 # the memo cache's cancellation tests: a computation canceled mid-flight
