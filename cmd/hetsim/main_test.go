@@ -529,6 +529,7 @@ func TestSpecFileAgreesWithServer(t *testing.T) {
 		{`{"kind":"experiments","experiments":"fig1","sizes":[0,4]}`, false, false},
 		{`{"kind":"experiments","experiments":"table9"}`, false, false},
 		{`{"kind":"faultscan","workload":"mm","p":1,"n":10,"faults":{"seed":1}}`, false, false},
+		{`{"kind":"scalescan","asymSizes":[100,100000000]}`, false, false},
 		{`{"kind":"jobstream","sharedP":4,` + stream + `}`, true, false},
 	} {
 		path := filepath.Join(t.TempDir(), "spec.json")

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"strconv"
 )
 
 // Allocator hands out exclusive node-subset leases on one shared
@@ -18,6 +19,7 @@ type Allocator struct {
 	owner   []int  // per node: owning lease ID, or -1 when free
 	down    []bool // per node: true between NodeDown and NodeUp
 	drain   []bool // per node: true between NodeDrain and NodeJoin
+	free    []int  // FreeRanks' buffer, refilled on every call
 	outlook []NodeEvent
 	leases  map[int]*Lease
 	nextID  int
@@ -90,15 +92,17 @@ func (a *Allocator) Free() int {
 }
 
 // FreeRanks returns the placeable node indices — unleased, not down,
-// and not draining — in ascending order.
+// and not draining — in ascending order. The slice is the allocator's
+// own buffer: it is valid until the next call, and callers may reorder
+// it. Acquire copies the ranks it is given.
 func (a *Allocator) FreeRanks() []int {
-	out := make([]int, 0, len(a.owner))
+	a.free = a.free[:0]
 	for i, o := range a.owner {
 		if o < 0 && !a.down[i] && !a.drain[i] {
-			out = append(out, i)
+			a.free = append(a.free, i)
 		}
 	}
-	return out
+	return a.free
 }
 
 // Down returns the number of currently down nodes.
@@ -125,45 +129,50 @@ func (a *Allocator) Acquire(tenant string, ranks []int, atMS float64) (*Lease, e
 	if atMS < a.lastMS {
 		return nil, fmt.Errorf("cluster: lease time went backwards (%g after %g)", atMS, a.lastMS)
 	}
-	seen := make(map[int]bool, len(ranks))
-	for _, r := range ranks {
-		if r < 0 || r >= len(a.owner) {
-			return nil, fmt.Errorf("cluster: lease rank %d out of range [0,%d)", r, len(a.owner))
-		}
-		if seen[r] {
-			return nil, fmt.Errorf("cluster: lease rank %d repeated", r)
-		}
-		seen[r] = true
-		if a.down[r] {
-			return nil, fmt.Errorf("cluster: node %d is down", r)
-		}
-		if a.drain[r] {
-			return nil, fmt.Errorf("cluster: node %d is draining", r)
-		}
-		if id := a.owner[r]; id >= 0 {
-			return nil, fmt.Errorf("cluster: node %d already leased (lease %d, tenant %q)",
-				r, id, a.leases[id].Tenant)
-		}
-	}
+	// Each checked rank is claimed for the new lease on the spot, so a
+	// repeat finds its own claim; a refusal hands the claims back.
 	id := a.nextID
-	sub, err := a.cl.Subset(fmt.Sprintf("%s/lease%d-%s", a.cl.Name, id, tenant), ranks...)
-	if err != nil {
-		return nil, err
+	for i, r := range ranks {
+		if err := a.claim(r, id); err != nil {
+			for _, q := range ranks[:i] {
+				a.owner[q] = -1
+			}
+			return nil, err
+		}
 	}
 	a.nextID++
 	a.lastMS = atMS
 	l := &Lease{
 		ID: id, Tenant: tenant,
 		Ranks:      append([]int(nil), ranks...),
-		Sub:        sub,
+		Sub:        a.cl.subset(a.cl.Name+"/lease"+strconv.Itoa(id)+"-"+tenant, ranks),
 		AcquiredMS: atMS,
 		ReadyMS:    atMS + a.opts.AcquireMS,
 	}
-	for _, r := range l.Ranks {
-		a.owner[r] = id
-	}
 	a.leases[id] = l
 	return l, nil
+}
+
+// claim marks node r owned by lease id, or says why it cannot be.
+func (a *Allocator) claim(r, id int) error {
+	if r < 0 || r >= len(a.owner) {
+		return fmt.Errorf("cluster: lease rank %d out of range [0,%d)", r, len(a.owner))
+	}
+	if a.owner[r] == id {
+		return fmt.Errorf("cluster: lease rank %d repeated", r)
+	}
+	if a.down[r] {
+		return fmt.Errorf("cluster: node %d is down", r)
+	}
+	if a.drain[r] {
+		return fmt.Errorf("cluster: node %d is draining", r)
+	}
+	if o := a.owner[r]; o >= 0 {
+		return fmt.Errorf("cluster: node %d already leased (lease %d, tenant %q)",
+			r, o, a.leases[o].Tenant)
+	}
+	a.owner[r] = id
+	return nil
 }
 
 // Release frees a lease's nodes at virtual time atMS (the caller

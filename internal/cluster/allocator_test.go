@@ -34,6 +34,9 @@ func TestAllocatorExclusiveLeases(t *testing.T) {
 	if l1.Sub.Size() != 3 || l1.Sub.Nodes[0].Name != cl.Nodes[0].Name {
 		t.Errorf("leased subset wrong: %v", l1.Sub)
 	}
+	if want := "C8'/lease0-alice"; l1.Sub.Name != want {
+		t.Errorf("lease cluster name %q, want %q", l1.Sub.Name, want)
+	}
 	if a.Free() != 5 || len(a.leases) != 1 {
 		t.Errorf("Free/leases = %d/%d, want 5/1", a.Free(), len(a.leases))
 	}
@@ -86,6 +89,16 @@ func TestAllocatorRejectsBadInput(t *testing.T) {
 	if _, err := a.Acquire("t", []int{1, 1}, 0); err == nil {
 		t.Error("repeated rank accepted")
 	}
+	if _, err := a.Acquire("t", []int{2, 3, 2}, 0); err == nil || !strings.Contains(err.Error(), "rank 2 repeated") {
+		t.Errorf("repeated rank after a good one: %v", err)
+	}
+	if _, err := a.Acquire("t", []int{4, 5, 9}, 0); err == nil {
+		t.Error("out-of-range rank after good ones accepted")
+	}
+	// A refused lease claims nothing.
+	if a.Free() != 8 || len(a.leases) != 0 {
+		t.Fatalf("after refusals Free/leases = %d/%d, want 8/0", a.Free(), len(a.leases))
+	}
 	if _, err := a.Acquire("t", []int{0}, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -117,6 +130,21 @@ func TestAllocatorFreeRanksAndUtilization(t *testing.T) {
 		if free[i] != want[i] {
 			t.Fatalf("FreeRanks = %v, want %v", free, want)
 		}
+	}
+	// The lease keeps its own copy of the ranks it was given from the
+	// allocator's buffer, which the next call refills.
+	l2, err := a.Acquire("u", free[4:], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := a.FreeRanks(); len(got) != 4 || l2.Ranks[0] != 6 || l2.Ranks[1] != 7 {
+		t.Errorf("FreeRanks = %v and lease ranks %v, want 4 free and [6 7]", got, l2.Ranks)
+	}
+	if n := testing.AllocsPerRun(10, func() { a.FreeRanks() }); n != 0 {
+		t.Errorf("FreeRanks allocates %g times per call", n)
+	}
+	if err := a.Release(l2, 0); err != nil {
+		t.Fatal(err)
 	}
 	if err := a.Release(l, 100); err != nil {
 		t.Fatal(err)

@@ -142,16 +142,34 @@ func (c *Cluster) String() string {
 }
 
 // Subset returns a new cluster consisting of the nodes at the given rank
-// indices, in the given order.
+// indices, in the given order. It refuses an empty, out-of-range or
+// repeated rank list. The nodes of a valid cluster are valid and their
+// names unique, so the subset copies them once and skips New.
 func (c *Cluster) Subset(name string, ranks ...int) (*Cluster, error) {
-	nodes := make([]Node, 0, len(ranks))
+	if len(ranks) == 0 {
+		return nil, errors.New("cluster: Subset needs at least one rank")
+	}
+	seen := make([]bool, len(c.Nodes))
 	for _, r := range ranks {
 		if r < 0 || r >= len(c.Nodes) {
 			return nil, fmt.Errorf("cluster: Subset rank %d out of range [0,%d)", r, len(c.Nodes))
 		}
-		nodes = append(nodes, c.Nodes[r])
+		if seen[r] {
+			return nil, fmt.Errorf("cluster: Subset rank %d repeated", r)
+		}
+		seen[r] = true
 	}
-	return New(name, nodes...)
+	return c.subset(name, ranks), nil
+}
+
+// subset copies the nodes at ranks, which the caller has checked are in
+// range and distinct, into a new cluster.
+func (c *Cluster) subset(name string, ranks []int) *Cluster {
+	nodes := make([]Node, len(ranks))
+	for i, r := range ranks {
+		nodes[i] = c.Nodes[r]
+	}
+	return &Cluster{Name: name, Nodes: nodes}
 }
 
 // Derate returns a copy of the cluster whose node speeds are scaled by

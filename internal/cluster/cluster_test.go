@@ -1,7 +1,10 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -75,6 +78,92 @@ func TestSubset(t *testing.T) {
 	}
 	if _, err := c.Subset("bad", 7); err == nil {
 		t.Error("out-of-range rank accepted")
+	}
+	if _, err := c.Subset("bad", 2, 0, 2); err == nil {
+		t.Error("repeated rank accepted")
+	}
+	if _, err := c.Subset("bad"); err == nil {
+		t.Error("empty rank list accepted")
+	}
+}
+
+// oldGEConfig and oldMMConfig are the reference constructions: the
+// paper configurations built node by node through New.
+func oldGEConfig(p int) (*Cluster, error) {
+	nodes := []Node{ServerNode(0), ServerNode(1)}
+	for i := 0; i < p-1; i++ {
+		nodes = append(nodes, BladeNode(40+i))
+	}
+	return New(fmt.Sprintf("C%d", p), nodes...)
+}
+
+func oldMMConfig(p int) (*Cluster, error) {
+	half := p / 2
+	nodes := []Node{ServerNode(0)}
+	for i := 0; i < p-half-1; i++ {
+		nodes = append(nodes, BladeNode(40+i))
+	}
+	for i := 0; i < half; i++ {
+		nodes = append(nodes, V210Node(65+i, 0))
+	}
+	return New(fmt.Sprintf("C%d'", p), nodes...)
+}
+
+// TestLaddersMatchNodeByNodeBuild: GEConfig and MMConfig skip New, so
+// each ladder must equal the node-by-node construction through New, and
+// New must accept it.
+func TestLaddersMatchNodeByNodeBuild(t *testing.T) {
+	var sizes []int
+	for p := 2; p <= 130; p++ {
+		sizes = append(sizes, p)
+	}
+	sizes = append(sizes, 1000, 100000)
+	for _, build := range []struct {
+		name     string
+		got, old func(int) (*Cluster, error)
+	}{{"GEConfig", GEConfig, oldGEConfig}, {"MMConfig", MMConfig, oldMMConfig}} {
+		for _, p := range sizes {
+			got, err := build.got(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := build.old(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s(%d) differs from the node-by-node build", build.name, p)
+			}
+			if _, err := New(got.Name, got.Nodes...); err != nil {
+				t.Fatalf("New refuses %s(%d): %v", build.name, p, err)
+			}
+		}
+	}
+}
+
+// TestLadderAllocations bounds a 10^6-rank paper configuration: one
+// node array and one string for all the names, not two allocations per
+// node.
+func TestLadderAllocations(t *testing.T) {
+	for _, build := range []struct {
+		name string
+		fn   func(int) (*Cluster, error)
+	}{{"GEConfig", GEConfig}, {"MMConfig", MMConfig}} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		cl, err := build.fn(1_000_000)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cl.Size() < 1_000_000 {
+			t.Fatalf("%s(10^6) has %d nodes", build.name, cl.Size())
+		}
+		allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+		if allocs >= 100 || bytes >= 100<<20 {
+			t.Errorf("%s(10^6) made %d allocations of %d bytes in all, want under 100 and under 100 MB",
+				build.name, allocs, bytes)
+		}
 	}
 }
 

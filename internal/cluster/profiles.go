@@ -1,6 +1,10 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
 // Synthetic Sunwulf calibration.
 //
@@ -26,46 +30,71 @@ const (
 	V210CPUMflops = 89.5
 )
 
+// The Sunwulf node classes, unnamed.
+var (
+	serverCPU = Node{Class: "Server", SpeedMflops: ServerCPUMflops, MemMB: 4096}
+	blade     = Node{Class: "SunBlade", SpeedMflops: SunBladeMflops, MemMB: 128}
+	v210CPU   = Node{Class: "SunFireV210", SpeedMflops: V210CPUMflops, MemMB: 2048}
+)
+
+func named(n Node, name string) Node {
+	n.Name = name
+	return n
+}
+
 // ServerNode returns one CPU of the Sunwulf SunFire server as a Node.
 // The paper's experiments use the server "with two CPUs", i.e. two such
-// nodes colocated; use ServerCPUs for that.
-func ServerNode(cpu int) Node {
-	return Node{
-		Name:        fmt.Sprintf("sunwulf-cpu%d", cpu),
-		Class:       "Server",
-		SpeedMflops: ServerCPUMflops,
-		MemMB:       4096,
-	}
-}
-
-// ServerCPUs returns n CPUs of the server node as n Nodes.
-func ServerCPUs(n int) []Node {
-	out := make([]Node, n)
-	for i := range out {
-		out[i] = ServerNode(i)
-	}
-	return out
-}
+// nodes colocated.
+func ServerNode(cpu int) Node { return named(serverCPU, fmt.Sprintf("sunwulf-cpu%d", cpu)) }
 
 // BladeNode returns SunBlade compute node hpc-<id>.
-func BladeNode(id int) Node {
-	return Node{
-		Name:        fmt.Sprintf("hpc-%d", id),
-		Class:       "SunBlade",
-		SpeedMflops: SunBladeMflops,
-		MemMB:       128,
-	}
-}
+func BladeNode(id int) Node { return named(blade, fmt.Sprintf("hpc-%d", id)) }
 
 // V210Node returns one CPU of SunFire V210 node hpc-<id> (ids 65-84 in the
 // real cluster).
-func V210Node(id, cpu int) Node {
-	return Node{
-		Name:        fmt.Sprintf("hpc-%d-cpu%d", id, cpu),
-		Class:       "SunFireV210",
-		SpeedMflops: V210CPUMflops,
-		MemMB:       2048,
+func V210Node(id, cpu int) Node { return named(v210CPU, fmt.Sprintf("hpc-%d-cpu%d", id, cpu)) }
+
+// nodeRun is count consecutive nodes of one class, named
+// prefix<first+i>suffix, as ServerNode, BladeNode and V210Node name them.
+type nodeRun struct {
+	class          Node
+	prefix, suffix string
+	first, count   int
+}
+
+// The node runs of the paper configurations: server CPUs sunwulf-cpu0…,
+// SunBlades hpc-40…, and CPU 0 of the V210s hpc-65-cpu0….
+func serverCPUs(count int) nodeRun { return nodeRun{serverCPU, "sunwulf-cpu", "", 0, count} }
+func blades(count int) nodeRun     { return nodeRun{blade, "hpc-", "", 40, count} }
+func v210s(count int) nodeRun      { return nodeRun{v210CPU, "hpc-", "-cpu0", 65, count} }
+
+// ladder builds a paper configuration from runs of numbered nodes. Every
+// name is a substring of one string, so the names of p nodes cost one
+// allocation. They are unique by construction (ids are distinct within a
+// run, and no two runs share a name form), so ladder skips New's copy
+// and duplicate-name map.
+func ladder(name string, runs ...nodeRun) *Cluster {
+	var digits [20]byte
+	total, size := 0, 0
+	for _, r := range runs {
+		total += r.count
+		widest := len(strconv.AppendInt(digits[:0], int64(r.first+r.count-1), 10))
+		size += r.count * (len(r.prefix) + widest + len(r.suffix))
 	}
+	var names strings.Builder
+	names.Grow(size)
+	nodes := make([]Node, 0, total)
+	for _, r := range runs {
+		for i := 0; i < r.count; i++ {
+			start := names.Len()
+			names.WriteString(r.prefix)
+			names.Write(strconv.AppendInt(digits[:0], int64(r.first+i), 10))
+			names.WriteString(r.suffix)
+			// A Builder only appends, so every earlier String stays valid.
+			nodes = append(nodes, named(r.class, names.String()[start:]))
+		}
+	}
+	return &Cluster{Name: name, Nodes: nodes}
 }
 
 // GEConfig builds the paper's Gaussian-elimination experiment configuration
@@ -81,11 +110,7 @@ func GEConfig(p int) (*Cluster, error) {
 	if p < 2 {
 		return nil, fmt.Errorf("cluster: GEConfig needs p >= 2, got %d", p)
 	}
-	nodes := ServerCPUs(2)
-	for i := 0; i < p-1; i++ {
-		nodes = append(nodes, BladeNode(40+i))
-	}
-	return New(fmt.Sprintf("C%d", p), nodes...)
+	return ladder("C"+strconv.Itoa(p), serverCPUs(2), blades(p-1)), nil
 }
 
 // MMConfig builds the paper's matrix-multiplication experiment configuration
@@ -97,15 +122,8 @@ func MMConfig(p int) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: MMConfig needs p >= 2, got %d", p)
 	}
 	half := p / 2
-	blades := p - half - 1 // server replaces one blade-side slot
-	nodes := []Node{ServerNode(0)}
-	for i := 0; i < blades; i++ {
-		nodes = append(nodes, BladeNode(40+i))
-	}
-	for i := 0; i < half; i++ {
-		nodes = append(nodes, V210Node(65+i, 0))
-	}
-	return New(fmt.Sprintf("C%d'", p), nodes...)
+	// The server replaces one blade-side slot.
+	return ladder("C"+strconv.Itoa(p)+"'", serverCPUs(1), blades(p-half-1), v210s(half)), nil
 }
 
 // PaperSizes is the system-size ladder used in every experiment chain.

@@ -1,8 +1,9 @@
 package job
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
@@ -137,30 +138,31 @@ func steeredFastest(alloc *cluster.Allocator, width int, workFlops, nowMS float6
 	if len(free) < width {
 		return nil, false
 	}
-	speeds := alloc.Cluster().Speeds()
-	sort.SliceStable(free, func(a, b int) bool {
-		if speeds[free[a]] != speeds[free[b]] {
-			return speeds[free[a]] > speeds[free[b]]
+	nodes := alloc.Cluster().Nodes
+	fastest := func(a, b int) int {
+		if c := cmp.Compare(nodes[b].SpeedMflops, nodes[a].SpeedMflops); c != 0 {
+			return c
 		}
-		return free[a] < free[b]
-	})
+		return cmp.Compare(a, b)
+	}
+	slices.SortStableFunc(free, fastest)
 	sum := 0.0
 	for _, r := range free[:width] {
-		sum += speeds[r]
+		sum += nodes[r].SpeedMflops
 	}
 	untilMS := nowMS
 	if workFlops > 0 && sum > 0 {
 		untilMS += workFlops / (sum * 1e3)
 	}
-	sort.SliceStable(free, func(a, b int) bool {
-		ra, rb := alloc.DownWithin(free[a], nowMS, untilMS), alloc.DownWithin(free[b], nowMS, untilMS)
+	slices.SortStableFunc(free, func(a, b int) int {
+		ra, rb := alloc.DownWithin(a, nowMS, untilMS), alloc.DownWithin(b, nowMS, untilMS)
 		if ra != rb {
-			return !ra
+			if rb {
+				return -1
+			}
+			return 1
 		}
-		if speeds[free[a]] != speeds[free[b]] {
-			return speeds[free[a]] > speeds[free[b]]
-		}
-		return free[a] < free[b]
+		return fastest(a, b)
 	})
 	return free[:width], true
 }

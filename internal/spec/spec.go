@@ -307,7 +307,7 @@ func (rs *RunSpec) Validate() error {
 		if err := validateIncreasing("sizes", rs.Sizes, 2); err != nil {
 			return err
 		}
-		if err := validateIncreasing("asymSizes", rs.AsymSizes, 2); err != nil {
+		if err := validateAsym(rs.AsymSizes); err != nil {
 			return err
 		}
 		if rs.GETarget <= 0 || rs.GETarget >= 1 || rs.MMTarget <= 0 || rs.MMTarget >= 1 {
@@ -339,7 +339,7 @@ func (rs *RunSpec) Validate() error {
 				return fmt.Errorf("spec: ladder needs at least 2 rungs, got %d", len(rs.Ladder.Ladder))
 			}
 		default:
-			if err := validateIncreasing("asymSizes", rs.AsymSizes, 2); err != nil {
+			if err := validateAsym(rs.AsymSizes); err != nil {
 				return err
 			}
 		}
@@ -501,6 +501,27 @@ func (rs *RunSpec) rejectForeign(kind string) error {
 		if f.set {
 			return fmt.Errorf("spec: field %q does not apply to kind %s", f.name, kind)
 		}
+	}
+	return nil
+}
+
+// maxAsymRanks caps the widths an asymptotic ladder may sum to. Each
+// rung builds a cluster of its width, so the cap bounds the memory one
+// spec can ask for; the default ladder sums to 1,111,100.
+const maxAsymRanks = 2_000_000
+
+// validateAsym checks an asymptotic ladder: strictly increasing widths
+// of at least two ranks that sum to at most maxAsymRanks.
+func validateAsym(sizes []int) error {
+	if err := validateIncreasing("asymSizes", sizes, 2); err != nil {
+		return err
+	}
+	sum := 0
+	for _, p := range sizes {
+		if p > maxAsymRanks-sum {
+			return fmt.Errorf("spec: asymSizes widths sum past %d ranks", maxAsymRanks)
+		}
+		sum += p
 	}
 	return nil
 }

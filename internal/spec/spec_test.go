@@ -202,6 +202,8 @@ func TestValidateRejections(t *testing.T) {
 		{"scalescan bad workload", RunSpec{Kind: KindScalescan, Workload: "qr", AsymSizes: []int{4, 8}}, "qr"},
 		{"scalescan bad target", RunSpec{Kind: KindScalescan, Target: 1.5, AsymSizes: []int{4, 8}}, "out of (0,1)"},
 		{"scalescan decreasing asym", RunSpec{Kind: KindScalescan, AsymSizes: []int{8, 4}}, "increasing"},
+		{"scalescan asym over cap", RunSpec{Kind: KindScalescan, AsymSizes: []int{100, 100000000}}, "asymSizes widths sum past 2000000"},
+		{"experiments asym over cap", RunSpec{Kind: KindExperiments, Experiments: "asymscale", AsymSizes: []int{1000000, 1000001}}, "asymSizes widths sum past 2000000"},
 		{"scalescan with seed", RunSpec{Kind: KindScalescan, Seed: 7, AsymSizes: []int{4, 8}}, `"seed" does not apply`},
 		{"faultscan no plan", RunSpec{Kind: KindFaultscan}, "fault plan"},
 		{"faultscan bad plan", RunSpec{Kind: KindFaultscan, Faults: &faults.Spec{StragglerFrac: 2}}, "straggler"},

@@ -156,12 +156,11 @@ func geCodec() codecCase {
 			var parts []mpi.Part
 			for q := 0; q < 3; q++ {
 				var idx []int
-				rows := map[int][]float64{}
-				rhs := map[int]float64{}
+				var rows, rhs []float64
 				for i := q; i < n; i += 3 {
 					idx = append(idx, i)
-					rows[i] = slices.Clone(a.Row(i))
-					rhs[i] = b[i]
+					rows = append(rows, a.Row(i)...)
+					rhs = append(rhs, b[i])
 				}
 				head, body := packGEState(codecStep, n, idx, rows, rhs, symbolic)
 				parts = append(parts, mpi.Part{Head: head, Body: body})

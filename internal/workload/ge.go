@@ -185,9 +185,12 @@ func geRank(c *mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float
 	// --- Phase 1: distribution (paper step 1) -----------------------------
 	// Rank 0 packs each peer's rows into one flat message plus one rhs
 	// message: 2(p-1) point-to-point messages, matching the 2(p-1)
-	// (T_send+T_recv) term of the paper's overhead model.
-	myRows := make(map[int][]float64, len(myRowIdx))
-	myRhs := make(map[int]float64, len(myRowIdx))
+	// (T_send+T_recv) term of the paper's overhead model. Every rank
+	// keeps its packed buffers, its private copies, as its row state:
+	// owned row pos (global index myRowIdx[pos]) is
+	// myRows[pos·n, (pos+1)·n) with rhs myRhs[pos]. A symbolic run's
+	// buffers are Blanks that nothing writes.
+	var myRows, myRhs []float64
 	if rank == 0 {
 		for r := p - 1; r >= 0; r-- {
 			idx := asn.Rows(r)
@@ -200,23 +203,24 @@ func geRank(c *mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float
 				}
 			}
 			if r == 0 {
-				unpackRows(myRows, myRhs, idx, rows, rhs, n)
+				myRows, myRhs = rows, rhs
 			} else {
 				c.Send(r, tagGERows, rows)
 				c.Send(r, tagGERhs, rhs)
 			}
 		}
 	} else {
-		rows := c.Recv(0, tagGERows)
-		rhs := c.Recv(0, tagGERhs)
-		if len(rows) != len(myRowIdx)*n || len(rhs) != len(myRowIdx) {
-			return nil, fmt.Errorf("workload: rank %d received %d row values, want %d", rank, len(rows), len(myRowIdx)*n)
+		myRows = c.Recv(0, tagGERows)
+		myRhs = c.Recv(0, tagGERhs)
+		if len(myRows) != len(myRowIdx)*n || len(myRhs) != len(myRowIdx) {
+			return nil, fmt.Errorf("workload: rank %d received %d row values, want %d", rank, len(myRows), len(myRowIdx)*n)
 		}
-		unpackRows(myRows, myRhs, myRowIdx, rows, rhs, n)
 	}
+	row := func(pos int) []float64 { return myRows[pos*n : (pos+1)*n] }
 
 	// --- Phase 2: elimination (paper step 2) ------------------------------
-	// next indexes the first owned row with index > k.
+	// next indexes the first owned row with index > k, so the owner's
+	// pivot row k sits at position next-1.
 	next := 0
 	k0 := 0
 	if rec != nil {
@@ -233,7 +237,7 @@ func geRank(c *mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float
 			if symbolic {
 				piv = pivBuf
 			} else {
-				piv = append(append(pivBuf[:0], myRows[k]...), myRhs[k])
+				piv = append(append(pivBuf[:0], row(next-1)...), myRhs[next-1])
 			}
 		}
 		switch pivot {
@@ -252,12 +256,10 @@ func geRank(c *mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float
 			c.Compute(float64(active) * 2 * float64(n-k) / frac)
 			if !symbolic {
 				pivRhs := piv[n]
-				for _, j := range myRowIdx[next:] {
-					rhs := myRhs[j]
-					if _, err := linalg.EliminateRow(myRows[j], piv[:n], &rhs, pivRhs, k); err != nil {
-						return nil, fmt.Errorf("workload: rank %d row %d: %w", rank, j, err)
+				for pos := next; pos < len(myRowIdx); pos++ {
+					if _, err := linalg.EliminateRow(row(pos), piv[:n], &myRhs[pos], pivRhs, k); err != nil {
+						return nil, fmt.Errorf("workload: rank %d row %d: %w", rank, myRowIdx[pos], err)
 					}
-					myRhs[j] = rhs
 				}
 			}
 		}
@@ -271,9 +273,9 @@ func geRank(c *mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float
 	// --- Phase 3: collection + back substitution (paper step 3) -----------
 	packed := buffer(len(myRowIdx)*(n+1), symbolic)
 	if !symbolic {
-		for pos, i := range myRowIdx {
-			copy(packed[pos*(n+1):pos*(n+1)+n], myRows[i])
-			packed[pos*(n+1)+n] = myRhs[i]
+		for pos := range myRowIdx {
+			copy(packed[pos*(n+1):pos*(n+1)+n], row(pos))
+			packed[pos*(n+1)+n] = myRhs[pos]
 		}
 	}
 	if rank != 0 {
@@ -314,18 +316,12 @@ func geRank(c *mpi.Comm, n int, asn dist.Assignment, a *linalg.Matrix, b []float
 	return x, nil
 }
 
-func unpackRows(rows map[int][]float64, rhs map[int]float64, idx []int, flat, flatRhs []float64, n int) {
-	for pos, i := range idx {
-		rows[i] = flat[pos*n : (pos+1)*n : (pos+1)*n]
-		rhs[i] = flatRhs[pos]
-	}
-}
-
 // packGEState encodes one rank's cumulative elimination state as a
 // checkpoint part: the header [pivots done, row count, then the owned
 // row indices] and per owned row its n values and rhs, copied, or a
-// Blank when symbolic.
-func packGEState(steps, n int, rowIdx []int, rows map[int][]float64, rhs map[int]float64, symbolic bool) (head, body []float64) {
+// Blank when symbolic. Owned row pos is rows[pos·n, (pos+1)·n) with rhs
+// rhs[pos].
+func packGEState(steps, n int, rowIdx []int, rows, rhs []float64, symbolic bool) (head, body []float64) {
 	head = make([]float64, 2, 2+len(rowIdx))
 	head[0] = float64(steps)
 	head[1] = float64(len(rowIdx))
@@ -334,9 +330,9 @@ func packGEState(steps, n int, rowIdx []int, rows map[int][]float64, rhs map[int
 	}
 	body = buffer(len(rowIdx)*(n+1), symbolic)
 	if !symbolic {
-		for pos, i := range rowIdx {
-			copy(body[pos*(n+1):], rows[i])
-			body[pos*(n+1)+n] = rhs[i]
+		for pos := range rowIdx {
+			copy(body[pos*(n+1):], rows[pos*n:(pos+1)*n])
+			body[pos*(n+1)+n] = rhs[pos]
 		}
 	}
 	return head, body
@@ -395,22 +391,22 @@ func geOverhead(cl *cluster.Cluster, m simnet.CostModel) (func(n float64) float6
 	if cl == nil || m == nil {
 		return nil, fmt.Errorf("workload: GE overhead needs cluster and model")
 	}
-	speeds := cl.Speeds()
-	p := len(speeds)
-	var total float64
-	for _, s := range speeds {
-		total += s
-	}
+	p := cl.Size()
+	total, peers := peerRuns(cl)
 	return func(n float64) float64 {
 		var to float64
 		// Distribution: rank 0 sends each peer its rows (count_r × n
 		// elements) and rhs (count_r elements), serialized at the sender.
-		for r := 1; r < p; r++ {
-			rows := n * speeds[r] / total
+		for _, run := range peers {
+			rows := n * run.speed / total
 			bA := int(wordB * rows * n)
 			bR := int(wordB * rows)
-			to += m.SendTime(bA) + m.TransferTime(bA)
-			to += m.SendTime(bR) + m.TransferTime(bR)
+			tA := m.SendTime(bA) + m.TransferTime(bA)
+			tR := m.SendTime(bR) + m.TransferTime(bR)
+			for range run.ranks {
+				to += tA
+				to += tR
+			}
 		}
 		// Elimination: one pivot-row broadcast of n+1 elements plus one
 		// barrier per iteration, n-1 iterations.
@@ -422,13 +418,43 @@ func geOverhead(cl *cluster.Cluster, m simnet.CostModel) (func(n float64) float6
 		to += iters * (m.BcastTime(p, bPiv) + m.BarrierTime(p))
 		// Collection: each peer returns count_r × (n+1) elements; rank 0's
 		// receive processing serializes.
-		for r := 1; r < p; r++ {
-			rows := n * speeds[r] / total
+		for _, run := range peers {
+			rows := n * run.speed / total
 			bU := int(wordB * rows * (n + 1))
-			to += m.TransferTime(bU) + m.RecvTime(bU)
+			tU := m.TransferTime(bU) + m.RecvTime(bU)
+			for range run.ranks {
+				to += tU
+			}
 		}
 		return to
 	}, nil
+}
+
+// speedRun is ranks consecutive ranks of one marked speed.
+type speedRun struct {
+	speed float64
+	ranks int
+}
+
+// peerRuns returns the cluster's marked speed, summed in rank order, and
+// ranks 1..p-1 as runs of equal speed. The GE and MM overheads price a
+// peer's messages from its speed alone and every cost model is a pure
+// function of its byte count, so one run needs one cost-model call. Each
+// rank still adds its own term, in rank order, so every sum keeps its
+// bits; count × term would not.
+func peerRuns(cl *cluster.Cluster) (total float64, peers []speedRun) {
+	for r, nd := range cl.Nodes {
+		total += nd.SpeedMflops
+		if r == 0 {
+			continue
+		}
+		if last := len(peers) - 1; last >= 0 && peers[last].speed == nd.SpeedMflops {
+			peers[last].ranks++
+		} else {
+			peers = append(peers, speedRun{nd.SpeedMflops, 1})
+		}
+	}
+	return total, peers
 }
 
 // geSeqTime returns t0(n) in ms: the back-substitution stage executed only

@@ -298,25 +298,27 @@ func mmOverhead(cl *cluster.Cluster, m simnet.CostModel) (func(n float64) float6
 	if cl == nil || m == nil {
 		return nil, fmt.Errorf("workload: MM overhead needs cluster and model")
 	}
-	speeds := cl.Speeds()
-	p := len(speeds)
-	var total float64
-	for _, s := range speeds {
-		total += s
-	}
+	p := cl.Size()
+	total, peers := peerRuns(cl)
 	return func(n float64) float64 {
 		var to float64
-		for r := 1; r < p; r++ {
-			rows := n * speeds[r] / total
+		for _, run := range peers {
+			rows := n * run.speed / total
 			bA := int(wordB * rows * n)
-			to += m.SendTime(bA) + m.TransferTime(bA)
+			tA := m.SendTime(bA) + m.TransferTime(bA)
+			for range run.ranks {
+				to += tA
+			}
 		}
 		bB := int(wordB * n * n)
 		to += m.BcastTime(p, bB)
-		for r := 1; r < p; r++ {
-			rows := n * speeds[r] / total
+		for _, run := range peers {
+			rows := n * run.speed / total
 			bC := int(wordB * rows * n)
-			to += m.TransferTime(bC) + m.RecvTime(bC)
+			tC := m.TransferTime(bC) + m.RecvTime(bC)
+			for range run.ranks {
+				to += tC
+			}
 		}
 		return to
 	}, nil
